@@ -21,6 +21,8 @@ from coverscope.cover import (
     VerificationError,
     _first_match,
     _parse_decimal,
+    _parse_flags,
+    _parse_sign,
     build_entry,
 )
 
@@ -306,7 +308,7 @@ def certificate_to_json(cert: AlgebraicCertificate) -> str:
 
 def partial_certificate_from_dict(doc: dict) -> PartialCoverCertificate:
     try:
-        candidate = Candidate(_parse_decimal(doc, "k"), doc.get("sign", 0))
+        candidate = Candidate(_parse_decimal(doc, "k"), _parse_sign(doc))
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from None
     predicate = doc.get("predicate")
@@ -325,7 +327,7 @@ def partial_certificate_from_dict(doc: dict) -> PartialCoverCertificate:
         not isinstance(table, list)
         or len(table) != lcm
         or not all(
-            t is None or (isinstance(t, int) and 0 <= t < len(entries)) for t in table
+            t is None or (type(t) is int and 0 <= t < len(entries)) for t in table  # no bools
         )
     ):
         raise CertificateFormatError("table must hold entry indexes or nulls")
@@ -335,9 +337,7 @@ def partial_certificate_from_dict(doc: dict) -> PartialCoverCertificate:
     for r, idx in enumerate(table):
         if pred(r) and idx is None:
             raise CertificateFormatError(f"predicate residue {r} is unclaimed")
-    flags = doc.get("divisor_primality_flags")
-    if not isinstance(flags, list) or len(flags) != len(entries):
-        raise CertificateFormatError("divisor_primality_flags must match entries")
+    flags = _parse_flags(doc, len(entries))
     counts = [0] * len(entries)
     for idx in table:
         if idx is not None:
@@ -349,12 +349,13 @@ def partial_certificate_from_dict(doc: dict) -> PartialCoverCertificate:
         lcm,
         tuple(table),
         tuple(counts),
-        tuple(bool(f) for f in flags),
+        flags,
     )
 
 
 def certificate_from_dict(doc: dict) -> AlgebraicCertificate:
     kind = doc.get("kind")
+    sign = _parse_sign(doc)
     root = _parse_decimal(doc, "root")
     k = _parse_decimal(doc, "k")
     partial_doc = doc.get("partial_cover_certificate")
@@ -372,10 +373,12 @@ def certificate_from_dict(doc: dict) -> AlgebraicCertificate:
         raise CertificateFormatError(f"unknown kind {kind!r}")
     if case.k != k or partial.candidate.k != k:
         raise CertificateFormatError("k does not match the stated root and kind")
-    if partial.candidate.sign != case.sign or partial.predicate != case.predicate:
+    if sign != case.sign or partial.candidate.sign != case.sign:
+        raise CertificateFormatError("sign does not match the kind")
+    if partial.predicate != case.predicate:
         raise CertificateFormatError("partial certificate does not match the kind")
     audited = doc.get("audited_n_max")
-    if not isinstance(audited, int) or audited < 1:
+    if type(audited) is not int or audited < 1:  # no bools
         raise CertificateFormatError("audited_n_max must be a positive integer")
     return AlgebraicCertificate(case, partial, audited)
 

@@ -15,6 +15,7 @@ from coverscope._backend import WORD_LIMIT, kernels
 METHOD_PROTH = "proth"
 METHOD_MR_DETERMINISTIC = "miller-rabin-deterministic"
 METHOD_MR_PROBABILISTIC = "miller-rabin-probabilistic"
+METHOD_SIEVE = "sieve"
 
 # Deterministic Miller-Rabin witness table (first 13 primes), valid for
 # every n < 3317044064679887385961981 ~ 3.3e24.  Below 2**64 the backend
@@ -27,6 +28,12 @@ MR_PROBABILISTIC_ROUNDS = 40
 # Above this, the order search for prime d switches from a linear scan to
 # testing divisors of d-1; an optimization only, same minimal result.
 ORDER_LINEAR_SCAN_LIMIT = 10**6
+
+# A first-prime scan crosses out every term with an odd prime factor up to
+# this bound before any primality test.  Measured at 128..16384 (CHANGES.md):
+# above 1024 the gcd with the longer product costs short scans more than the
+# tests it saves; below it, long scans of large terms test more survivors.
+SIEVE_BOUND = 1024
 
 # How many candidate bases the Proth test examines while hunting for a
 # quadratic non-residue before giving up and falling back to Miller-Rabin.
@@ -42,7 +49,9 @@ class PrimalityResult:
     so the claim re-verifies from this record alone.  For Miller-Rabin,
     witness is the base that certified compositeness (0 when none is
     singled out); deterministic results re-verify by re-running the fixed
-    base table.  rounds is nonzero only for the probabilistic method.
+    base table.  For the sieve method, witness is a prime p <= SIEVE_BOUND
+    with p | n and p < n, so n is composite by one reduction.  rounds is
+    nonzero only for the probabilistic method.
     """
 
     n: int
@@ -198,6 +207,34 @@ def _mr_composite(n, a, d, s):
     return True
 
 
+def _odd_primes_upto(bound):
+    # Eratosthenes: a fraction of a millisecond at import, where trial
+    # division of every odd number takes about ten times as long.
+    is_p = bytearray([1]) * (bound + 1)
+    for p in range(3, math.isqrt(bound) + 1, 2):
+        if is_p[p]:
+            is_p[p * p :: 2 * p] = bytes(len(range(p * p, bound + 1, 2 * p)))
+    return tuple(p for p in range(3, bound + 1, 2) if is_p[p])
+
+
+SIEVE_PRIMES = _odd_primes_upto(SIEVE_BOUND)
+SIEVE_PRODUCT = math.prod(SIEVE_PRIMES)
+
+
+def small_factor(n: int) -> int:
+    """Least odd prime p <= SIEVE_BOUND with p | n and p < n, else 0.
+
+    A nonzero result proves n composite; 0 decides nothing.  One gcd with
+    the product of SIEVE_PRIMES finds whether any such p exists.
+    """
+    g = math.gcd(n, SIEVE_PRODUCT)
+    if g > 1:
+        for p in SIEVE_PRIMES:
+            if g % p == 0:
+                return p if p < n else 0
+    return 0
+
+
 def proth_test(k: int, m: int) -> PrimalityResult:
     """Decisive primality test for N = k*2**m + 1 with 2**m > k, k odd.
 
@@ -228,7 +265,7 @@ def proth_test(k: int, m: int) -> PrimalityResult:
             return PrimalityResult(n, METHOD_PROTH, False, witness=a)
         a += 2
     # No non-residue among the candidates (n a perfect square, say).
-    return _nonproth_dispatch(n)
+    return _miller_rabin(n)
 
 
 def is_prime(n: int) -> PrimalityResult:
@@ -241,6 +278,20 @@ def is_prime(n: int) -> PrimalityResult:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if n >= MR_DETERMINISTIC_BOUND:
+        m = ((n - 1) & (1 - n)).bit_length() - 1  # 2-adic valuation of n - 1
+        k = (n - 1) >> m
+        if (1 << m) > k:
+            return proth_test(k, m)
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n):
+    """is_prime without the Proth branch, which proth_test falls back to.
+
+    Repeated probabilistic runs report identically: their bases come from
+    an n-seeded generator.
+    """
     if n < 2:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False)
     if n == 2:
@@ -249,40 +300,13 @@ def is_prime(n: int) -> PrimalityResult:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=2)
     if n < WORD_LIMIT:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, kernels.is_prime_u64(n))
-    if n < MR_DETERMINISTIC_BOUND:
-        d, s = _mr_decompose(n)
-        for a in MR_DETERMINISTIC_BASES:
-            if n == a:
-                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
-            if n % a == 0:
-                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=a)
-            if _mr_composite(n, a, d, s):
-                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=a)
-        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
-    m = ((n - 1) & (1 - n)).bit_length() - 1  # 2-adic valuation of n - 1
-    k = (n - 1) >> m
-    if (1 << m) > k:
-        return proth_test(k, m)
-    return _mr_fallback(n)
-
-
-def _nonproth_dispatch(n):
-    # Deterministic answer when n is small enough, else probabilistic.
-    if n < MR_DETERMINISTIC_BOUND:
-        if n < WORD_LIMIT:
-            return PrimalityResult(n, METHOD_MR_DETERMINISTIC, kernels.is_prime_u64(n))
-        d, s = _mr_decompose(n)
-        for a in MR_DETERMINISTIC_BASES:
-            if _mr_composite(n, a, d, s):
-                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=a)
-        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
-    return _mr_fallback(n)
-
-
-def _mr_fallback(n):
-    """Probabilistic Miller-Rabin; bases drawn from an n-seeded generator so
-    repeated runs report identically."""
     d, s = _mr_decompose(n)
+    if n < MR_DETERMINISTIC_BOUND:
+        # n > 41, so a base that divides n is caught as an MR witness too.
+        for a in MR_DETERMINISTIC_BASES:
+            if _mr_composite(n, a, d, s):
+                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=a)
+        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
     rng = random.Random(n)
     for _ in range(MR_PROBABILISTIC_ROUNDS):
         a = rng.randrange(2, n - 1)

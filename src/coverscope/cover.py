@@ -260,6 +260,27 @@ def _parse_decimal(doc, key):
     raise CertificateFormatError(f"field {key!r} must be a decimal string")
 
 
+def _parse_sign(doc):
+    sign = doc.get("sign")
+    # type(), not isinstance(): JSON true/false load as bools, which are ints.
+    if type(sign) is not int or sign not in (SIGN_SIERPINSKI, SIGN_RIESEL):
+        raise CertificateFormatError("sign must be the integer 1 or -1")
+    return sign
+
+
+def _parse_flags(doc, n_entries):
+    flags = doc.get("divisor_primality_flags")
+    if (
+        not isinstance(flags, list)
+        or len(flags) != n_entries
+        or not all(isinstance(f, bool) for f in flags)
+    ):
+        raise CertificateFormatError(
+            "divisor_primality_flags must hold one true/false per entry"
+        )
+    return tuple(flags)
+
+
 def certificate_from_dict(doc: dict) -> CoverCertificate:
     """Rebuild a certificate from its JSON document.
 
@@ -269,7 +290,7 @@ def certificate_from_dict(doc: dict) -> CoverCertificate:
     generation).
     """
     try:
-        candidate = Candidate(_parse_decimal(doc, "k"), doc.get("sign", 0))
+        candidate = Candidate(_parse_decimal(doc, "k"), _parse_sign(doc))
     except ValueError as exc:
         raise CertificateFormatError(str(exc)) from None
     raw_entries = doc.get("entries")
@@ -284,17 +305,15 @@ def certificate_from_dict(doc: dict) -> CoverCertificate:
     if (
         not isinstance(table, list)
         or len(table) != lcm
-        or not all(isinstance(t, int) and 0 <= t < len(entries) for t in table)
+        or not all(type(t) is int and 0 <= t < len(entries) for t in table)  # no bools
     ):
         raise CertificateFormatError("table must list a valid entry index per residue")
-    flags = doc.get("divisor_primality_flags")
-    if not isinstance(flags, list) or len(flags) != len(entries):
-        raise CertificateFormatError("divisor_primality_flags must match entries")
+    flags = _parse_flags(doc, len(entries))
     counts = [0] * len(entries)
     for idx in table:
         counts[idx] += 1
     return CoverCertificate(
-        candidate, entries, lcm, tuple(table), tuple(counts), tuple(bool(f) for f in flags)
+        candidate, entries, lcm, tuple(table), tuple(counts), flags
     )
 
 

@@ -1,9 +1,12 @@
 """Disqualification engine: prove k is NOT Sierpinski/Riesel by finding a
 prime in its sequence.
 
-The scan is ordered, so a hit is the first prime exponent.  On the +1 side,
-once 2^n outgrows k every term is Proth-form and one exponentiation decides
-it (leaving a re-checkable witness); elsewhere the generic test applies.
+The scan is ordered, so a hit is the first prime exponent.  A term with a
+prime factor p <= arith.SIEVE_BOUND below itself is crossed out by one gcd
+and recorded with method "sieve" and witness p; no primality test runs on
+it.  Every other term is tested: on the +1 side, once 2^n outgrows k every
+term is Proth-form and one exponentiation decides it (leaving a
+re-checkable witness); elsewhere the generic test applies.
 """
 
 from dataclasses import dataclass
@@ -36,12 +39,6 @@ class DisqualificationRecord:
         return self.n_found is not None
 
 
-def _test_term(candidate: Candidate, n: int) -> arith.PrimalityResult:
-    if candidate.sign == 1 and (1 << n) > candidate.k:
-        return arith.proth_test(candidate.k, n)
-    return arith.is_prime(candidate.term(n))
-
-
 def first_prime_exponent(
     candidate: Candidate, n_max: int, verbose: bool = False
 ) -> DisqualificationRecord:
@@ -50,7 +47,16 @@ def first_prime_exponent(
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     trail = [] if verbose else None
     for n in range(1, n_max + 1):
-        result = _test_term(candidate, n)
+        term = candidate.term(n)
+        p = arith.small_factor(term)
+        if p:
+            if trail is not None:
+                trail.append(arith.PrimalityResult(term, arith.METHOD_SIEVE, False, witness=p))
+            continue
+        if candidate.sign == 1 and (1 << n) > candidate.k:
+            result = arith.proth_test(candidate.k, n)
+        else:
+            result = arith.is_prime(term)
         if trail is not None:
             trail.append(result)
         if result.is_prime:

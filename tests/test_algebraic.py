@@ -213,6 +213,21 @@ class TestAlgebraicCertificate:
         with pytest.raises(algebraic.CertificateFormatError):
             algebraic.certificate_from_dict(doc)
 
+    def test_json_booleans_rejected(self):
+        cert = build_algebraic_certificate(CASE_A, 20)
+        for breakage in (
+            lambda d: d.update(sign=True),
+            lambda d: d.update(sign=-1),
+            lambda d: d.update(audited_n_max=True),
+            lambda d: d["partial_cover_certificate"].update(sign=True),
+            lambda d: d["partial_cover_certificate"]["table"].__setitem__(1, True),
+            lambda d: d["partial_cover_certificate"].update(divisor_primality_flags=[1] * 6),
+        ):
+            doc = json.loads(algebraic.certificate_to_json(cert))
+            breakage(doc)
+            with pytest.raises(algebraic.CertificateFormatError):
+                algebraic.certificate_from_dict(doc)
+
     def test_doctored_offset_caught_by_facts_check(self):
         cert = build_algebraic_certificate(CASE_A, 20)
         assert cert.partial.entries[0].c == 1  # true offset for d=3

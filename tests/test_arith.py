@@ -244,6 +244,87 @@ class TestProth:
             arith.proth_test(17, 4)  # 2^4 = 16 <= 17
 
 
+class TestSmallFactor:
+    def test_sieve_primes_are_the_odd_primes_to_the_bound(self):
+        expected = tuple(p for p in range(3, arith.SIEVE_BOUND + 1) if trial_division_prime(p))
+        assert arith.SIEVE_PRIMES == expected
+        assert arith.SIEVE_PRODUCT == math.prod(expected)
+
+    def test_least_small_prime_below_n(self):
+        for n in range(20000):
+            odd = [p for p in factorize_naive(n) if p % 2 == 1]
+            p = min(odd, default=0)
+            expected = p if p <= arith.SIEVE_BOUND and p < n else 0
+            assert arith.small_factor(n) == expected, n
+
+    def test_bignum_terms(self):
+        assert arith.small_factor(78557 * 2**1000 + 1) == 3
+        n = 1021 * 1031 * (2**89 - 1)  # least factor the largest sieve prime
+        assert arith.small_factor(n) == 1021
+        assert arith.small_factor(1031 * (2**89 - 1)) == 0  # 1031 > SIEVE_BOUND
+
+
+def _nonproth_reference(n):
+    """is_prime's non-Proth branch as it stood before proth_test shared it,
+    kept as the reference for the shared dispatcher."""
+    if n < 2:
+        return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, False)
+    if n == 2:
+        return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, True)
+    if n % 2 == 0:
+        return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, False, witness=2)
+    if n < 2**64:
+        return arith.PrimalityResult(
+            n, arith.METHOD_MR_DETERMINISTIC, arith.kernels.is_prime_u64(n)
+        )
+    d, s = arith._mr_decompose(n)
+    if n < arith.MR_DETERMINISTIC_BOUND:
+        for a in arith.MR_DETERMINISTIC_BASES:
+            if n == a:
+                return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, True)
+            if n % a == 0 or arith._mr_composite(n, a, d, s):
+                return arith.PrimalityResult(
+                    n, arith.METHOD_MR_DETERMINISTIC, False, witness=a
+                )
+        return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, True)
+    rng = random.Random(n)
+    rounds = arith.MR_PROBABILISTIC_ROUNDS
+    for _ in range(rounds):
+        a = rng.randrange(2, n - 1)
+        if arith._mr_composite(n, a, d, s):
+            return arith.PrimalityResult(
+                n, arith.METHOD_MR_PROBABILISTIC, False, witness=a, rounds=rounds
+            )
+    return arith.PrimalityResult(n, arith.METHOD_MR_PROBABILISTIC, True, rounds=rounds)
+
+
+class TestDispatcher:
+    def test_same_results_as_the_old_branch(self):
+        rng = random.Random(17)
+        ns = list(range(0, 2000))
+        ns += list(range(2**64 - 300, 2**64 + 300))
+        # a <= 41, so these multiples stay below the deterministic bound
+        ns += [a * rng.randrange(2**64, 2**75) for a in arith.MR_DETERMINISTIC_BASES]
+        ns += [rng.randrange(2**64, arith.MR_DETERMINISTIC_BOUND) for _ in range(300)]
+        ns += [rng.randrange(2**82, 2**100) for _ in range(100)]
+        ns += [2**89 - 1, 2**67 - 1, 2**61 - 1]
+        assert any(_nonproth_reference(n).is_prime for n in ns if n > 2**64)
+        for n in ns:
+            assert arith._miller_rabin(n) == _nonproth_reference(n), n
+            if n < arith.MR_DETERMINISTIC_BOUND:
+                assert arith.is_prime(n) == _nonproth_reference(n), n
+
+    def test_proth_fallback_on_a_square(self):
+        # 65537**2 = 32769*2**17 + 1 is Proth-form, but a square has no
+        # Jacobi -1 base, so the candidate scan gives up and falls back.
+        n = 65537**2
+        assert n == 32769 * 2**17 + 1
+        candidates = range(3, 3 + 2 * arith.PROTH_CANDIDATE_LIMIT, 2)
+        assert all(arith.jacobi(a, n) != -1 for a in candidates)
+        expected = arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, False)
+        assert arith.proth_test(32769, 17) == expected == _nonproth_reference(n)
+
+
 def test_order_exists_iff_coprime_property():
     rng = random.Random(42)
     for _ in range(200):

@@ -1,5 +1,6 @@
 """The compiled kernels and their pure-Python twins must agree bit-for-bit."""
 
+import os
 import random
 import subprocess
 import sys
@@ -72,9 +73,12 @@ def test_offset_scan_agreement():
 
 def test_pure_python_env_forces_fallback():
     code = "import coverscope; print(coverscope.BACKEND)"
+    env = {"COVERSCOPE_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"}
+    if "PYTHONPATH" in os.environ:  # finds coverscope when it is not installed
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env={"COVERSCOPE_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"},
+        env=env,
         capture_output=True,
         text=True,
         check=True,

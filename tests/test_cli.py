@@ -258,6 +258,20 @@ class TestAudit:
         assert code == 1
         assert "audit FAILED" in err
 
+    def test_json_booleans_are_usage_errors(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(
+            capsys, "verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
+            "--out", str(path),
+        )
+        doc = json.loads(path.read_text())
+        doc["sign"] = True
+        doc["table"] = [True if t == 1 else t for t in doc["table"]]
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "audit", str(path))
+        assert code == 2
+        assert "sign" in err
+
     def test_unparseable_certificate_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

@@ -255,6 +255,11 @@ class TestSerialization:
             lambda d: d.update(table=[0] * 35),
             lambda d: d.update(table=["x"] * 36),
             lambda d: d.update(divisor_primality_flags=[True]),
+            lambda d: d.update(sign=True),
+            lambda d: d.update(sign=1.0),
+            lambda d: d["table"].__setitem__(1, True),
+            lambda d: d.update(divisor_primality_flags=[1] * 7),
+            lambda d: d.update(divisor_primality_flags=["yes"] * 7),
         ):
             doc = json.loads(json.dumps(good))
             breakage(doc)

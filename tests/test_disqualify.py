@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverscope import arith, disqualify
 from coverscope.cover import Candidate
@@ -53,6 +55,67 @@ class TestFirstPrimeExponent:
     def test_bad_n_max(self):
         with pytest.raises(ValueError):
             disqualify.first_prime_exponent(Candidate(5, 1), 0)
+
+
+def _plain_scan(candidate, n_max):
+    """The scan without the sieve: a full primality test on every term."""
+    trail = []
+    for n in range(1, n_max + 1):
+        if candidate.sign == 1 and (1 << n) > candidate.k:
+            result = arith.proth_test(candidate.k, n)
+        else:
+            result = arith.is_prime(candidate.term(n))
+        trail.append(result)
+        if result.is_prime:
+            return n, result, trail
+    return None, None, trail
+
+
+class TestSieve:
+    def test_sieve_entries_recheck_by_one_reduction(self):
+        for k, sign, n_max in ((78557, 1, 1000), (509203, -1, 1000), (143, 1, 60), (3, -1, 8)):
+            record = disqualify.first_prime_exponent(Candidate(k, sign), n_max, verbose=True)
+            for n, result in enumerate(record.trail, start=1):
+                assert result.n == k * 2**n + sign
+                if result.method == arith.METHOD_SIEVE:
+                    p = result.witness
+                    assert not result.is_prime and p in arith.SIEVE_PRIMES
+                    assert result.n % p == 0 and 1 < p < result.n
+
+    def test_proven_numbers_need_no_primality_test(self):
+        # every term of a cover with divisors <= SIEVE_BOUND is sieved out
+        for k, sign in ((78557, 1), (509203, -1)):
+            record = disqualify.first_prime_exponent(Candidate(k, sign), 1000, verbose=True)
+            assert record.n_found is None
+            assert {r.method for r in record.trail} == {arith.METHOD_SIEVE}
+
+    def test_small_prime_term_is_tested_not_sieved(self):
+        # 3 = 1*2^1 + 1 and 5 = 3*2^1 - 1 are primes below the bound
+        for k, sign, term in ((1, 1, 3), (3, -1, 5)):
+            record = disqualify.first_prime_exponent(Candidate(k, sign), 4)
+            assert record.n_found == 1 and record.primality.n == term
+            assert record.primality.method != arith.METHOD_SIEVE
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(0, 2**19 - 1).map(lambda i: 2 * i + 1),
+        sign=st.sampled_from((1, -1)),
+        n_max=st.integers(1, 200),
+    )
+    def test_matches_plain_scan(self, k, sign, n_max):
+        candidate = Candidate(k, sign)
+        record = disqualify.first_prime_exponent(candidate, n_max, verbose=True)
+        n_found, primality, plain = _plain_scan(candidate, n_max)
+        assert (record.n_found, record.primality) == (n_found, primality)
+        assert len(record.trail) == len(plain)
+        for sieved, tested in zip(record.trail, plain):
+            assert (sieved.n, sieved.is_prime) == (tested.n, tested.is_prime)
+            if sieved.method == arith.METHOD_SIEVE:
+                assert sieved.n % sieved.witness == 0 and 1 < sieved.witness < sieved.n
+            else:
+                assert sieved == tested
+            if sieved.n < 2**40:
+                assert sieved.is_prime == trial_division_prime(sieved.n)
 
 
 class TestSurveyRange:
