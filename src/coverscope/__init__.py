@@ -15,13 +15,11 @@ from coverscope._backend import BACKEND
 from coverscope.algebraic import (
     AlgebraicCertificate,
     FourthPowerCase,
-    PartialCoverCertificate,
     SquareCase,
     build_algebraic_certificate,
     fourth_power_factor,
     square_factor,
     verify_coverless,
-    verify_partial_cover,
 )
 from coverscope.arith import PrimalityResult, is_prime, proth_test
 from coverscope.cover import (
@@ -58,7 +56,6 @@ __all__ = [
     "DisqualificationRecord",
     "FourthPowerCase",
     "NoOffsetError",
-    "PartialCoverCertificate",
     "PrimalityResult",
     "SquareCase",
     "UncoveredResidueError",
@@ -77,6 +74,5 @@ __all__ = [
     "verify_cover",
     "verify_corpus",
     "verify_coverless",
-    "verify_partial_cover",
     "witness",
 ]

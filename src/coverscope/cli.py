@@ -166,14 +166,18 @@ def cmd_verify(args):
             )
         return 0
     cert = cover.verify_cover(candidate, args.cover)
-    audit_n = args.audit_n or 10 * cert.lcm
-    if not cover.audit_certificate(cert, audit_n):
-        n_bad = cover.first_audit_failure(cert, audit_n)
+    return _audit_and_emit(cert, args.audit_n or 10 * cert.lcm, args)
+
+
+def _audit_and_emit(cert, audit_n, args, header=""):
+    """Witness-audit a cover to audit_n, then emit it and its summary."""
+    n_bad = cover.first_audit_failure(cert, audit_n)
+    if n_bad is not None:
         sys.stderr.write(f"audit failed at n={n_bad}\n")
         return 1
     _emit_certificate(cover.certificate_to_dict(cert), args)
     if args.format == "text":
-        sys.stdout.write(_cover_summary(cert, audit_n))
+        sys.stdout.write(header + _cover_summary(cert, audit_n))
     return 0
 
 
@@ -225,14 +229,9 @@ def cmd_survey(args):
 
 
 def cmd_family(args):
-    candidate = Candidate(args.k, args.sign)
-    sibling = cover.generate_family(candidate, args.cover, args.i)
-    cert = cover.verify_cover(sibling, args.cover)
-    _emit_certificate(cover.certificate_to_dict(cert), args)
-    if args.format == "text":
-        sys.stdout.write(f"family member i={args.i}: k' = {sibling.k}\n")
-        sys.stdout.write(_cover_summary(cert, cert.lcm))
-    return 0
+    cert = cover.generate_family(Candidate(args.k, args.sign), args.cover, args.i)
+    header = f"family member i={args.i}: k' = {cert.candidate.k}\n"
+    return _audit_and_emit(cert, cert.lcm, args, header)
 
 
 def cmd_audit(args):

@@ -5,10 +5,19 @@ list of odd divisors d, each pinned to an arithmetic progression of
 exponents: d divides every term with n == c (mod b), where b is the
 multiplicative order of 2 mod d and c the least offset with d | k*2^c + sign.
 The certificate closes the argument with a residue table over 0..L-1
-(L = lcm of the periods) proving every exponent class is claimed.
+proving that every exponent class the cover's predicate names is claimed.
+
+A full cover has the predicate `all` (modulus 1): every n must be claimed.
+A partial cover, the cover half of a coverless proof (coverscope.algebraic),
+has a predicate that names only some classes mod a small modulus; its table
+holds None for the others.  Both kinds share the one certificate type,
+builder, serializer, parser and facts check below.  L is the lcm of the
+periods and the predicate modulus, so n and n mod L always agree on the
+predicate.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from coverscope import arith
@@ -19,6 +28,17 @@ SIGN_SIERPINSKI = 1
 SIGN_RIESEL = -1
 
 _SIGN_NAMES = {SIGN_SIERPINSKI: "sierpinski", SIGN_RIESEL: "riesel"}
+
+PREDICATE_ALL = "all"
+PREDICATE_MOD4_NE_2 = "mod4ne2"
+PREDICATE_ODD = "odd"
+
+# predicate name -> (modulus, the residues mod modulus it claims)
+_PREDICATES = {
+    PREDICATE_ALL: (1, (0,)),
+    PREDICATE_MOD4_NE_2: (4, (0, 1, 3)),
+    PREDICATE_ODD: (2, (1,)),
+}
 
 
 class VerificationError(Exception):
@@ -83,17 +103,24 @@ class CoverEntry:
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    """Verified cover: entries, L = lcm of periods, and the residue table
-    mapping each r in 0..L-1 to the first entry (in cover order) with
-    r == c (mod b).  divisor_primality flags composite divisors - legal
-    in a cover, but worth a warning."""
+    """Verified cover: entries, L = lcm of the periods and the predicate
+    modulus, and the residue table mapping each claimed r in 0..L-1 to the
+    first entry (in cover order) with r == c (mod b), and every other r to
+    None.  divisor_primality flags composite divisors - legal in a cover,
+    but worth a warning."""
 
     candidate: Candidate
     entries: tuple[CoverEntry, ...]
     lcm: int
-    table: tuple[int, ...]
-    witness_counts: tuple[int, ...]
+    table: tuple[int | None, ...]
     divisor_primality: tuple[bool, ...]
+    predicate: str = PREDICATE_ALL
+
+    @property
+    def witness_counts(self) -> tuple[int, ...]:
+        """How many residues mod L each entry claims."""
+        counts = Counter(self.table)
+        return tuple(counts[idx] for idx in range(len(self.entries)))
 
 
 def _require_cover_k(candidate):
@@ -140,53 +167,65 @@ def check_induction_identity(candidate: Candidate, entry: CoverEntry, j_max: int
     return True
 
 
-def _first_match(entries, r):
-    for idx, e in enumerate(entries):
-        if r % e.b == e.c:
-            return idx
-    return None
-
-
-def verify_cover(candidate: Candidate, divisors) -> CoverCertificate:
-    """Build entries for every divisor, then prove residue exhaustiveness.
+def verify_cover(
+    candidate: Candidate, divisors, predicate: str = PREDICATE_ALL
+) -> CoverCertificate:
+    """Build entries for every divisor, then prove that every residue mod L
+    the predicate claims is claimed by some entry.
 
     Raises NoOffsetError (naming the divisor) or UncoveredResidueError
-    (naming the smallest unclaimed residue mod L).  Deterministic: the
-    table always picks the first matching entry in cover order.
+    (naming the smallest claimed residue mod L left open).  Deterministic:
+    the table always picks the first matching entry in cover order.
     """
+    if predicate not in _PREDICATES:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    modulus, claimed = _PREDICATES[predicate]
     divisors = [int(d) for d in divisors]
     if not divisors:
         raise ValueError("cover must contain at least one divisor")
     entries = tuple(build_entry(candidate, d) for d in divisors)
-    lcm = arith.lcm_all([e.b for e in entries])
-    table = []
-    for r in range(lcm):
-        idx = _first_match(entries, r)
-        if idx is None:
-            raise UncoveredResidueError(r, lcm)
-        table.append(idx)
-    counts = [0] * len(entries)
-    for idx in table:
-        counts[idx] += 1
+    lcm = arith.lcm_all([e.b for e in entries] + [modulus])
+    table = [None] * lcm
+    # Last entry first, so that an earlier entry overwrites a later one.
+    for idx in reversed(range(len(entries))):
+        e = entries[idx]
+        table[e.c::e.b] = [idx] * len(range(e.c, lcm, e.b))
+    holes = []
+    for r in claimed:
+        column = table[r::modulus]
+        if None in column:
+            holes.append(r + modulus * column.index(None))
+    if holes:
+        raise UncoveredResidueError(min(holes), lcm)
+    for r in range(modulus):
+        if r not in claimed:
+            table[r::modulus] = [None] * len(range(r, lcm, modulus))
     primality = tuple(arith.is_prime(e.d).is_prime for e in entries)
-    return CoverCertificate(
-        candidate, entries, lcm, tuple(table), tuple(counts), primality
-    )
+    return CoverCertificate(candidate, entries, lcm, tuple(table), primality, predicate)
 
 
 def witness(certificate: CoverCertificate, n: int) -> int:
-    """The covering divisor for exponent n >= 1 (first match in cover order)."""
+    """The covering divisor for exponent n >= 1 (first match in cover order);
+    n must satisfy the certificate's predicate."""
     if n < 1:
         raise ValueError("the sequence starts at n = 1")
-    entry = certificate.entries[certificate.table[n % certificate.lcm]]
-    return entry.d
+    idx = certificate.table[n % certificate.lcm]
+    if idx is None:
+        raise ValueError(
+            f"n={n} does not satisfy the {certificate.predicate} condition"
+        )
+    return certificate.entries[idx].d
 
 
 def first_audit_failure(certificate: CoverCertificate, n_max: int) -> int | None:
-    """Smallest n in 1..n_max where the witness is not a proper divisor of
-    k*2^n + sign, or None when every n passes.  Exact bignum arithmetic."""
+    """Smallest claimed n in 1..n_max where the witness is not a proper
+    divisor of k*2^n + sign, or None when every claimed n passes.  Exact
+    bignum arithmetic."""
     for n in range(1, n_max + 1):
-        d = certificate.entries[certificate.table[n % certificate.lcm]].d
+        idx = certificate.table[n % certificate.lcm]
+        if idx is None:
+            continue
+        d = certificate.entries[idx].d
         term = certificate.candidate.term(n)
         if term % d != 0 or not 1 < d < term:
             return n
@@ -208,11 +247,11 @@ def cover_product(certificate: CoverCertificate) -> int:
     return p
 
 
-def generate_family(candidate: Candidate, divisors, i: int) -> Candidate:
-    """The i-th sibling k + 2*i*P (P = product of the cover divisors) keeps
-    the same cover; each divisor's period and offset are unchanged since
-    k + 2*i*P == k (mod d).  Verified by rebuilding the certificate and
-    requiring an identical entry table."""
+def generate_family(candidate: Candidate, divisors, i: int) -> CoverCertificate:
+    """Certificate of the i-th sibling k + 2*i*P (P = product of the cover
+    divisors), which keeps the same cover: each divisor's period and offset
+    are unchanged since k + 2*i*P == k (mod d).  Verified by building the
+    sibling's certificate and requiring the base's entry table."""
     if i < 1:
         raise ValueError(f"family index must be >= 1, got {i}")
     base = verify_cover(candidate, divisors)
@@ -222,28 +261,27 @@ def generate_family(candidate: Candidate, divisors, i: int) -> Candidate:
         raise VerificationError(
             f"family member k={sibling.k} does not reproduce the base cover table"
         )
-    return sibling
+    return derived
 
 
 # --- serialization -----------------------------------------------------------
-# Schema: {k, sign, entries: [{d, b, c}], lcm, table, divisor_primality_flags,
-# tool_version}.  All unbounded integers travel as decimal strings; table
-# holds small entry indexes.  Serialization is canonical, so identical
-# certificates give identical bytes.
+# Schema: {k, sign, predicate (partial covers only), entries: [{d, b, c}],
+# lcm, table, divisor_primality_flags, tool_version}.  All unbounded
+# integers travel as decimal strings; table holds small entry indexes, and
+# null for the residues a partial cover's predicate leaves out.
+# Serialization is canonical, so identical certificates give identical bytes.
 
 
 def certificate_to_dict(cert: CoverCertificate) -> dict:
-    return {
-        "k": str(cert.candidate.k),
-        "sign": cert.candidate.sign,
-        "entries": [
-            {"d": str(e.d), "b": str(e.b), "c": str(e.c)} for e in cert.entries
-        ],
-        "lcm": str(cert.lcm),
-        "table": list(cert.table),
-        "divisor_primality_flags": list(cert.divisor_primality),
-        "tool_version": TOOL_VERSION,
-    }
+    doc = {"k": str(cert.candidate.k), "sign": cert.candidate.sign}
+    if cert.predicate != PREDICATE_ALL:
+        doc["predicate"] = cert.predicate
+    doc["entries"] = [{"d": str(e.d), "b": str(e.b), "c": str(e.c)} for e in cert.entries]
+    doc["lcm"] = str(cert.lcm)
+    doc["table"] = list(cert.table)
+    doc["divisor_primality_flags"] = list(cert.divisor_primality)
+    doc["tool_version"] = TOOL_VERSION
+    return doc
 
 
 def certificate_to_json(cert: CoverCertificate) -> str:
@@ -255,7 +293,8 @@ def _parse_decimal(doc, key):
         value = doc[key]
     except (KeyError, TypeError):
         raise CertificateFormatError(f"missing field {key!r}") from None
-    if isinstance(value, str) and value.isdigit():
+    # isdigit() alone also admits other scripts' digits and superscripts.
+    if isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
     raise CertificateFormatError(f"field {key!r} must be a decimal string")
 
@@ -281,14 +320,28 @@ def _parse_flags(doc, n_entries):
     return tuple(flags)
 
 
-def certificate_from_dict(doc: dict) -> CoverCertificate:
-    """Rebuild a certificate from its JSON document.
+def _parse_predicate(doc, predicate):
+    # Only partial covers write the field, so one certificate has one form.
+    if predicate == PREDICATE_ALL:
+        if "predicate" in doc:
+            raise CertificateFormatError("a full cover certificate has no predicate")
+    elif doc.get("predicate") != predicate:
+        raise CertificateFormatError(f"predicate must be {predicate!r}")
+
+
+def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCertificate:
+    """Rebuild a certificate with the given predicate from its JSON document.
 
     Structural validation only: entry progressions and the table are
-    taken as stated.  Run audit functions afterwards to re-check the
-    mathematics (that split keeps proof checking independent of proof
-    generation).
+    taken as stated, except that the table must hold an index exactly at
+    the residues the predicate claims.  Run check_certificate_facts and the
+    audit functions afterwards to re-check the mathematics (that split
+    keeps proof checking independent of proof generation).
     """
+    if predicate not in _PREDICATES:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    modulus, claimed = _PREDICATES[predicate]
+    _parse_predicate(doc, predicate)
     try:
         candidate = Candidate(_parse_decimal(doc, "k"), _parse_sign(doc))
     except ValueError as exc:
@@ -302,26 +355,27 @@ def certificate_from_dict(doc: dict) -> CoverCertificate:
     )
     lcm = _parse_decimal(doc, "lcm")
     table = doc.get("table")
-    if (
-        not isinstance(table, list)
-        or len(table) != lcm
-        or not all(type(t) is int and 0 <= t < len(entries) for t in table)  # no bools
-    ):
-        raise CertificateFormatError("table must list a valid entry index per residue")
+    if not isinstance(table, list) or len(table) != lcm:
+        raise CertificateFormatError("table must hold one slot per residue mod lcm")
+    if lcm % modulus != 0:
+        raise CertificateFormatError("lcm must be a multiple of the predicate modulus")
+    for r in range(modulus):
+        column = table[r::modulus]
+        if r not in claimed:
+            if column.count(None) != len(column):
+                raise CertificateFormatError("residues outside the predicate must be null")
+        elif not all(type(t) is int and 0 <= t < len(entries) for t in column):  # no bools
+            raise CertificateFormatError("table must list a valid entry index per residue")
     flags = _parse_flags(doc, len(entries))
-    counts = [0] * len(entries)
-    for idx in table:
-        counts[idx] += 1
-    return CoverCertificate(
-        candidate, entries, lcm, tuple(table), tuple(counts), flags
-    )
+    return CoverCertificate(candidate, entries, lcm, tuple(table), flags, predicate)
 
 
 def check_certificate_facts(cert: CoverCertificate) -> str | None:
     """Re-check a stated certificate's divisibility facts without searching:
-    d | 2^b - 1, d | k*2^c + sign, c < b, L = lcm of the periods, and the
-    table's congruences.  Returns a description of the first problem, or
-    None when everything holds."""
+    d odd and >= 3, d | 2^b - 1, d | k*2^c + sign, c < b, L = lcm of the
+    periods and the predicate modulus, and the table's congruences.
+    Returns a description of the first problem, or None when everything
+    holds."""
     for e in cert.entries:
         if e.d < 3 or e.d % 2 == 0:
             return f"divisor {e.d} is not odd and >= 3"
@@ -331,9 +385,12 @@ def check_certificate_facts(cert: CoverCertificate) -> str | None:
             return f"{e.d} does not divide 2^{e.b} - 1"
         if (cert.candidate.k * arith.mod_pow(2, e.c, e.d) + cert.candidate.sign) % e.d != 0:
             return f"{e.d} does not divide k*2^{e.c} {cert.candidate.sign:+d}"
-    if cert.lcm != arith.lcm_all([e.b for e in cert.entries]):
+    modulus, _ = _PREDICATES[cert.predicate]
+    if cert.lcm != arith.lcm_all([e.b for e in cert.entries] + [modulus]):
         return "stated lcm does not match the entry periods"
     for r, idx in enumerate(cert.table):
+        if idx is None:
+            continue
         e = cert.entries[idx]
         if r % e.b != e.c:
             return f"table assigns residue {r} to d={e.d} but {r} != {e.c} (mod {e.b})"

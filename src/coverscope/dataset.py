@@ -58,7 +58,7 @@ class CorpusRecord:
 
 
 def _parse_int(text, line_no, what):
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise CorpusError(f"line {line_no}: {what} must be a decimal integer, got {text!r}")
     return int(text)
 

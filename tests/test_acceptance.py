@@ -169,7 +169,7 @@ def test_criterion_7_square_riesel(corpus):
             assert 1 < factor < term
         divisors = record.covers[0][1]
         assert len(divisors) == 20
-        cert = algebraic.verify_partial_cover(
+        cert = cover.verify_cover(
             Candidate(k, -1), divisors, algebraic.PREDICATE_ODD
         )
         assert cert.lcm % 2 == 0

@@ -3,18 +3,22 @@ import random
 
 import pytest
 
-from coverscope import algebraic
+from coverscope import algebraic, cover
 from coverscope.algebraic import (
     FourthPowerCase,
     SquareCase,
     build_algebraic_certificate,
     fourth_power_factor,
-    partial_witness,
     square_factor,
     verify_coverless,
-    verify_partial_cover,
 )
-from coverscope.cover import Candidate, UncoveredResidueError, VerificationError
+from coverscope.cover import (
+    Candidate,
+    UncoveredResidueError,
+    VerificationError,
+    verify_cover,
+    witness,
+)
 from oracles import smallest_uncovered
 
 CASE_A = FourthPowerCase(44745755, (3, 17, 97, 241, 257, 673))
@@ -102,7 +106,7 @@ class TestSquareCase:
 
 class TestPartialCover:
     def test_first_fourth_power_case(self):
-        cert = verify_partial_cover(
+        cert = verify_cover(
             Candidate(CASE_A.k, 1), CASE_A.partial_cover, algebraic.PREDICATE_MOD4_NE_2
         )
         assert cert.lcm == 48
@@ -114,13 +118,13 @@ class TestPartialCover:
                 assert cert.table[r] is None
 
     def test_second_fourth_power_case(self):
-        cert = verify_partial_cover(
+        cert = verify_cover(
             Candidate(CASE_B.k, 1), CASE_B.partial_cover, algebraic.PREDICATE_MOD4_NE_2
         )
         assert cert.lcm == 64
 
     def test_riesel_square_case(self):
-        cert = verify_partial_cover(
+        cert = verify_cover(
             Candidate(CASE_SQ.k, -1), CASE_SQ.partial_cover, algebraic.PREDICATE_ODD
         )
         assert cert.lcm == 6720
@@ -130,7 +134,7 @@ class TestPartialCover:
     def test_dropping_a_divisor_uncovers(self):
         reduced = tuple(d for d in CASE_A.partial_cover if d != 17)
         with pytest.raises(UncoveredResidueError) as exc_info:
-            verify_partial_cover(
+            verify_cover(
                 Candidate(CASE_A.k, 1), reduced, algebraic.PREDICATE_MOD4_NE_2
             )
         assert exc_info.value.residue == 4  # smallest predicate residue left open
@@ -140,27 +144,27 @@ class TestPartialCover:
         reduced = tuple(d for d in CASE_A.partial_cover if d != 241)
         entries = [
             (e.d, e.b, e.c)
-            for e in (algebraic.build_entry(candidate, d) for d in reduced)
+            for e in (cover.build_entry(candidate, d) for d in reduced)
         ]
         expected = smallest_uncovered(entries, 48, predicate=lambda r: r % 4 != 2)
         with pytest.raises(UncoveredResidueError) as exc_info:
-            verify_partial_cover(candidate, reduced, algebraic.PREDICATE_MOD4_NE_2)
+            verify_cover(candidate, reduced, algebraic.PREDICATE_MOD4_NE_2)
         assert exc_info.value.residue == expected == 0
 
     def test_unknown_predicate_rejected(self):
         with pytest.raises(ValueError):
-            verify_partial_cover(Candidate(CASE_A.k, 1), CASE_A.partial_cover, "even")
+            verify_cover(Candidate(CASE_A.k, 1), CASE_A.partial_cover, "even")
 
     def test_partial_witness_respects_predicate(self):
-        cert = verify_partial_cover(
+        cert = verify_cover(
             Candidate(CASE_A.k, 1), CASE_A.partial_cover, algebraic.PREDICATE_MOD4_NE_2
         )
-        d = partial_witness(cert, 3)
+        d = witness(cert, 3)
         assert (CASE_A.k * 8 + 1) % d == 0
         with pytest.raises(ValueError):
-            partial_witness(cert, 6)  # 6 == 2 (mod 4): the algebraic side's job
+            witness(cert, 6)  # 6 == 2 (mod 4): the algebraic side's job
         with pytest.raises(ValueError):
-            partial_witness(cert, 0)
+            witness(cert, 0)
 
 
 class TestVerifyCoverless:
@@ -212,6 +216,28 @@ class TestAlgebraicCertificate:
         doc["partial_cover_certificate"]["table"][3] = None
         with pytest.raises(algebraic.CertificateFormatError):
             algebraic.certificate_from_dict(doc)
+
+    def test_partial_cover_schema_enforced(self):
+        cert = build_algebraic_certificate(CASE_A, 20)
+        partial = lambda d: d["partial_cover_certificate"]  # noqa: E731
+        for breakage in (
+            lambda d: partial(d).update(predicate="odd"),
+            lambda d: partial(d).update(predicate="all"),
+            lambda d: partial(d).pop("predicate"),
+            lambda d: partial(d)["table"].__setitem__(2, 0),  # 2 == 2 (mod 4): must be null
+            lambda d: partial(d).update(lcm="50", table=partial(d)["table"] + [0, 1]),
+            lambda d: d.update(kind="cube"),
+            lambda d: d.update(root="0"),
+        ):
+            doc = json.loads(algebraic.certificate_to_json(cert))
+            breakage(doc)
+            with pytest.raises(algebraic.CertificateFormatError):
+                algebraic.certificate_from_dict(doc)
+
+    def test_partial_cover_is_not_a_full_cover(self):
+        doc = algebraic.certificate_to_dict(build_algebraic_certificate(CASE_A, 20))
+        with pytest.raises(cover.CertificateFormatError):
+            cover.certificate_from_dict(doc["partial_cover_certificate"])
 
     def test_json_booleans_rejected(self):
         cert = build_algebraic_certificate(CASE_A, 20)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coverscope import dataset
+from coverscope import cover, dataset
 from coverscope.cli import main
 
 SELFRIDGE = "3,5,7,13,19,37,73"
@@ -51,6 +51,20 @@ class TestVerify:
         )
         assert code == 1
         assert "23" in err
+
+    def test_audit_failure_runs_audit_once(self, capsys, monkeypatch):
+        # 157115 = 78557*2 + 1 claims n = 1 first, where it is the whole term
+        calls = []
+        audit = cover.first_audit_failure
+        monkeypatch.setattr(
+            cover, "first_audit_failure", lambda *a: calls.append(a) or audit(*a)
+        )
+        code, out, err = run(
+            capsys, "verify", "--k", "78557", "--sign", "s",
+            "--cover", "157115," + SELFRIDGE, "--audit-n", "40",
+        )
+        assert (code, out, err) == (1, "", "audit failed at n=1\n")
+        assert len(calls) == 1
 
     def test_partial_with_root(self, capsys):
         code, out, _ = run(
@@ -205,6 +219,30 @@ class TestFamily:
         assert code == 0
         assert "140179427" in out
 
+    def test_verifies_twice_and_audits_to_stated_depth(self, capsys, monkeypatch):
+        verified, audited = [], []
+        verify, audit = cover.verify_cover, cover.first_audit_failure
+        monkeypatch.setattr(cover, "verify_cover", lambda *a: verified.append(a) or verify(*a))
+        monkeypatch.setattr(
+            cover, "first_audit_failure", lambda *a: audited.append(a[1]) or audit(*a)
+        )
+        code, out, _ = run(
+            capsys, "family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
+            "--i", "1",
+        )
+        assert code == 0
+        assert len(verified) == 2
+        assert audited == [36]
+        assert "audited n = 1..36: every term has a proper cover factor" in out
+
+    def test_failed_audit_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cover, "first_audit_failure", lambda cert, n_max: 5)
+        code, out, err = run(
+            capsys, "family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
+            "--i", "1",
+        )
+        assert (code, out, err) == (1, "", "audit failed at n=5\n")
+
     def test_i_zero_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
@@ -218,6 +256,20 @@ class TestFamily:
             "--i", "1",
         )
         assert code == 1
+
+
+def coverless_certificate(capsys, tmp_path, record):
+    """Write the certificate `verify` emits for a coverless corpus record."""
+    path = tmp_path / "coverless.json"
+    sign, divisors = record.covers[0]
+    code, _, _ = run(
+        capsys, "verify", "--k", str(record.k), "--sign", "s" if sign == 1 else "r",
+        "--cover", ",".join(map(str, divisors)),
+        "--partial", "mod4ne2" if sign == 1 else "odd", "--root", str(record.root),
+        "--audit-n", "20", "--out", str(path),
+    )
+    assert code == 0
+    return path
 
 
 class TestAudit:
@@ -244,6 +296,34 @@ class TestAudit:
         assert code == 0
         code, out, _ = run(capsys, "audit", str(path))
         assert code == 0
+
+    @pytest.mark.parametrize("record_index", range(3))
+    def test_truncated_partial_cover_fails(self, capsys, tmp_path, record_index):
+        # Shrinking L to the predicate modulus leaves a table that claims
+        # every predicate residue and proves nothing past n = 1.
+        record = [r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root][
+            record_index
+        ]
+        path = coverless_certificate(capsys, tmp_path, record)
+        doc = json.loads(path.read_text())
+        partial = doc["partial_cover_certificate"]
+        lcm = 4 if record.kind == dataset.KIND_S4 else 2
+        partial["lcm"] = str(lcm)
+        partial["table"] = partial["table"][:lcm]
+        doc["audited_n_max"] = 1
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "audit", str(path))
+        assert code == 1
+        assert "audit FAILED: stated lcm" in err
+
+    def test_partial_cover_divisor_one_fails(self, capsys, tmp_path):
+        record = next(r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root)
+        path = coverless_certificate(capsys, tmp_path, record)
+        doc = json.loads(path.read_text())
+        doc["partial_cover_certificate"]["entries"][0]["d"] = "1"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "audit", str(path))
+        assert (code, err) == (1, "audit FAILED: divisor 1 is not odd and >= 3\n")
 
     def test_tampered_certificate_fails(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

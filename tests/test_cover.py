@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
+import random
 
 import pytest
 
-from coverscope import cover
+from coverscope import cover, dataset
 from coverscope.cover import (
     Candidate,
     CoverEntry,
@@ -11,7 +13,7 @@ from coverscope.cover import (
     UncoveredResidueError,
     VerificationError,
 )
-from oracles import smallest_uncovered
+from oracles import order_naive, smallest_uncovered
 
 SELFRIDGE_COVER = (3, 5, 7, 13, 19, 37, 73)
 SELFRIDGE_ENTRIES = (
@@ -149,6 +151,67 @@ class TestVerifyCover:
         assert cert.witness_counts[-1] == 0  # 3 claims the shared residues first
 
 
+CLAIMED = {
+    cover.PREDICATE_ALL: lambda r: True,
+    cover.PREDICATE_MOD4_NE_2: lambda r: r % 4 != 2,
+    cover.PREDICATE_ODD: lambda r: r % 2 == 1,
+}
+PREDICATE_MODULUS = {cover.PREDICATE_ALL: 1, cover.PREDICATE_MOD4_NE_2: 4, cover.PREDICATE_ODD: 2}
+
+
+def first_match_table(entries, lcm, claimed):
+    """The residue table as a per-residue scan: first matching entry in
+    cover order, None where unclaimed or unmatched."""
+    return [
+        next((i for i, e in enumerate(entries) if r % e.b == e.c), None) if claimed(r) else None
+        for r in range(lcm)
+    ]
+
+
+class TestTableBuilder:
+    def test_corpus_tables_match_first_match_scan(self):
+        corpus = dataset.load_corpus(dataset.default_corpus_path())
+        for record in corpus:
+            for sign, divisors in record.covers:
+                predicate = cover.PREDICATE_ALL
+                if record.root is not None:
+                    predicate = cover.PREDICATE_MOD4_NE_2 if sign == 1 else cover.PREDICATE_ODD
+                cert = cover.verify_cover(Candidate(record.k, sign), divisors, predicate)
+                expected = first_match_table(cert.entries, cert.lcm, CLAIMED[predicate])
+                assert list(cert.table) == expected, (record.k, sign)
+                assert cert.witness_counts == tuple(
+                    expected.count(i) for i in range(len(cert.entries))
+                )
+
+    def test_random_divisor_sets_against_scan(self):
+        rng = random.Random(5)
+        pool = (3, 5, 7, 11, 13, 17, 19, 31, 37, 41, 73, 109, 151, 241, 331, 1321)
+        for _ in range(300):
+            sign = rng.choice((1, -1))
+            divisors = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+            # CRT: k == -sign * 2^-c (mod d) gives each divisor a random class c
+            k, step = 1, 2
+            for d in divisors:
+                target = -sign * pow(2, -rng.randrange(order_naive(2, d)), d) % d
+                while k % d != target:
+                    k += step
+                step *= d
+            candidate = Candidate(k if k >= 3 else k + step, sign)
+            predicate = rng.choice(list(CLAIMED))
+            entries = [cover.build_entry(candidate, d) for d in divisors]
+            lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
+            hole = smallest_uncovered(
+                [(e.d, e.b, e.c) for e in entries], lcm, CLAIMED[predicate]
+            )
+            if hole is None:
+                cert = cover.verify_cover(candidate, divisors, predicate)
+                assert list(cert.table) == first_match_table(entries, lcm, CLAIMED[predicate])
+            else:
+                with pytest.raises(UncoveredResidueError) as exc_info:
+                    cover.verify_cover(candidate, divisors, predicate)
+                assert (exc_info.value.residue, exc_info.value.lcm) == (hole, lcm)
+
+
 class TestWitness:
     def test_examples(self, selfridge_cert):
         assert cover.witness(selfridge_cert, 1) == 5
@@ -196,16 +259,16 @@ class TestModReductionEquivalence:
 
 class TestFamily:
     def test_selfridge_family(self):
-        sibling = cover.generate_family(Candidate(78557, 1), SELFRIDGE_COVER, 1)
+        sibling = cover.generate_family(Candidate(78557, 1), SELFRIDGE_COVER, 1).candidate
         assert sibling.k == 140179427
         assert sibling.k == 78557 + 2 * 70050435
 
     def test_family_i2(self):
-        sibling = cover.generate_family(Candidate(78557, 1), SELFRIDGE_COVER, 2)
+        sibling = cover.generate_family(Candidate(78557, 1), SELFRIDGE_COVER, 2).candidate
         assert sibling.k == 280280297
 
     def test_riesel_family(self):
-        sibling = cover.generate_family(Candidate(509203, -1), RIESEL_COVER, 1)
+        sibling = cover.generate_family(Candidate(509203, -1), RIESEL_COVER, 1).candidate
         assert sibling.k == 509203 + 2 * 3 * 5 * 7 * 13 * 17 * 241
 
     def test_i_zero_rejected(self):
@@ -213,8 +276,8 @@ class TestFamily:
             cover.generate_family(Candidate(78557, 1), SELFRIDGE_COVER, 0)
 
     def test_family_keeps_entry_table(self, selfridge_cert):
-        sibling = cover.generate_family(Candidate(78557, 1), SELFRIDGE_COVER, 3)
-        derived = cover.verify_cover(sibling, SELFRIDGE_COVER)
+        derived = cover.generate_family(Candidate(78557, 1), SELFRIDGE_COVER, 3)
+        assert derived == cover.verify_cover(derived.candidate, SELFRIDGE_COVER)
         assert derived.entries == selfridge_cert.entries
         assert derived.table == selfridge_cert.table
 
@@ -260,6 +323,10 @@ class TestSerialization:
             lambda d: d["table"].__setitem__(1, True),
             lambda d: d.update(divisor_primality_flags=[1] * 7),
             lambda d: d.update(divisor_primality_flags=["yes"] * 7),
+            lambda d: d.update(k="\u0667\u0668\u0665\u0665\u0667"),  # Arabic-Indic 78557
+            lambda d: d["entries"][0].update(d="\u00b2"),  # superscript two
+            lambda d: d.update(predicate="all"),  # only partial covers state one
+            lambda d: d.update(predicate="odd"),
         ):
             doc = json.loads(json.dumps(good))
             breakage(doc)

@@ -91,6 +91,13 @@ class TestParseErrors:
         with pytest.raises(CorpusError):
             parse_corpus("S 78557 3,five,7\n")
 
+    def test_non_ascii_digits(self):
+        # Arabic-Indic 78557 and a superscript two: both pass str.isdigit()
+        with pytest.raises(CorpusError, match="k must be a decimal"):
+            parse_corpus("S \u0667\u0668\u0665\u0665\u0667 3,5,7,13,19,37,73\n")
+        with pytest.raises(CorpusError, match="divisor"):
+            parse_corpus("S 78557 3,5,\u00b2\n")
+
     def test_root_mismatch(self):
         with pytest.raises(CorpusError, match="root"):
             parse_corpus("S4 625 root=3 partial=3,17\n")
