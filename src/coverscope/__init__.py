@@ -6,12 +6,9 @@ claims with machine-checkable certificates: covering sets with residue
 exhaustiveness over the lcm of the periods, or partial covers plus exact
 algebraic factor families for numbers without a full cover.  It also
 disproves candidacy by locating primes (Proth-backed on the +1 side).
-
-Hot machine-word loops run on a compiled kernel when available; see
-coverscope.BACKEND for which implementation is active.
+All arithmetic is exact and pure Python.
 """
 
-from coverscope._backend import BACKEND
 from coverscope.algebraic import (
     AlgebraicCertificate,
     FourthPowerCase,
@@ -46,7 +43,6 @@ from coverscope.disqualify import (
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "BACKEND",
     "TOOL_VERSION",
     "AlgebraicCertificate",
     "Candidate",

@@ -2,15 +2,12 @@
 
 Modular exponentiation, multiplicative order, offset (discrete-log style)
 search, lcm, and primality testing with checkable evidence.  Everything is
-pure, exact, and float-free; word-sized work is routed through the kernel
-backend, bignums stay on Python ints.
+pure Python, exact, and float-free.
 """
 
 import math
 import random
 from dataclasses import dataclass
-
-from coverscope._backend import WORD_LIMIT, kernels
 
 METHOD_PROTH = "proth"
 METHOD_MR_DETERMINISTIC = "miller-rabin-deterministic"
@@ -18,10 +15,11 @@ METHOD_MR_PROBABILISTIC = "miller-rabin-probabilistic"
 METHOD_SIEVE = "sieve"
 
 # Deterministic Miller-Rabin witness table (first 13 primes), valid for
-# every n < 3317044064679887385961981 ~ 3.3e24.  Below 2**64 the backend
-# kernel uses the first twelve.
+# every n < 3317044064679887385961981 ~ 3.3e24.  The first twelve suffice
+# for every n < 318665857834031151167461, which covers all n < 2**64.
 MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASES_U64 = MR_DETERMINISTIC_BASES[:12]
 
 MR_PROBABILISTIC_ROUNDS = 40
 
@@ -67,8 +65,6 @@ def mod_pow(base: int, exp: int, modulus: int) -> int:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     if exp < 0:
         raise ValueError(f"exponent must be nonnegative, got {exp}")
-    if modulus < WORD_LIMIT and exp < WORD_LIMIT:
-        return kernels.mod_pow_u64(base % modulus, exp, modulus)
     return pow(base, exp, modulus)
 
 
@@ -96,21 +92,12 @@ def multiplicative_order(base: int, d: int) -> int:
         raise ValueError(f"no multiplicative order: gcd({base}, {d}) != 1")
     if d > ORDER_LINEAR_SCAN_LIMIT and is_prime(d).is_prime:
         return _order_by_factoring(base, d)
-    if d < WORD_LIMIT:
-        b = kernels.order_scan_u64(base % d, d, d - 1)
-    else:
-        b = _order_scan_big(base, d)
-    assert b > 0, "order must exist when gcd(base, d) == 1"
-    return b
-
-
-def _order_scan_big(base, d):
     x = base % d
     for b in range(1, d):
         if x == 1:
             return b
         x = x * base % d
-    return 0
+    raise AssertionError("order must exist when gcd(base, d) == 1")
 
 
 def _order_by_factoring(base, d):
@@ -156,9 +143,6 @@ def find_offset(k: int, sign: int, d: int, b: int) -> int | None:
         raise ValueError(f"d must be odd and >= 3, got {d}")
     if b < 1:
         raise ValueError(f"period must be >= 1, got {b}")
-    if d < WORD_LIMIT and b < WORD_LIMIT:
-        c = kernels.offset_scan_u64(k % d, sign, d, b)
-        return None if c < 0 else c
     x = k % d
     target = d - 1 if sign > 0 else 1
     for c in range(b):
@@ -203,6 +187,21 @@ def _mr_composite(n, a, d, s):
     for _ in range(s - 1):
         x = x * x % n
         if x == n - 1:
+            return False
+    return True
+
+
+def _is_prime_u64(n):
+    # Deterministic Miller-Rabin for odd 3 <= n < 2**64, with no witness
+    # kept: division by the bases first, then the twelve MR rounds.
+    for a in _MR_BASES_U64:
+        if n == a:
+            return True
+        if n % a == 0:
+            return False
+    d, s = _mr_decompose(n)
+    for a in _MR_BASES_U64:
+        if _mr_composite(n, a, d, s):
             return False
     return True
 
@@ -298,8 +297,8 @@ def _miller_rabin(n):
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
     if n % 2 == 0:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=2)
-    if n < WORD_LIMIT:
-        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, kernels.is_prime_u64(n))
+    if n < 2**64:
+        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, _is_prime_u64(n))
     d, s = _mr_decompose(n)
     if n < MR_DETERMINISTIC_BOUND:
         # n > 41, so a base that divides n is caught as an MR witness too.

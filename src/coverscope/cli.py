@@ -114,7 +114,12 @@ def _build_parser():
         "audit", parents=[common], help="re-check an emitted certificate file"
     )
     p.add_argument("file", help="certificate JSON produced by verify")
-    p.add_argument("--audit-n", type=_positive, help="witness audit depth (default 10*L)")
+    p.add_argument(
+        "--audit-n",
+        type=_positive,
+        help="witness audit depth of a cover, and the largest audited_n_max a "
+        "coverless certificate may state (default 10*L of the (partial) cover)",
+    )
     p.set_defaults(func=cmd_audit)
     return parser
 
@@ -240,10 +245,19 @@ def cmd_audit(args):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CertificateFormatError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise CertificateFormatError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate must be a JSON object")
     if "kind" in doc:
         cert = algebraic.certificate_from_dict(doc)
+        # The factor re-check is quadratic in audited_n_max: bound it first.
+        bound = args.audit_n or 10 * cert.partial.lcm
+        if cert.audited_n_max > bound:
+            raise ValueError(
+                f"audited_n_max {cert.audited_n_max} exceeds the audit bound "
+                f"{bound}; pass --audit-n {cert.audited_n_max} to re-check it"
+            )
         problem = algebraic.check_certificate_facts(cert)
         scope = f"partial cover + factors to n={cert.audited_n_max}"
     else:

@@ -114,6 +114,14 @@ class TestFindOffset:
             assert c == offset_naive(k, sign, d, b)
             if c is not None:
                 assert (k * 2**c + sign) % d == 0
+        # d past 2**64: 2**89 - 1 with its order b = 89, where k*2**c is a
+        # rotation of k's 89 bits.  The first two k have offsets 49 and 30.
+        d = 2**89 - 1
+        for k, sign in ((d - 2**40, 1), (d + 2**59, -1), (10**12 + 39, 1), (10**12 + 39, -1)):
+            c = arith.find_offset(k, sign, d, 89)
+            assert c == offset_naive(k, sign, d, 89)
+            if c is not None:
+                assert (k * 2**c + sign) % d == 0
 
     def test_bignum_k(self):
         a = 3896845303873881175159314620808887046066972469809
@@ -205,6 +213,13 @@ class TestIsPrime:
         with pytest.raises(ValueError):
             arith.is_prime(-1)
 
+    def test_word_boundary(self):
+        largest = arith.is_prime(2**64 - 59)  # largest prime below 2**64
+        assert largest.is_prime and largest.method == arith.METHOD_MR_DETERMINISTIC
+        assert largest.witness == 0
+        assert not arith.is_prime(2**64 - 1).is_prime  # Fermat numbers F0 * ... * F5
+        assert arith.is_prime(2**61 - 1).is_prime  # Mersenne prime
+
 
 class TestProth:
     def test_prime_with_recheckable_witness(self):
@@ -264,6 +279,35 @@ class TestSmallFactor:
         assert arith.small_factor(1031 * (2**89 - 1)) == 0  # 1031 > SIEVE_BOUND
 
 
+def _is_prime_u64_reference(n):
+    """The former word-size kernel: deterministic Miller-Rabin for
+    0 <= n < 2**64 with the first twelve prime bases."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for a in bases:
+        if n == a:
+            return True
+        if n % a == 0:
+            return False
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d >>= 1
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _nonproth_reference(n):
     """is_prime's non-Proth branch as it stood before proth_test shared it,
     kept as the reference for the shared dispatcher."""
@@ -275,7 +319,7 @@ def _nonproth_reference(n):
         return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, False, witness=2)
     if n < 2**64:
         return arith.PrimalityResult(
-            n, arith.METHOD_MR_DETERMINISTIC, arith.kernels.is_prime_u64(n)
+            n, arith.METHOD_MR_DETERMINISTIC, _is_prime_u64_reference(n)
         )
     d, s = arith._mr_decompose(n)
     if n < arith.MR_DETERMINISTIC_BOUND:
@@ -308,6 +352,7 @@ class TestDispatcher:
         ns += [rng.randrange(2**64, arith.MR_DETERMINISTIC_BOUND) for _ in range(300)]
         ns += [rng.randrange(2**82, 2**100) for _ in range(100)]
         ns += [2**89 - 1, 2**67 - 1, 2**61 - 1]
+        ns += [rng.randrange(2**63, 2**64) for _ in range(1000)]
         assert any(_nonproth_reference(n).is_prime for n in ns if n > 2**64)
         for n in ns:
             assert arith._miller_rabin(n) == _nonproth_reference(n), n

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -357,6 +358,50 @@ class TestAudit:
         path.write_text("{not json")
         code, _, _ = run(capsys, "audit", str(path))
         assert code == 2
+
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        code, out, err = run(capsys, "audit", str(path))
+        assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
+    def test_stated_depth_past_the_bound_is_usage_error(self, capsys, tmp_path):
+        # The factor re-check is quadratic in audited_n_max, so a stated
+        # 10**7 must be refused up front, not run for hours.
+        record = next(r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root)
+        path = coverless_certificate(capsys, tmp_path, record)
+        doc = json.loads(path.read_text())
+        doc["audited_n_max"] = 10_000_000
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "audit", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: audited_n_max 10000000 exceeds the audit bound 480; "
+            "pass --audit-n 10000000 to re-check it\n"
+        )
+
+    def test_audit_n_raises_the_coverless_bound(self, capsys, tmp_path):
+        # L = 48 for 44745755^4, so a certificate audited to 500 is past the
+        # default bound 10*L = 480 until --audit-n lifts it.
+        path = tmp_path / "alg.json"
+        code, _, _ = run(
+            capsys, "verify",
+            "--k", "4008735125781478102999926000625",
+            "--sign", "s", "--cover", "3,17,97,241,257,673",
+            "--partial", "mod4ne2", "--root", "44745755",
+            "--audit-n", "500", "--out", str(path),
+        )
+        assert code == 0
+        code, _, err = run(capsys, "audit", str(path))
+        assert code == 2 and "--audit-n 500" in err
+        code, out, _ = run(capsys, "audit", str(path), "--audit-n", "500")
+        assert code == 0
+        assert out == (
+            "audit ok: k=4008735125781478102999926000625 "
+            "(partial cover + factors to n=500)\n"
+        )
 
 
 def test_help_exits_zero(capsys):
