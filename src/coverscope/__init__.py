@@ -16,7 +16,6 @@ from coverscope.algebraic import (
     build_algebraic_certificate,
     fourth_power_factor,
     square_factor,
-    verify_coverless,
 )
 from coverscope.arith import PrimalityResult, is_prime, proth_test
 from coverscope.cover import (
@@ -69,6 +68,5 @@ __all__ = [
     "survey_range",
     "verify_cover",
     "verify_corpus",
-    "verify_coverless",
     "witness",
 ]

@@ -25,6 +25,7 @@ from coverscope.cover import (
     CertificateFormatError,
     CoverCertificate,
     VerificationError,
+    _divisibility_problem,
     _parse_decimal,
     _parse_sign,
 )
@@ -129,21 +130,6 @@ def square_factor(case: SquareCase, n: int) -> int:
     return factor
 
 
-def verify_coverless(candidate: Candidate, case, n_max: int) -> bool:
-    """Every exponent 1..n_max gets a proper factor: the partial cover's
-    witness where the predicate holds, the algebraic factor elsewhere.
-    All divisions exact, all factors strictly between 1 and the term."""
-    if candidate.k != case.k or candidate.sign != case.sign:
-        raise ValueError("candidate does not match the algebraic case")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    try:
-        cert = cover.verify_cover(candidate, case.partial_cover, case.predicate)
-    except VerificationError:
-        return False
-    return first_coverless_failure(case, cert, n_max) is None
-
-
 def first_coverless_failure(case, partial: CoverCertificate, n_max: int) -> int | None:
     """Smallest failing exponent in 1..n_max, or None: the partial cover's
     witness audit for the n it claims, the factor split for the rest.
@@ -161,8 +147,8 @@ def first_coverless_failure(case, partial: CoverCertificate, n_max: int) -> int 
 
 @dataclass(frozen=True)
 class AlgebraicCertificate:
-    """Partial cover plus the algebraic factor family, with the exponent
-    range the combination was audited over."""
+    """Partial cover plus the algebraic factor family, and the depth of the
+    term-by-term cross-check run when it was built."""
 
     case: FourthPowerCase | SquareCase
     partial: CoverCertificate
@@ -173,11 +159,13 @@ class AlgebraicCertificate:
         return self.partial.candidate
 
 
-def build_algebraic_certificate(case, n_max: int = 200) -> AlgebraicCertificate:
-    """Verify the partial cover, then the factor family up to n_max."""
+def build_algebraic_certificate(case, n_max: int | None = None) -> AlgebraicCertificate:
+    """Verify the partial cover, then every factor and witness up to n_max
+    (default 200, recorded as audited_n_max) or cover.proof_depth if deeper."""
+    n_max = n_max or 200
     candidate = Candidate(case.k, case.sign)
     partial = cover.verify_cover(candidate, case.partial_cover, case.predicate)
-    n_bad = first_coverless_failure(case, partial, n_max)
+    n_bad = first_coverless_failure(case, partial, max(n_max, cover.proof_depth(partial)))
     if n_bad is not None:
         raise VerificationError(f"coverless verification failed at n={n_bad}")
     return AlgebraicCertificate(case, partial, n_max)
@@ -243,14 +231,15 @@ def certificate_from_dict(doc: dict) -> AlgebraicCertificate:
 
 
 def check_certificate_facts(cert: AlgebraicCertificate) -> str | None:
-    """Divisibility-only re-check of a stated algebraic certificate: the
-    partial cover's facts as cover.check_certificate_facts states them,
-    then its witnesses and the factor family up to audited_n_max.  No
-    order or offset searches."""
-    problem = cover.check_certificate_facts(cert.partial)
+    """Prove a stated algebraic certificate for every n >= 1, without
+    searching: the partial cover's divisibility facts, then its witnesses
+    and the factor family up to cover.proof_depth, which is at least 2 as
+    every d >= 3.  The splits are polynomial identities whose smaller half
+    exceeds 1 past n = 2, the first exponent of both families."""
+    problem = _divisibility_problem(cert.partial)
     if problem is not None:
         return problem
-    n_bad = first_coverless_failure(cert.case, cert.partial, cert.audited_n_max)
+    n_bad = first_coverless_failure(cert.case, cert.partial, cover.proof_depth(cert.partial))
     if n_bad is not None:
         return f"factor check failed at n={n_bad}"
     return None

@@ -2,7 +2,7 @@
 
 Exit status discipline (stable): 0 = claim verified / prime found,
 1 = claim refuted / nothing found, 2 = usage or parse error.  All numeric
-flags take arbitrary-length decimal strings.  Signs are spelled s (terms
+flags take arbitrary-length strings of ASCII digits.  Signs are spelled s (terms
 k*2^n + 1) and r (terms k*2^n - 1).
 """
 
@@ -15,10 +15,10 @@ from coverscope.cover import Candidate, CertificateFormatError, VerificationErro
 
 
 def _arg_int(text, what, minimum=None, odd=False):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{what} must be a decimal integer") from None
+    # int() alone also admits signs, spaces, underscores and other scripts' digits.
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{what} must be a decimal integer")
+    value = int(text)
     if minimum is not None and value < minimum:
         raise argparse.ArgumentTypeError(f"{what} must be >= {minimum}")
     if odd and value % 2 == 0:
@@ -70,7 +70,7 @@ def _build_parser():
         help="treat the cover as partial, valid on this exponent condition",
     )
     p.add_argument("--root", type=_positive, help="root with k = root^4 (s) or root^2 (r)")
-    p.add_argument("--audit-n", type=_positive, help="audit depth (default 10*L, partial 200)")
+    p.add_argument("--audit-n", type=_positive, help="cross-check n = 1..N (coverless default 200)")
     p.add_argument("--out", help="write the certificate JSON to this file")
     p.set_defaults(func=cmd_verify)
 
@@ -114,12 +114,7 @@ def _build_parser():
         "audit", parents=[common], help="re-check an emitted certificate file"
     )
     p.add_argument("file", help="certificate JSON produced by verify")
-    p.add_argument(
-        "--audit-n",
-        type=_positive,
-        help="witness audit depth of a cover, and the largest audited_n_max a "
-        "coverless certificate may state (default 10*L of the (partial) cover)",
-    )
+    p.add_argument("--audit-n", type=_positive, help="cross-check n = 1..N after the proof")
     p.set_defaults(func=cmd_audit)
     return parser
 
@@ -133,7 +128,13 @@ def _emit_certificate(doc, args):
         sys.stdout.write(text)
 
 
-def _cover_summary(cert, audit_n):
+def _scope(cross_n):
+    cross = f" (cross-checked n = 1..{cross_n})" if cross_n else ""
+    return f"proved for all n >= 1{cross}"
+
+
+def _cover_summary(cert, cross_n):
+    counts = cert.witness_counts
     lines = [
         f"verified: k={cert.candidate.k} ({cert.candidate.sign_name})",
         "entries (d, b, c): "
@@ -141,13 +142,16 @@ def _cover_summary(cert, audit_n):
         f"L = {cert.lcm}",
         "residues claimed per divisor: "
         + " ".join(
-            f"{e.d}:{n}" for e, n in zip(cert.entries, cert.witness_counts)
+            f"{e.d}:{n}" for e, n in zip(cert.entries, counts)
         ),
     ]
     composite = [e.d for e, p in zip(cert.entries, cert.divisor_primality) if not p]
     if composite:
         lines.append(f"warning: composite divisors in cover: {composite}")
-    lines.append(f"audited n = 1..{audit_n}: every term has a proper cover factor")
+    idle = [e.d for e, n in zip(cert.entries, counts) if n == 0]
+    if idle:
+        lines.append(f"warning: divisors claiming no residue: {idle}")
+    lines.append(f"{_scope(cross_n)}: every term has a proper cover factor")
     return "\n".join(lines) + "\n"
 
 
@@ -157,8 +161,7 @@ def cmd_verify(args):
         if not (args.partial and args.root):
             raise ValueError("--partial and --root must be given together")
         case = _algebraic_case(args)
-        n_max = args.audit_n or dataset.DEFAULT_COVERLESS_N_MAX
-        cert = algebraic.build_algebraic_certificate(case, n_max)
+        cert = algebraic.build_algebraic_certificate(case, args.audit_n)
         _emit_certificate(algebraic.certificate_to_dict(cert), args)
         if args.format == "text":
             partial = cert.partial
@@ -167,22 +170,25 @@ def cmd_verify(args):
                 f"kind={case.kind}, root={case.root}\n"
                 f"partial cover exhaustive for '{partial.predicate}' residues, "
                 f"L = {partial.lcm}\n"
-                f"algebraic factor checked for the remaining n up to {n_max}\n"
+                f"{_scope(cert.audited_n_max)}: every term has a proper partial cover "
+                "or algebraic factor\n"
             )
         return 0
     cert = cover.verify_cover(candidate, args.cover)
-    return _audit_and_emit(cert, args.audit_n or 10 * cert.lcm, args)
+    return _audit_and_emit(cert, args.audit_n, args)
 
 
 def _audit_and_emit(cert, audit_n, args, header=""):
-    """Witness-audit a cover to audit_n, then emit it and its summary."""
-    n_bad = cover.first_audit_failure(cert, audit_n)
+    """Finish the proof of a cover verify_cover built with the proof_depth
+    audit (audit_n terms if deeper), then emit it and its summary."""
+    depth = max(cover.proof_depth(cert), audit_n or 0)
+    n_bad = cover.first_audit_failure(cert, depth)
     if n_bad is not None:
         sys.stderr.write(f"audit failed at n={n_bad}\n")
         return 1
     _emit_certificate(cover.certificate_to_dict(cert), args)
     if args.format == "text":
-        sys.stdout.write(header + _cover_summary(cert, audit_n))
+        sys.stdout.write(header + _cover_summary(cert, depth if audit_n else None))
     return 0
 
 
@@ -236,7 +242,7 @@ def cmd_survey(args):
 def cmd_family(args):
     cert = cover.generate_family(Candidate(args.k, args.sign), args.cover, args.i)
     header = f"family member i={args.i}: k' = {cert.candidate.k}\n"
-    return _audit_and_emit(cert, cert.lcm, args, header)
+    return _audit_and_emit(cert, None, args, header)
 
 
 def cmd_audit(args):
@@ -251,33 +257,25 @@ def cmd_audit(args):
         raise CertificateFormatError("certificate must be a JSON object")
     if "kind" in doc:
         cert = algebraic.certificate_from_dict(doc)
-        # The factor re-check is quadratic in audited_n_max: bound it first.
-        bound = args.audit_n or 10 * cert.partial.lcm
-        if cert.audited_n_max > bound:
-            raise ValueError(
-                f"audited_n_max {cert.audited_n_max} exceeds the audit bound "
-                f"{bound}; pass --audit-n {cert.audited_n_max} to re-check it"
-            )
         problem = algebraic.check_certificate_facts(cert)
-        scope = f"partial cover + factors to n={cert.audited_n_max}"
+        if problem is None and args.audit_n:
+            n_bad = algebraic.first_coverless_failure(cert.case, cert.partial, args.audit_n)
+            if n_bad is not None:
+                problem = f"factor check failed at n={n_bad}"
     else:
         cert = cover.certificate_from_dict(doc)
         problem = cover.check_certificate_facts(cert)
-        if problem is None:
-            audit_n = args.audit_n or 10 * cert.lcm
-            n_bad = cover.first_audit_failure(cert, audit_n)
+        if problem is None and args.audit_n:
+            n_bad = cover.first_audit_failure(cert, args.audit_n)
             if n_bad is not None:
                 problem = f"witness fails at n={n_bad}"
-            scope = f"divisibility facts + witnesses to n={audit_n}"
-        else:
-            scope = "divisibility facts"
     if problem is not None:
         sys.stderr.write(f"audit FAILED: {problem}\n")
         return 1
     if args.format == "json":
         sys.stdout.write(json.dumps({"ok": True, "k": str(cert.candidate.k)}) + "\n")
     else:
-        sys.stdout.write(f"audit ok: k={cert.candidate.k} ({scope})\n")
+        sys.stdout.write(f"audit ok: k={cert.candidate.k}, {_scope(args.audit_n)}\n")
     return 0
 
 

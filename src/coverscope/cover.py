@@ -334,9 +334,9 @@ def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCer
 
     Structural validation only: entry progressions and the table are
     taken as stated, except that the table must hold an index exactly at
-    the residues the predicate claims.  Run check_certificate_facts and the
-    audit functions afterwards to re-check the mathematics (that split
-    keeps proof checking independent of proof generation).
+    the residues the predicate claims.  Run check_certificate_facts
+    afterwards to prove the claim (that split keeps proof checking
+    independent of proof generation).
     """
     if predicate not in _PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -370,12 +370,15 @@ def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCer
     return CoverCertificate(candidate, entries, lcm, tuple(table), flags, predicate)
 
 
-def check_certificate_facts(cert: CoverCertificate) -> str | None:
-    """Re-check a stated certificate's divisibility facts without searching:
-    d odd and >= 3, d | 2^b - 1, d | k*2^c + sign, c < b, L = lcm of the
-    periods and the predicate modulus, and the table's congruences.
-    Returns a description of the first problem, or None when everything
-    holds."""
+def proof_depth(cert: CoverCertificate) -> int:
+    """Past this exponent every term exceeds every divisor, so a witness
+    that divides a term is a proper divisor of it."""
+    return max(e.d for e in cert.entries).bit_length()
+
+
+def _divisibility_problem(cert: CoverCertificate) -> str | None:
+    """d odd and >= 3, d | 2^b - 1, d | k*2^c + sign, c < b, L = lcm of the
+    periods and the predicate modulus, and the table's congruences."""
     for e in cert.entries:
         if e.d < 3 or e.d % 2 == 0:
             return f"divisor {e.d} is not odd and >= 3"
@@ -395,3 +398,15 @@ def check_certificate_facts(cert: CoverCertificate) -> str | None:
         if r % e.b != e.c:
             return f"table assigns residue {r} to d={e.d} but {r} != {e.c} (mod {e.b})"
     return None
+
+
+def check_certificate_facts(cert: CoverCertificate) -> str | None:
+    """Prove a stated certificate for every claimed n >= 1, without
+    searching: the divisibility facts give d | k*2^n + sign for every
+    n == c (mod b), so the table's witness divides every claimed term, and
+    the proof_depth prefix audit shows each witness proper.  Returns a
+    description of the first problem, or None when the claim holds."""
+    problem = _divisibility_problem(cert)
+    if problem is None and (n_bad := first_audit_failure(cert, proof_depth(cert))):
+        problem = f"witness fails at n={n_bad}"
+    return problem

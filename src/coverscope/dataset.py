@@ -36,8 +36,6 @@ _NOTE_RE = re.compile(r'^(.*?)\s+note="([^"]*)"\s*$')
 
 ENV_CORPUS = "COVERSCOPE_CORPUS"
 
-DEFAULT_COVERLESS_N_MAX = 200
-
 
 class CorpusError(ValueError):
     """Malformed corpus line; message carries the location."""
@@ -219,7 +217,7 @@ class CorpusReport:
         return all(r.ok for r in self.results)
 
 
-def _verify_record(record: CorpusRecord, coverless_n_max: int) -> RecordResult:
+def _verify_record(record: CorpusRecord) -> RecordResult:
     start = time.perf_counter()
     lcms = []
     ok, detail = True, "ok"
@@ -228,25 +226,27 @@ def _verify_record(record: CorpusRecord, coverless_n_max: int) -> RecordResult:
             for sign, divisors in record.covers:
                 cert = cover.verify_cover(Candidate(record.k, sign), divisors)
                 lcms.append(cert.lcm)
+                if problem := cover.check_certificate_facts(cert):
+                    raise VerificationError(problem)
         else:
             sign, divisors = record.covers[0]
             if record.kind == KIND_S4:
                 case = algebraic.FourthPowerCase(record.root, divisors)
             else:
                 case = algebraic.SquareCase(record.root, divisors)
-            cert = algebraic.build_algebraic_certificate(case, coverless_n_max)
+            cert = algebraic.build_algebraic_certificate(case)
             lcms.append(cert.partial.lcm)
     except (VerificationError, ValueError) as exc:
         ok, detail = False, str(exc)
     return RecordResult(record, ok, detail, tuple(lcms), time.perf_counter() - start)
 
 
-def verify_corpus(records, coverless_n_max: int = DEFAULT_COVERLESS_N_MAX) -> CorpusReport:
-    """Verify every record as its kind dictates; results keep input order.
-    Coverless records additionally audit the factor family up to
-    coverless_n_max."""
+def verify_corpus(records) -> CorpusReport:
+    """Prove every record for all n >= 1 as its kind dictates; results keep
+    input order.  Coverless records are also cross-checked term by term to
+    build_algebraic_certificate's default depth."""
     start = time.perf_counter()
-    results = tuple(_verify_record(r, coverless_n_max) for r in records)
+    results = tuple(_verify_record(r) for r in records)
     return CorpusReport(results, time.perf_counter() - start)
 
 

@@ -10,7 +10,6 @@ from coverscope.algebraic import (
     build_algebraic_certificate,
     fourth_power_factor,
     square_factor,
-    verify_coverless,
 )
 from coverscope.cover import (
     Candidate,
@@ -169,17 +168,13 @@ class TestPartialCover:
 
 class TestVerifyCoverless:
     def test_first_fourth_power(self):
-        assert verify_coverless(Candidate(CASE_A.k, 1), CASE_A, 200)
+        assert build_algebraic_certificate(CASE_A, 200).candidate == Candidate(CASE_A.k, 1)
 
     def test_second_fourth_power(self):
-        assert verify_coverless(Candidate(CASE_B.k, 1), CASE_B, 100)
+        assert build_algebraic_certificate(CASE_B, 100).candidate == Candidate(CASE_B.k, 1)
 
     def test_square(self):
-        assert verify_coverless(Candidate(CASE_SQ.k, -1), CASE_SQ, 100)
-
-    def test_mismatched_candidate_rejected(self):
-        with pytest.raises(ValueError):
-            verify_coverless(Candidate(78557, 1), CASE_A, 10)
+        assert build_algebraic_certificate(CASE_SQ, 100).candidate == Candidate(CASE_SQ.k, -1)
 
 
 class TestAlgebraicCertificate:

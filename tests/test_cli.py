@@ -67,6 +67,20 @@ class TestVerify:
         assert (code, out, err) == (1, "", "audit failed at n=1\n")
         assert len(calls) == 1
 
+    def test_divisor_claiming_no_residue_is_flagged(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE + ",9"
+        )
+        assert code == 0
+        assert "73:1 9:0\n" in out
+        assert "warning: divisors claiming no residue: [9]\n" in out
+
+    @pytest.mark.parametrize("k", ["\u0667\u0668\u0665\u0665\u0667", "78_557", " 78557", "+78557"])
+    def test_numeric_flags_take_ascii_digits_only(self, capsys, k):
+        code, out, err = run(capsys, "verify", "--k", k, "--sign", "s", "--cover", SELFRIDGE)
+        assert (code, out) == (2, "")
+        assert "k must be a decimal integer" in err
+
     def test_partial_with_root(self, capsys):
         code, out, _ = run(
             capsys, "verify",
@@ -220,7 +234,7 @@ class TestFamily:
         assert code == 0
         assert "140179427" in out
 
-    def test_verifies_twice_and_audits_to_stated_depth(self, capsys, monkeypatch):
+    def test_verifies_twice_and_audits_the_proof_prefix(self, capsys, monkeypatch):
         verified, audited = [], []
         verify, audit = cover.verify_cover, cover.first_audit_failure
         monkeypatch.setattr(cover, "verify_cover", lambda *a: verified.append(a) or verify(*a))
@@ -233,8 +247,8 @@ class TestFamily:
         )
         assert code == 0
         assert len(verified) == 2
-        assert audited == [36]
-        assert "audited n = 1..36: every term has a proper cover factor" in out
+        assert audited == [(73).bit_length()]
+        assert out.endswith("\nproved for all n >= 1: every term has a proper cover factor\n")
 
     def test_failed_audit_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cover, "first_audit_failure", lambda cert, n_max: 5)
@@ -365,9 +379,9 @@ class TestAudit:
         code, out, err = run(capsys, "audit", str(path))
         assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
 
-    def test_stated_depth_past_the_bound_is_usage_error(self, capsys, tmp_path):
-        # The factor re-check is quadratic in audited_n_max, so a stated
-        # 10**7 must be refused up front, not run for hours.
+    def test_stated_depth_is_proved_not_rerun(self, capsys, tmp_path):
+        # audited_n_max only records the cross-check run at build time; the
+        # proof does not re-run it, so a stated 10**7 costs nothing.
         record = next(r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root)
         path = coverless_certificate(capsys, tmp_path, record)
         doc = json.loads(path.read_text())
@@ -376,15 +390,9 @@ class TestAudit:
         start = time.perf_counter()
         code, out, err = run(capsys, "audit", str(path))
         assert time.perf_counter() - start < 0.5
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: audited_n_max 10000000 exceeds the audit bound 480; "
-            "pass --audit-n 10000000 to re-check it\n"
-        )
+        assert (code, out, err) == (0, f"audit ok: k={record.k}, proved for all n >= 1\n", "")
 
-    def test_audit_n_raises_the_coverless_bound(self, capsys, tmp_path):
-        # L = 48 for 44745755^4, so a certificate audited to 500 is past the
-        # default bound 10*L = 480 until --audit-n lifts it.
+    def test_audit_n_cross_checks_a_coverless_certificate(self, capsys, tmp_path):
         path = tmp_path / "alg.json"
         code, _, _ = run(
             capsys, "verify",
@@ -394,14 +402,39 @@ class TestAudit:
             "--audit-n", "500", "--out", str(path),
         )
         assert code == 0
-        code, _, err = run(capsys, "audit", str(path))
-        assert code == 2 and "--audit-n 500" in err
+        code, out, _ = run(capsys, "audit", str(path))
+        assert (code, out) == (
+            0, "audit ok: k=4008735125781478102999926000625, proved for all n >= 1\n"
+        )
         code, out, _ = run(capsys, "audit", str(path), "--audit-n", "500")
         assert code == 0
         assert out == (
-            "audit ok: k=4008735125781478102999926000625 "
-            "(partial cover + factors to n=500)\n"
+            "audit ok: k=4008735125781478102999926000625, "
+            "proved for all n >= 1 (cross-checked n = 1..500)\n"
         )
+
+    def test_defaults_audit_no_deeper_than_the_proof(self, capsys, tmp_path, monkeypatch):
+        full = tmp_path / "cert.json"
+        run(capsys, "verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
+            "--out", str(full))
+        record = next(r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root)
+        coverless = coverless_certificate(capsys, tmp_path, record)
+        excess = []
+        audit = cover.first_audit_failure
+
+        def first_audit_failure(cert, n_max):
+            excess.append(n_max - cover.proof_depth(cert))
+            return audit(cert, n_max)
+
+        monkeypatch.setattr(cover, "first_audit_failure", first_audit_failure)
+        for argv in (
+            ("verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE),
+            ("family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE, "--i", "2"),
+            ("audit", str(full)),
+            ("audit", str(coverless)),
+        ):
+            assert run(capsys, *argv)[0] == 0
+        assert len(excess) == 4 and max(excess) <= 0
 
 
 def test_help_exits_zero(capsys):

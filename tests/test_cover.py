@@ -168,6 +168,25 @@ def first_match_table(entries, lcm, claimed):
     ]
 
 
+def random_divisor_sets(count=300):
+    """(candidate, divisors, predicate) with k built by CRT, so that each
+    divisor has a random offset and some sets cover their predicate."""
+    rng = random.Random(5)
+    pool = (3, 5, 7, 11, 13, 17, 19, 31, 37, 41, 73, 109, 151, 241, 331, 1321)
+    for _ in range(count):
+        sign = rng.choice((1, -1))
+        divisors = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+        # CRT: k == -sign * 2^-c (mod d) gives each divisor a random class c
+        k, step = 1, 2
+        for d in divisors:
+            target = -sign * pow(2, -rng.randrange(order_naive(2, d)), d) % d
+            while k % d != target:
+                k += step
+            step *= d
+        candidate = Candidate(k if k >= 3 else k + step, sign)
+        yield candidate, divisors, rng.choice(list(CLAIMED))
+
+
 class TestTableBuilder:
     def test_corpus_tables_match_first_match_scan(self):
         corpus = dataset.load_corpus(dataset.default_corpus_path())
@@ -184,20 +203,7 @@ class TestTableBuilder:
                 )
 
     def test_random_divisor_sets_against_scan(self):
-        rng = random.Random(5)
-        pool = (3, 5, 7, 11, 13, 17, 19, 31, 37, 41, 73, 109, 151, 241, 331, 1321)
-        for _ in range(300):
-            sign = rng.choice((1, -1))
-            divisors = rng.sample(pool, rng.randrange(1, len(pool) + 1))
-            # CRT: k == -sign * 2^-c (mod d) gives each divisor a random class c
-            k, step = 1, 2
-            for d in divisors:
-                target = -sign * pow(2, -rng.randrange(order_naive(2, d)), d) % d
-                while k % d != target:
-                    k += step
-                step *= d
-            candidate = Candidate(k if k >= 3 else k + step, sign)
-            predicate = rng.choice(list(CLAIMED))
+        for candidate, divisors, predicate in random_divisor_sets():
             entries = [cover.build_entry(candidate, d) for d in divisors]
             lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
             hole = smallest_uncovered(
@@ -301,6 +307,45 @@ class TestSerialization:
 
     def test_facts_check_passes(self, selfridge_cert):
         assert cover.check_certificate_facts(selfridge_cert) is None
+
+    def test_proof_refutes_exactly_when_facts_or_deep_audit_do(self):
+        def refutation(cert):
+            problem = cover._divisibility_problem(cert)
+            n_bad = None if problem else cover.first_audit_failure(cert, 10 * cert.lcm)
+            return problem or (n_bad and f"witness fails at n={n_bad}")
+
+        rng = random.Random(9)
+        # The whole term at n = 1 as a divisor: facts hold, properness fails.
+        certs = [
+            cover.verify_cover(Candidate(78557, 1), (157115,) + SELFRIDGE_COVER),
+            cover.verify_cover(Candidate(509203, -1), (1018405,) + RIESEL_COVER),
+        ]
+        for candidate, divisors, predicate in random_divisor_sets():
+            try:
+                certs.append(cover.verify_cover(candidate, divisors, predicate))
+            except UncoveredResidueError:
+                continue
+        refuted = 0
+        for cert in certs:
+            i = rng.randrange(len(cert.entries))
+            e = cert.entries[i]
+            with_entry = lambda new: dataclasses.replace(  # noqa: E731
+                cert, entries=cert.entries[:i] + (new,) + cert.entries[i + 1:]
+            )
+            table = list(cert.table)
+            r = rng.choice([r for r, idx in enumerate(table) if idx is not None])
+            table[r] = rng.randrange(len(cert.entries))
+            for doctored in (
+                cert,
+                with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b)),
+                with_entry(dataclasses.replace(e, d=cert.candidate.term(e.c))),
+                dataclasses.replace(cert, table=tuple(table)),
+            ):
+                expected = refutation(doctored)
+                assert cover.check_certificate_facts(doctored) == expected
+                refuted += expected is not None
+        assert [refutation(c) for c in certs[:2]] == ["witness fails at n=1"] * 2
+        assert 0 < refuted < 3 * len(certs)
 
     def test_facts_check_catches_doctored_entry(self, selfridge_cert):
         doc = cover.certificate_to_dict(selfridge_cert)

@@ -153,6 +153,12 @@ class TestVerifyCorpus:
         assert "uncovered residue 3" in report.results[0].detail
         assert report.results[1].ok
 
+    def test_improper_witness_fails(self):
+        # 157115 = 78557*2 + 1 claims n = 1 first, where it is the whole term.
+        report = verify_corpus(parse_corpus("S 78557 157115,3,5,7,13,19,37,73\n"))
+        assert not report.ok
+        assert report.results[0].detail == "witness fails at n=1"
+
     def test_swapped_both_tags_fail(self, corpus):
         both = next(r for r in corpus if r.k == 143665583045350793098657)
         (r_sign, r_cov), (s_sign, s_cov) = both.covers
