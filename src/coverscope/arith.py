@@ -14,12 +14,29 @@ METHOD_MR_DETERMINISTIC = "miller-rabin-deterministic"
 METHOD_MR_PROBABILISTIC = "miller-rabin-probabilistic"
 METHOD_SIEVE = "sieve"
 
-# Deterministic Miller-Rabin witness table (first 13 primes), valid for
-# every n < 3317044064679887385961981 ~ 3.3e24.  The first twelve suffice
-# for every n < 318665857834031151167461, which covers all n < 2**64.
-MR_DETERMINISTIC_BOUND = 3317044064679887385961981
+# Deterministic Miller-Rabin: _PSI[t-1] is psi_t, the least strong
+# pseudoprime to all of the first t prime bases (Jaeschke 1993; Sorenson and
+# Webster 2015 for psi_12 and psi_13), so below psi_t those t bases decide n.
+# A test of n runs the bases in order and stops after the first t, for the
+# least t with n < psi_t: a prime below 2047 costs one round, one below 2**31
+# at most four, and one just below 2**64 twelve.
+_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+MR_DETERMINISTIC_BOUND = _PSI[-1]
 MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BASES_U64 = MR_DETERMINISTIC_BASES[:12]
 
 MR_PROBABILISTIC_ROUNDS = 40
 
@@ -46,10 +63,11 @@ class PrimalityResult:
     base a with jacobi(a, n) = -1; n is prime iff a**((n-1)/2) == -1 (mod n),
     so the claim re-verifies from this record alone.  For Miller-Rabin,
     witness is the base that certified compositeness (0 when none is
-    singled out); deterministic results re-verify by re-running the fixed
-    base table.  For the sieve method, witness is a prime p <= SIEVE_BOUND
-    with p | n and p < n, so n is composite by one reduction.  rounds is
-    nonzero only for the probabilistic method.
+    singled out); a deterministic result re-verifies by re-running the
+    first t bases of MR_DETERMINISTIC_BASES, for the least t with n below
+    psi_t, the t-th entry of _PSI.  For the sieve method, witness is a prime
+    p <= SIEVE_BOUND with p | n and p < n, so n is composite by one
+    reduction.  rounds is nonzero only for the probabilistic method.
     """
 
     n: int
@@ -171,13 +189,9 @@ def jacobi(a: int, n: int) -> int:
 
 
 def _mr_decompose(n):
-    # n - 1 = d * 2**s with d odd
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d >>= 1
-        s += 1
-    return d, s
+    # n - 1 = d * 2**s with d odd; (n - 1) & (1 - n) is the lowest set bit
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    return (n - 1) >> s, s
 
 
 def _mr_composite(n, a, d, s):
@@ -187,21 +201,6 @@ def _mr_composite(n, a, d, s):
     for _ in range(s - 1):
         x = x * x % n
         if x == n - 1:
-            return False
-    return True
-
-
-def _is_prime_u64(n):
-    # Deterministic Miller-Rabin for odd 3 <= n < 2**64, with no witness
-    # kept: division by the bases first, then the twelve MR rounds.
-    for a in _MR_BASES_U64:
-        if n == a:
-            return True
-        if n % a == 0:
-            return False
-    d, s = _mr_decompose(n)
-    for a in _MR_BASES_U64:
-        if _mr_composite(n, a, d, s):
             return False
     return True
 
@@ -270,16 +269,15 @@ def proth_test(k: int, m: int) -> PrimalityResult:
 def is_prime(n: int) -> PrimalityResult:
     """Primality of n with the method recorded in the result.
 
-    Deterministic (fixed Miller-Rabin base table) below
-    MR_DETERMINISTIC_BOUND; a decisive Proth test for n = k*2**m + 1 with
-    2**m > k; otherwise MR_PROBABILISTIC_ROUNDS rounds of Miller-Rabin,
-    flagged probabilistic.
+    Deterministic below MR_DETERMINISTIC_BOUND (Miller-Rabin with only the
+    first prime bases that n's psi_t tier needs); a decisive Proth test for
+    n = k*2**m + 1 with 2**m > k; otherwise MR_PROBABILISTIC_ROUNDS rounds
+    of Miller-Rabin, flagged probabilistic.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n >= MR_DETERMINISTIC_BOUND:
-        m = ((n - 1) & (1 - n)).bit_length() - 1  # 2-adic valuation of n - 1
-        k = (n - 1) >> m
+        k, m = _mr_decompose(n)  # n = k*2**m + 1 with k odd
         if (1 << m) > k:
             return proth_test(k, m)
     return _miller_rabin(n)
@@ -291,21 +289,20 @@ def _miller_rabin(n):
     Repeated probabilistic runs report identically: their bases come from
     an n-seeded generator.
     """
-    if n < 2:
-        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False)
-    if n == 2:
-        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
-    if n % 2 == 0:
+    if n > 2 and n % 2 == 0:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=2)
-    if n < 2**64:
-        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, _is_prime_u64(n))
+    if n <= MR_DETERMINISTIC_BASES[-1]:  # the bases are the primes up to 41
+        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, n in MR_DETERMINISTIC_BASES)
     d, s = _mr_decompose(n)
     if n < MR_DETERMINISTIC_BOUND:
         # n > 41, so a base that divides n is caught as an MR witness too.
-        for a in MR_DETERMINISTIC_BASES:
+        # A composite below 2**64 is reported with witness 0.
+        for a, psi in zip(MR_DETERMINISTIC_BASES, _PSI):
             if _mr_composite(n, a, d, s):
-                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=a)
-        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
+                witness = a if n >> 64 else 0
+                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=witness)
+            if n < psi:
+                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
     rng = random.Random(n)
     for _ in range(MR_PROBABILISTIC_ROUNDS):
         a = rng.randrange(2, n - 1)

@@ -378,7 +378,9 @@ def proof_depth(cert: CoverCertificate) -> int:
 
 def _divisibility_problem(cert: CoverCertificate) -> str | None:
     """d odd and >= 3, d | 2^b - 1, d | k*2^c + sign, c < b, L = lcm of the
-    periods and the predicate modulus, and the table's congruences."""
+    periods and the predicate modulus, and the table's shape and congruences:
+    one slot per residue mod L, a valid entry index at every residue the
+    predicate claims and None at every other."""
     for e in cert.entries:
         if e.d < 3 or e.d % 2 == 0:
             return f"divisor {e.d} is not odd and >= 3"
@@ -388,12 +390,19 @@ def _divisibility_problem(cert: CoverCertificate) -> str | None:
             return f"{e.d} does not divide 2^{e.b} - 1"
         if (cert.candidate.k * arith.mod_pow(2, e.c, e.d) + cert.candidate.sign) % e.d != 0:
             return f"{e.d} does not divide k*2^{e.c} {cert.candidate.sign:+d}"
-    modulus, _ = _PREDICATES[cert.predicate]
+    modulus, claimed = _PREDICATES[cert.predicate]
     if cert.lcm != arith.lcm_all([e.b for e in cert.entries] + [modulus]):
         return "stated lcm does not match the entry periods"
+    if len(cert.table) != cert.lcm:
+        return f"table has {len(cert.table)} slots, not one per residue mod {cert.lcm}"
+    n_entries = len(cert.entries)
     for r, idx in enumerate(cert.table):
-        if idx is None:
+        if r % modulus not in claimed:
+            if idx is not None:
+                return f"table assigns residue {r}, which the predicate does not claim"
             continue
+        if type(idx) is not int or not 0 <= idx < n_entries:  # no bools
+            return f"table has no valid entry index at claimed residue {r}"
         e = cert.entries[idx]
         if r % e.b != e.c:
             return f"table assigns residue {r} to d={e.d} but {r} != {e.c} (mod {e.b})"

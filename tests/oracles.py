@@ -46,6 +46,29 @@ def trial_division_prime(n):
     return True
 
 
+def primes_below_naive(bound):
+    """flags[n] == 1 iff n is prime, for 0 <= n < bound (bound >= 2): the
+    sieve of Eratosthenes over every integer, even ones included."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    p = 2
+    while p * p < bound:
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound, p)))
+        p += 1
+    return flags
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > 2 passes the Miller-Rabin round for base a: with
+    n - 1 = d * 2**s, d odd, a**d == 1 or a**(d * 2**j) == -1 (mod n) for
+    some j < s.  Read off the whole power sequence, not stopped early."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    powers = [pow(a, d * 2**j, n) for j in range(s)]
+    return powers[0] == 1 or n - 1 in powers
+
+
 def factorize_naive(n):
     factors = {}
     f = 2

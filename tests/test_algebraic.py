@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -248,6 +249,16 @@ class TestAlgebraicCertificate:
             breakage(doc)
             with pytest.raises(algebraic.CertificateFormatError):
                 algebraic.certificate_from_dict(doc)
+
+    def test_index_outside_the_predicate_caught_by_facts_check(self):
+        # n == 2 (mod 4) belongs to the algebraic factors, so an entry
+        # index at residue 2 makes a misshapen partial table.
+        cert = build_algebraic_certificate(CASE_A, 20)
+        partial = cert.partial
+        table = partial.table[:2] + (0,) + partial.table[3:]
+        doctored = dataclasses.replace(cert, partial=dataclasses.replace(partial, table=table))
+        problem = algebraic.check_certificate_facts(doctored)
+        assert problem == "table assigns residue 2, which the predicate does not claim"
 
     def test_doctored_offset_caught_by_facts_check(self):
         cert = build_algebraic_certificate(CASE_A, 20)

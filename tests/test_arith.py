@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -10,6 +11,8 @@ from oracles import (
     mod_pow_naive,
     offset_naive,
     order_naive,
+    primes_below_naive,
+    strong_probable_prime,
     trial_division_prime,
 )
 
@@ -221,6 +224,58 @@ class TestIsPrime:
         assert arith.is_prime(2**61 - 1).is_prime  # Mersenne prime
 
 
+# psi_t for t <= 12, each distinct value once with the largest t it is psi_t
+# for (psi_7 = psi_8 and psi_9 = psi_10 = psi_11), so base t + 1 catches it.
+PSI_TIERS = [(t, arith._PSI[t - 1]) for t in range(1, 13) if arith._PSI[t - 1] != arith._PSI[t]]
+
+# One prime per base count: the least t with n < psi_t, which the test of a
+# prime n must reach before it may stop.
+TIER_PRIMES = (
+    (2039, 1),
+    (2**31 - 1, 4),
+    (2**61 - 1, 9),
+    (2**64 - 59, 12),
+    (318665857834031151167483, 13),  # least prime above psi_12
+)
+
+
+class TestPsiTiers:
+    def test_table(self):
+        assert len(arith._PSI) == len(arith.MR_DETERMINISTIC_BASES) == 13
+        assert arith._PSI[-1] == arith.MR_DETERMINISTIC_BOUND
+        assert list(arith._PSI) == sorted(arith._PSI)
+        assert [t for t, _ in PSI_TIERS] == [1, 2, 3, 4, 5, 6, 8, 11, 12]
+
+    def test_each_psi_fools_its_bases_and_the_next_base_catches_it(self):
+        bases = arith.MR_DETERMINISTIC_BASES
+        for t, psi in PSI_TIERS:
+            assert all(strong_probable_prime(psi, a) for a in bases[:t]), psi
+            assert not strong_probable_prime(psi, bases[t]), psi  # so psi is composite
+            assert not arith.is_prime(psi).is_prime, psi
+
+    def test_agrees_with_a_sieve_below_2_to_the_21(self):
+        # Covers the tier edges psi_1 = 2047 and psi_2 = 1373653.
+        flags = primes_below_naive(2**21)
+        wrong = [n for n in range(2**21) if arith.is_prime(n).is_prime != flags[n]]
+        assert wrong == []
+
+    def test_a_prime_runs_exactly_its_tier_of_bases(self, monkeypatch):
+        # Timing-free guard against a return to a flat base count.
+        bases_run = []
+        real = arith._mr_composite
+
+        def counting(n, a, d, s):
+            bases_run.append(a)
+            return real(n, a, d, s)
+
+        monkeypatch.setattr(arith, "_mr_composite", counting)
+        for n, t in TIER_PRIMES:
+            bases_run.clear()
+            assert arith.is_prime(n).is_prime, n
+            assert bases_run == list(arith.MR_DETERMINISTIC_BASES[:t]), n
+            assert t == bisect.bisect_right(arith._PSI, n) + 1, n  # least t with n < psi_t
+
+
 class TestProth:
     def test_prime_with_recheckable_witness(self):
         for k, m in ((143, 53), (47, 583)):
@@ -353,6 +408,8 @@ class TestDispatcher:
         ns += [rng.randrange(2**82, 2**100) for _ in range(100)]
         ns += [2**89 - 1, 2**67 - 1, 2**61 - 1]
         ns += [rng.randrange(2**63, 2**64) for _ in range(1000)]
+        # After the draws above, so that none of them changes: each tier edge.
+        ns += [n for psi in arith._PSI for n in range(psi - 300, psi + 301)]
         assert any(_nonproth_reference(n).is_prime for n in ns if n > 2**64)
         for n in ns:
             assert arith._miller_rabin(n) == _nonproth_reference(n), n

@@ -308,6 +308,21 @@ class TestSerialization:
     def test_facts_check_passes(self, selfridge_cert):
         assert cover.check_certificate_facts(selfridge_cert) is None
 
+    def test_facts_check_refuses_a_misshapen_table(self, selfridge_cert):
+        # Certificates built in process skip the parser's shape checks, so
+        # the proof itself must refuse a table with a hole or a bad index.
+        table = selfridge_cert.table
+        for doctored, problem in (
+            ((None,) + table[1:], "no valid entry index at claimed residue 0"),
+            (table[:-1], "35 slots"),
+            (table + (0,), "37 slots"),
+            ((7,) + table[1:], "no valid entry index at claimed residue 0"),
+            ((-7,) + table[1:], "no valid entry index at claimed residue 0"),
+            ((False,) + table[1:], "no valid entry index at claimed residue 0"),
+        ):
+            cert = dataclasses.replace(selfridge_cert, table=doctored)
+            assert problem in cover.check_certificate_facts(cert)
+
     def test_proof_refutes_exactly_when_facts_or_deep_audit_do(self):
         def refutation(cert):
             problem = cover._divisibility_problem(cert)

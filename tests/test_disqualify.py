@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,6 +175,22 @@ class TestReports:
         assert doc["method"] == arith.METHOD_PROTH
         assert doc["primality"]["is_prime"] is True
         assert doc["primality"]["witness"].isdigit()
+
+    @pytest.mark.parametrize(
+        "sign, digest",
+        [
+            (1, "1a8e421eb605f33f594d393dc06e0085a40fc65d20f40a2906b62e711da752f4"),
+            (-1, "c5898910fd278c724a2edbea925389b819b71022c0c7df9f9272c87072c359ce"),
+        ],
+    )
+    def test_verbose_survey_bytes_are_pinned(self, sign, digest):
+        # sha256 of the JSON report in the layout `survey --format json`
+        # prints, with each record's trail, for every odd k <= 999 and
+        # n <= 64: any change to a verdict, method, witness or round count
+        # of a primality test shows.
+        records = disqualify.survey_range(1, 999, sign, 64, verbose=True)
+        text = json.dumps([disqualify.record_to_dict(r) for r in records], indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_text_table(self):
         records = disqualify.survey_range(45, 49, 1, 8)
