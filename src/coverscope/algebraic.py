@@ -13,7 +13,6 @@ this module holds only the cases, the factor splits and the
 AlgebraicCertificate that joins the two halves.
 """
 
-import json
 from dataclasses import dataclass
 
 from coverscope import cover
@@ -194,7 +193,7 @@ def certificate_to_dict(cert: AlgebraicCertificate) -> dict:
 
 
 def certificate_to_json(cert: AlgebraicCertificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    return cover.dumps_json(certificate_to_dict(cert))
 
 
 def certificate_from_dict(doc: dict) -> AlgebraicCertificate:

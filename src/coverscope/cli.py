@@ -14,13 +14,15 @@ from coverscope import algebraic, cover, dataset, disqualify
 from coverscope.cover import Candidate, CertificateFormatError, VerificationError
 
 
-def _arg_int(text, what, minimum=None, odd=False):
+def _arg_int(text, what, minimum=None, odd=False, maximum=None):
     # int() alone also admits signs, spaces, underscores and other scripts' digits.
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"{what} must be a decimal integer")
     value = int(text)
     if minimum is not None and value < minimum:
         raise argparse.ArgumentTypeError(f"{what} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise argparse.ArgumentTypeError(f"{what} must be <= {maximum}")
     if odd and value % 2 == 0:
         raise argparse.ArgumentTypeError(f"{what} must be odd")
     return value
@@ -48,6 +50,10 @@ def _positive(text):
     return _arg_int(text, "value", minimum=1)
 
 
+def _audit_n(text):
+    return _arg_int(text, "value", minimum=1, maximum=cover.MAX_AUDIT_N)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="coverscope",
@@ -70,7 +76,11 @@ def _build_parser():
         help="treat the cover as partial, valid on this exponent condition",
     )
     p.add_argument("--root", type=_positive, help="root with k = root^4 (s) or root^2 (r)")
-    p.add_argument("--audit-n", type=_positive, help="cross-check n = 1..N (coverless default 200)")
+    p.add_argument(
+        "--audit-n",
+        type=_audit_n,
+        help=f"cross-check n = 1..N, N <= {cover.MAX_AUDIT_N} (coverless default 200)",
+    )
     p.add_argument("--out", help="write the certificate JSON to this file")
     p.set_defaults(func=cmd_verify)
 
@@ -114,13 +124,16 @@ def _build_parser():
         "audit", parents=[common], help="re-check an emitted certificate file"
     )
     p.add_argument("file", help="certificate JSON produced by verify")
-    p.add_argument("--audit-n", type=_positive, help="cross-check n = 1..N after the proof")
+    p.add_argument(
+        "--audit-n",
+        type=_audit_n,
+        help=f"cross-check n = 1..N, N <= {cover.MAX_AUDIT_N}, after the proof",
+    )
     p.set_defaults(func=cmd_audit)
     return parser
 
 
-def _emit_certificate(doc, args):
-    text = json.dumps(doc, indent=2) + "\n"
+def _emit_certificate(text, args):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -162,7 +175,7 @@ def cmd_verify(args):
             raise ValueError("--partial and --root must be given together")
         case = _algebraic_case(args)
         cert = algebraic.build_algebraic_certificate(case, args.audit_n)
-        _emit_certificate(algebraic.certificate_to_dict(cert), args)
+        _emit_certificate(algebraic.certificate_to_json(cert), args)
         if args.format == "text":
             partial = cert.partial
             sys.stdout.write(
@@ -186,7 +199,7 @@ def _audit_and_emit(cert, audit_n, args, header=""):
     if n_bad is not None:
         sys.stderr.write(f"audit failed at n={n_bad}\n")
         return 1
-    _emit_certificate(cover.certificate_to_dict(cert), args)
+    _emit_certificate(cover.certificate_to_json(cert), args)
     if args.format == "text":
         sys.stdout.write(header + _cover_summary(cert, depth if audit_n else None))
     return 0
@@ -212,7 +225,7 @@ def cmd_verify_dataset(args):
     records = dataset.load_corpus(path)
     report = dataset.verify_corpus(records)
     if args.format == "json":
-        sys.stdout.write(json.dumps(dataset.report_to_dict(report), indent=2) + "\n")
+        sys.stdout.write(cover.dumps_json(dataset.report_to_dict(report)))
     else:
         sys.stdout.write(dataset.report_to_text(report))
     return 0 if report.ok else 1
@@ -223,7 +236,7 @@ def cmd_disqualify(args):
         Candidate(args.k, args.sign), args.max_n, verbose=args.verbose
     )
     if args.format == "json":
-        sys.stdout.write(json.dumps(disqualify.record_to_dict(record), indent=2) + "\n")
+        sys.stdout.write(cover.dumps_json(disqualify.record_to_dict(record)))
     else:
         sys.stdout.write(disqualify.records_to_text([record]))
     return 0 if record.disqualified else 1
@@ -232,8 +245,7 @@ def cmd_disqualify(args):
 def cmd_survey(args):
     records = disqualify.survey_range(args.k_min, args.k_max, args.sign, args.max_n)
     if args.format == "json":
-        docs = [disqualify.record_to_dict(r) for r in records]
-        sys.stdout.write(json.dumps(docs, indent=2) + "\n")
+        sys.stdout.write(cover.dumps_json([disqualify.record_to_dict(r) for r in records]))
     else:
         sys.stdout.write(disqualify.records_to_text(records))
     return 0

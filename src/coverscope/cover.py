@@ -19,10 +19,16 @@ predicate.
 import json
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from coverscope import arith
 
 TOOL_VERSION = "0.1.0"
+
+# Largest term-by-term cross-check (--audit-n) the CLI runs.  The audit
+# builds every term as a bignum, so its cost grows with the square of N:
+# 78557 to N = 36000 takes about 0.27 s, so this bound about 2 s.
+MAX_AUDIT_N = 100_000
 
 SIGN_SIERPINSKI = 1
 SIGN_RIESEL = -1
@@ -183,7 +189,11 @@ def verify_cover(
     divisors = [int(d) for d in divisors]
     if not divisors:
         raise ValueError("cover must contain at least one divisor")
-    entries = tuple(build_entry(candidate, d) for d in divisors)
+    # Tuples from lists, not generators: tuple() of a generator resizes a
+    # fresh tuple, which on release joins the free list of its final size;
+    # those lists fill (2000 tuples a size) until a full garbage collection,
+    # so peak memory would creep with the number of calls.
+    entries = tuple([build_entry(candidate, d) for d in divisors])
     lcm = arith.lcm_all([e.b for e in entries] + [modulus])
     table = [None] * lcm
     # Last entry first, so that an earlier entry overwrites a later one.
@@ -200,7 +210,7 @@ def verify_cover(
     for r in range(modulus):
         if r not in claimed:
             table[r::modulus] = [None] * len(range(r, lcm, modulus))
-    primality = tuple(arith.is_prime(e.d).is_prime for e in entries)
+    primality = tuple([arith.is_prime(e.d).is_prime for e in entries])
     return CoverCertificate(candidate, entries, lcm, tuple(table), primality, predicate)
 
 
@@ -284,8 +294,44 @@ def certificate_to_dict(cert: CoverCertificate) -> dict:
     return doc
 
 
+_FLAT_ITEM_TYPES = frozenset((int, bool, type(None)))
+
+
+def dumps_json(doc) -> str:
+    """json.dumps(doc, indent=2) + "\n", byte for byte, for a JSON document
+    with string keys.  Below Python 3.13 json indents in pure Python; here
+    each list of int, bool and None (a residue table) takes one call of
+    json's C encoder and is re-indented, strings take json's string encoder
+    and ints their repr, which is what json.dumps writes for them."""
+    return _indented(doc, "\n") + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    # newline: "\n" plus the indent of the line the value closes on.
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        body = ("," + inner).join(
+            _encode_str(key) + ": " + _indented(item, inner) for key, item in value.items()
+        )
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if set(map(type, value)) <= _FLAT_ITEM_TYPES:
+            # No item's text holds ", ", so the one-line form splits exactly.
+            body = json.dumps(value)[1:-1].replace(", ", "," + inner)
+        else:
+            body = ("," + inner).join(_indented(item, inner) for item in value)
+    elif type(value) is str:
+        return _encode_str(value)
+    elif type(value) is int:
+        return repr(value)
+    else:
+        return json.dumps(value)
+    return brackets[0] + inner + body + newline + brackets[1] if value else brackets
+
+
 def certificate_to_json(cert: CoverCertificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2) + "\n"
+    return dumps_json(certificate_to_dict(cert))
 
 
 def _parse_decimal(doc, key):
@@ -349,10 +395,10 @@ def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCer
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list) or not raw_entries:
         raise CertificateFormatError("entries must be a nonempty list")
-    entries = tuple(
+    entries = tuple([
         CoverEntry(_parse_decimal(e, "d"), _parse_decimal(e, "b"), _parse_decimal(e, "c"))
         for e in raw_entries
-    )
+    ])
     lcm = _parse_decimal(doc, "lcm")
     table = doc.get("table")
     if not isinstance(table, list) or len(table) != lcm:

@@ -1,12 +1,17 @@
+import hashlib
 import json
 import time
 
 import pytest
 
-from coverscope import cover, dataset
+from coverscope import algebraic, cover, dataset
 from coverscope.cli import main
 
 SELFRIDGE = "3,5,7,13,19,37,73"
+COVERLESS_S4 = (
+    "--k", "4008735125781478102999926000625", "--sign", "s", "--cover", "3,17,97,241,257,673",
+    "--partial", "mod4ne2", "--root", "44745755",
+)
 
 
 def run(capsys, *argv):
@@ -435,6 +440,93 @@ class TestAudit:
         ):
             assert run(capsys, *argv)[0] == 0
         assert len(excess) == 4 and max(excess) <= 0
+
+
+# sha256 of the certificate each command writes: canonical 2-space JSON,
+# one table slot per line.  The format is stable, so these never change.
+PINNED_CERTIFICATES = [
+    (
+        ("verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE),
+        "43178579e1d770648f8ebec9063cf0857e0058b7ddf0cdfccaf7b7c1685f6ef5",
+    ),
+    (
+        ("verify", "--k", "509203", "--sign", "r", "--cover", "3,5,7,13,17,241"),
+        "38ec6f231b5e2828776c48625676dabbf79efed4aede8ad74e7273ff51791ebb",
+    ),
+    (
+        ("verify", *COVERLESS_S4),
+        "3ae1b1a71fe0994fd5a5107dcae4dfc21ffad8b67a0b88fa343c2564522bc0da",
+    ),
+    (
+        ("family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE, "--i", "2"),
+        "9dcef7f4b9fe75b970edcbf47cf59ef51aa0d5c1436b5ace736dff7b36427564",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_CERTIFICATES, ids=["78557s", "509203r", "coverless-s4", "family-78557s"]
+)
+def test_certificate_bytes_are_pinned_and_audit_ok(capsys, tmp_path, argv, digest):
+    path = tmp_path / "cert.json"
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert (code, out.encode()) == (0, data)
+    code, out, _ = run(capsys, "audit", str(path))
+    assert code == 0 and out.startswith("audit ok: ")
+    code, out, _ = run(capsys, "audit", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+class TestAuditBound:
+    def test_above_the_bound_exits_2_before_any_work(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        run(capsys, "verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
+            "--out", str(path))
+        for argv in (
+            ("verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE),
+            ("verify", *COVERLESS_S4),
+            ("audit", str(path)),
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv, "--audit-n", "1000000")
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert f"--audit-n: value must be <= {cover.MAX_AUDIT_N}" in err
+
+    def test_the_bound_is_accepted(self, capsys, tmp_path, monkeypatch):
+        # Cross-checks stubbed: for real, N = 10^5 takes 2 s on 78557 and minutes coverless.
+        depths = []
+
+        def first_audit_failure(cert, n_max):
+            depths.append(n_max)
+
+        def first_coverless_failure(case, partial, n_max):
+            depths.append(n_max)
+
+        monkeypatch.setattr(cover, "first_audit_failure", first_audit_failure)
+        monkeypatch.setattr(algebraic, "first_coverless_failure", first_coverless_failure)
+        full = tmp_path / "cert.json"
+        coverless = tmp_path / "coverless.json"
+        bound = str(cover.MAX_AUDIT_N)
+        for argv in (
+            ("verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE, "--out", str(full)),
+            ("verify", *COVERLESS_S4, "--out", str(coverless)),
+            ("audit", str(full)),
+            ("audit", str(coverless)),
+        ):
+            depths.clear()
+            code, out, _ = run(capsys, *argv, "--audit-n", bound)
+            assert code == 0
+            assert f"cross-checked n = 1..{bound})" in out
+            assert max(depths) == cover.MAX_AUDIT_N
+
+    @pytest.mark.parametrize("command", ["verify", "audit"])
+    def test_help_states_the_bound(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert str(cover.MAX_AUDIT_N) in capsys.readouterr().out
 
 
 def test_help_exits_zero(capsys):

@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coverscope import cover, dataset
+from coverscope import algebraic, cover, dataset
 from coverscope.cover import (
     Candidate,
     CoverEntry,
@@ -392,6 +394,71 @@ class TestSerialization:
             breakage(doc)
             with pytest.raises(cover.CertificateFormatError):
                 cover.certificate_from_dict(doc)
+
+
+def json_oracle(doc) -> str:
+    """The canonical layout, written by json's own indent encoder."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Strings that would split a naive re-indent or need escapes.
+AWKWARD_TEXT = st.sampled_from(
+    [", ", '"a", "b"', "x\ny", "tab\there", "\\", "caf\u00e9 \u4e2d \U0001f600", "]", ""]
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**512), max_value=2**512)
+    | st.floats()
+    | st.text()
+    | AWKWARD_TEXT
+)
+# Flat lists take the writer's one-call path: ints of any size mixed with
+# bools and None.
+FLAT_LISTS = st.lists(st.none() | st.booleans() | st.integers(min_value=-(2**200), max_value=2**200))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | FLAT_LISTS,
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(st.text() | AWKWARD_TEXT, children, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestCanonicalJson:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(JSON_VALUES)
+    def test_matches_json_indent_encoder(self, doc):
+        assert cover.dumps_json(doc) == json_oracle(doc)
+
+    def test_nested_empty_containers(self):
+        doc = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "e": [None, True, 0, -(2**70)]}
+        assert cover.dumps_json(doc) == json_oracle(doc)
+        assert cover.dumps_json([]) == "[]\n"
+
+    def test_every_corpus_certificate(self):
+        for record in dataset.load_corpus(dataset.default_corpus_path()):
+            for sign, divisors in record.covers:
+                if record.root is None:
+                    cert = cover.verify_cover(Candidate(record.k, sign), divisors)
+                    text, doc = cover.certificate_to_json(cert), cover.certificate_to_dict(cert)
+                else:
+                    case_type = algebraic.FourthPowerCase if sign == 1 else algebraic.SquareCase
+                    cert = algebraic.build_algebraic_certificate(case_type(record.root, divisors))
+                    text = algebraic.certificate_to_json(cert)
+                    doc = algebraic.certificate_to_dict(cert)
+                assert text == json_oracle(doc), (record.k, sign)
+
+    def test_random_covers(self):
+        written = 0
+        for candidate, divisors, predicate in random_divisor_sets():
+            try:
+                cert = cover.verify_cover(candidate, divisors, predicate)
+            except UncoveredResidueError:
+                continue
+            assert cover.certificate_to_json(cert) == json_oracle(cover.certificate_to_dict(cert))
+            written += 1
+        assert written  # some of the sets cover their predicate
 
 
 def test_eq2_identity_exactness_randomized():
