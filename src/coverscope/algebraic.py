@@ -102,10 +102,8 @@ def fourth_power_factor(case: FourthPowerCase, n: int) -> int:
     factor = hi + lo + 1
     cofactor = hi - lo + 1
     term = (case.k << n) + 1
-    if factor * cofactor != term or term % factor != 0:
-        raise VerificationError(
-            f"factor split failed for k={case.k}, n={n}"
-        )
+    if factor * cofactor != term:
+        raise VerificationError(f"factor split failed for k={case.k}, n={n}")
     if not 1 < factor < term:
         raise VerificationError(
             f"factor {factor} of term at n={n} is not a proper divisor"
@@ -120,7 +118,7 @@ def square_factor(case: SquareCase, n: int) -> int:
     x = case.root << (n // 2)
     factor = x + 1
     term = (case.k << n) - 1
-    if factor * (x - 1) != term or term % factor != 0:
+    if factor * (x - 1) != term:
         raise VerificationError(f"factor split failed for k={case.k}, n={n}")
     if not 1 < factor < term:
         raise VerificationError(

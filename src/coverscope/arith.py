@@ -45,9 +45,11 @@ MR_PROBABILISTIC_ROUNDS = 40
 ORDER_LINEAR_SCAN_LIMIT = 10**6
 
 # A first-prime scan crosses out every term with an odd prime factor up to
-# this bound before any primality test.  Measured at 128..16384 (CHANGES.md):
-# above 1024 the gcd with the longer product costs short scans more than the
-# tests it saves; below it, long scans of large terms test more survivors.
+# this bound before any primality test.  Measured at 128..16384 (CHANGES.md)
+# under a single gcd with the whole product per term: above 1024 that gcd
+# costs short scans more than the tests it saves; below it, long scans of
+# large terms test more survivors.  Not measured again under the split
+# below, which runs the long gcd on a quarter of the terms.
 SIEVE_BOUND = 1024
 
 # How many candidate bases the Proth test examines while hunting for a
@@ -217,19 +219,34 @@ def _odd_primes_upto(bound):
 
 SIEVE_PRIMES = _odd_primes_upto(SIEVE_BOUND)
 SIEVE_PRODUCT = math.prod(SIEVE_PRIMES)
+# SIEVE_PRODUCT split in two at SIEVE_SPLIT.  The low half, 3*5*...*23, fits
+# one 30-bit CPython digit, so a gcd with it costs one single-digit division
+# of n; it finds a factor in three of four scanned terms, and the gcd with the
+# 1392-bit high half runs only for the rest.  Both gcds over the terms one
+# survey and one hunt pass scan cost, in ns a term (survey/hunt): split at
+# 19..23, 350/570; at 31..47, 360/620; at 53..61, 390/690 (CHANGES.md).
+SIEVE_SPLIT = 23
+SIEVE_PRODUCT_LOW = math.prod(p for p in SIEVE_PRIMES if p <= SIEVE_SPLIT)
+SIEVE_PRODUCT_HIGH = SIEVE_PRODUCT // SIEVE_PRODUCT_LOW
 
 
 def small_factor(n: int) -> int:
     """Least odd prime p <= SIEVE_BOUND with p | n and p < n, else 0.
 
-    A nonzero result proves n composite; 0 decides nothing.  One gcd with
-    the product of SIEVE_PRIMES finds whether any such p exists.
+    A nonzero result proves n composite; 0 decides nothing.  A gcd with
+    SIEVE_PRODUCT_LOW, then with SIEVE_PRODUCT_HIGH only when the first is
+    1, finds whether any such p exists; every prime of the low half is
+    below every prime of the high half, so the least p divides the first
+    gcd above 1.
     """
-    g = math.gcd(n, SIEVE_PRODUCT)
-    if g > 1:
-        for p in SIEVE_PRIMES:
-            if g % p == 0:
-                return p if p < n else 0
+    g = math.gcd(n, SIEVE_PRODUCT_LOW)
+    if g == 1:
+        g = math.gcd(n, SIEVE_PRODUCT_HIGH)
+        if g == 1:
+            return 0
+    for p in SIEVE_PRIMES:
+        if g % p == 0:
+            return p if p < n else 0
     return 0
 
 

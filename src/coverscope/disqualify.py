@@ -2,14 +2,18 @@
 prime in its sequence.
 
 The scan is ordered, so a hit is the first prime exponent.  A term with a
-prime factor p <= arith.SIEVE_BOUND below itself is crossed out by one gcd
-and recorded with method "sieve" and witness p; no primality test runs on
-it.  Every other term is tested: on the +1 side, once 2^n outgrows k every
-term is Proth-form and one exponentiation decides it (leaving a
+prime factor p <= arith.SIEVE_BOUND below itself is crossed out with no
+primality test: a gcd with the word-size arith.SIEVE_PRODUCT_LOW, and only
+when that is 1 a gcd with arith.SIEVE_PRODUCT_HIGH, shows whether such a p
+exists.  The least p is searched for only when a verbose trail records it
+(method "sieve", witness p) or when the term is at most SIEVE_BOUND and may
+be p itself.  Every other term is tested: on the +1 side, once 2^n outgrows
+k every term is Proth-form and one exponentiation decides it (leaving a
 re-checkable witness); elsewhere the generic test applies.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
 from coverscope import arith
 from coverscope.cover import Candidate
@@ -45,16 +49,24 @@ def first_prime_exponent(
     """Scan n = 1..n_max in order for the first prime k*2^n + sign."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    k, sign = candidate.k, candidate.sign
+    # 2^n > k, so k*2^n + 1 is Proth-form, from n = bit_length(k) on
+    proth_from = k.bit_length() if sign == 1 else n_max + 1
+    low, high = arith.SIEVE_PRODUCT_LOW, arith.SIEVE_PRODUCT_HIGH
     trail = [] if verbose else None
     for n in range(1, n_max + 1):
-        term = candidate.term(n)
-        p = arith.small_factor(term)
-        if p:
-            if trail is not None:
-                trail.append(arith.PrimalityResult(term, arith.METHOD_SIEVE, False, witness=p))
-            continue
-        if candidate.sign == 1 and (1 << n) > candidate.k:
-            result = arith.proth_test(candidate.k, n)
+        term = (k << n) + sign
+        if gcd(term, low) > 1 or gcd(term, high) > 1:
+            # some p <= SIEVE_BOUND divides term: composite unless term is p
+            if trail is None and term > arith.SIEVE_BOUND:
+                continue
+            p = arith.small_factor(term)
+            if p:
+                if trail is not None:
+                    trail.append(arith.PrimalityResult(term, arith.METHOD_SIEVE, False, witness=p))
+                continue
+        if n >= proth_from:
+            result = arith.proth_test(k, n)
         else:
             result = arith.is_prime(term)
         if trail is not None:

@@ -46,6 +46,15 @@ def trial_division_prime(n):
     return True
 
 
+def least_odd_prime_factor(n, bound):
+    """Least odd prime p <= bound with p | n, or None, for n >= 1: trial
+    division by 3, 5, 7, ...; the first odd divisor found is prime."""
+    for f in range(3, bound + 1, 2):
+        if n % f == 0:
+            return f
+    return None
+
+
 def primes_below_naive(bound):
     """flags[n] == 1 iff n is prime, for 0 <= n < bound (bound >= 2): the
     sieve of Eratosthenes over every integer, even ones included."""

@@ -76,6 +76,31 @@ class TestFourthPowerCase:
             fourth_power_factor(FourthPowerCase(1, ()), 2)
 
 
+class _FourthPowerAOffByTwo(FourthPowerCase):
+    @property
+    def A(self):
+        return 2 * self.root * self.root + 2
+
+
+class _SquareRootOffByOne(SquareCase):
+    @property
+    def k(self):
+        return (self.root + 1) ** 2
+
+
+def test_factor_off_by_two_fails_the_split():
+    # At n = 2 the fourth-power factor is A + B + 1, so A + 2 moves it by 2;
+    # the square factor 2*root + 1 is 2 below the true 2*(root + 1) + 1.
+    # The product identity alone must reject both.
+    for factor, case in (
+        (fourth_power_factor, _FourthPowerAOffByTwo(CASE_A.root, ())),
+        (square_factor, _SquareRootOffByOne(SQUARE_ROOT, ())),
+        (square_factor, _SquareRootOffByOne(3, ())),
+    ):
+        with pytest.raises(VerificationError, match="factor split failed"):
+            factor(case, 2)
+
+
 class TestSquareCase:
     def test_tiny_example(self):
         case = SquareCase(3, ())

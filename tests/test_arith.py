@@ -333,6 +333,22 @@ class TestSmallFactor:
         assert arith.small_factor(n) == 1021
         assert arith.small_factor(1031 * (2**89 - 1)) == 0  # 1031 > SIEVE_BOUND
 
+    def test_split_of_the_product(self):
+        low, high = arith.SIEVE_PRODUCT_LOW, arith.SIEVE_PRODUCT_HIGH
+        assert low * high == arith.SIEVE_PRODUCT and math.gcd(low, high) == 1
+        assert max(factorize_naive(low)) == arith.SIEVE_SPLIT < min(factorize_naive(high))
+
+    def test_least_factor_across_the_split(self):
+        split = arith.SIEVE_SPLIT
+        above = min(p for p in arith.SIEVE_PRIMES if p > split)
+        cases = [
+            (61 * 67, 61), (67 * 1021, 67), (61, 0), (67, 0),
+            (split * above, split), (above * 1021, above), (split, 0), (above, 0),
+            (3 * above, 3), (above * (2**89 - 1), above),
+        ]
+        for n, expected in cases:
+            assert arith.small_factor(n) == expected, n
+
 
 def _is_prime_u64_reference(n):
     """The former word-size kernel: deterministic Miller-Rabin for

@@ -464,6 +464,40 @@ PINNED_CERTIFICATES = [
 ]
 
 
+# Exit code and sha256 of what first-prime scans print: every verdict,
+# method, witness and, with --verbose, every trail entry.  383 is not
+# disqualified below n = 1500, so disqualify exits 1.
+PINNED_SCANS = [
+    (
+        ("disqualify", "--k", "383", "--sign", "s", "--format", "json", "--max-n", "1500"),
+        1,
+        "5dbe9822e27410958de5bce304a9a93eb52ce0638640efb472435d29348b6f33",
+    ),
+    (
+        ("disqualify", "--k", "383", "--sign", "s", "--format", "json", "--max-n", "1500",
+         "--verbose"),
+        1,
+        "2768789cf9491b4d79cf7dd4151fcf9d57352a8e4b819018c8d4771573701621",
+    ),
+    (
+        ("survey", "--from", "1", "--to", "9999", "--sign", "r", "--max-n", "600",
+         "--format", "json"),
+        0,
+        "354a90cc3c98107caf1bc7ec17e62d0c96c2897d0142f6b4c8c71866aae96dd4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest", PINNED_SCANS,
+    ids=["disqualify-383s", "disqualify-383s-verbose", "survey-r600"],
+)
+def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "argv, digest", PINNED_CERTIFICATES, ids=["78557s", "509203r", "coverless-s4", "family-78557s"]
 )

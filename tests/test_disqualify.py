@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from coverscope import arith, disqualify
 from coverscope.cover import Candidate
 from coverscope.dataset import KIND_BOTH, KIND_R, KIND_S, load_corpus, default_corpus_path
-from oracles import trial_division_prime
+from oracles import least_odd_prime_factor, trial_division_prime
 
 
 class TestFirstPrimeExponent:
@@ -119,6 +120,39 @@ class TestSieve:
                 assert sieved == tested
             if sieved.n < 2**40:
                 assert sieved.is_prime == trial_division_prime(sieved.n)
+
+
+def _check_scan(candidate, n_max):
+    """The plain record is the verbose one without its trail, and every
+    sieve witness is the least odd prime <= SIEVE_BOUND dividing its term."""
+    record = disqualify.first_prime_exponent(candidate, n_max)
+    verbose = disqualify.first_prime_exponent(candidate, n_max, verbose=True)
+    assert record == dataclasses.replace(verbose, trail=None)
+    for n, result in enumerate(verbose.trail, start=1):
+        assert result.n == candidate.k * 2**n + candidate.sign
+        p = least_odd_prime_factor(result.n, arith.SIEVE_BOUND)
+        if result.method == arith.METHOD_SIEVE:
+            assert result.witness == p and p < result.n and not result.is_prime
+        else:
+            assert p is None or p == result.n
+
+
+class TestScanEquivalence:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(0, 2**63 - 1).map(lambda i: 2 * i + 1),
+        sign=st.sampled_from((1, -1)),
+        n_max=st.integers(1, 300),
+    )
+    def test_plain_equals_verbose_and_witnesses_are_least(self, k, sign, n_max):
+        _check_scan(Candidate(k, sign), n_max)
+
+    def test_small_k_reach_terms_below_the_bound(self):
+        # terms <= SIEVE_BOUND, down to Riesel 1*2^1 - 1 = 1, where a term
+        # can be the small prime itself
+        for k in range(1, 100, 2):
+            for sign in (1, -1):
+                _check_scan(Candidate(k, sign), 64)
 
 
 class TestSurveyRange:
