@@ -110,3 +110,20 @@ def smallest_uncovered(entries, lcm, predicate=None):
         if all(r % b != c for _, b, c in entries):
             return r
     return None
+
+
+def first_audit_failure_naive(certificate, n_max):
+    """Smallest claimed n in 1..n_max whose witness d is not a proper divisor
+    of k*2^n + sign, or None: every term built as a bignum, the loop
+    coverscope.cover.first_audit_failure used to run.  The properness test
+    comes before the division, so a witness d <= 1 fails where the division
+    by 0 would have raised."""
+    for n in range(1, n_max + 1):
+        idx = certificate.table[n % certificate.lcm]
+        if idx is None:
+            continue
+        d = certificate.entries[idx].d
+        term = certificate.candidate.k * 2**n + certificate.candidate.sign
+        if not 1 < d < term or term % d != 0:
+            return n
+    return None

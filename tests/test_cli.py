@@ -499,6 +499,23 @@ def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
 
 
 @pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "e23bbd74dba3a40a9483e093bb9aeb34a4e41cd2d348ffd1f72ef1e57780ec82"),
+        ("json", "43178579e1d770648f8ebec9063cf0857e0058b7ddf0cdfccaf7b7c1685f6ef5"),
+    ],
+)
+def test_deepest_cross_check_bytes_are_pinned(capsys, fmt, digest):
+    # Digests of the all-bignum audit's output at --audit-n = MAX_AUDIT_N.
+    code, out, err = run(
+        capsys, "verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
+        "--audit-n", str(cover.MAX_AUDIT_N), "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv, digest", PINNED_CERTIFICATES, ids=["78557s", "509203r", "coverless-s4", "family-78557s"]
 )
 def test_certificate_bytes_are_pinned_and_audit_ok(capsys, tmp_path, argv, digest):

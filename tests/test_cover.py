@@ -15,7 +15,7 @@ from coverscope.cover import (
     UncoveredResidueError,
     VerificationError,
 )
-from oracles import order_naive, smallest_uncovered
+from oracles import first_audit_failure_naive, offset_naive, order_naive, smallest_uncovered
 
 SELFRIDGE_COVER = (3, 5, 7, 13, 19, 37, 73)
 SELFRIDGE_ENTRIES = (
@@ -255,6 +255,193 @@ class TestAudit:
     def test_bad_depth_rejected(self, selfridge_cert):
         with pytest.raises(ValueError):
             cover.audit_certificate(selfridge_cert, 0)
+
+
+def corpus_certificates():
+    """The certificate of every cover in the bundled corpus."""
+    for record in dataset.load_corpus(dataset.default_corpus_path()):
+        for sign, divisors in record.covers:
+            predicate = cover.PREDICATE_ALL
+            if record.root is not None:
+                predicate = cover.PREDICATE_MOD4_NE_2 if sign == 1 else cover.PREDICATE_ODD
+            yield cover.verify_cover(Candidate(record.k, sign), divisors, predicate)
+
+
+def hand_certificate(candidate, entries, lcm, predicate=cover.PREDICATE_ALL):
+    """A certificate with the first-match table of the given entries, holes
+    left None: nothing here is checked."""
+    table = first_match_table(entries, lcm, CLAIMED[predicate])
+    return cover.CoverCertificate(
+        candidate, tuple(entries), lcm, tuple(table), (True,) * len(entries), predicate
+    )
+
+
+def doctored_certificates(cert, rng):
+    """cert with one offset c shifted (the table following it), one divisor
+    set to a whole claimed term, one claimed table slot reassigned, and L
+    stated one too small and one too large."""
+    i = rng.randrange(len(cert.entries))
+    e = cert.entries[i]
+
+    def with_entry(new):
+        return cert.entries[:i] + (new,) + cert.entries[i + 1:]
+
+    shifted = with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b))
+    yield hand_certificate(cert.candidate, shifted, cert.lcm, cert.predicate)
+    claimed = [n for n in range(1, cert.lcm + 1) if cert.table[n % cert.lcm] is not None]
+    if not claimed:
+        return
+    n0 = rng.choice(claimed[:8])
+    yield dataclasses.replace(
+        cert, entries=with_entry(dataclasses.replace(e, d=cert.candidate.term(n0)))
+    )
+    table = list(cert.table)
+    r = rng.choice(claimed) % cert.lcm
+    table[r] = rng.choice([j for j in range(len(cert.entries)) if j != table[r]] or [0])
+    yield dataclasses.replace(cert, table=tuple(table))
+    for lcm in (cert.lcm - 1, cert.lcm + 1):
+        if lcm >= 1:
+            yield restated_period(cert, lcm)
+
+
+def restated_period(cert, lcm):
+    """cert restated with a wrong L: the residues of n = proof_depth+1..L
+    take the first entry whose congruence holds at that n, and the others
+    stay unclaimed.  So every claimed n up to L passes, and a later one
+    fails once an entry's period does not divide L."""
+    table = [None] * lcm
+    for n in range(cover.proof_depth(cert) + 1, lcm + 1):
+        if CLAIMED[cert.predicate](n):
+            table[n % lcm] = next(
+                (i for i, e in enumerate(cert.entries) if n % e.b == e.c), None
+            )
+    return dataclasses.replace(cert, lcm=lcm, table=tuple(table))
+
+
+def audit_depths(cert):
+    """The audit depths around which the residue walk changes shape."""
+    lcm = cert.lcm
+    return sorted({n for n in (1, cover.proof_depth(cert), lcm - 1, lcm, 3 * lcm + 5) if n >= 1})
+
+
+class TestStreamedAudit:
+    """first_audit_failure, which builds bignum terms only in the properness
+    prefix, against the all-bignum oracle."""
+
+    def assert_matches_oracle(self, cert):
+        depths = audit_depths(cert)
+        # Also just below and at the first failure, which tests where each
+        # row of the walk stops.
+        n_bad = first_audit_failure_naive(cert, depths[-1])
+        if n_bad is not None:
+            depths += [n for n in (n_bad - 1, n_bad) if n >= 1]
+        for n_max in depths:
+            assert cover.first_audit_failure(cert, n_max) == first_audit_failure_naive(
+                cert, n_max
+            ), (cert.candidate, [e.d for e in cert.entries], cert.lcm, n_max)
+
+    def test_corpus_covers_and_their_doctored_copies(self):
+        rng = random.Random(11)
+        signs = set()
+        for cert in corpus_certificates():
+            signs.add(cert.candidate.sign)
+            assert cover.first_audit_failure(cert, 3 * cert.lcm + 5) is None
+            self.assert_matches_oracle(cert)
+            for bad in doctored_certificates(cert, rng):
+                self.assert_matches_oracle(bad)
+        assert signs == {1, -1}
+
+    def test_random_divisor_sets_and_their_doctored_copies(self):
+        rng = random.Random(12)
+        for candidate, divisors, predicate in random_divisor_sets():
+            entries = [cover.build_entry(candidate, d) for d in divisors]
+            lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
+            # Sets that leave a hole audit with None there.
+            cert = hand_certificate(candidate, entries, lcm, predicate)
+            self.assert_matches_oracle(cert)
+            for bad in doctored_certificates(cert, rng):
+                self.assert_matches_oracle(bad)
+
+    def test_tiny_early_terms(self):
+        # Each list's first divisor is a whole early term.  For k = 1, sign -1
+        # the term 2^n - 1 at n = proof_depth can equal the largest divisor.
+        for k, sign, divisors in (
+            (3, -1, (5, 23, 11, 13, 47)),
+            (3, 1, (7, 13, 5, 97)),
+            (5, 1, (11, 3, 7, 41)),
+            (1, 1, (3, 5, 17, 7)),
+            (1, -1, (3, 7, 31)),
+            (1, -1, (7,)),
+            (1, -1, (31,)),
+            (1, -1, (127, 73)),
+        ):
+            candidate = Candidate(k, sign)
+            entries = []
+            for d in divisors:
+                b = order_naive(2, d)
+                c = offset_naive(k, sign, d, b)
+                if c is not None:
+                    entries.append(cover.CoverEntry(d, b, c))
+            lcm = math.lcm(*(e.b for e in entries))
+            cert = hand_certificate(candidate, entries, lcm)
+            self.assert_matches_oracle(cert)
+            n0 = next(n for n in range(1, 8) if candidate.term(n) == divisors[0])
+            assert cover.first_audit_failure(cert, 3 * lcm + 5) == n0
+
+    def test_failures_at_the_edges_of_the_walk(self, selfridge_cert):
+        # 78557's entries with L stated as 16; the prefix is n <= 7, so the
+        # first row of the residue walk is n = 8..23.  Residues 8 (d = 3) and
+        # 9 (d = 5) pass for good; 15 (d = 19, period 18) passes at n = 15
+        # and first fails at 31, the last claimed n of the second row.
+        table = [None] * 16
+        table[8], table[9], table[15] = 0, 1, 4
+        cert = dataclasses.replace(selfridge_cert, lcm=16, table=tuple(table))
+        # Residue 7 to d = 7 (period 3) passes at n = 7, in the prefix, and
+        # fails at 23, the last n of the first row.
+        table[7] = 2
+        cert_23 = dataclasses.replace(cert, table=tuple(table))
+        for c, n_bad in ((cert, 31), (cert_23, 23)):
+            for n_max in (n_bad - 1, n_bad, 100):
+                expected = n_bad if n_max >= n_bad else None
+                assert cover.first_audit_failure(c, n_max) == expected
+                assert first_audit_failure_naive(c, n_max) == expected
+
+    @pytest.mark.parametrize("d", [0, 1, -7])
+    def test_divisor_below_2_fails_at_its_first_claimed_n(self, selfridge_cert, d):
+        # Entry 5 (d = 37) is first claimed at n = 27, past the prefix n <= 7.
+        L = selfridge_cert.lcm
+        for i, e in enumerate(selfridge_cert.entries):
+            bad = dataclasses.replace(
+                selfridge_cert,
+                entries=selfridge_cert.entries[:i] + (dataclasses.replace(e, d=d),)
+                + selfridge_cert.entries[i + 1:],
+            )
+            first = next(n for n in range(1, L + 1) if selfridge_cert.table[n % L] == i)
+            for n_max in (first - 1, first, 10 * L):
+                expected = first if n_max >= first else None
+                assert cover.first_audit_failure(bad, n_max) == expected
+                assert first_audit_failure_naive(bad, n_max) == expected
+            assert not cover.audit_certificate(bad, 10 * L)
+
+    def test_bignum_terms_only_in_the_properness_prefix(self, selfridge_cert):
+        class CountingK(int):
+            """k that counts the shifts and products that scale it by 2^n."""
+
+            def __lshift__(self, n):
+                self.built += 1
+                return int(self) << n
+
+            def __mul__(self, m):
+                self.built += 1
+                return int(self) * m
+
+            __rmul__ = __mul__
+
+        k = CountingK(78557)
+        k.built = 0
+        cert = dataclasses.replace(selfridge_cert, candidate=Candidate(k, 1))
+        assert cover.first_audit_failure(cert, cover.MAX_AUDIT_N) is None
+        assert 0 < k.built <= cover.proof_depth(cert) == 7
 
 
 class TestModReductionEquivalence:
