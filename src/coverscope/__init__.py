@@ -9,64 +9,28 @@ disproves candidacy by locating primes (Proth-backed on the +1 side).
 All arithmetic is exact and pure Python.
 """
 
-from coverscope.algebraic import (
-    AlgebraicCertificate,
-    FourthPowerCase,
-    SquareCase,
-    build_algebraic_certificate,
-    fourth_power_factor,
-    square_factor,
-)
-from coverscope.arith import PrimalityResult, is_prime, proth_test
-from coverscope.cover import (
-    TOOL_VERSION,
-    Candidate,
-    CoverCertificate,
-    CoverEntry,
-    NoOffsetError,
-    UncoveredResidueError,
-    VerificationError,
-    audit_certificate,
-    build_entry,
-    generate_family,
-    verify_cover,
-    witness,
-)
-from coverscope.dataset import CorpusRecord, load_corpus, verify_corpus
-from coverscope.disqualify import (
-    DisqualificationRecord,
-    first_prime_exponent,
-    survey_range,
-)
+import importlib
 
-__version__ = TOOL_VERSION
+# Each public name is imported from its module on first use, so that
+# `import coverscope.check` loads the trusted checker and nothing else.
+_HOMES = {
+    "algebraic": ("AlgebraicCertificate", "FourthPowerCase", "SquareCase",
+                  "build_algebraic_certificate", "fourth_power_factor", "square_factor"),
+    "arith": ("PrimalityResult", "is_prime", "proth_test"),
+    "cover": ("TOOL_VERSION", "Candidate", "CoverCertificate", "CoverEntry", "NoOffsetError",
+              "UncoveredResidueError", "VerificationError", "build_entry", "generate_family",
+              "verify_cover", "witness"),
+    "dataset": ("CorpusRecord", "load_corpus", "verify_corpus"),
+    "disqualify": ("DisqualificationRecord", "first_prime_exponent", "survey_range"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "TOOL_VERSION",
-    "AlgebraicCertificate",
-    "Candidate",
-    "CorpusRecord",
-    "CoverCertificate",
-    "CoverEntry",
-    "DisqualificationRecord",
-    "FourthPowerCase",
-    "NoOffsetError",
-    "PrimalityResult",
-    "SquareCase",
-    "UncoveredResidueError",
-    "VerificationError",
-    "audit_certificate",
-    "build_algebraic_certificate",
-    "build_entry",
-    "first_prime_exponent",
-    "fourth_power_factor",
-    "generate_family",
-    "is_prime",
-    "load_corpus",
-    "proth_test",
-    "square_factor",
-    "survey_range",
-    "verify_cover",
-    "verify_corpus",
-    "witness",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name == "__version__":
+        name = "TOOL_VERSION"
+    if name not in _HOME:
+        raise AttributeError(f"module 'coverscope' has no attribute {name!r}")
+    return getattr(importlib.import_module(f"coverscope.{_HOME[name]}"), name)

@@ -1,8 +1,8 @@
 """Exact integer arithmetic for the verification engine.
 
-Modular exponentiation, multiplicative order, offset (discrete-log style)
-search, lcm, and primality testing with checkable evidence.  Everything is
-pure Python, exact, and float-free.
+Multiplicative order, offset (discrete-log style) search, and primality
+testing with checkable evidence.  Everything is pure Python, exact, and
+float-free.
 """
 
 import math
@@ -79,26 +79,6 @@ class PrimalityResult:
     rounds: int = 0
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by square-and-multiply (O(log exp) products)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be nonnegative, got {exp}")
-    return pow(base, exp, modulus)
-
-
-def lcm_all(values) -> int:
-    """Exact lcm of a nonempty sequence of positive integers."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("lcm_all needs at least one value")
-    for v in vals:
-        if v < 1:
-            raise ValueError(f"lcm_all requires values >= 1, got {v}")
-    return math.lcm(*vals)
-
-
 def multiplicative_order(base: int, d: int) -> int:
     """Least b >= 1 with base**b == 1 (mod d), for odd d >= 3 coprime to base.
 
@@ -125,7 +105,7 @@ def _order_by_factoring(base, d):
     # power still fixes 1.
     order = d - 1
     for p in _trial_factorize(d - 1):
-        while order % p == 0 and mod_pow(base, order // p, d) == 1:
+        while order % p == 0 and pow(base, order // p, d) == 1:
             order //= p
     return order
 

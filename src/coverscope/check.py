@@ -1,0 +1,549 @@
+"""The trusted checker: everything `coverscope audit` relies on.
+
+This module imports only the standard library.  It holds the certificate
+types, the parsers that build them from JSON, and the checks that prove a
+stated certificate for every n >= 1 without searching for an order, an
+offset or a prime.  The builders in coverscope.cover and
+coverscope.algebraic produce the same types and finish their proofs with the
+same checks, so a certificate is proved the same way whether it was just
+built or read back from a file.
+
+A cover (full, or the partial cover of a coverless number) is proved by its
+divisibility facts and a witness audit of the properness prefix
+n <= proof_depth.  A coverless number's algebraic factor family is proved
+once from its coefficients, which parsing fixes.  The term-by-term
+cross-checks at the end of the module are opt-in (`--audit-n`) and trust
+none of the facts.
+"""
+
+import json
+import math
+from bisect import bisect_right
+from collections import Counter
+from dataclasses import dataclass
+from operator import mod, mul
+
+# Largest term-by-term cross-check (--audit-n) the CLI runs.  The witness
+# audit works on residues past the properness prefix, so its cost grows
+# linearly: 78557 to N = 100000 takes about 8 ms (2 vCPUs, Python 3.11).
+# The coverless cross-check still splits each open term as a bignum, which
+# grows with the square of N and sets the bound: about 5 s for the R2 record.
+MAX_AUDIT_N = 100_000
+
+SIGN_SIERPINSKI = 1
+SIGN_RIESEL = -1
+
+SIGN_NAMES = {SIGN_SIERPINSKI: "sierpinski", SIGN_RIESEL: "riesel"}
+
+PREDICATE_ALL = "all"
+PREDICATE_MOD4_NE_2 = "mod4ne2"
+PREDICATE_ODD = "odd"
+
+# predicate name -> (modulus, the residues mod modulus it claims)
+PREDICATES = {
+    PREDICATE_ALL: (1, (0,)),
+    PREDICATE_MOD4_NE_2: (4, (0, 1, 3)),
+    PREDICATE_ODD: (2, (1,)),
+}
+
+KIND_FOURTH_POWER = "fourth_power"
+KIND_SQUARE = "square"
+
+
+class VerificationError(Exception):
+    """A claim failed to verify; subclasses carry the failure data."""
+
+
+class CertificateFormatError(ValueError):
+    """A serialized certificate does not match the schema."""
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """An odd k with the sequence sign: +1 Sierpinski, -1 Riesel."""
+
+    k: int
+    sign: int
+
+    def __post_init__(self):
+        if self.sign not in (SIGN_SIERPINSKI, SIGN_RIESEL):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        if self.k < 1 or self.k % 2 == 0:
+            raise ValueError(f"k must be odd and positive, got {self.k}")
+
+    def term(self, n: int) -> int:
+        """k * 2**n + sign."""
+        return self.k * (1 << n) + self.sign
+
+    @property
+    def sign_name(self) -> str:
+        return SIGN_NAMES[self.sign]
+
+
+@dataclass(frozen=True)
+class CoverEntry:
+    """One divisor with its period b and offset c: d | k*2^n + sign
+    whenever n == c (mod b)."""
+
+    d: int
+    b: int
+    c: int
+
+
+@dataclass(frozen=True)
+class CoverCertificate:
+    """Verified cover: entries, L = lcm of the periods and the predicate
+    modulus, and the residue table mapping each claimed r in 0..L-1 to the
+    first entry (in cover order) with r == c (mod b), and every other r to
+    None.  divisor_primality flags composite divisors - legal in a cover,
+    but worth a warning."""
+
+    candidate: Candidate
+    entries: tuple[CoverEntry, ...]
+    lcm: int
+    table: tuple[int | None, ...]
+    divisor_primality: tuple[bool, ...]
+    predicate: str = PREDICATE_ALL
+
+    @property
+    def witness_counts(self) -> tuple[int, ...]:
+        """How many residues mod L each entry claims."""
+        counts = Counter(self.table)
+        return tuple(counts[idx] for idx in range(len(self.entries)))
+
+
+@dataclass(frozen=True)
+class FourthPowerCase:
+    """k = root**4 with a partial cover for n != 2 (mod 4)."""
+
+    root: int
+    partial_cover: tuple[int, ...]
+
+    kind = KIND_FOURTH_POWER
+    sign = 1
+    predicate = PREDICATE_MOD4_NE_2
+
+    def __post_init__(self):
+        if self.root < 1:
+            raise ValueError(f"root must be positive, got {self.root}")
+        object.__setattr__(self, "partial_cover", tuple(self.partial_cover))
+
+    @property
+    def k(self) -> int:
+        return self.root**4
+
+    @property
+    def A(self) -> int:
+        """Quadratic coefficient of the residual factor: 2 * root**2."""
+        return 2 * self.root * self.root
+
+    @property
+    def B(self) -> int:
+        """Linear coefficient of the residual factor: 2 * root."""
+        return 2 * self.root
+
+
+@dataclass(frozen=True)
+class SquareCase:
+    """k = root**2 with a partial cover for odd n."""
+
+    root: int
+    partial_cover: tuple[int, ...]
+
+    kind = KIND_SQUARE
+    sign = -1
+    predicate = PREDICATE_ODD
+
+    def __post_init__(self):
+        if self.root < 1:
+            raise ValueError(f"root must be positive, got {self.root}")
+        object.__setattr__(self, "partial_cover", tuple(self.partial_cover))
+
+    @property
+    def k(self) -> int:
+        return self.root * self.root
+
+
+@dataclass(frozen=True)
+class AlgebraicCertificate:
+    """Partial cover plus the algebraic factor family, and the depth of the
+    term-by-term cross-check run when it was built."""
+
+    case: FourthPowerCase | SquareCase
+    partial: CoverCertificate
+    audited_n_max: int
+
+    @property
+    def candidate(self) -> Candidate:
+        return self.partial.candidate
+
+
+# --- parsing -----------------------------------------------------------------
+# Structural validation only: entry progressions and the table are taken as
+# stated, and the checks below prove them.  All unbounded integers travel as
+# decimal strings.
+
+
+def _parse_decimal(doc, key):
+    try:
+        value = doc[key]
+    except (KeyError, TypeError):
+        raise CertificateFormatError(f"missing field {key!r}") from None
+    # isdigit() alone also admits other scripts' digits and superscripts.
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise CertificateFormatError(f"field {key!r} must be a decimal string")
+
+
+def _parse_sign(doc):
+    sign = doc.get("sign")
+    # type(), not isinstance(): JSON true/false load as bools, which are ints.
+    if type(sign) is not int or sign not in (SIGN_SIERPINSKI, SIGN_RIESEL):
+        raise CertificateFormatError("sign must be the integer 1 or -1")
+    return sign
+
+
+def _parse_flags(doc, n_entries):
+    flags = doc.get("divisor_primality_flags")
+    if (
+        not isinstance(flags, list)
+        or len(flags) != n_entries
+        or not all(isinstance(f, bool) for f in flags)
+    ):
+        raise CertificateFormatError(
+            "divisor_primality_flags must hold one true/false per entry"
+        )
+    return tuple(flags)
+
+
+def _parse_predicate(doc, predicate):
+    # Only partial covers write the field, so one certificate has one form.
+    if predicate == PREDICATE_ALL:
+        if "predicate" in doc:
+            raise CertificateFormatError("a full cover certificate has no predicate")
+    elif doc.get("predicate") != predicate:
+        raise CertificateFormatError(f"predicate must be {predicate!r}")
+
+
+def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCertificate:
+    """Rebuild a cover certificate with the given predicate from its JSON
+    document.  The table must hold an index exactly at the residues the
+    predicate claims; run check_certificate_facts afterwards to prove the
+    claim."""
+    if predicate not in PREDICATES:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    modulus, claimed = PREDICATES[predicate]
+    _parse_predicate(doc, predicate)
+    try:
+        candidate = Candidate(_parse_decimal(doc, "k"), _parse_sign(doc))
+    except ValueError as exc:
+        raise CertificateFormatError(str(exc)) from None
+    raw_entries = doc.get("entries")
+    if not isinstance(raw_entries, list) or not raw_entries:
+        raise CertificateFormatError("entries must be a nonempty list")
+    entries = tuple([
+        CoverEntry(_parse_decimal(e, "d"), _parse_decimal(e, "b"), _parse_decimal(e, "c"))
+        for e in raw_entries
+    ])
+    lcm = _parse_decimal(doc, "lcm")
+    table = doc.get("table")
+    if not isinstance(table, list) or len(table) != lcm:
+        raise CertificateFormatError("table must hold one slot per residue mod lcm")
+    if lcm % modulus != 0:
+        raise CertificateFormatError("lcm must be a multiple of the predicate modulus")
+    for r in range(modulus):
+        column = table[r::modulus]
+        if r not in claimed:
+            if column.count(None) != len(column):
+                raise CertificateFormatError("residues outside the predicate must be null")
+        elif not all(type(t) is int and 0 <= t < len(entries) for t in column):  # no bools
+            raise CertificateFormatError("table must list a valid entry index per residue")
+    flags = _parse_flags(doc, len(entries))
+    return CoverCertificate(candidate, entries, lcm, tuple(table), flags, predicate)
+
+
+def algebraic_certificate_from_dict(doc: dict) -> AlgebraicCertificate:
+    """Rebuild a coverless certificate; its kind fixes the partial cover's
+    predicate, and root fixes k and the factor coefficients."""
+    kind = doc.get("kind")
+    if kind == KIND_FOURTH_POWER:
+        case_type = FourthPowerCase
+    elif kind == KIND_SQUARE:
+        case_type = SquareCase
+    else:
+        raise CertificateFormatError(f"unknown kind {kind!r}")
+    sign = _parse_sign(doc)
+    root = _parse_decimal(doc, "root")
+    k = _parse_decimal(doc, "k")
+    partial_doc = doc.get("partial_cover_certificate")
+    if not isinstance(partial_doc, dict):
+        raise CertificateFormatError("missing partial_cover_certificate")
+    partial = certificate_from_dict(partial_doc, case_type.predicate)
+    try:
+        case = case_type(root, tuple(e.d for e in partial.entries))
+    except ValueError as exc:
+        raise CertificateFormatError(str(exc)) from None
+    if kind == KIND_FOURTH_POWER and (
+        _parse_decimal(doc, "A") != case.A or _parse_decimal(doc, "B") != case.B
+    ):
+        raise CertificateFormatError("stated A, B do not match 2*root^2, 2*root")
+    if case.k != k or partial.candidate.k != k:
+        raise CertificateFormatError("k does not match the stated root and kind")
+    if sign != case.sign or partial.candidate.sign != case.sign:
+        raise CertificateFormatError("sign does not match the kind")
+    audited = doc.get("audited_n_max")
+    if type(audited) is not int or audited < 1:  # no bools
+        raise CertificateFormatError("audited_n_max must be a positive integer")
+    return AlgebraicCertificate(case, partial, audited)
+
+
+def certificate_from_json(text: str) -> CoverCertificate | AlgebraicCertificate:
+    """Parse a certificate file: a coverless one states its kind."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CertificateFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise CertificateFormatError("JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise CertificateFormatError("certificate must be a JSON object")
+    if "kind" in doc:
+        return algebraic_certificate_from_dict(doc)
+    return certificate_from_dict(doc)
+
+
+# --- the proof ---------------------------------------------------------------
+
+
+def proof_depth(cert: CoverCertificate) -> int:
+    """Past this exponent every term exceeds every divisor, so a witness
+    that divides a term is a proper divisor of it."""
+    # A loop, not max() over a generator, which costs about three times as
+    # much for a short cover; each audit asks twice, here and in
+    # first_audit_failure.
+    largest = 0
+    for e in cert.entries:
+        if e.d > largest:
+            largest = e.d
+    return largest.bit_length()
+
+
+def _divisibility_problem(cert: CoverCertificate) -> str | None:
+    """d odd and >= 3, d | 2^b - 1, d | k*2^c + sign, c < b, L = lcm of the
+    periods and the predicate modulus, and the table's shape and congruences:
+    one slot per residue mod L, a valid entry index at every residue the
+    predicate claims and None at every other.  A period that does not divide
+    the stated L refutes it before any exponentiation, so no exponent above
+    L, which the table's length bounds, reaches pow."""
+    k, sign, lcm = cert.candidate.k, cert.candidate.sign, cert.lcm
+    for e in cert.entries:
+        if e.d < 3 or e.d % 2 == 0:
+            return f"divisor {e.d} is not odd and >= 3"
+        if not 0 <= e.c < e.b:
+            return f"offset {e.c} out of range for period {e.b} (d={e.d})"
+        if e.b > lcm or lcm % e.b:
+            return "stated lcm does not match the entry periods"
+        if pow(2, e.b, e.d) != 1:
+            return f"{e.d} does not divide 2^{e.b} - 1"
+        if (k * pow(2, e.c, e.d) + sign) % e.d != 0:
+            return f"{e.d} does not divide k*2^{e.c} {sign:+d}"
+    modulus, claimed = PREDICATES[cert.predicate]
+    if lcm != math.lcm(*[e.b for e in cert.entries], modulus):
+        return "stated lcm does not match the entry periods"
+    if len(cert.table) != lcm:
+        return f"table has {len(cert.table)} slots, not one per residue mod {lcm}"
+    n_entries = len(cert.entries)
+    for r, idx in enumerate(cert.table):
+        if r % modulus not in claimed:
+            if idx is not None:
+                return f"table assigns residue {r}, which the predicate does not claim"
+            continue
+        if type(idx) is not int or not 0 <= idx < n_entries:  # no bools
+            return f"table has no valid entry index at claimed residue {r}"
+        e = cert.entries[idx]
+        if r % e.b != e.c:
+            return f"table assigns residue {r} to d={e.d} but {r} != {e.c} (mod {e.b})"
+    return None
+
+
+def check_certificate_facts(cert: CoverCertificate) -> str | None:
+    """Prove a stated cover certificate for every claimed n >= 1, without
+    searching: the divisibility facts give d | k*2^n + sign for every
+    n == c (mod b), so the table's witness divides every claimed term, and
+    the proof_depth prefix audit shows each witness proper.  Returns a
+    description of the first problem, or None when the claim holds."""
+    problem = _divisibility_problem(cert)
+    if problem is None and (n_bad := first_audit_failure(cert, proof_depth(cert))):
+        problem = f"witness fails at n={n_bad}"
+    return problem
+
+
+def check_algebraic_certificate_facts(cert: AlgebraicCertificate) -> str | None:
+    """Prove a stated coverless certificate for every n >= 1, without
+    searching.  The partial cover's facts and prefix audit prove the n it
+    claims; the factor family proves the rest from its coefficients.  With
+    x = 2^m, (A x^2 + B x + 1)(A x^2 - B x + 1) = A^2 x^4 + (2A - B^2) x^2 + 1,
+    which at A = 2 root^2, B = 2 root is 4 root^4 x^4 + 1 = k*2^(4m+2) + 1;
+    and (root*2^j)^2 - 1 = k*2^(2j) - 1.  The emitted factor (the + half)
+    is proper unless the other half is 1: 2 root^2 - 2 root + 1 at m = 0,
+    or 2 root - 1 at j = 1, so only at n = 2 with root = 1.  Parsing ties
+    k, the sign, the partial cover's predicate and the coefficients to root;
+    a certificate built in process where they disagree, or with root 1,
+    fails at n = 2, the first exponent of both families, which lies in every
+    prefix as every d >= 3."""
+    problem = _divisibility_problem(cert.partial)
+    if problem is not None:
+        return problem
+    partial, case = cert.partial, cert.case
+    n_bad = first_audit_failure(partial, proof_depth(partial))
+    stated = (partial.candidate.k, partial.candidate.sign, partial.predicate)
+    if case.root < 2 or stated != (case.k, case.sign, case.predicate):
+        n_bad = min(n_bad or 2, 2)
+    return None if n_bad is None else f"factor check failed at n={n_bad}"
+
+
+def check_facts(cert: CoverCertificate | AlgebraicCertificate) -> str | None:
+    """The facts check of the certificate's kind."""
+    if isinstance(cert, AlgebraicCertificate):
+        return check_algebraic_certificate_facts(cert)
+    return check_certificate_facts(cert)
+
+
+# --- term-by-term audits -----------------------------------------------------
+
+
+def first_audit_failure(certificate: CoverCertificate, n_max: int) -> int | None:
+    """Smallest claimed n in 1..n_max where the witness is not a proper
+    divisor of k*2^n + sign, or None when every claimed n passes.  A witness
+    d <= 1 fails at its first claimed n.
+
+    Exact, and independent of the facts check_certificate_facts proves: it
+    reads k, the divisors and the table, and checks every claimed n.  Terms
+    are built as bignums only in the properness prefix n <= proof_depth,
+    where a term may not exceed its witness; past it the divisibility is
+    decided on residues below the divisors, with one multiply-mod per
+    claimed n, so the cost is linear in n_max."""
+    k, sign = certificate.candidate.k, certificate.candidate.sign
+    lcm, table, entries = certificate.lcm, certificate.table, certificate.entries
+    depth = min(n_max, proof_depth(certificate))
+    for n in range(1, depth + 1):
+        idx = table[n % lcm]
+        if idx is not None:
+            d = entries[idx].d
+            term = (k << n) + sign  # candidate.term(n), without the call
+            if not 1 < d < term or term % d:
+                return n
+    return _first_residue_failure(certificate, depth, n_max) if n_max > depth else None
+
+
+def _first_residue_failure(certificate: CoverCertificate, depth: int, n_max: int) -> int | None:
+    """first_audit_failure over n = depth+1..n_max, where every term exceeds
+    every divisor, so a witness d > 1 is proper exactly when it divides.
+
+    Row 0 (the first L of those n) walks x = k*2^n mod M, M the lcm of the
+    divisors > 1, doubling once per n.  Each later claimed n lies L above a
+    claimed n of the row before, and its residue k*2^n mod d is the one at
+    n - L times 2^L mod d.  Rows run in order of n, so the first miss is the
+    smallest failing n."""
+    k, sign = certificate.candidate.k, certificate.candidate.sign
+    lcm, table = certificate.lcm, certificate.table
+    divisors = [e.d for e in certificate.entries]
+    modulus = math.lcm(*[d for d in divisors if d > 1])
+    x = k % modulus * pow(2, depth, modulus) % modulus
+    last = min(n_max, depth + lcm)
+    starts, mods = [], []
+    n_x = depth  # x = k*2^n_x mod M
+    for n in range(depth + 1, last + 1):
+        idx = table[n % lcm]
+        if idx is not None:
+            x = (x << (n - n_x)) % modulus
+            n_x = n
+            d = divisors[idx]
+            if d <= 1 or (x + sign) % d:
+                return n
+            starts.append(n)
+            mods.append(d)
+    if not starts or starts[0] + lcm > n_max:
+        return None
+    step = {d: pow(2, lcm, d) for d in set(mods)}
+    mults = [step[d] for d in mods]
+    # Every claimed n of row 0 passed, so its residue k*2^n mod d is -sign.
+    targets = [-sign % d for d in mods]
+    residues = targets
+    for shift in range(lcm, n_max - starts[0] + 1, lcm):
+        if starts[-1] + shift > n_max:  # the last row stops at n_max
+            width = bisect_right(starts, n_max - shift)
+            starts, mods, mults, targets, residues = (
+                v[:width] for v in (starts, mods, mults, targets, residues))
+        residues = list(map(mod, map(mul, residues, mults), mods))
+        if residues != targets:
+            miss = next(i for i, (y, t) in enumerate(zip(residues, targets)) if y != t)
+            return starts[miss] + shift
+    return None
+
+
+def fourth_power_factor(case: FourthPowerCase, n: int) -> int:
+    """Residual factor A*2^(2m) + B*2^m + 1, m = n//4, for n == 2 (mod 4).
+
+    Re-derives the whole split on every call: the cofactor
+    A*2^(2m) - B*2^m + 1 must reconstruct k*2^n + 1 exactly, and the factor
+    must be proper (1 < F < term; equality only threatens degenerate tiny
+    roots, and is a hard failure).
+    """
+    if n < 2 or n % 4 != 2:
+        raise ValueError(f"fourth-power factor needs n == 2 (mod 4), got n={n}")
+    m = n // 4
+    hi = case.A << (2 * m)
+    lo = case.B << m
+    factor = hi + lo + 1
+    cofactor = hi - lo + 1
+    term = (case.k << n) + 1
+    if factor * cofactor != term:
+        raise VerificationError(f"factor split failed for k={case.k}, n={n}")
+    if not 1 < factor < term:
+        raise VerificationError(
+            f"factor {factor} of term at n={n} is not a proper divisor"
+        )
+    return factor
+
+
+def square_factor(case: SquareCase, n: int) -> int:
+    """Factor root*2^(n/2) + 1 of k*2^n - 1 = (root*2^(n/2))^2 - 1, even n."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"square factor needs even n >= 2, got n={n}")
+    x = case.root << (n // 2)
+    factor = x + 1
+    term = (case.k << n) - 1
+    if factor * (x - 1) != term:
+        raise VerificationError(f"factor split failed for k={case.k}, n={n}")
+    if not 1 < factor < term:
+        raise VerificationError(
+            f"factor {factor} of term at n={n} is not a proper divisor"
+        )
+    return factor
+
+
+def first_coverless_failure(case, partial: CoverCertificate, n_max: int) -> int | None:
+    """Smallest failing exponent in 1..n_max, or None: the partial cover's
+    witness audit for the n it claims, the bignum factor split for the rest.
+    The opt-in cross-check of a coverless proof, which trusts neither the
+    facts nor the coefficient argument."""
+    n_bad = first_audit_failure(partial, n_max)
+    factor = fourth_power_factor if case.kind == KIND_FOURTH_POWER else square_factor
+    for n in range(1, n_max + 1 if n_bad is None else n_bad):
+        if partial.table[n % partial.lcm] is None:
+            try:
+                factor(case, n)
+            except VerificationError:
+                return n
+    return n_bad
+
+
+def cross_check(cert: CoverCertificate | AlgebraicCertificate, n_max: int) -> str | None:
+    """The term-by-term cross-check of n = 1..n_max for the certificate's
+    kind: the first failure, or None."""
+    if isinstance(cert, AlgebraicCertificate):
+        n_bad = first_coverless_failure(cert.case, cert.partial, n_max)
+        return None if n_bad is None else f"factor check failed at n={n_bad}"
+    n_bad = first_audit_failure(cert, n_max)
+    return None if n_bad is None else f"witness fails at n={n_bad}"

@@ -10,8 +10,8 @@ import argparse
 import json
 import sys
 
-from coverscope import algebraic, cover, dataset, disqualify
-from coverscope.cover import Candidate, CertificateFormatError, VerificationError
+from coverscope import algebraic, check, cover, dataset, disqualify
+from coverscope.check import Candidate, CertificateFormatError, VerificationError
 
 
 def _arg_int(text, what, minimum=None, odd=False, maximum=None):
@@ -51,7 +51,7 @@ def _positive(text):
 
 
 def _audit_n(text):
-    return _arg_int(text, "value", minimum=1, maximum=cover.MAX_AUDIT_N)
+    return _arg_int(text, "value", minimum=1, maximum=check.MAX_AUDIT_N)
 
 
 def _build_parser():
@@ -79,7 +79,7 @@ def _build_parser():
     p.add_argument(
         "--audit-n",
         type=_audit_n,
-        help=f"cross-check n = 1..N, N <= {cover.MAX_AUDIT_N} (coverless default 200)",
+        help=f"cross-check n = 1..N, N <= {check.MAX_AUDIT_N} (coverless default 200)",
     )
     p.add_argument("--out", help="write the certificate JSON to this file")
     p.set_defaults(func=cmd_verify)
@@ -127,13 +127,18 @@ def _build_parser():
     p.add_argument(
         "--audit-n",
         type=_audit_n,
-        help=f"cross-check n = 1..N, N <= {cover.MAX_AUDIT_N}, after the proof",
+        help=f"cross-check n = 1..N, N <= {check.MAX_AUDIT_N}, after the proof",
     )
     p.set_defaults(func=cmd_audit)
     return parser
 
 
-def _emit_certificate(text, args):
+def _emit_certificate(cert, to_json, args):
+    """Write cert's JSON to --out and, with --format json, to stdout; text
+    output without --out never builds it."""
+    if not (args.out or args.format == "json"):
+        return
+    text = to_json(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -175,7 +180,7 @@ def cmd_verify(args):
             raise ValueError("--partial and --root must be given together")
         case = _algebraic_case(args)
         cert = algebraic.build_algebraic_certificate(case, args.audit_n)
-        _emit_certificate(algebraic.certificate_to_json(cert), args)
+        _emit_certificate(cert, algebraic.certificate_to_json, args)
         if args.format == "text":
             partial = cert.partial
             sys.stdout.write(
@@ -194,12 +199,12 @@ def cmd_verify(args):
 def _audit_and_emit(cert, audit_n, args, header=""):
     """Finish the proof of a cover verify_cover built with the proof_depth
     audit (audit_n terms if deeper), then emit it and its summary."""
-    depth = max(cover.proof_depth(cert), audit_n or 0)
-    n_bad = cover.first_audit_failure(cert, depth)
+    depth = max(check.proof_depth(cert), audit_n or 0)
+    n_bad = check.first_audit_failure(cert, depth)
     if n_bad is not None:
         sys.stderr.write(f"audit failed at n={n_bad}\n")
         return 1
-    _emit_certificate(cover.certificate_to_json(cert), args)
+    _emit_certificate(cert, cover.certificate_to_json, args)
     if args.format == "text":
         sys.stdout.write(header + _cover_summary(cert, depth if audit_n else None))
     return 0
@@ -259,28 +264,10 @@ def cmd_family(args):
 
 def cmd_audit(args):
     with open(args.file, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CertificateFormatError(f"not valid JSON: {exc}") from None
-        except RecursionError:
-            raise CertificateFormatError("JSON nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise CertificateFormatError("certificate must be a JSON object")
-    if "kind" in doc:
-        cert = algebraic.certificate_from_dict(doc)
-        problem = algebraic.check_certificate_facts(cert)
-        if problem is None and args.audit_n:
-            n_bad = algebraic.first_coverless_failure(cert.case, cert.partial, args.audit_n)
-            if n_bad is not None:
-                problem = f"factor check failed at n={n_bad}"
-    else:
-        cert = cover.certificate_from_dict(doc)
-        problem = cover.check_certificate_facts(cert)
-        if problem is None and args.audit_n:
-            n_bad = cover.first_audit_failure(cert, args.audit_n)
-            if n_bad is not None:
-                problem = f"witness fails at n={n_bad}"
+        cert = check.certificate_from_json(fh.read())
+    problem = check.check_facts(cert)
+    if problem is None and args.audit_n:
+        problem = check.cross_check(cert, args.audit_n)
     if problem is not None:
         sys.stderr.write(f"audit FAILED: {problem}\n")
         return 1

@@ -127,3 +127,55 @@ def first_audit_failure_naive(certificate, n_max):
         if not 1 < d < term or term % d != 0:
             return n
     return None
+
+
+def check_induction_identity(candidate, entry, j_max):
+    """Exact check of the telescoping step behind the progression claim.
+
+    For j = 0..j_max, k*2^(b(j+1)+c) + sign must equal
+    [k*2^(bj+c) * (2^b - 1)] + [k*2^(bj+c) + sign] as integers, with d
+    dividing both bracketed summands (the first because d | 2^b - 1, the
+    second being the previous term).
+    """
+    k, sign, d = candidate.k, candidate.sign, entry.d
+    step = (1 << entry.b) - 1
+    for j in range(j_max + 1):
+        scaled = k << (entry.b * j + entry.c)  # k * 2^(bj+c)
+        left = scaled * step
+        right = scaled + sign
+        if (scaled << entry.b) + sign != left + right:
+            return False
+        if left % d != 0 or right % d != 0:
+            return False
+    return True
+
+
+def coverless_facts_per_n(cert, divisibility_problem):
+    """The coverless facts check as it ran before the coefficient argument:
+    the partial cover's divisibility facts (divisibility_problem, the shared
+    part), then at every n up to the bit length of the largest divisor
+    either the partial cover's witness or the bignum factor split, which
+    must multiply back to the term and be a proper divisor of it."""
+    problem = divisibility_problem(cert.partial)
+    if problem is not None:
+        return problem
+    partial, root = cert.partial, cert.case.root
+    k, sign = partial.candidate.k, partial.candidate.sign
+    depth = max(e.d for e in partial.entries).bit_length()
+    for n in range(1, depth + 1):
+        term = k * 2**n + sign
+        idx = partial.table[n % partial.lcm]
+        if idx is not None:
+            d = partial.entries[idx].d
+            ok = 1 < d < term and term % d == 0
+        elif sign == 1:  # k = root^4, n = 4m + 2
+            x = 2 ** (n // 4)
+            a, b = 2 * root * root, 2 * root
+            factor = a * x * x + b * x + 1
+            ok = factor * (a * x * x - b * x + 1) == term and 1 < factor < term
+        else:  # k = root^2, n even
+            x = root * 2 ** (n // 2)
+            ok = (x + 1) * (x - 1) == term and 1 < x + 1 < term
+        if not ok:
+            return f"factor check failed at n={n}"
+    return None

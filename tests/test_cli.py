@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from coverscope import algebraic, cover, dataset
+from coverscope import algebraic, check, cover, dataset
 from coverscope.cli import main
 
 SELFRIDGE = "3,5,7,13,19,37,73"
@@ -61,9 +61,9 @@ class TestVerify:
     def test_audit_failure_runs_audit_once(self, capsys, monkeypatch):
         # 157115 = 78557*2 + 1 claims n = 1 first, where it is the whole term
         calls = []
-        audit = cover.first_audit_failure
+        audit = check.first_audit_failure
         monkeypatch.setattr(
-            cover, "first_audit_failure", lambda *a: calls.append(a) or audit(*a)
+            check, "first_audit_failure", lambda *a: calls.append(a) or audit(*a)
         )
         code, out, err = run(
             capsys, "verify", "--k", "78557", "--sign", "s",
@@ -241,10 +241,10 @@ class TestFamily:
 
     def test_verifies_twice_and_audits_the_proof_prefix(self, capsys, monkeypatch):
         verified, audited = [], []
-        verify, audit = cover.verify_cover, cover.first_audit_failure
+        verify, audit = cover.verify_cover, check.first_audit_failure
         monkeypatch.setattr(cover, "verify_cover", lambda *a: verified.append(a) or verify(*a))
         monkeypatch.setattr(
-            cover, "first_audit_failure", lambda *a: audited.append(a[1]) or audit(*a)
+            check, "first_audit_failure", lambda *a: audited.append(a[1]) or audit(*a)
         )
         code, out, _ = run(
             capsys, "family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
@@ -256,7 +256,7 @@ class TestFamily:
         assert out.endswith("\nproved for all n >= 1: every term has a proper cover factor\n")
 
     def test_failed_audit_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cover, "first_audit_failure", lambda cert, n_max: 5)
+        monkeypatch.setattr(check, "first_audit_failure", lambda cert, n_max: 5)
         code, out, err = run(
             capsys, "family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
             "--i", "1",
@@ -425,13 +425,13 @@ class TestAudit:
         record = next(r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root)
         coverless = coverless_certificate(capsys, tmp_path, record)
         excess = []
-        audit = cover.first_audit_failure
+        audit = check.first_audit_failure
 
         def first_audit_failure(cert, n_max):
             excess.append(n_max - cover.proof_depth(cert))
             return audit(cert, n_max)
 
-        monkeypatch.setattr(cover, "first_audit_failure", first_audit_failure)
+        monkeypatch.setattr(check, "first_audit_failure", first_audit_failure)
         for argv in (
             ("verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE),
             ("family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE, "--i", "2"),
@@ -548,7 +548,7 @@ class TestAuditBound:
             assert f"--audit-n: value must be <= {cover.MAX_AUDIT_N}" in err
 
     def test_the_bound_is_accepted(self, capsys, tmp_path, monkeypatch):
-        # Cross-checks stubbed: for real, N = 10^5 takes 2 s on 78557 and minutes coverless.
+        # Cross-checks stubbed: for real, N = 10^5 takes about 8 ms on 78557 and 5 s coverless.
         depths = []
 
         def first_audit_failure(cert, n_max):
@@ -557,8 +557,8 @@ class TestAuditBound:
         def first_coverless_failure(case, partial, n_max):
             depths.append(n_max)
 
-        monkeypatch.setattr(cover, "first_audit_failure", first_audit_failure)
-        monkeypatch.setattr(algebraic, "first_coverless_failure", first_coverless_failure)
+        monkeypatch.setattr(check, "first_audit_failure", first_audit_failure)
+        monkeypatch.setattr(check, "first_coverless_failure", first_coverless_failure)
         full = tmp_path / "cert.json"
         coverless = tmp_path / "coverless.json"
         bound = str(cover.MAX_AUDIT_N)
@@ -578,6 +578,24 @@ class TestAuditBound:
     def test_help_states_the_bound(self, capsys, command):
         assert main([command, "--help"]) == 0
         assert str(cover.MAX_AUDIT_N) in capsys.readouterr().out
+
+
+def test_text_output_without_out_never_serializes(capsys, monkeypatch):
+    commands = (
+        ("verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE),
+        ("verify", *COVERLESS_S4),
+        ("family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE, "--i", "1"),
+    )
+    expected = [run(capsys, *argv) for argv in commands]
+
+    def refuse(cert):
+        raise AssertionError("text output serialized the certificate")
+
+    monkeypatch.setattr(cover, "certificate_to_json", refuse)
+    monkeypatch.setattr(algebraic, "certificate_to_json", refuse)
+    for argv, result in zip(commands, expected):
+        assert result[0] == 0
+        assert run(capsys, *argv) == result
 
 
 def test_help_exits_zero(capsys):

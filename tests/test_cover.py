@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverscope import algebraic, cover, dataset
+from coverscope import algebraic, check, cover, dataset
 from coverscope.cover import (
     Candidate,
     CoverEntry,
@@ -15,7 +15,13 @@ from coverscope.cover import (
     UncoveredResidueError,
     VerificationError,
 )
-from oracles import first_audit_failure_naive, offset_naive, order_naive, smallest_uncovered
+from oracles import (
+    check_induction_identity,
+    first_audit_failure_naive,
+    offset_naive,
+    order_naive,
+    smallest_uncovered,
+)
 
 SELFRIDGE_COVER = (3, 5, 7, 13, 19, 37, 73)
 SELFRIDGE_ENTRIES = (
@@ -80,20 +86,20 @@ class TestBuildEntry:
 class TestInductionIdentity:
     def test_known_entries_pass(self):
         c = Candidate(78557, 1)
-        assert cover.check_induction_identity(c, CoverEntry(73, 9, 3), 10)
-        assert cover.check_induction_identity(c, CoverEntry(3, 2, 0), 10)
+        assert check_induction_identity(c, CoverEntry(73, 9, 3), 10)
+        assert check_induction_identity(c, CoverEntry(3, 2, 0), 10)
 
     def test_corrupted_offset_fails(self):
         # 73 does not divide 78557*2^4 + 1
         assert (78557 * 2**4 + 1) % 73 != 0
-        assert not cover.check_induction_identity(
+        assert not check_induction_identity(
             Candidate(78557, 1), CoverEntry(73, 9, 4), 0
         )
 
     def test_riesel_side(self):
         c = Candidate(509203, -1)
         for entry in cover.verify_cover(c, RIESEL_COVER).entries:
-            assert cover.check_induction_identity(c, entry, 25)
+            assert check_induction_identity(c, entry, 25)
 
 
 class TestVerifyCover:
@@ -242,19 +248,15 @@ class TestWitness:
 
 class TestAudit:
     def test_full_periods(self, selfridge_cert, riesel_cert):
-        assert cover.audit_certificate(selfridge_cert, 360)
-        assert cover.audit_certificate(riesel_cert, 240)
+        assert cover.first_audit_failure(selfridge_cert, 360) is None
+        assert cover.first_audit_failure(riesel_cert, 240) is None
 
     def test_tampered_table_fails_at_5(self, selfridge_cert):
         table = list(selfridge_cert.table)
         table[5] = 0  # point residue 5 at the mod-2 entry (d=3)
         bad = dataclasses.replace(selfridge_cert, table=tuple(table))
-        assert not cover.audit_certificate(bad, 36)
+        assert cover.first_audit_failure(bad, 36) is not None
         assert cover.first_audit_failure(bad, 36) == 5
-
-    def test_bad_depth_rejected(self, selfridge_cert):
-        with pytest.raises(ValueError):
-            cover.audit_certificate(selfridge_cert, 0)
 
 
 def corpus_certificates():
@@ -421,7 +423,7 @@ class TestStreamedAudit:
                 expected = first if n_max >= first else None
                 assert cover.first_audit_failure(bad, n_max) == expected
                 assert first_audit_failure_naive(bad, n_max) == expected
-            assert not cover.audit_certificate(bad, 10 * L)
+            assert cover.first_audit_failure(bad, 10 * L) is not None
 
     def test_bignum_terms_only_in_the_properness_prefix(self, selfridge_cert):
         class CountingK(int):
@@ -514,7 +516,7 @@ class TestSerialization:
 
     def test_proof_refutes_exactly_when_facts_or_deep_audit_do(self):
         def refutation(cert):
-            problem = cover._divisibility_problem(cert)
+            problem = check._divisibility_problem(cert)
             n_bad = None if problem else cover.first_audit_failure(cert, 10 * cert.lcm)
             return problem or (n_bad and f"witness fails at n={n_bad}")
 
