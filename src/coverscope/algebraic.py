@@ -50,7 +50,8 @@ def build_algebraic_certificate(case, n_max: int | None = None) -> AlgebraicCert
 # --- serialization -----------------------------------------------------------
 # Schema: {k, sign, kind, root, A, B (fourth_power only),
 # partial_cover_certificate, audited_n_max, tool_version}.  The embedded
-# partial certificate follows the cover schema, predicate field included.
+# partial certificate follows the cover schema, predicate field included
+# and residue table left out.
 
 
 def certificate_to_dict(cert: AlgebraicCertificate) -> dict:

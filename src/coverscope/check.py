@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mod, mul
 
 # Largest term-by-term cross-check (--audit-n) the CLI runs.  The witness
@@ -29,6 +30,14 @@ from operator import mod, mul
 # The coverless cross-check still splits each open term as a bignum, which
 # grows with the square of N and sets the bound: about 5 s for the R2 record.
 MAX_AUDIT_N = 100_000
+
+# Largest L a certificate may state or a cover may reach.  The residue table
+# is derived, one slot per residue mod L, so this bound keeps every exponent
+# that reaches pow, and every allocation, below 10^7.
+MAX_LCM = 10**7
+# Most residues mod L the entries may claim, once per entry: deriving the
+# table writes one slot per claim, 0.8 s at this bound (2 vCPUs, Python 3.11).
+MAX_CLAIMS = 4 * MAX_LCM
 
 SIGN_SIERPINSKI = 1
 SIGN_RIESEL = -1
@@ -92,18 +101,45 @@ class CoverEntry:
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    """Verified cover: entries, L = lcm of the periods and the predicate
-    modulus, and the residue table mapping each claimed r in 0..L-1 to the
-    first entry (in cover order) with r == c (mod b), and every other r to
-    None.  divisor_primality flags composite divisors - legal in a cover,
-    but worth a warning."""
+    """Cover certificate: entries and L = lcm of the periods and the
+    predicate modulus.  The residue table is derived from them.
+    divisor_primality flags composite divisors - legal in a cover, but worth
+    a warning."""
 
     candidate: Candidate
     entries: tuple[CoverEntry, ...]
     lcm: int
-    table: tuple[int | None, ...]
     divisor_primality: tuple[bool, ...]
     predicate: str = PREDICATE_ALL
+
+    @cached_property
+    def table(self) -> tuple[int | None, ...]:
+        """Residue r in 0..L-1 -> index of the first entry (in cover order)
+        with r == c (mod b), or None where no entry matches or the predicate
+        does not claim r.  Needs every period b >= 1."""
+        modulus, claimed = PREDICATES[self.predicate]
+        lcm, entries = self.lcm, self.entries
+        table = [None] * lcm
+        # Last entry first, so that an earlier entry overwrites a later one.
+        for idx in reversed(range(len(entries))):
+            e = entries[idx]
+            table[e.c::e.b] = [idx] * len(range(e.c, lcm, e.b))
+        for r in range(modulus):
+            if r not in claimed:
+                table[r::modulus] = [None] * len(range(r, lcm, modulus))
+        return tuple(table)
+
+    @property
+    def claims(self) -> int:
+        """Residues mod L the entries claim, once per entry: the table's cost."""
+        return sum([len(range(e.c, self.lcm, e.b)) for e in self.entries])
+
+    @property
+    def uncovered_residue(self) -> int | None:
+        """Least residue mod L the predicate claims but no entry matches, or None."""
+        modulus, claimed = PREDICATES[self.predicate]
+        columns = [(r, self.table[r::modulus]) for r in claimed]
+        return min([r + modulus * c.index(None) for r, c in columns if None in c], default=None)
 
     @property
     def witness_counts(self) -> tuple[int, ...]:
@@ -179,9 +215,9 @@ class AlgebraicCertificate:
 
 
 # --- parsing -----------------------------------------------------------------
-# Structural validation only: entry progressions and the table are taken as
-# stated, and the checks below prove them.  All unbounded integers travel as
-# decimal strings.
+# Structural validation only: entry progressions are taken as stated, and
+# the checks below prove them.  All unbounded integers travel as decimal
+# strings.
 
 
 def _parse_decimal(doc, key):
@@ -227,12 +263,11 @@ def _parse_predicate(doc, predicate):
 
 def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCertificate:
     """Rebuild a cover certificate with the given predicate from its JSON
-    document.  The table must hold an index exactly at the residues the
-    predicate claims; run check_certificate_facts afterwards to prove the
-    claim."""
+    document; run check_certificate_facts afterwards to prove the claim.  A
+    version 0.1 document also states the residue table, which must equal
+    the derived one."""
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
-    modulus, claimed = PREDICATES[predicate]
     _parse_predicate(doc, predicate)
     try:
         candidate = Candidate(_parse_decimal(doc, "k"), _parse_sign(doc))
@@ -245,21 +280,28 @@ def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCer
         CoverEntry(_parse_decimal(e, "d"), _parse_decimal(e, "b"), _parse_decimal(e, "c"))
         for e in raw_entries
     ])
+    if not all(e.b for e in entries):
+        raise CertificateFormatError("every period b must be positive")
     lcm = _parse_decimal(doc, "lcm")
-    table = doc.get("table")
-    if not isinstance(table, list) or len(table) != lcm:
-        raise CertificateFormatError("table must hold one slot per residue mod lcm")
-    if lcm % modulus != 0:
+    if lcm > MAX_LCM:
+        raise CertificateFormatError(f"lcm is above the bound {MAX_LCM}")
+    if lcm % PREDICATES[predicate][0] != 0:
         raise CertificateFormatError("lcm must be a multiple of the predicate modulus")
-    for r in range(modulus):
-        column = table[r::modulus]
-        if r not in claimed:
-            if column.count(None) != len(column):
-                raise CertificateFormatError("residues outside the predicate must be null")
-        elif not all(type(t) is int and 0 <= t < len(entries) for t in column):  # no bools
-            raise CertificateFormatError("table must list a valid entry index per residue")
     flags = _parse_flags(doc, len(entries))
-    return CoverCertificate(candidate, entries, lcm, tuple(table), flags, predicate)
+    cert = CoverCertificate(candidate, entries, lcm, flags, predicate)
+    if cert.claims > MAX_CLAIMS:
+        raise CertificateFormatError(f"the entries claim more than {MAX_CLAIMS} residues mod L")
+    if "table" in doc:
+        # type(), not ==: true == 1 and 1.0 == 1 in Python.
+        table = doc["table"]
+        if not (
+            isinstance(table, list)
+            and len(table) == lcm
+            and set(map(type, table)) <= {int, type(None)}
+            and tuple(table) == cert.table
+        ):
+            raise CertificateFormatError("table is not the first-match table of the entries")
+    return cert
 
 
 def algebraic_certificate_from_dict(doc: dict) -> AlgebraicCertificate:
@@ -330,11 +372,10 @@ def proof_depth(cert: CoverCertificate) -> int:
 
 def _divisibility_problem(cert: CoverCertificate) -> str | None:
     """d odd and >= 3, d | 2^b - 1, d | k*2^c + sign, c < b, L = lcm of the
-    periods and the predicate modulus, and the table's shape and congruences:
-    one slot per residue mod L, a valid entry index at every residue the
-    predicate claims and None at every other.  A period that does not divide
-    the stated L refutes it before any exponentiation, so no exponent above
-    L, which the table's length bounds, reaches pow."""
+    periods and the predicate modulus, and no residue mod L the predicate
+    claims left uncovered.  A period that does not divide the stated L
+    refutes it before any exponentiation, so no exponent above L, which
+    parsing bounds by MAX_LCM, reaches pow."""
     k, sign, lcm = cert.candidate.k, cert.candidate.sign, cert.lcm
     for e in cert.entries:
         if e.d < 3 or e.d % 2 == 0:
@@ -347,30 +388,17 @@ def _divisibility_problem(cert: CoverCertificate) -> str | None:
             return f"{e.d} does not divide 2^{e.b} - 1"
         if (k * pow(2, e.c, e.d) + sign) % e.d != 0:
             return f"{e.d} does not divide k*2^{e.c} {sign:+d}"
-    modulus, claimed = PREDICATES[cert.predicate]
-    if lcm != math.lcm(*[e.b for e in cert.entries], modulus):
+    if lcm != math.lcm(*[e.b for e in cert.entries], PREDICATES[cert.predicate][0]):
         return "stated lcm does not match the entry periods"
-    if len(cert.table) != lcm:
-        return f"table has {len(cert.table)} slots, not one per residue mod {lcm}"
-    n_entries = len(cert.entries)
-    for r, idx in enumerate(cert.table):
-        if r % modulus not in claimed:
-            if idx is not None:
-                return f"table assigns residue {r}, which the predicate does not claim"
-            continue
-        if type(idx) is not int or not 0 <= idx < n_entries:  # no bools
-            return f"table has no valid entry index at claimed residue {r}"
-        e = cert.entries[idx]
-        if r % e.b != e.c:
-            return f"table assigns residue {r} to d={e.d} but {r} != {e.c} (mod {e.b})"
-    return None
+    hole = cert.uncovered_residue
+    return None if hole is None else f"uncovered residue {hole} (mod {lcm})"
 
 
 def check_certificate_facts(cert: CoverCertificate) -> str | None:
     """Prove a stated cover certificate for every claimed n >= 1, without
     searching: the divisibility facts give d | k*2^n + sign for every
-    n == c (mod b), so the table's witness divides every claimed term, and
-    the proof_depth prefix audit shows each witness proper.  Returns a
+    n == c (mod b), so the first matching entry divides every claimed term,
+    and the proof_depth prefix audit shows each witness proper.  Returns a
     description of the first problem, or None when the claim holds."""
     problem = _divisibility_problem(cert)
     if problem is None and (n_bad := first_audit_failure(cert, proof_depth(cert))):

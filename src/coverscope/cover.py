@@ -4,27 +4,29 @@ A cover for k (sign +1: the sequence k*2^n + 1, sign -1: k*2^n - 1) is a
 list of odd divisors d, each pinned to an arithmetic progression of
 exponents: d divides every term with n == c (mod b), where b is the
 multiplicative order of 2 mod d and c the least offset with d | k*2^c + sign.
-The certificate closes the argument with a residue table over 0..L-1
-proving that every exponent class the cover's predicate names is claimed.
+The argument closes when every exponent class mod L the cover's predicate
+names is claimed by some entry, which the residue table derived from the
+entries shows.
 
 A full cover has the predicate `all` (modulus 1): every n must be claimed.
 A partial cover, the cover half of a coverless proof (coverscope.algebraic),
-has a predicate that names only some classes mod a small modulus; its table
-holds None for the others.  Both kinds share the one certificate type,
-builder and serializer below, and the one parser and facts check in
-coverscope.check.  L is the lcm of the periods and the predicate modulus,
-so n and n mod L always agree on the predicate.
+has a predicate that names only some classes mod a small modulus; its
+derived table holds None for the others.  Both kinds share the one
+certificate type, builder and serializer below, and the one parser and
+facts check in coverscope.check.  L is the lcm of the periods and the
+predicate modulus, so n and n mod L always agree on the predicate.
 """
 
 import json
 import math
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from coverscope import arith
 
 # Defined in the trusted checker; these names stay importable from cover.
 from coverscope.check import (  # noqa: F401
     MAX_AUDIT_N,
+    MAX_CLAIMS,
+    MAX_LCM,
     PREDICATE_ALL,
     PREDICATE_MOD4_NE_2,
     PREDICATE_ODD,
@@ -41,7 +43,7 @@ from coverscope.check import (  # noqa: F401
     proof_depth,
 )
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 
 class NoOffsetError(VerificationError):
@@ -75,12 +77,15 @@ def build_entry(candidate: Candidate, d: int) -> CoverEntry:
     """Period and minimal offset for one divisor.
 
     Raises NoOffsetError when d divides no term (in particular whenever
-    d | k, since then every term is sign mod d).
+    d | k, since then every term is sign mod d), and ValueError for a period
+    above MAX_LCM, before the offset search.
     """
     _require_cover_k(candidate)
     if d < 3 or d % 2 == 0:
         raise ValueError(f"cover divisors must be odd and >= 3, got {d}")
     b = arith.multiplicative_order(2, d)
+    if b > MAX_LCM:
+        raise ValueError(f"divisor {d} has period {b}, above the bound {MAX_LCM} on L")
     c = arith.find_offset(candidate.k, candidate.sign, d, b)
     if c is None:
         raise NoOffsetError(d, candidate.k, candidate.sign)
@@ -94,12 +99,13 @@ def verify_cover(
     the predicate claims is claimed by some entry.
 
     Raises NoOffsetError (naming the divisor) or UncoveredResidueError
-    (naming the smallest claimed residue mod L left open).  Deterministic:
-    the table always picks the first matching entry in cover order.
+    (naming the smallest claimed residue mod L left open), and ValueError
+    for an L above MAX_LCM or more than MAX_CLAIMS claimed residues.
+    Deterministic: each residue takes the first matching entry in cover order.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
-    modulus, claimed = PREDICATES[predicate]
+    modulus = PREDICATES[predicate][0]
     divisors = [int(d) for d in divisors]
     if not divisors:
         raise ValueError("cover must contain at least one divisor")
@@ -109,23 +115,16 @@ def verify_cover(
     # so peak memory would creep with the number of calls.
     entries = tuple([build_entry(candidate, d) for d in divisors])
     lcm = math.lcm(*[e.b for e in entries], modulus)
-    table = [None] * lcm
-    # Last entry first, so that an earlier entry overwrites a later one.
-    for idx in reversed(range(len(entries))):
-        e = entries[idx]
-        table[e.c::e.b] = [idx] * len(range(e.c, lcm, e.b))
-    holes = []
-    for r in claimed:
-        column = table[r::modulus]
-        if None in column:
-            holes.append(r + modulus * column.index(None))
-    if holes:
-        raise UncoveredResidueError(min(holes), lcm)
-    for r in range(modulus):
-        if r not in claimed:
-            table[r::modulus] = [None] * len(range(r, lcm, modulus))
+    if lcm > MAX_LCM:
+        raise ValueError(f"L = {lcm} is above the bound {MAX_LCM}")
     primality = tuple([arith.is_prime(e.d).is_prime for e in entries])
-    return CoverCertificate(candidate, entries, lcm, tuple(table), primality, predicate)
+    cert = CoverCertificate(candidate, entries, lcm, primality, predicate)
+    if cert.claims > MAX_CLAIMS:
+        raise ValueError(f"the divisors claim {cert.claims} residues mod L, above {MAX_CLAIMS}")
+    hole = cert.uncovered_residue
+    if hole is not None:
+        raise UncoveredResidueError(hole, lcm)
+    return cert
 
 
 def witness(certificate: CoverCertificate, n: int) -> int:
@@ -145,26 +144,26 @@ def generate_family(candidate: Candidate, divisors, i: int) -> CoverCertificate:
     """Certificate of the i-th sibling k + 2*i*P (P = product of the cover
     divisors), which keeps the same cover: each divisor's period and offset
     are unchanged since k + 2*i*P == k (mod d).  Verified by building the
-    sibling's certificate and requiring the base's entry table."""
+    sibling's certificate and requiring the base's entries."""
     if i < 1:
         raise ValueError(f"family index must be >= 1, got {i}")
     base = verify_cover(candidate, divisors)
     product = math.prod([e.d for e in base.entries])
     sibling = Candidate(candidate.k + 2 * i * product, candidate.sign)
     derived = verify_cover(sibling, divisors)
-    if derived.entries != base.entries or derived.table != base.table:
+    if derived.entries != base.entries:
         raise VerificationError(
-            f"family member k={sibling.k} does not reproduce the base cover table"
+            f"family member k={sibling.k} does not reproduce the base cover"
         )
     return derived
 
 
 # --- serialization -----------------------------------------------------------
 # Schema: {k, sign, predicate (partial covers only), entries: [{d, b, c}],
-# lcm, table, divisor_primality_flags, tool_version}.  All unbounded
-# integers travel as decimal strings; table holds small entry indexes, and
-# null for the residues a partial cover's predicate leaves out.
-# Serialization is canonical, so identical certificates give identical bytes.
+# lcm, divisor_primality_flags, tool_version}.  All unbounded integers
+# travel as decimal strings.  The residue table is not written: the checker
+# derives it from the entries.  Serialization is canonical, so identical
+# certificates give identical bytes.
 
 
 def certificate_to_dict(cert: CoverCertificate) -> dict:
@@ -173,46 +172,15 @@ def certificate_to_dict(cert: CoverCertificate) -> dict:
         doc["predicate"] = cert.predicate
     doc["entries"] = [{"d": str(e.d), "b": str(e.b), "c": str(e.c)} for e in cert.entries]
     doc["lcm"] = str(cert.lcm)
-    doc["table"] = list(cert.table)
     doc["divisor_primality_flags"] = list(cert.divisor_primality)
     doc["tool_version"] = TOOL_VERSION
     return doc
 
 
-_FLAT_ITEM_TYPES = frozenset((int, bool, type(None)))
-
-
 def dumps_json(doc) -> str:
-    """json.dumps(doc, indent=2) + "\n", byte for byte, for a JSON document
-    with string keys.  Below Python 3.13 json indents in pure Python; here
-    each list of int, bool and None (a residue table) takes one call of
-    json's C encoder and is re-indented, strings take json's string encoder
-    and ints their repr, which is what json.dumps writes for them."""
-    return _indented(doc, "\n") + "\n"
-
-
-def _indented(value, newline: str) -> str:
-    # newline: "\n" plus the indent of the line the value closes on.
-    inner = newline + "  "
-    if isinstance(value, dict):
-        brackets = "{}"
-        body = ("," + inner).join(
-            _encode_str(key) + ": " + _indented(item, inner) for key, item in value.items()
-        )
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
-        if set(map(type, value)) <= _FLAT_ITEM_TYPES:
-            # No item's text holds ", ", so the one-line form splits exactly.
-            body = json.dumps(value)[1:-1].replace(", ", "," + inner)
-        else:
-            body = ("," + inner).join(_indented(item, inner) for item in value)
-    elif type(value) is str:
-        return _encode_str(value)
-    elif type(value) is int:
-        return repr(value)
-    else:
-        return json.dumps(value)
-    return brackets[0] + inner + body + newline + brackets[1] if value else brackets
+    """The canonical layout of every JSON output: 2-space indentation and a
+    final newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def certificate_to_json(cert: CoverCertificate) -> str:

@@ -112,14 +112,34 @@ def smallest_uncovered(entries, lcm, predicate=None):
     return None
 
 
+# predicate name -> whether the predicate claims residue r
+CLAIMED = {
+    "all": lambda r: True,
+    "mod4ne2": lambda r: r % 4 != 2,
+    "odd": lambda r: r % 2 == 1,
+}
+
+
+def first_match_table(entries, lcm, claimed):
+    """The residue table as a per-residue scan: the index of the first entry
+    (in cover order) with r == c (mod b), None where unclaimed or unmatched."""
+    return [
+        next((i for i, e in enumerate(entries) if r % e.b == e.c), None) if claimed(r) else None
+        for r in range(lcm)
+    ]
+
+
 def first_audit_failure_naive(certificate, n_max):
     """Smallest claimed n in 1..n_max whose witness d is not a proper divisor
-    of k*2^n + sign, or None: every term built as a bignum, the loop
-    coverscope.cover.first_audit_failure used to run.  The properness test
-    comes before the division, so a witness d <= 1 fails where the division
-    by 0 would have raised."""
+    of k*2^n + sign, or None: each witness from the per-residue scan and
+    every term built as a bignum, the loop coverscope.cover.first_audit_failure
+    used to run.  The properness test comes before the division, so a
+    witness d <= 1 fails where the division by 0 would have raised."""
+    table = first_match_table(
+        certificate.entries, certificate.lcm, CLAIMED[certificate.predicate]
+    )
     for n in range(1, n_max + 1):
-        idx = certificate.table[n % certificate.lcm]
+        idx = table[n % certificate.lcm]
         if idx is None:
             continue
         d = certificate.entries[idx].d
@@ -161,10 +181,11 @@ def coverless_facts_per_n(cert, divisibility_problem):
         return problem
     partial, root = cert.partial, cert.case.root
     k, sign = partial.candidate.k, partial.candidate.sign
+    table = first_match_table(partial.entries, partial.lcm, CLAIMED[partial.predicate])
     depth = max(e.d for e in partial.entries).bit_length()
     for n in range(1, depth + 1):
         term = k * 2**n + sign
-        idx = partial.table[n % partial.lcm]
+        idx = table[n % partial.lcm]
         if idx is not None:
             d = partial.entries[idx].d
             ok = 1 < d < term and term % d == 0

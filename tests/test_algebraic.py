@@ -1,6 +1,6 @@
-import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +20,9 @@ from coverscope.cover import (
     witness,
 )
 from oracles import smallest_uncovered
+
+# CASE_A's certificate as version 0.1 wrote it, residue table included.
+V1_CASE_A = json.loads((Path(__file__).parent / "fixtures/v1/coverless-s4.json").read_text())
 
 CASE_A = FourthPowerCase(44745755, (3, 17, 97, 241, 257, 673))
 CASE_B = FourthPowerCase(734110615000775, (3, 17, 257, 641, 65537, 6700417))
@@ -232,28 +235,35 @@ class TestAlgebraicCertificate:
             algebraic.certificate_from_dict(doc)
 
     def test_unclaimed_predicate_residue_rejected(self):
-        cert = build_algebraic_certificate(CASE_A, 20)
-        doc = algebraic.certificate_to_dict(cert)
+        doc = json.loads(json.dumps(V1_CASE_A))
+        assert algebraic.certificate_from_dict(doc).case == CASE_A
         doc["partial_cover_certificate"]["table"][3] = None
         with pytest.raises(algebraic.CertificateFormatError):
             algebraic.certificate_from_dict(doc)
 
     def test_partial_cover_schema_enforced(self):
-        cert = build_algebraic_certificate(CASE_A, 20)
+        v2 = algebraic.certificate_to_dict(build_algebraic_certificate(CASE_A, 20))
         partial = lambda d: d["partial_cover_certificate"]  # noqa: E731
-        for breakage in (
-            lambda d: partial(d).update(predicate="odd"),
-            lambda d: partial(d).update(predicate="all"),
-            lambda d: partial(d).pop("predicate"),
-            lambda d: partial(d)["table"].__setitem__(2, 0),  # 2 == 2 (mod 4): must be null
-            lambda d: partial(d).update(lcm="50", table=partial(d)["table"] + [0, 1]),
-            lambda d: d.update(kind="cube"),
-            lambda d: d.update(root="0"),
+        for base, breakages in (
+            (v2, ()),
+            (V1_CASE_A, (
+                lambda d: partial(d)["table"].__setitem__(2, 0),  # 2 == 2 (mod 4): must be null
+                lambda d: partial(d).update(table=partial(d)["table"] + [0, 1], lcm="50"),
+            )),
         ):
-            doc = json.loads(algebraic.certificate_to_json(cert))
-            breakage(doc)
-            with pytest.raises(algebraic.CertificateFormatError):
-                algebraic.certificate_from_dict(doc)
+            for breakage in (
+                lambda d: partial(d).update(predicate="odd"),
+                lambda d: partial(d).update(predicate="all"),
+                lambda d: partial(d).pop("predicate"),
+                lambda d: partial(d).update(lcm="50"),
+                lambda d: d.update(kind="cube"),
+                lambda d: d.update(root="0"),
+                *breakages,
+            ):
+                doc = json.loads(json.dumps(base))
+                breakage(doc)
+                with pytest.raises(algebraic.CertificateFormatError):
+                    algebraic.certificate_from_dict(doc)
 
     def test_partial_cover_is_not_a_full_cover(self):
         doc = algebraic.certificate_to_dict(build_algebraic_certificate(CASE_A, 20))
@@ -267,23 +277,15 @@ class TestAlgebraicCertificate:
             lambda d: d.update(sign=-1),
             lambda d: d.update(audited_n_max=True),
             lambda d: d["partial_cover_certificate"].update(sign=True),
-            lambda d: d["partial_cover_certificate"]["table"].__setitem__(1, True),
+            lambda d: d["partial_cover_certificate"].update(table=[
+                True if t == 1 else t for t in V1_CASE_A["partial_cover_certificate"]["table"]
+            ]),
             lambda d: d["partial_cover_certificate"].update(divisor_primality_flags=[1] * 6),
         ):
             doc = json.loads(algebraic.certificate_to_json(cert))
             breakage(doc)
             with pytest.raises(algebraic.CertificateFormatError):
                 algebraic.certificate_from_dict(doc)
-
-    def test_index_outside_the_predicate_caught_by_facts_check(self):
-        # n == 2 (mod 4) belongs to the algebraic factors, so an entry
-        # index at residue 2 makes a misshapen partial table.
-        cert = build_algebraic_certificate(CASE_A, 20)
-        partial = cert.partial
-        table = partial.table[:2] + (0,) + partial.table[3:]
-        doctored = dataclasses.replace(cert, partial=dataclasses.replace(partial, table=table))
-        problem = algebraic.check_certificate_facts(doctored)
-        assert problem == "table assigns residue 2, which the predicate does not claim"
 
     def test_doctored_offset_caught_by_facts_check(self):
         cert = build_algebraic_certificate(CASE_A, 20)

@@ -196,10 +196,10 @@ class TestCallSiteGuarantees:
 def test_huge_stated_periods_are_refused_before_any_pow(capsys, tmp_path):
     # Each period is a multiple of ord_d(2) = 14000 with 4005 digits, so
     # pow(2, b, d) would pass after about a second per entry; no period
-    # divides the stated L = 2, which the table's length bounds.
+    # divides the stated L = 2, which parsing bounds by MAX_LCM.
     entry = {"d": str(2**14000 - 1), "b": str(14000 * 10**4000), "c": "0"}
     doc = {
-        "k": "1", "sign": -1, "entries": [entry] * 64, "lcm": "2", "table": [0, 0],
+        "k": "1", "sign": -1, "entries": [entry] * 64, "lcm": "2",
         "divisor_primality_flags": [False] * 64, "tool_version": cover.TOOL_VERSION,
     }
     path = tmp_path / "cert.json"

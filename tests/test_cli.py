@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -319,8 +320,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("record_index", range(3))
     def test_truncated_partial_cover_fails(self, capsys, tmp_path, record_index):
-        # Shrinking L to the predicate modulus leaves a table that claims
-        # every predicate residue and proves nothing past n = 1.
+        # Shrinking L to the predicate modulus claims every predicate
+        # residue and proves nothing past n = 1.
         record = [r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root][
             record_index
         ]
@@ -329,7 +330,6 @@ class TestAudit:
         partial = doc["partial_cover_certificate"]
         lcm = 4 if record.kind == dataset.KIND_S4 else 2
         partial["lcm"] = str(lcm)
-        partial["table"] = partial["table"][:lcm]
         doc["audited_n_max"] = 1
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "audit", str(path))
@@ -366,7 +366,6 @@ class TestAudit:
         )
         doc = json.loads(path.read_text())
         doc["sign"] = True
-        doc["table"] = [True if t == 1 else t for t in doc["table"]]
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "audit", str(path))
         assert code == 2
@@ -443,23 +442,24 @@ class TestAudit:
 
 
 # sha256 of the certificate each command writes: canonical 2-space JSON,
-# one table slot per line.  The format is stable, so these never change.
+# one flag and entry field per line.  The format is stable, so these change
+# only with tool_version; tests/fixtures/v1 keeps the 0.1.0 files.
 PINNED_CERTIFICATES = [
     (
         ("verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE),
-        "43178579e1d770648f8ebec9063cf0857e0058b7ddf0cdfccaf7b7c1685f6ef5",
+        "e85969633f57e36b0e9852bffd243f0374672051cd3adad4b42b5c5ac7566fb7",
     ),
     (
         ("verify", "--k", "509203", "--sign", "r", "--cover", "3,5,7,13,17,241"),
-        "38ec6f231b5e2828776c48625676dabbf79efed4aede8ad74e7273ff51791ebb",
+        "eeb24531e81280efd5a829b1e97c9fe15daaecc9a71134636d85fab2ed60800a",
     ),
     (
         ("verify", *COVERLESS_S4),
-        "3ae1b1a71fe0994fd5a5107dcae4dfc21ffad8b67a0b88fa343c2564522bc0da",
+        "f7f9551be604a4be9b8a6262d96b5c8faeb28787487b892aadfd019b8e4d3d63",
     ),
     (
         ("family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE, "--i", "2"),
-        "9dcef7f4b9fe75b970edcbf47cf59ef51aa0d5c1436b5ace736dff7b36427564",
+        "8b18122047599ea10c83c1fbd12eedda92981f3a27e92b7a51b7694e54677362",
     ),
 ]
 
@@ -502,7 +502,7 @@ def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
     "fmt, digest",
     [
         ("text", "e23bbd74dba3a40a9483e093bb9aeb34a4e41cd2d348ffd1f72ef1e57780ec82"),
-        ("json", "43178579e1d770648f8ebec9063cf0857e0058b7ddf0cdfccaf7b7c1685f6ef5"),
+        ("json", "e85969633f57e36b0e9852bffd243f0374672051cd3adad4b42b5c5ac7566fb7"),
     ],
 )
 def test_deepest_cross_check_bytes_are_pinned(capsys, fmt, digest):
@@ -529,6 +529,159 @@ def test_certificate_bytes_are_pinned_and_audit_ok(capsys, tmp_path, argv, diges
     assert code == 0 and out.startswith("audit ok: ")
     code, out, _ = run(capsys, "audit", str(path), "--format", "json")
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+V1_FIXTURES = sorted((Path(__file__).parent / "fixtures" / "v1").glob("*.json"))
+
+
+class TestV1Certificates:
+    """Files written by tool_version 0.1.0, which states the residue table."""
+
+    def test_fixtures_are_the_pinned_files(self):
+        sums = (V1_FIXTURES[0].parent / "SHA256SUMS").read_text().split()
+        assert dict(zip(sums[1::2], sums[0::2])) == {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in V1_FIXTURES
+        }
+        assert len(V1_FIXTURES) == len(PINNED_CERTIFICATES)
+
+    @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda p: p.stem)
+    def test_fixture_audits_ok(self, capsys, path):
+        k = json.loads(path.read_text())["k"]
+        code, out, err = run(capsys, "audit", str(path))
+        assert (code, out, err) == (0, f"audit ok: k={k}, proved for all n >= 1\n", "")
+        code, out, err = run(capsys, "audit", str(path), "--format", "json")
+        assert (code, json.loads(out), err) == (0, {"ok": True, "k": k}, "")
+
+    @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda p: p.stem)
+    def test_doctored_table_is_a_usage_error(self, capsys, tmp_path, path):
+        doc = json.loads(path.read_text())
+        cert = doc.get("partial_cover_certificate", doc)
+        table = cert["table"]
+        entries = [tuple(int(e[f]) for f in "dbc") for e in cert["entries"]]
+        # A residue with two matching entries, which the later one cannot take.
+        r, j = next(
+            (r, j) for r, i in enumerate(table) if i is not None
+            for j, (_, b, c) in enumerate(entries) if j > i and r % b == c
+        )
+        one = table.index(1)
+        for doctored in (
+            table[:r] + [j] + table[r + 1:],
+            table[:one] + [True] + table[one + 1:],
+            table[:one] + [1.0] + table[one + 1:],
+            table[:-1],
+            table + [table[0]],
+        ):
+            cert["table"] = doctored
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "audit", str(bad))
+            assert (code, out) == (2, "")
+            assert err == "error: table is not the first-match table of the entries\n"
+
+
+class TestLcmBound:
+    def test_a_period_above_the_bound_exits_2_before_the_offset_search(self, capsys):
+        # ord(2) mod the prime 1000000000039 is 500000000019.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--k", "78557", "--sign", "s",
+            "--cover", SELFRIDGE + ",1000000000039", "--audit-n", "1",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: divisor 1000000000039 has period 500000000019, "
+            f"above the bound {check.MAX_LCM} on L\n"
+        )
+
+    def test_an_l_below_the_bound_is_built(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE + ",1000003",
+        )
+        assert code == 0
+        assert "L = 6000012\n" in out
+
+    def test_an_l_above_the_bound_exits_2(self, capsys):
+        # Periods 36 (the cover), 1000002 (1000003) and 10 (11): L = 30000060.
+        code, out, err = run(
+            capsys, "verify", "--k", "78557", "--sign", "s",
+            "--cover", SELFRIDGE + ",1000003,11",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: L = 30000060 is above the bound {check.MAX_LCM}\n"
+
+    def test_a_stated_l_above_the_bound_is_a_usage_error(self, capsys, tmp_path):
+        doc = json.loads(V1_FIXTURES[0].read_text())
+        doc.pop("table", None)
+        doc["lcm"] = str(check.MAX_LCM + 1)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "audit", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: lcm is above the bound {check.MAX_LCM}\n"
+
+
+class TestClaimsBound:
+    """Deriving the table costs one slot per claimed residue, so a small
+    file with many long progressions is refused before it is derived."""
+
+    def write(self, tmp_path, doc):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_repeated_valid_entries_exit_2_quickly(self, capsys, tmp_path):
+        # (3, 2, 0) and (3, 9999990, 0) pass every per-entry fact for 78557
+        # and give L = 9999990; each copy of the first claims half of it.
+        entries = [{"d": "3", "b": "2", "c": "0"}] * 100
+        entries.append({"d": "3", "b": "9999990", "c": "0"})
+        doc = {
+            "k": "78557", "sign": 1, "entries": entries, "lcm": "9999990",
+            "divisor_primality_flags": [True] * len(entries),
+        }
+        start = time.perf_counter()
+        code, out, err = run(capsys, "audit", str(self.write(tmp_path, doc)))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: the entries claim more than {check.MAX_CLAIMS} residues mod L\n"
+
+    def test_a_v1_table_of_the_wrong_length_exits_2_quickly(self, capsys, tmp_path):
+        entries = [{"d": "3", "b": "1", "c": "0"}] * 100
+        doc = {
+            "k": "78557", "sign": 1, "entries": entries, "lcm": str(check.MAX_LCM),
+            "table": [], "divisor_primality_flags": [True] * len(entries),
+        }
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "audit", str(self.write(tmp_path, doc)))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+
+    def test_a_v1_table_length_is_checked_before_deriving(self, monkeypatch):
+        # Three full-period entries stay within the claims bound; the stated
+        # table's length alone must refuse the file.
+        def derive(cert):
+            raise AssertionError("table derived")
+
+        monkeypatch.setattr(check.CoverCertificate, "table", property(derive))
+        doc = {
+            "k": "78557", "sign": 1, "entries": [{"d": "3", "b": "1", "c": "0"}] * 3,
+            "lcm": str(check.MAX_LCM), "table": [], "divisor_primality_flags": [True] * 3,
+        }
+        with pytest.raises(check.CertificateFormatError):
+            check.certificate_from_dict(doc)
+
+    def test_a_cover_with_too_many_claims_exits_2(self, capsys):
+        # Fourteen extra copies of 3 (period 2) at L = 6000012.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--k", "78557", "--sign", "s",
+            "--cover", "3," * 14 + SELFRIDGE + ",1000003",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the divisors claim 50166773 residues mod L, above {check.MAX_CLAIMS}\n"
+        )
 
 
 class TestAuditBound:

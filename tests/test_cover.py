@@ -4,10 +4,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from coverscope import algebraic, check, cover, dataset
+from coverscope import check, cover, dataset
 from coverscope.cover import (
     Candidate,
     CoverEntry,
@@ -16,8 +14,10 @@ from coverscope.cover import (
     VerificationError,
 )
 from oracles import (
+    CLAIMED,
     check_induction_identity,
     first_audit_failure_naive,
+    first_match_table,
     offset_naive,
     order_naive,
     smallest_uncovered,
@@ -159,21 +159,7 @@ class TestVerifyCover:
         assert cert.witness_counts[-1] == 0  # 3 claims the shared residues first
 
 
-CLAIMED = {
-    cover.PREDICATE_ALL: lambda r: True,
-    cover.PREDICATE_MOD4_NE_2: lambda r: r % 4 != 2,
-    cover.PREDICATE_ODD: lambda r: r % 2 == 1,
-}
 PREDICATE_MODULUS = {cover.PREDICATE_ALL: 1, cover.PREDICATE_MOD4_NE_2: 4, cover.PREDICATE_ODD: 2}
-
-
-def first_match_table(entries, lcm, claimed):
-    """The residue table as a per-residue scan: first matching entry in
-    cover order, None where unclaimed or unmatched."""
-    return [
-        next((i for i, e in enumerate(entries) if r % e.b == e.c), None) if claimed(r) else None
-        for r in range(lcm)
-    ]
 
 
 def random_divisor_sets(count=300):
@@ -219,7 +205,11 @@ class TestTableBuilder:
             )
             if hole is None:
                 cert = cover.verify_cover(candidate, divisors, predicate)
-                assert list(cert.table) == first_match_table(entries, lcm, CLAIMED[predicate])
+                expected = first_match_table(entries, lcm, CLAIMED[predicate])
+                assert list(cert.table) == expected
+                assert cert.witness_counts == tuple(
+                    expected.count(i) for i in range(len(entries))
+                )
             else:
                 with pytest.raises(UncoveredResidueError) as exc_info:
                     cover.verify_cover(candidate, divisors, predicate)
@@ -252,10 +242,12 @@ class TestAudit:
         assert cover.first_audit_failure(riesel_cert, 240) is None
 
     def test_tampered_table_fails_at_5(self, selfridge_cert):
-        table = list(selfridge_cert.table)
-        table[5] = 0  # point residue 5 at the mod-2 entry (d=3)
-        bad = dataclasses.replace(selfridge_cert, table=tuple(table))
-        assert cover.first_audit_failure(bad, 36) is not None
+        # A false entry listed first takes residues 5, 11, ... of the derived
+        # table from their true witnesses; 3 does not divide the term at n = 5.
+        bad = dataclasses.replace(
+            selfridge_cert, entries=(CoverEntry(3, 6, 5),) + selfridge_cert.entries
+        )
+        assert bad.table[5] == 0
         assert cover.first_audit_failure(bad, 36) == 5
 
 
@@ -270,11 +262,18 @@ def corpus_certificates():
 
 
 def hand_certificate(candidate, entries, lcm, predicate=cover.PREDICATE_ALL):
-    """A certificate with the first-match table of the given entries, holes
-    left None: nothing here is checked."""
-    table = first_match_table(entries, lcm, CLAIMED[predicate])
+    """A certificate for the given entries, holes and all: nothing here is
+    checked."""
     return cover.CoverCertificate(
-        candidate, tuple(entries), lcm, tuple(table), (True,) * len(entries), predicate
+        candidate, tuple(entries), lcm, (True,) * len(entries), predicate
+    )
+
+
+def with_slot(cert, r, j):
+    """cert with a first entry of period L that claims residue r for entry
+    j's divisor: one slot of the derived table reassigned."""
+    return dataclasses.replace(
+        cert, entries=(CoverEntry(cert.entries[j].d, cert.lcm, r),) + cert.entries
     )
 
 
@@ -297,27 +296,14 @@ def doctored_certificates(cert, rng):
     yield dataclasses.replace(
         cert, entries=with_entry(dataclasses.replace(e, d=cert.candidate.term(n0)))
     )
-    table = list(cert.table)
     r = rng.choice(claimed) % cert.lcm
-    table[r] = rng.choice([j for j in range(len(cert.entries)) if j != table[r]] or [0])
-    yield dataclasses.replace(cert, table=tuple(table))
+    j = rng.choice([j for j in range(len(cert.entries)) if j != cert.table[r]] or [0])
+    yield with_slot(cert, r, j)
+    # A wrong L: the residues below it keep their witnesses, so n < L pass,
+    # and a later n fails once an entry's period does not divide L.
     for lcm in (cert.lcm - 1, cert.lcm + 1):
         if lcm >= 1:
-            yield restated_period(cert, lcm)
-
-
-def restated_period(cert, lcm):
-    """cert restated with a wrong L: the residues of n = proof_depth+1..L
-    take the first entry whose congruence holds at that n, and the others
-    stay unclaimed.  So every claimed n up to L passes, and a later one
-    fails once an entry's period does not divide L."""
-    table = [None] * lcm
-    for n in range(cover.proof_depth(cert) + 1, lcm + 1):
-        if CLAIMED[cert.predicate](n):
-            table[n % lcm] = next(
-                (i for i, e in enumerate(cert.entries) if n % e.b == e.c), None
-            )
-    return dataclasses.replace(cert, lcm=lcm, table=tuple(table))
+            yield dataclasses.replace(cert, lcm=lcm)
 
 
 def audit_depths(cert):
@@ -391,17 +377,18 @@ class TestStreamedAudit:
             assert cover.first_audit_failure(cert, 3 * lcm + 5) == n0
 
     def test_failures_at_the_edges_of_the_walk(self, selfridge_cert):
-        # 78557's entries with L stated as 16; the prefix is n <= 7, so the
-        # first row of the residue walk is n = 8..23.  Residues 8 (d = 3) and
-        # 9 (d = 5) pass for good; 15 (d = 19, period 18) passes at n = 15
-        # and first fails at 31, the last claimed n of the second row.
-        table = [None] * 16
-        table[8], table[9], table[15] = 0, 1, 4
-        cert = dataclasses.replace(selfridge_cert, lcm=16, table=tuple(table))
+        # L stated as 16, with entries of period 16 that claim residues 8
+        # (d = 3), 9 (d = 5) and 15 (d = 19); 73 claims residue 8 after 3,
+        # so it claims nothing, but sets the prefix to n <= 7 and the first
+        # row of the residue walk to n = 8..23.  Residues 8 and 9 pass for
+        # good; 15 (19 has period 18) passes at n = 15 and first fails at
+        # 31, the last claimed n of the second row.
+        entries = tuple(CoverEntry(d, 16, r) for d, r in ((3, 8), (5, 9), (19, 15), (73, 8)))
+        cert = dataclasses.replace(selfridge_cert, lcm=16, entries=entries)
         # Residue 7 to d = 7 (period 3) passes at n = 7, in the prefix, and
         # fails at 23, the last n of the first row.
-        table[7] = 2
-        cert_23 = dataclasses.replace(cert, table=tuple(table))
+        cert_23 = dataclasses.replace(cert, entries=entries + (CoverEntry(7, 16, 7),))
+        assert [r for r, idx in enumerate(cert_23.table) if idx is not None] == [7, 8, 9, 15]
         for c, n_bad in ((cert, 31), (cert_23, 23)):
             for n_max in (n_bad - 1, n_bad, 100):
                 expected = n_bad if n_max >= n_bad else None
@@ -473,6 +460,7 @@ class TestFamily:
             cover.generate_family(Candidate(78557, 1), SELFRIDGE_COVER, 0)
 
     def test_family_keeps_entry_table(self, selfridge_cert):
+        # Equal entries and L give equal derived tables.
         derived = cover.generate_family(Candidate(78557, 1), SELFRIDGE_COVER, 3)
         assert derived == cover.verify_cover(derived.candidate, SELFRIDGE_COVER)
         assert derived.entries == selfridge_cert.entries
@@ -486,7 +474,7 @@ class TestSerialization:
         assert doc["sign"] == 1
         assert doc["lcm"] == "36"
         assert doc["entries"][6] == {"d": "73", "b": "9", "c": "3"}
-        assert len(doc["table"]) == 36
+        assert "table" not in doc
         assert doc["divisor_primality_flags"] == [True] * 7
         assert doc["tool_version"] == cover.TOOL_VERSION
 
@@ -500,19 +488,16 @@ class TestSerialization:
         assert cover.check_certificate_facts(selfridge_cert) is None
 
     def test_facts_check_refuses_a_misshapen_table(self, selfridge_cert):
-        # Certificates built in process skip the parser's shape checks, so
-        # the proof itself must refuse a table with a hole or a bad index.
-        table = selfridge_cert.table
-        for doctored, problem in (
-            ((None,) + table[1:], "no valid entry index at claimed residue 0"),
-            (table[:-1], "35 slots"),
-            (table + (0,), "37 slots"),
-            ((7,) + table[1:], "no valid entry index at claimed residue 0"),
-            ((-7,) + table[1:], "no valid entry index at claimed residue 0"),
-            ((False,) + table[1:], "no valid entry index at claimed residue 0"),
+        # Certificates built in process skip verify_cover's hole check, so
+        # the proof itself must refuse a derived table with a hole: without
+        # 73 (residue 3) or 37 (residue 27), L is still 36.
+        entries = selfridge_cert.entries
+        for kept, problem in (
+            (entries[:-1], "uncovered residue 3 (mod 36)"),
+            (entries[:5] + entries[6:], "uncovered residue 27 (mod 36)"),
         ):
-            cert = dataclasses.replace(selfridge_cert, table=doctored)
-            assert problem in cover.check_certificate_facts(cert)
+            cert = dataclasses.replace(selfridge_cert, entries=kept)
+            assert cover.check_certificate_facts(cert) == problem
 
     def test_proof_refutes_exactly_when_facts_or_deep_audit_do(self):
         def refutation(cert):
@@ -538,14 +523,12 @@ class TestSerialization:
             with_entry = lambda new: dataclasses.replace(  # noqa: E731
                 cert, entries=cert.entries[:i] + (new,) + cert.entries[i + 1:]
             )
-            table = list(cert.table)
-            r = rng.choice([r for r, idx in enumerate(table) if idx is not None])
-            table[r] = rng.randrange(len(cert.entries))
+            r = rng.choice([r for r, idx in enumerate(cert.table) if idx is not None])
             for doctored in (
                 cert,
                 with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b)),
                 with_entry(dataclasses.replace(e, d=cert.candidate.term(e.c))),
-                dataclasses.replace(cert, table=tuple(table)),
+                with_slot(cert, r, rng.randrange(len(cert.entries))),
             ):
                 expected = refutation(doctored)
                 assert cover.check_certificate_facts(doctored) == expected
@@ -562,16 +545,19 @@ class TestSerialization:
 
     def test_malformed_documents_rejected(self, selfridge_cert):
         good = cover.certificate_to_dict(selfridge_cert)
+        table = list(selfridge_cert.table)
         for breakage in (
             lambda d: d.pop("k"),
             lambda d: d.update(k="78,557"),
             lambda d: d.update(entries=[]),
-            lambda d: d.update(table=[0] * 35),
+            lambda d: d["entries"][0].update(b="0"),
+            lambda d: d.update(lcm=str(check.MAX_LCM + 1)),
+            lambda d: d.update(table=table[:-1]),  # a stated table must be the derived one
             lambda d: d.update(table=["x"] * 36),
+            lambda d: d.update(table=[True if t == 1 else t for t in table]),
             lambda d: d.update(divisor_primality_flags=[True]),
             lambda d: d.update(sign=True),
             lambda d: d.update(sign=1.0),
-            lambda d: d["table"].__setitem__(1, True),
             lambda d: d.update(divisor_primality_flags=[1] * 7),
             lambda d: d.update(divisor_primality_flags=["yes"] * 7),
             lambda d: d.update(k="\u0667\u0668\u0665\u0665\u0667"),  # Arabic-Indic 78557
@@ -583,71 +569,6 @@ class TestSerialization:
             breakage(doc)
             with pytest.raises(cover.CertificateFormatError):
                 cover.certificate_from_dict(doc)
-
-
-def json_oracle(doc) -> str:
-    """The canonical layout, written by json's own indent encoder."""
-    return json.dumps(doc, indent=2) + "\n"
-
-
-# Strings that would split a naive re-indent or need escapes.
-AWKWARD_TEXT = st.sampled_from(
-    [", ", '"a", "b"', "x\ny", "tab\there", "\\", "caf\u00e9 \u4e2d \U0001f600", "]", ""]
-)
-JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(2**512), max_value=2**512)
-    | st.floats()
-    | st.text()
-    | AWKWARD_TEXT
-)
-# Flat lists take the writer's one-call path: ints of any size mixed with
-# bools and None.
-FLAT_LISTS = st.lists(st.none() | st.booleans() | st.integers(min_value=-(2**200), max_value=2**200))
-JSON_VALUES = st.recursive(
-    JSON_SCALARS | FLAT_LISTS,
-    lambda children: st.lists(children, max_size=6)
-    | st.dictionaries(st.text() | AWKWARD_TEXT, children, max_size=6),
-    max_leaves=40,
-)
-
-
-class TestCanonicalJson:
-    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    @given(JSON_VALUES)
-    def test_matches_json_indent_encoder(self, doc):
-        assert cover.dumps_json(doc) == json_oracle(doc)
-
-    def test_nested_empty_containers(self):
-        doc = {"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "e": [None, True, 0, -(2**70)]}
-        assert cover.dumps_json(doc) == json_oracle(doc)
-        assert cover.dumps_json([]) == "[]\n"
-
-    def test_every_corpus_certificate(self):
-        for record in dataset.load_corpus(dataset.default_corpus_path()):
-            for sign, divisors in record.covers:
-                if record.root is None:
-                    cert = cover.verify_cover(Candidate(record.k, sign), divisors)
-                    text, doc = cover.certificate_to_json(cert), cover.certificate_to_dict(cert)
-                else:
-                    case_type = algebraic.FourthPowerCase if sign == 1 else algebraic.SquareCase
-                    cert = algebraic.build_algebraic_certificate(case_type(record.root, divisors))
-                    text = algebraic.certificate_to_json(cert)
-                    doc = algebraic.certificate_to_dict(cert)
-                assert text == json_oracle(doc), (record.k, sign)
-
-    def test_random_covers(self):
-        written = 0
-        for candidate, divisors, predicate in random_divisor_sets():
-            try:
-                cert = cover.verify_cover(candidate, divisors, predicate)
-            except UncoveredResidueError:
-                continue
-            assert cover.certificate_to_json(cert) == json_oracle(cover.certificate_to_dict(cert))
-            written += 1
-        assert written  # some of the sets cover their predicate
 
 
 def test_eq2_identity_exactness_randomized():

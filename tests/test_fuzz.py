@@ -3,8 +3,10 @@
 Each certificate mutation spoils one field of a valid document (drops a
 key, retypes a value, writes decimals in another script, cuts or grows a
 list) or restates L, so `coverscope audit` must answer 1 (refuted) or 2
-(malformed) and never raise.  Corpus mutations edit bundled lines at
-random; parse_corpus must return records or raise CorpusError.
+(malformed) and never raise.  The documents are the certificates written
+now and one written by tool_version 0.1.0, which states its residue table.
+Corpus mutations edit bundled lines at random; parse_corpus must return
+records or raise CorpusError.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,7 @@ COVERLESS_DOC = algebraic.certificate_to_dict(
         algebraic.FourthPowerCase(44745755, (3, 17, 97, 241, 257, 673)), 20
     )
 )
+V1_FULL_DOC = json.loads((Path(__file__).parent / "fixtures/v1/78557s.json").read_text())
 OTHER_SCRIPT = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
@@ -70,7 +74,8 @@ def spoiled_documents(draw, base):
     for key in path[:-1]:
         parent = parent[key]
     key = path[-1]
-    if isinstance(key, str) and draw(st.booleans()):
+    # A certificate without its table is the current format, not a spoiled one.
+    if isinstance(key, str) and key != "table" and draw(st.booleans()):
         del parent[key]
     else:
         parent[key] = draw(st.sampled_from(_spoiled(parent[key])))
@@ -79,17 +84,21 @@ def spoiled_documents(draw, base):
 
 @st.composite
 def restated_lcm(draw, base):
-    """L doubled along with the table, or cut to a multiple of every
-    predicate modulus that is too small for the periods."""
+    """L doubled, or cut to a multiple of every predicate modulus that is too
+    small for the periods; a stated table follows it, so it stays the
+    derived one."""
     doc = json.loads(json.dumps(base))
     cert = doc.get("partial_cover_certificate", doc)
+    table = cert.get("table")
     if draw(st.booleans()):
         cert["lcm"] = str(2 * int(cert["lcm"]))
-        cert["table"] = cert["table"] * 2
+        if table:
+            cert["table"] = table * 2
     else:
         lcm = draw(st.sampled_from([4, 12]))
         cert["lcm"] = str(lcm)
-        cert["table"] = cert["table"][:lcm]
+        if table:
+            cert["table"] = table[:lcm]
     if "audited_n_max" in doc:
         doc["audited_n_max"] = draw(st.integers(1, 20))
     return doc
@@ -107,16 +116,19 @@ def _audit(doc):
 def test_unspoiled_documents_audit_ok():
     assert _audit(FULL_DOC) == 0
     assert _audit(COVERLESS_DOC) == 0
+    assert _audit(V1_FULL_DOC) == 0
 
 
 @FUZZ
-@given(st.one_of(spoiled_documents(FULL_DOC), spoiled_documents(COVERLESS_DOC)))
+@given(st.one_of(
+    spoiled_documents(FULL_DOC), spoiled_documents(COVERLESS_DOC), spoiled_documents(V1_FULL_DOC)
+))
 def test_spoiled_certificate_is_refuted_or_rejected(doc):
     assert _audit(doc) in (1, 2)
 
 
 @FUZZ
-@given(st.one_of(restated_lcm(FULL_DOC), restated_lcm(COVERLESS_DOC)))
+@given(st.one_of(restated_lcm(FULL_DOC), restated_lcm(COVERLESS_DOC), restated_lcm(V1_FULL_DOC)))
 def test_restated_lcm_is_refuted(doc):
     assert _audit(doc) == 1
 
