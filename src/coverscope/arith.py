@@ -1,6 +1,6 @@
 """Exact integer arithmetic for the verification engine.
 
-Multiplicative order, offset (discrete-log style) search, and primality
+Period and offset of a divisor (one bounded discrete-log walk), and primality
 testing with checkable evidence.  Everything is pure Python, exact, and
 float-free.
 """
@@ -40,10 +40,6 @@ MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 MR_PROBABILISTIC_ROUNDS = 40
 
-# Above this, the order search for prime d switches from a linear scan to
-# testing divisors of d-1; an optimization only, same minimal result.
-ORDER_LINEAR_SCAN_LIMIT = 10**6
-
 # A first-prime scan crosses out every term with an odd prime factor up to
 # this bound before any primality test.  Measured at 128..16384 (CHANGES.md)
 # under a single gcd with the whole product per term: above 1024 that gcd
@@ -79,76 +75,52 @@ class PrimalityResult:
     rounds: int = 0
 
 
-def multiplicative_order(base: int, d: int) -> int:
-    """Least b >= 1 with base**b == 1 (mod d), for odd d >= 3 coprime to base.
+def order_and_offset(k: int, sign: int, d: int, bound: int) -> tuple[int, int | None] | None:
+    """(b, c) for odd d >= 3, or None when b > bound.
 
-    Linear scan over b = 1..d-1 (the order always lands in that range);
-    for primes past ORDER_LINEAR_SCAN_LIMIT the scan is replaced by
-    stripping prime factors from d-1, which the order must divide.
-    """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"d must be odd and >= 3, got {d}")
-    if math.gcd(base, d) != 1:
-        raise ValueError(f"no multiplicative order: gcd({base}, {d}) != 1")
-    if d > ORDER_LINEAR_SCAN_LIMIT and is_prime(d).is_prime:
-        return _order_by_factoring(base, d)
-    x = base % d
-    for b in range(1, d):
-        if x == 1:
-            return b
-        x = x * base % d
-    raise AssertionError("order must exist when gcd(base, d) == 1")
-
-
-def _order_by_factoring(base, d):
-    # Order divides d-1 for prime d; strip each prime factor while the
-    # power still fixes 1.
-    order = d - 1
-    for p in _trial_factorize(d - 1):
-        while order % p == 0 and pow(base, order // p, d) == 1:
-            order //= p
-    return order
-
-
-def _trial_factorize(n):
-    """Distinct prime factors of n by trial division (desk-scale n only)."""
-    factors = []
-    for p in (2, 3):
-        if n % p == 0:
-            factors.append(p)
-            while n % p == 0:
-                n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                factors.append(p)
-                while n % p == 0:
-                    n //= p
-        f += 6
-    if n > 1:
-        factors.append(n)
-    return factors
-
-
-def find_offset(k: int, sign: int, d: int, b: int) -> int | None:
-    """Least c in 0..b-1 with d | k*2**c + sign, or None when no such c.
-
-    b is expected to be multiplicative_order(2, d): any c that works is then
-    already congruent to one in 0..b-1.
+    b is ord_d(2) and c the least c in 0..b-1 with d | k*2**c + sign, or
+    None when there is no such c.  One baby-step giant-step walk (Shanks
+    1971) of y = k*2**j mod d decides both in at most about 2*sqrt(bound)
+    steps, with no factoring: when y returns to k mod d within the
+    isqrt(bound) + 1 baby steps, that step is b and c is the index of
+    -sign mod d in the walk; otherwise every baby step is distinct, and
+    giant steps of 2**-m from k and from -sign meet them at b and at c.
+    When gcd(k, d) > 1 no term is divisible by d, and the walk runs over
+    2**j from 1 with a target, d, that no residue equals.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if d < 3 or d % 2 == 0:
         raise ValueError(f"d must be odd and >= 3, got {d}")
-    if b < 1:
-        raise ValueError(f"period must be >= 1, got {b}")
-    x = k % d
-    target = d - 1 if sign > 0 else 1
-    for c in range(b):
-        if x == target:
-            return c
-        x = 2 * x % d
+    start, target = k % d, -sign % d
+    if math.gcd(start, d) != 1:
+        start, target = 1, d
+    m = math.isqrt(bound) + 1
+    walk = []  # walk[j] = start*2**j mod d
+    y = start
+    for b in range(1, m + 1):
+        walk.append(y)
+        y = 2 * y % d
+        if y == start:
+            if b > bound:
+                return None
+            return b, walk.index(target) if target in walk else None
+    # The order is above m, so the m baby steps are distinct residues.
+    baby = {y: j for j, y in enumerate(walk)}
+    c = baby.get(target)
+    giant = pow(2, -m, d)
+    x, t = start, target
+    for i in range(1, bound // m + 1):
+        if c is None:
+            t = t * giant % d
+            j = baby.get(t)
+            if j is not None:
+                c = i * m + j
+        x = x * giant % d
+        j = baby.get(x)
+        if j is not None:
+            b = i * m + j
+            return (b, c) if b <= bound else None
     return None
 
 

@@ -33,7 +33,8 @@ MAX_AUDIT_N = 100_000
 
 # Largest L a certificate may state or a cover may reach.  The residue table
 # is derived, one slot per residue mod L, so this bound keeps every exponent
-# that reaches pow, and every allocation, below 10^7.
+# that reaches pow, and every allocation, below 10^7.  It also caps the walk
+# that finds each divisor's period and offset at about 2*sqrt(MAX_LCM) steps.
 MAX_LCM = 10**7
 # Most residues mod L the entries may claim, once per entry: deriving the
 # table writes one slot per claim, 0.8 s at this bound (2 vCPUs, Python 3.11).

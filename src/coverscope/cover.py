@@ -74,19 +74,20 @@ def _require_cover_k(candidate):
 
 
 def build_entry(candidate: Candidate, d: int) -> CoverEntry:
-    """Period and minimal offset for one divisor.
+    """Period and minimal offset for one divisor, from one walk bounded by
+    MAX_LCM (arith.order_and_offset).
 
     Raises NoOffsetError when d divides no term (in particular whenever
     d | k, since then every term is sign mod d), and ValueError for a period
-    above MAX_LCM, before the offset search.
+    above MAX_LCM, which the bounded walk finds without learning the period.
     """
     _require_cover_k(candidate)
     if d < 3 or d % 2 == 0:
         raise ValueError(f"cover divisors must be odd and >= 3, got {d}")
-    b = arith.multiplicative_order(2, d)
-    if b > MAX_LCM:
-        raise ValueError(f"divisor {d} has period {b}, above the bound {MAX_LCM} on L")
-    c = arith.find_offset(candidate.k, candidate.sign, d, b)
+    walk = arith.order_and_offset(candidate.k, candidate.sign, d, MAX_LCM)
+    if walk is None:
+        raise ValueError(f"divisor {d} has period above the bound {MAX_LCM} on L")
+    b, c = walk
     if c is None:
         raise NoOffsetError(d, candidate.k, candidate.sign)
     return CoverEntry(d, b, c)
@@ -100,7 +101,8 @@ def verify_cover(
 
     Raises NoOffsetError (naming the divisor) or UncoveredResidueError
     (naming the smallest claimed residue mod L left open), and ValueError
-    for an L above MAX_LCM or more than MAX_CLAIMS claimed residues.
+    for a divisor's period or L above MAX_LCM, or more than MAX_CLAIMS
+    claimed residues.
     Deterministic: each residue takes the first matching entry in cover order.
     """
     if predicate not in PREDICATES:

@@ -192,7 +192,7 @@ def test_criterion_8_negative_controls(corpus):
 def test_criterion_9_property_suites():
     with criterion(9, "order/mod-pow/primality property suites and determinism"):
         for d in range(3, 1000, 2):
-            b = arith.multiplicative_order(2, d)
+            b, _ = arith.order_and_offset(1, 1, d, cover.MAX_LCM)
             assert pow(2, b, d) == 1
             for j in range(1, b):
                 assert pow(2, j, d) != 1

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from coverscope import arith
+from coverscope.check import MAX_LCM
 from oracles import (
     factorize_naive,
     jacobi_naive,
@@ -40,62 +41,96 @@ class TestModPow:
         assert pow(base, 10**30, modulus) == pow(half, 10**15, modulus)
 
 
+BOUNDS = (1, 2, 3, 10, 50, 1000, MAX_LCM)
+
+
+def period(d):
+    return arith.order_and_offset(1, 1, d, MAX_LCM)[0]
+
+
 class TestMultiplicativeOrder:
+    """The period half of order_and_offset: b = ord_d(2)."""
+
     def test_known_values(self):
-        assert arith.multiplicative_order(2, 3) == 2
-        assert arith.multiplicative_order(2, 73) == 9
-        assert arith.multiplicative_order(2, 241) == 24
+        assert period(3) == 2
+        assert period(73) == 9
+        assert period(241) == 24
 
     def test_no_order_when_not_coprime(self):
-        with pytest.raises(ValueError):
-            arith.multiplicative_order(6, 9)
+        # 2 is a unit mod every odd d, so the period exists even when k shares
+        # a factor with d; only the offset is then absent.
+        assert arith.order_and_offset(6, 1, 9, MAX_LCM) == (6, None)
+        assert arith.order_and_offset(9, -1, 9, MAX_LCM) == (6, None)
 
     def test_rejects_even_or_small_d(self):
         with pytest.raises(ValueError):
-            arith.multiplicative_order(2, 8)
+            arith.order_and_offset(1, 1, 8, MAX_LCM)
         with pytest.raises(ValueError):
-            arith.multiplicative_order(2, 1)
+            arith.order_and_offset(1, 1, 1, MAX_LCM)
 
     def test_divides_d_minus_1_for_primes(self):
         # Fermat: 2^(d-1) == 1 (mod d), so the order divides d-1.
         for d in range(3, 1000, 2):
             if trial_division_prime(d):
-                assert (d - 1) % arith.multiplicative_order(2, d) == 0
+                assert (d - 1) % period(d) == 0
 
     def test_minimality_exhaustive(self):
         for d in range(3, 1000, 2):
-            b = arith.multiplicative_order(2, d)
+            b = period(d)
             assert b == order_naive(2, d)
             assert pow(2, b, d) == 1
             for j in range(1, b):
                 assert pow(2, j, d) != 1
 
-    def test_factoring_path_matches_scan(self):
-        # Primes beyond the linear-scan threshold take the divisors-of-(d-1)
-        # route; same minimal order.
+    def test_large_primes_have_minimal_periods(self):
         for d in (1000003, 6700417, 2147483647):
             assert trial_division_prime(d)
-            got = arith.multiplicative_order(2, d)
+            got = period(d)
             assert pow(2, got, d) == 1
             # minimality via the divisor lattice of the order itself
             for p in factorize_naive(got):
                 assert pow(2, got // p, d) != 1
-        assert arith.multiplicative_order(2, 6700417) == 64
+        assert period(6700417) == 64
+        assert period(1000003) == 1000002
+
+    def test_giant_phase_at_the_real_bound(self):
+        # 10007 is prime with ord(2) = 5003, past the isqrt(MAX_LCM) + 1 =
+        # 3163 baby steps, so both period and offset come from giant steps.
+        d = 10007
+        assert order_naive(2, d) == 5003 > math.isqrt(MAX_LCM) + 1
+        for k, sign in ((78557, 1), (78557, -1), (3 * 2**4000 + 1, 1), (10**12 + 39, -1)):
+            b, c = arith.order_and_offset(k, sign, d, MAX_LCM)
+            assert b == 5003
+            assert c == offset_naive(k, sign, d, b)
+        # k = 2**-c reaches 1 (sign -1) at exactly c: 1000 is within the
+        # 3163 baby steps, 4000 is past them and so found by a giant step.
+        assert arith.order_and_offset(pow(2, -1000, d), -1, d, MAX_LCM) == (5003, 1000)
+        assert arith.order_and_offset(pow(2, -4000, d), -1, d, MAX_LCM) == (5003, 4000)
+
+    def test_period_above_the_bound_is_none(self):
+        # ord(2) mod 1000003 is 1000002; the walk stops at the bound without
+        # learning it, and so it does for the hang inputs past 10^12.
+        assert arith.order_and_offset(78557, 1, 1000003, 1000001) is None
+        assert arith.order_and_offset(78557, 1, 1000003, 1000002) == (1000002, 559206)
+        for d in (1000000000039, 1000003 * 1000033, 1208925819614629174708367):
+            assert arith.order_and_offset(78557, 1, d, MAX_LCM) is None
 
 
 class TestFindOffset:
+    """The offset half of order_and_offset: the least c in 0..b-1 with
+    d | k*2**c + sign."""
+
     def test_known_values(self):
-        assert arith.find_offset(78557, 1, 5, 4) == 1
-        assert arith.find_offset(78557, 1, 73, 9) == 3
-        assert arith.find_offset(509203, -1, 3, 2) == 0
+        assert arith.order_and_offset(78557, 1, 5, MAX_LCM) == (4, 1)
+        assert arith.order_and_offset(78557, 1, 73, MAX_LCM) == (9, 3)
+        assert arith.order_and_offset(509203, -1, 3, MAX_LCM) == (2, 0)
 
     def test_absent(self):
-        assert arith.multiplicative_order(2, 23) == 11
-        assert arith.find_offset(78557, 1, 23, 11) is None
+        assert arith.order_and_offset(78557, 1, 23, MAX_LCM) == (11, None)
 
     def test_divisor_of_k_has_no_offset(self):
         # 17 | 78557, so every term is 1 mod 17
-        assert arith.find_offset(78557, 1, 17, 8) is None
+        assert arith.order_and_offset(78557, 1, 17, MAX_LCM) == (8, None)
 
     def test_minimality_and_validity(self):
         rng = random.Random(123)
@@ -103,8 +138,7 @@ class TestFindOffset:
             d = rng.randrange(3, 2000) | 1
             k = rng.randrange(1, 10**12) | 1
             sign = rng.choice((1, -1))
-            b = order_naive(2, d) or (d - 1)
-            c = arith.find_offset(k, sign, d, b)
+            b, c = arith.order_and_offset(k, sign, d, MAX_LCM)
             assert c == offset_naive(k, sign, d, b)
             if c is not None:
                 assert (k * 2**c + sign) % d == 0
@@ -112,22 +146,38 @@ class TestFindOffset:
         # rotation of k's 89 bits.  The first two k have offsets 49 and 30.
         d = 2**89 - 1
         for k, sign in ((d - 2**40, 1), (d + 2**59, -1), (10**12 + 39, 1), (10**12 + 39, -1)):
-            c = arith.find_offset(k, sign, d, 89)
+            b, c = arith.order_and_offset(k, sign, d, MAX_LCM)
+            assert b == 89
             assert c == offset_naive(k, sign, d, 89)
             if c is not None:
                 assert (k * 2**c + sign) % d == 0
 
     def test_bignum_k(self):
         a = 3896845303873881175159314620808887046066972469809
-        b = arith.multiplicative_order(2, 7)
-        c = arith.find_offset(a * a, -1, 7, b)
+        b, c = arith.order_and_offset(a * a, -1, 7, MAX_LCM)
+        assert b == 3
         assert c is not None and (a * a * 2**c - 1) % 7 == 0
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            arith.find_offset(5, 2, 7, 3)
+            arith.order_and_offset(5, 2, 7, MAX_LCM)
         with pytest.raises(ValueError):
-            arith.find_offset(5, 1, 4, 2)
+            arith.order_and_offset(5, 1, 4, MAX_LCM)
+
+
+def test_order_and_offset_match_the_oracles_at_every_bound():
+    # A bound below the period makes the walk take giant steps and then
+    # give up: the only way an odd d < 1000 reaches those branches.
+    rng = random.Random(13)
+    for d in range(3, 1000, 2):
+        b = order_naive(2, d)
+        for k in (rng.randrange(1, 10**12), d * rng.randrange(1, 10**6),
+                  3 * rng.randrange(1, 10**6), 5 * rng.randrange(1, 10**6)):
+            for sign in (1, -1):
+                c = offset_naive(k, sign, d, b)
+                for bound in BOUNDS:
+                    want = (b, c) if b <= bound else None
+                    assert arith.order_and_offset(k, sign, d, bound) == want, (k, sign, d, bound)
 
 
 class TestLcmAll:
@@ -427,13 +477,16 @@ class TestDispatcher:
 
 
 def test_order_exists_iff_coprime_property():
+    # ord_d(2) exists for every odd d, and an offset needs k to be a unit
+    # mod d: gcd(k, d) divides k*2**c, so it divides the sign too.
     rng = random.Random(42)
     for _ in range(200):
         d = rng.randrange(3, 3000) | 1
-        base = rng.randrange(2, 10**6)
-        if math.gcd(base, d) == 1:
-            b = arith.multiplicative_order(base, d)
-            assert pow(base, b, d) == 1
+        k = rng.randrange(2, 10**6)
+        sign = rng.choice((1, -1))
+        b, c = arith.order_and_offset(k, sign, d, MAX_LCM)
+        assert b == order_naive(2, d)
+        if math.gcd(k, d) != 1:
+            assert c is None
         else:
-            with pytest.raises(ValueError):
-                arith.multiplicative_order(base, d)
+            assert c == offset_naive(k, sign, d, b)

@@ -590,9 +590,30 @@ class TestLcmBound:
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err == (
-            "error: divisor 1000000000039 has period 500000000019, "
-            f"above the bound {check.MAX_LCM} on L\n"
+            f"error: divisor 1000000000039 has period above the bound {check.MAX_LCM} on L\n"
         )
+
+    @pytest.mark.parametrize("d", [
+        1000036000099,  # 1000003 * 1000033, composite
+        1208925819614629174708367,  # prime, d - 1 = 2q with q an 80-bit prime
+    ])
+    def test_big_divisors_exit_2_quickly(self, capsys, d):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--k", "78557", "--sign", "s", "--cover", f"{SELFRIDGE},{d}",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: divisor {d} has period above the bound {check.MAX_LCM} on L\n"
+
+    def test_a_corpus_line_with_a_big_divisor_fails_quickly(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"S 78557 {SELFRIDGE},1000036000099\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify-dataset", "--corpus", str(corpus))
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert f"divisor 1000036000099 has period above the bound {check.MAX_LCM} on L" in out
 
     def test_an_l_below_the_bound_is_built(self, capsys):
         code, out, _ = run(
