@@ -15,7 +15,7 @@ import importlib
 # `import coverscope.check` loads the trusted checker and nothing else.
 _HOMES = {
     "algebraic": ("AlgebraicCertificate", "FourthPowerCase", "SquareCase",
-                  "build_algebraic_certificate", "fourth_power_factor", "square_factor"),
+                  "build_algebraic_certificate", "family_factor"),
     "arith": ("PrimalityResult", "is_prime", "proth_test"),
     "cover": ("TOOL_VERSION", "Candidate", "CoverCertificate", "CoverEntry", "NoOffsetError",
               "UncoveredResidueError", "VerificationError", "build_entry", "generate_family",

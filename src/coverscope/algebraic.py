@@ -1,16 +1,17 @@
 """Coverless numbers: partial covers plus exact algebraic factor families.
 
-Two families are supported.  For k = i^4 (sign +1), exponents n != 2 (mod 4)
-fall to a partial cover, and for n == 2 (mod 4) the term is 4*(i*2^m)^4 + 1
-with m = n//4, which splits as (2x^2+2x+1)(2x^2-2x+1); the larger half
-A*2^(2m) + B*2^m + 1 (A = 2i^2, B = 2i) is the emitted factor.  For k = a^2
-(sign -1), odd exponents fall to a partial cover and even n give the
-difference of squares (a*2^(n/2) + 1)(a*2^(n/2) - 1).
+One family per sign.  For k = i^4 (sign +1), n != 2 (mod 4) fall to a
+partial cover, and n == 2 (mod 4) give 4x^4 + 1 = (2x^2+2x+1)(2x^2-2x+1)
+at x = i*2^m, m = n//4, whose larger half A*2^(2m) + B*2^m + 1 (A = 2i^2,
+B = 2i) is the emitted factor.  For k = a^2 (sign -1), odd n fall to a
+partial cover and even n to the difference of squares x^2 - 1, x = a*2^(n/2).
 
 The partial cover is an ordinary coverscope.cover certificate whose
 predicate claims exactly the exponents the factor family leaves out.  The
-cases, the AlgebraicCertificate that joins the two halves, its parser and
-its proof live in coverscope.check; this module builds and writes them.
+cases (CoverlessCase subclasses, paired with their sign in CASE_BY_SIGN),
+the AlgebraicCertificate that joins the two halves, its parser and proof,
+and the one split function family_factor live in coverscope.check; this
+module builds and writes them.
 """
 
 from coverscope import check, cover
@@ -26,9 +27,8 @@ from coverscope.check import (  # noqa: F401
     FourthPowerCase,
     SquareCase,
     VerificationError,
+    family_factor,
     first_coverless_failure,
-    fourth_power_factor,
-    square_factor,
 )
 from coverscope.check import algebraic_certificate_from_dict as certificate_from_dict  # noqa: F401
 from coverscope.check import check_algebraic_certificate_facts as check_certificate_facts  # noqa: F401

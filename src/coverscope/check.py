@@ -150,15 +150,12 @@ class CoverCertificate:
 
 
 @dataclass(frozen=True)
-class FourthPowerCase:
-    """k = root**4 with a partial cover for n != 2 (mod 4)."""
+class CoverlessCase:
+    """k = root**power with a partial cover for the n its predicate claims;
+    a subclass states the factor family that splits every other n >= 2."""
 
     root: int
     partial_cover: tuple[int, ...]
-
-    kind = KIND_FOURTH_POWER
-    sign = 1
-    predicate = PREDICATE_MOD4_NE_2
 
     def __post_init__(self):
         if self.root < 1:
@@ -167,38 +164,49 @@ class FourthPowerCase:
 
     @property
     def k(self) -> int:
-        return self.root**4
+        return self.root**self.power
 
+
+class FourthPowerCase(CoverlessCase):
+    """k = root**4 with a partial cover for n != 2 (mod 4); at
+    x = root*2^(n//4) the rest is 4x^4 + 1 = (2x^2+2x+1)(2x^2-2x+1)."""
+
+    kind = KIND_FOURTH_POWER
+    sign = SIGN_SIERPINSKI
+    predicate = PREDICATE_MOD4_NE_2
+    power = 4
+
+    @staticmethod
+    def halves(x: int) -> tuple[int, int]:
+        hi = 2 * x * x
+        return hi + 2 * x + 1, hi - 2 * x + 1
+
+    # The emitted half is A*2^(2m) + B*2^m + 1, m = n//4; certificates state A and B.
     @property
     def A(self) -> int:
-        """Quadratic coefficient of the residual factor: 2 * root**2."""
         return 2 * self.root * self.root
 
     @property
     def B(self) -> int:
-        """Linear coefficient of the residual factor: 2 * root."""
         return 2 * self.root
 
 
-@dataclass(frozen=True)
-class SquareCase:
-    """k = root**2 with a partial cover for odd n."""
-
-    root: int
-    partial_cover: tuple[int, ...]
+class SquareCase(CoverlessCase):
+    """k = root**2 with a partial cover for odd n; at x = root*2^(n/2) the
+    rest is x^2 - 1 = (x+1)(x-1)."""
 
     kind = KIND_SQUARE
-    sign = -1
+    sign = SIGN_RIESEL
     predicate = PREDICATE_ODD
+    power = 2
 
-    def __post_init__(self):
-        if self.root < 1:
-            raise ValueError(f"root must be positive, got {self.root}")
-        object.__setattr__(self, "partial_cover", tuple(self.partial_cover))
+    @staticmethod
+    def halves(x: int) -> tuple[int, int]:
+        return x + 1, x - 1
 
-    @property
-    def k(self) -> int:
-        return self.root * self.root
+
+# The one place a sign is paired with its factor family.
+CASE_BY_SIGN = {SIGN_SIERPINSKI: FourthPowerCase, SIGN_RIESEL: SquareCase}
 
 
 @dataclass(frozen=True)
@@ -206,7 +214,7 @@ class AlgebraicCertificate:
     """Partial cover plus the algebraic factor family, and the depth of the
     term-by-term cross-check run when it was built."""
 
-    case: FourthPowerCase | SquareCase
+    case: CoverlessCase
     partial: CoverCertificate
     audited_n_max: int
 
@@ -309,11 +317,9 @@ def algebraic_certificate_from_dict(doc: dict) -> AlgebraicCertificate:
     """Rebuild a coverless certificate; its kind fixes the partial cover's
     predicate, and root fixes k and the factor coefficients."""
     kind = doc.get("kind")
-    if kind == KIND_FOURTH_POWER:
-        case_type = FourthPowerCase
-    elif kind == KIND_SQUARE:
-        case_type = SquareCase
-    else:
+    # ==, not a dict lookup: a JSON kind may be an unhashable list or object.
+    case_type = next((t for t in CASE_BY_SIGN.values() if t.kind == kind), None)
+    if case_type is None:
         raise CertificateFormatError(f"unknown kind {kind!r}")
     sign = _parse_sign(doc)
     root = _parse_decimal(doc, "root")
@@ -511,58 +517,36 @@ def _first_residue_failure(certificate: CoverCertificate, depth: int, n_max: int
     return None
 
 
-def fourth_power_factor(case: FourthPowerCase, n: int) -> int:
-    """Residual factor A*2^(2m) + B*2^m + 1, m = n//4, for n == 2 (mod 4).
+def family_factor(case: CoverlessCase, n: int) -> int:
+    """The emitted factor of k*2^n + sign for an n >= 2 the case's predicate
+    leaves out: the first of case.halves(x), x = root*2^(n//power).
 
-    Re-derives the whole split on every call: the cofactor
-    A*2^(2m) - B*2^m + 1 must reconstruct k*2^n + 1 exactly, and the factor
-    must be proper (1 < F < term; equality only threatens degenerate tiny
-    roots, and is a hard failure).
+    Re-derives the whole split on every call: the two halves must multiply
+    back to the term exactly, and the emitted half must be proper
+    (1 < F < term; only root 1 at n = 2 fails, and it is a hard failure).
     """
-    if n < 2 or n % 4 != 2:
-        raise ValueError(f"fourth-power factor needs n == 2 (mod 4), got n={n}")
-    m = n // 4
-    hi = case.A << (2 * m)
-    lo = case.B << m
-    factor = hi + lo + 1
-    cofactor = hi - lo + 1
-    term = (case.k << n) + 1
+    modulus, claimed = PREDICATES[case.predicate]
+    if n < 2 or n % modulus in claimed:
+        raise ValueError(f"{case.kind} factor needs n >= 2 outside {case.predicate!r}, got n={n}")
+    factor, cofactor = case.halves(case.root << (n // case.power))
+    term = (case.k << n) + case.sign
     if factor * cofactor != term:
         raise VerificationError(f"factor split failed for k={case.k}, n={n}")
     if not 1 < factor < term:
-        raise VerificationError(
-            f"factor {factor} of term at n={n} is not a proper divisor"
-        )
-    return factor
-
-
-def square_factor(case: SquareCase, n: int) -> int:
-    """Factor root*2^(n/2) + 1 of k*2^n - 1 = (root*2^(n/2))^2 - 1, even n."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"square factor needs even n >= 2, got n={n}")
-    x = case.root << (n // 2)
-    factor = x + 1
-    term = (case.k << n) - 1
-    if factor * (x - 1) != term:
-        raise VerificationError(f"factor split failed for k={case.k}, n={n}")
-    if not 1 < factor < term:
-        raise VerificationError(
-            f"factor {factor} of term at n={n} is not a proper divisor"
-        )
+        raise VerificationError(f"factor {factor} of term at n={n} is not a proper divisor")
     return factor
 
 
 def first_coverless_failure(case, partial: CoverCertificate, n_max: int) -> int | None:
     """Smallest failing exponent in 1..n_max, or None: the partial cover's
-    witness audit for the n it claims, the bignum factor split for the rest.
-    The opt-in cross-check of a coverless proof, which trusts neither the
-    facts nor the coefficient argument."""
+    witness audit for the n it claims, family_factor's bignum split for the
+    rest.  The opt-in cross-check of a coverless proof, which trusts neither
+    the facts nor the coefficient argument."""
     n_bad = first_audit_failure(partial, n_max)
-    factor = fourth_power_factor if case.kind == KIND_FOURTH_POWER else square_factor
     for n in range(1, n_max + 1 if n_bad is None else n_bad):
         if partial.table[n % partial.lcm] is None:
             try:
-                factor(case, n)
+                family_factor(case, n)
             except VerificationError:
                 return n
     return n_bad

@@ -11,7 +11,7 @@ import json
 import sys
 
 from coverscope import algebraic, check, cover, dataset, disqualify
-from coverscope.check import Candidate, CertificateFormatError, VerificationError
+from coverscope.check import Candidate, VerificationError
 
 
 def _arg_int(text, what, minimum=None, odd=False, maximum=None):
@@ -211,17 +211,15 @@ def _audit_and_emit(cert, audit_n, args, header=""):
 
 
 def _algebraic_case(args):
-    if args.sign == 1 and args.partial == algebraic.PREDICATE_MOD4_NE_2:
-        case = algebraic.FourthPowerCase(args.root, args.cover)
-    elif args.sign == -1 and args.partial == algebraic.PREDICATE_ODD:
-        case = algebraic.SquareCase(args.root, args.cover)
-    else:
+    case_type = check.CASE_BY_SIGN[args.sign]
+    if args.partial != case_type.predicate:
         raise ValueError(
             "supported partial-cover forms: sign s with mod4ne2 (k = root^4) "
             "or sign r with odd (k = root^2)"
         )
+    case = case_type(args.root, args.cover)
     if case.k != args.k:
-        raise ValueError(f"k does not equal root^{4 if case.sign == 1 else 2}")
+        raise ValueError(f"k does not equal root^{case.power}")
     return case
 
 
@@ -286,16 +284,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CertificateFormatError, dataset.CorpusError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except VerificationError as exc:
         sys.stderr.write(f"not verified: {exc}\n")
         return 1
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # CertificateFormatError and dataset.CorpusError are ValueErrors.
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from coverscope import algebraic, cover
+from coverscope import algebraic, check, cover
 from coverscope.cover import Candidate, VerificationError
 
 KIND_S = "sierpinski-cover"
@@ -230,10 +230,7 @@ def _verify_record(record: CorpusRecord) -> RecordResult:
                     raise VerificationError(problem)
         else:
             sign, divisors = record.covers[0]
-            if record.kind == KIND_S4:
-                case = algebraic.FourthPowerCase(record.root, divisors)
-            else:
-                case = algebraic.SquareCase(record.root, divisors)
+            case = check.CASE_BY_SIGN[sign](record.root, divisors)
             cert = algebraic.build_algebraic_certificate(case)
             lcms.append(cert.partial.lcm)
     except (VerificationError, ValueError) as exc:

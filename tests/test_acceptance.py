@@ -152,7 +152,7 @@ def test_criterion_6_fourth_power_factorization():
                 assert term % factor == 0
                 assert factor * cofactor == term
                 assert 1 < factor < term
-                assert algebraic.fourth_power_factor(case, n) == factor
+                assert algebraic.family_factor(case, n) == factor
 
 
 def test_criterion_7_square_riesel(corpus):

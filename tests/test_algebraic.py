@@ -9,8 +9,7 @@ from coverscope.algebraic import (
     FourthPowerCase,
     SquareCase,
     build_algebraic_certificate,
-    fourth_power_factor,
-    square_factor,
+    family_factor,
 )
 from coverscope.cover import (
     Candidate,
@@ -51,11 +50,11 @@ class TestFourthPowerCase:
         assert CASE_B.B == 1468221230001550
 
     def test_factor_at_n2(self):
-        assert fourth_power_factor(CASE_A, 2) == 4004365270531561
+        assert family_factor(CASE_A, 2) == 4004365270531561
         assert (CASE_A.k * 4 + 1) % 4004365270531561 == 0
 
     def test_factor_at_n6(self):
-        f = fourth_power_factor(CASE_A, 6)
+        f = family_factor(CASE_A, 6)
         assert f == CASE_A.A * 4 + CASE_A.B * 2 + 1 == 16017460903143221
         assert (CASE_A.k * 2**6 + 1) % f == 0
 
@@ -63,7 +62,7 @@ class TestFourthPowerCase:
         for case in (CASE_A, CASE_B):
             for n in range(2, 203, 4):
                 m = n // 4
-                f = fourth_power_factor(case, n)
+                f = family_factor(case, n)
                 cofactor = case.A * 2 ** (2 * m) - case.B * 2**m + 1
                 assert f * cofactor == case.k * 2**n + 1
                 assert 1 < f < case.k * 2**n + 1
@@ -71,18 +70,19 @@ class TestFourthPowerCase:
     def test_wrong_residue_rejected(self):
         for n in (0, 1, 3, 4, 8, 200):
             with pytest.raises(ValueError):
-                fourth_power_factor(CASE_A, n)
+                family_factor(CASE_A, n)
 
     def test_degenerate_root_fails_strictness(self):
         # root 1: the "factor" at n=2 is the whole term 5
         with pytest.raises(VerificationError):
-            fourth_power_factor(FourthPowerCase(1, ()), 2)
+            family_factor(FourthPowerCase(1, ()), 2)
 
 
-class _FourthPowerAOffByTwo(FourthPowerCase):
-    @property
-    def A(self):
-        return 2 * self.root * self.root + 2
+class _FourthPowerHalfOffByTwo(FourthPowerCase):
+    @staticmethod
+    def halves(x):
+        factor, cofactor = FourthPowerCase.halves(x)
+        return factor + 2, cofactor
 
 
 class _SquareRootOffByOne(SquareCase):
@@ -92,44 +92,44 @@ class _SquareRootOffByOne(SquareCase):
 
 
 def test_factor_off_by_two_fails_the_split():
-    # At n = 2 the fourth-power factor is A + B + 1, so A + 2 moves it by 2;
-    # the square factor 2*root + 1 is 2 below the true 2*(root + 1) + 1.
+    # The fourth-power factor 2x^2 + 2x + 1 is moved up by 2; the square
+    # factor 2*root + 1 at n = 2 is 2 below the true 2*(root + 1) + 1.
     # The product identity alone must reject both.
-    for factor, case in (
-        (fourth_power_factor, _FourthPowerAOffByTwo(CASE_A.root, ())),
-        (square_factor, _SquareRootOffByOne(SQUARE_ROOT, ())),
-        (square_factor, _SquareRootOffByOne(3, ())),
+    for case in (
+        _FourthPowerHalfOffByTwo(CASE_A.root, ()),
+        _SquareRootOffByOne(SQUARE_ROOT, ()),
+        _SquareRootOffByOne(3, ()),
     ):
         with pytest.raises(VerificationError, match="factor split failed"):
-            factor(case, 2)
+            family_factor(case, 2)
 
 
 class TestSquareCase:
     def test_tiny_example(self):
         case = SquareCase(3, ())
-        assert square_factor(case, 2) == 7
+        assert family_factor(case, 2) == 7
         assert (9 * 4 - 1) % 7 == 0
 
     def test_big_root_small_n(self):
-        f = square_factor(CASE_SQ, 2)
+        f = family_factor(CASE_SQ, 2)
         assert f == 2 * SQUARE_ROOT + 1
         assert (4 * SQUARE_ROOT**2 - 1) % f == 0
 
     def test_big_root_n10(self):
-        f = square_factor(CASE_SQ, 10)
+        f = family_factor(CASE_SQ, 10)
         assert f == SQUARE_ROOT * 32 + 1
         assert (CASE_SQ.k * 1024 - 1) % f == 0
 
     def test_even_range(self):
         for n in range(2, 101, 2):
-            f = square_factor(CASE_SQ, n)
+            f = family_factor(CASE_SQ, n)
             x = SQUARE_ROOT * 2 ** (n // 2)
             assert f * (x - 1) == CASE_SQ.k * 2**n - 1
             assert 1 < f < CASE_SQ.k * 2**n - 1
 
     def test_odd_n_rejected(self):
         with pytest.raises(ValueError):
-            square_factor(CASE_SQ, 3)
+            family_factor(CASE_SQ, 3)
 
 
 class TestPartialCover:

@@ -61,8 +61,10 @@ def per_n_verdict(cert):
 def corpus_coverless_certificates():
     for record in dataset.load_corpus(dataset.default_corpus_path()):
         if record.root is not None:
-            case_type = FourthPowerCase if record.kind == dataset.KIND_S4 else SquareCase
-            yield algebraic.build_algebraic_certificate(case_type(record.root, record.covers[0][1]))
+            (sign, divisors), = record.covers
+            yield algebraic.build_algebraic_certificate(
+                check.CASE_BY_SIGN[sign](record.root, divisors)
+            )
 
 
 class TestCoverlessProof:
@@ -125,17 +127,59 @@ class TestCoverlessProof:
 
     def test_emitted_factor_is_proper_except_root_1_at_n_2(self):
         for root in range(1, 65):
-            for factor, case, first in (
-                (check.fourth_power_factor, FourthPowerCase(root, ()), 2),
-                (check.square_factor, SquareCase(root, ()), 2),
-            ):
-                step = 4 if case.kind == check.KIND_FOURTH_POWER else 2
-                for n in range(first, 400, step):
-                    if (root, n) == (1, 2):
+            for case in (FourthPowerCase(root, ()), SquareCase(root, ())):
+                modulus, claimed = check.PREDICATES[case.predicate]
+                with pytest.raises(ValueError):
+                    check.family_factor(case, 0)
+                for n in range(1, 400):
+                    if n % modulus in claimed:
+                        with pytest.raises(ValueError):
+                            check.family_factor(case, n)
+                    elif (root, n) == (1, 2):
                         with pytest.raises(check.VerificationError, match="not a proper"):
-                            factor(case, n)
+                            check.family_factor(case, n)
                     else:
-                        factor(case, n)
+                        factor = check.family_factor(case, n)
+                        assert 1 < factor < case.k * 2**n + case.sign
+                        assert (case.k * 2**n + case.sign) % factor == 0
+
+    @pytest.mark.parametrize("kind", [[], {}, 7, None])
+    def test_unhashable_or_non_string_kind_is_a_format_error(self, kind, capsys, tmp_path):
+        doc = dict(COVERLESS_DOC, kind=kind)
+        with pytest.raises(check.CertificateFormatError, match="unknown kind"):
+            check.algebraic_certificate_from_dict(doc)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        assert main(["audit", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown kind {kind!r}\n"
+
+    def test_cli_corpus_and_parser_build_equal_cases(self, monkeypatch, tmp_path):
+        # verify --partial and verify-dataset build the case from flags and
+        # a corpus line, audit parses it from the emitted file.
+        built = []
+        build = algebraic.build_algebraic_certificate
+        monkeypatch.setattr(
+            algebraic, "build_algebraic_certificate",
+            lambda case, n_max=None: built.append(case) or build(case, n_max),
+        )
+        records = [r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root]
+        assert len(records) == 3
+        assert dataset.verify_corpus(records).ok
+        from_corpus = built[:]
+        assert len(from_corpus) == 3
+        for record, corpus_case in zip(records, from_corpus):
+            (sign, divisors), = record.covers
+            path = tmp_path / f"{record.line_no}.json"
+            argv = [
+                "verify", "--k", str(record.k), "--sign", "s" if sign == 1 else "r",
+                "--cover", ",".join(map(str, divisors)),
+                "--partial", check.CASE_BY_SIGN[sign].predicate,
+                "--root", str(record.root), "--out", str(path),
+            ]
+            assert main(argv) == 0
+            parsed = check.certificate_from_json(path.read_text()).case
+            assert built[-1] == parsed == corpus_case
+            assert type(parsed) is check.CASE_BY_SIGN[sign]
 
 
 def selfridge_certificate():

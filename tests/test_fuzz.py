@@ -60,7 +60,7 @@ def _spoiled(value):
     if isinstance(value, str) and value.isdigit():
         return [value.translate(OTHER_SCRIPT), "", "+" + value, value + ".0", int(value), None]
     if isinstance(value, str):
-        return ["x" + value, value.upper(), "", 7, True, None]
+        return ["x" + value, value.upper(), "", 7, True, None, [value]]
     if isinstance(value, list):
         return [value[:-1], value + value[-1:], [], {}, None]
     return [None, [], "x"]
