@@ -4,9 +4,10 @@ This module imports only the standard library.  It holds the certificate
 types, the parsers that build them from JSON, and the checks that prove a
 stated certificate for every n >= 1 without searching for an order, an
 offset or a prime.  The builders in coverscope.cover and
-coverscope.algebraic produce the same types and finish their proofs with the
-same checks, so a certificate is proved the same way whether it was just
-built or read back from a file.
+coverscope.algebraic produce the same types.  `verify` and `family` run this
+module's hole finder and prefix audit, but take the divisibility facts from
+arith.order_and_offset; only `audit`, and `verify-dataset` for its cover
+records, re-check those facts, through _divisibility_problem.
 
 A cover (full, or the partial cover of a coverless number) is proved by its
 divisibility facts and a witness audit of the properness prefix

@@ -8,10 +8,10 @@ Corpus file format (UTF-8, '#' comments, one record per line):
     S4 <k> root=<i> partial=<d,...>          coverless, k = i^4, sign +1
     R2 root=<a> partial=<d,...>              coverless, k = a^2, sign -1
 
-Any line may end with note="free text".  The R2 line stores only the root;
-k = root^2 is computed at load so the big square never risks transcription
-drift.  Parsing is total: malformed lines are hard errors with their line
-number.
+LAYOUTS below is the one definition of these layouts.  Any line may end
+with note="free text".  The R2 line stores only the root; k = root^2 is
+computed at load so the big square never risks transcription drift.
+Parsing is total: malformed lines are hard errors with their line number.
 """
 
 import os
@@ -29,8 +29,24 @@ KIND_BOTH = "both-covers"
 KIND_S4 = "sierpinski-coverless"
 KIND_R2 = "riesel-coverless"
 
-_TAG_TO_KIND = {"S": KIND_S, "R": KIND_R, "B": KIND_BOTH, "S4": KIND_S4, "R2": KIND_R2}
-_KIND_TO_TAG = {v: k for k, v in _TAG_TO_KIND.items()}
+# tag -> (kind, the fields after the tag, each <slot> behind its prefix).
+# A slot is k, cover, or the root (named i or a).
+LAYOUTS = {
+    "S": (KIND_S, "<k> <cover>"),
+    "R": (KIND_R, "<k> <cover>"),
+    "B": (KIND_BOTH, "<k> R:<cover> S:<cover>"),
+    "S4": (KIND_S4, "<k> root=<i> partial=<cover>"),
+    "R2": (KIND_R2, "root=<a> partial=<cover>"),
+}
+_KIND_TO_TAG = {kind: tag for tag, (kind, _) in LAYOUTS.items()}
+_SLOTS = {  # tag -> [(prefix, slot), ...]
+    tag: [tuple(field[:-1].split("<")) for field in layout.split()]
+    for tag, (_, layout) in LAYOUTS.items()
+}
+# A cover's list label comes from its prefix, its sign from an R: or S:
+# prefix, else from the tag's first letter.
+_LABELS = {"R:": "Riesel cover", "S:": "Sierpinski cover", "partial=": "partial cover"}
+_SIGNS = {"S": 1, "R": -1}
 
 _NOTE_RE = re.compile(r'^(.*?)\s+note="([^"]*)"\s*$')
 
@@ -67,18 +83,36 @@ def _parse_divisors(text, line_no, what):
     return tuple(_parse_int(part, line_no, f"{what} divisor") for part in text.split(","))
 
 
-def _parse_odd_k(text, line_no):
-    k = _parse_int(text, line_no, "k")
+def _odd_k(k, line_no):
     if k % 2 == 0 or k < 1:
         raise CorpusError(f"line {line_no}: k must be odd and positive, got {k}")
     return k
 
 
-def _parse_keyed(field, key, line_no):
-    prefix = key + "="
-    if not field.startswith(prefix):
-        raise CorpusError(f"line {line_no}: expected {key}=..., got {field!r}")
-    return field[len(prefix):]
+def _parse_record(tag, fields, line_no, note):
+    kind, layout = LAYOUTS[tag]
+    if len(fields) != len(_SLOTS[tag]):
+        raise CorpusError(f"line {line_no}: expected '{tag} {layout}'")
+    k = root = None
+    covers = []
+    for (prefix, slot), field in zip(_SLOTS[tag], fields):
+        if not field.startswith(prefix):
+            raise CorpusError(f"line {line_no}: expected {prefix}..., got {field!r}")
+        value = field[len(prefix):]
+        if slot == "cover":
+            sign = _SIGNS[prefix[0] if prefix in ("R:", "S:") else tag[0]]
+            covers.append((sign, _parse_divisors(value, line_no, _LABELS.get(prefix, "cover"))))
+        elif slot == "k":
+            k = _odd_k(_parse_int(value, line_no, "k"), line_no)
+        else:
+            root = _parse_int(value, line_no, "root")
+    if root is not None:  # coverless: k = root^power, derived when not stated
+        power = check.CASE_BY_SIGN[_SIGNS[tag[0]]].power
+        if k is None:
+            k = _odd_k(root**power, line_no)
+        elif root**power != k:
+            raise CorpusError(f"line {line_no}: root^{power} != k")
+    return CorpusRecord(kind, k, tuple(covers), root, note, line_no)
 
 
 def parse_corpus(text: str) -> list[CorpusRecord]:
@@ -87,63 +121,12 @@ def parse_corpus(text: str) -> list[CorpusRecord]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        note = ""
-        match = _NOTE_RE.match(line)
-        if match:
-            line, note = match.group(1), match.group(2)
-        fields = line.split()
-        tag = fields[0]
-        kind = _TAG_TO_KIND.get(tag)
-        if kind is None:
+        line, note = match.groups() if (match := _NOTE_RE.match(line)) else (line, "")
+        tag, *fields = line.split()
+        if tag not in LAYOUTS:
             raise CorpusError(f"line {line_no}: unknown kind tag {tag!r}")
         try:
-            if kind in (KIND_S, KIND_R):
-                if len(fields) != 3:
-                    raise CorpusError(f"line {line_no}: expected '{tag} <k> <cover>'")
-                k = _parse_odd_k(fields[1], line_no)
-                divisors = _parse_divisors(fields[2], line_no, "cover")
-                sign = 1 if kind == KIND_S else -1
-                records.append(CorpusRecord(kind, k, ((sign, divisors),), None, note, line_no))
-            elif kind == KIND_BOTH:
-                if len(fields) != 4:
-                    raise CorpusError(
-                        f"line {line_no}: expected '{tag} <k> R:<cover> S:<cover>'"
-                    )
-                k = _parse_odd_k(fields[1], line_no)
-                r_cov = _parse_divisors(
-                    _strip_tag(fields[2], "R", line_no), line_no, "Riesel cover"
-                )
-                s_cov = _parse_divisors(
-                    _strip_tag(fields[3], "S", line_no), line_no, "Sierpinski cover"
-                )
-                records.append(
-                    CorpusRecord(kind, k, ((-1, r_cov), (1, s_cov)), None, note, line_no)
-                )
-            elif kind == KIND_S4:
-                if len(fields) != 4:
-                    raise CorpusError(
-                        f"line {line_no}: expected '{tag} <k> root=<i> partial=<cover>'"
-                    )
-                k = _parse_odd_k(fields[1], line_no)
-                root = _parse_int(_parse_keyed(fields[2], "root", line_no), line_no, "root")
-                divisors = _parse_divisors(
-                    _parse_keyed(fields[3], "partial", line_no), line_no, "partial cover"
-                )
-                if root**4 != k:
-                    raise CorpusError(f"line {line_no}: root^4 != k")
-                records.append(CorpusRecord(kind, k, ((1, divisors),), root, note, line_no))
-            else:  # KIND_R2
-                if len(fields) != 3:
-                    raise CorpusError(
-                        f"line {line_no}: expected '{tag} root=<a> partial=<cover>'"
-                    )
-                root = _parse_int(_parse_keyed(fields[1], "root", line_no), line_no, "root")
-                divisors = _parse_divisors(
-                    _parse_keyed(fields[2], "partial", line_no), line_no, "partial cover"
-                )
-                records.append(
-                    CorpusRecord(kind, root * root, ((-1, divisors),), root, note, line_no)
-                )
+            records.append(_parse_record(tag, fields, line_no, note))
         except CorpusError:
             raise
         except ValueError as exc:
@@ -151,31 +134,19 @@ def parse_corpus(text: str) -> list[CorpusRecord]:
     return records
 
 
-def _strip_tag(field, tag, line_no):
-    prefix = tag + ":"
-    if not field.startswith(prefix):
-        raise CorpusError(f"line {line_no}: expected {prefix}..., got {field!r}")
-    return field[len(prefix):]
-
-
 def serialize_record(record: CorpusRecord) -> str:
     tag = _KIND_TO_TAG[record.kind]
-    if record.kind in (KIND_S, KIND_R):
-        body = f"{tag} {record.k} {_join(record.covers[0][1])}"
-    elif record.kind == KIND_BOTH:
-        (_, r_cov), (_, s_cov) = record.covers
-        body = f"{tag} {record.k} R:{_join(r_cov)} S:{_join(s_cov)}"
-    elif record.kind == KIND_S4:
-        body = f"{tag} {record.k} root={record.root} partial={_join(record.covers[0][1])}"
-    else:
-        body = f"{tag} root={record.root} partial={_join(record.covers[0][1])}"
+    covers = iter(record.covers)
+    fields = [tag]
+    for prefix, slot in _SLOTS[tag]:
+        if slot == "cover":
+            value = ",".join(str(d) for d in next(covers)[1])
+        else:
+            value = record.k if slot == "k" else record.root
+        fields.append(f"{prefix}{value}")
     if record.note:
-        body += f' note="{record.note}"'
-    return body
-
-
-def _join(divisors):
-    return ",".join(str(d) for d in divisors)
+        fields.append(f'note="{record.note}"')
+    return " ".join(fields)
 
 
 def serialize_corpus(records) -> str:

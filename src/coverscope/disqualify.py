@@ -20,6 +20,10 @@ from coverscope.cover import Candidate
 
 DEFAULT_SINGLE_N_MAX = 600
 DEFAULT_SURVEY_N_MAX = 16
+# Work is bounded up front: the largest n_max of one scan and the most odd k
+# of one survey_range call.  Above either, ValueError comes before any work.
+MAX_SCAN_N = 100_000
+MAX_SURVEY_K = 10**6
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,8 @@ def first_prime_exponent(
     """Scan n = 1..n_max in order for the first prime k*2^n + sign."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if n_max > MAX_SCAN_N:
+        raise ValueError(f"n_max = {n_max} is above the bound {MAX_SCAN_N}")
     k, sign = candidate.k, candidate.sign
     # 2^n > k, so k*2^n + 1 is Proth-form, from n = bit_length(k) on
     proth_from = k.bit_length() if sign == 1 else n_max + 1
@@ -88,6 +94,8 @@ def survey_range(
         raise ValueError("survey bounds must be odd")
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}..{k_max}")
+    if (count := (k_max - k_min) // 2 + 1) > MAX_SURVEY_K:
+        raise ValueError(f"the range holds {count} odd k, above the bound {MAX_SURVEY_K}")
     return [
         first_prime_exponent(Candidate(k, sign), n_max, verbose)
         for k in range(k_min, k_max + 1, 2)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coverscope import algebraic, check, cover, dataset
+from coverscope import algebraic, check, cover, dataset, disqualify
 from coverscope.cli import main
 
 SELFRIDGE = "3,5,7,13,19,37,73"
@@ -229,6 +229,38 @@ class TestSurvey:
             capsys, "survey", "--from", "2", "--to", "9", "--sign", "s"
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("disqualify", "--k", "78557", "--sign", "s", "--max-n", "100001"),
+            "n_max = 100001 is above the bound 100000",
+        ),
+        (
+            ("survey", "--from", "1", "--to", "2000001", "--sign", "s", "--max-n", "8"),
+            "the range holds 1000001 odd k, above the bound 1000000",
+        ),
+        (
+            ("survey", "--from", "1", "--to", "99", "--sign", "s", "--max-n", "100001"),
+            "n_max = 100001 is above the bound 100000",
+        ),
+    ],
+)
+def test_over_bound_scans_exit_2_at_once(capsys, argv, message):
+    assert disqualify.MAX_SCAN_N == 100_000 and disqualify.MAX_SURVEY_K == 10**6
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_scan_at_the_bound_is_accepted(capsys):
+    # 3*2 + 1 = 7 is prime, so the scan ends at n = 1
+    code, out, _ = run(capsys, "disqualify", "--k", "3", "--sign", "s", "--max-n", "100000")
+    assert code == 0
+    assert out.splitlines()[1].split()[:2] == ["3", "1"]
 
 
 class TestFamily:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverscope import dataset
 from coverscope.dataset import (
@@ -8,9 +10,11 @@ from coverscope.dataset import (
     KIND_S,
     KIND_S4,
     CorpusError,
+    CorpusRecord,
     load_corpus,
     parse_corpus,
     serialize_corpus,
+    serialize_record,
     verify_corpus,
 )
 
@@ -111,6 +115,61 @@ class TestParseErrors:
         with pytest.raises(CorpusError, match="line 2"):
             parse_corpus(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a wrong field count quotes the tag's layout
+            ("S 78557", "expected 'S <k> <cover>'"),
+            ("R 509203 3,5 7", "expected 'R <k> <cover>'"),
+            ("B 15 3,5", "expected 'B <k> R:<cover> S:<cover>'"),
+            ("S4 625 root=5", "expected 'S4 <k> root=<i> partial=<cover>'"),
+            ("R2 root=3 partial=3 x", "expected 'R2 root=<a> partial=<cover>'"),
+            # a wrong prefix names the one expected
+            ("S4 625 rot=5 partial=3", "expected root=..., got 'rot=5'"),
+            ("S4 625 root=5 partia=3", "expected partial=..., got 'partia=3'"),
+            ("R2 partial=3 root=3", "expected root=..., got 'partial=3'"),
+            ("R2 root=3 3", "expected partial=..., got '3'"),
+            ("B 15 3,5 S:3,5", "expected R:..., got '3,5'"),
+            ("B 15 R:3,5 R:3,5", "expected S:..., got 'R:3,5'"),
+            # empty lists; split() never yields an empty plain cover field
+            ("S 78557 ,", "cover divisor must be a decimal integer, got ''"),
+            ("B 15 R: S:3", "empty Riesel cover"),
+            ("B 15 R:3 S:", "empty Sierpinski cover"),
+            ("S4 625 root=5 partial=", "empty partial cover"),
+            ("R2 root=3 partial=", "empty partial cover"),
+            # a non-digit divisor under each list label
+            ("S 78557 3,five,7", "cover divisor must be a decimal integer, got 'five'"),
+            ("B 15 R:3,x S:3", "Riesel cover divisor must be a decimal integer, got 'x'"),
+            ("B 15 R:3 S:3,x", "Sierpinski cover divisor must be a decimal integer, got 'x'"),
+            ("S4 625 root=5 partial=3,x", "partial cover divisor must be a decimal integer, got 'x'"),
+            ("R2 root=3 partial=x", "partial cover divisor must be a decimal integer, got 'x'"),
+            # digits of other scripts
+            ("S ٧٨٥٥٧ 3,5", "k must be a decimal integer, got '٧٨٥٥٧'"),
+            ("S 78557 3,5,²", "cover divisor must be a decimal integer, got '²'"),
+            ("R2 root=٣ partial=3", "root must be a decimal integer, got '٣'"),
+            ("S4 625 root= partial=3", "root must be a decimal integer, got ''"),
+            # fields are checked in line order, root^4 != k last
+            ("S4 625 root=3 partial=3,17", "root^4 != k"),
+            ("S4 625 root=3 partial=x", "partial cover divisor must be a decimal integer, got 'x'"),
+            ("S4 624 root=x partial=3", "k must be odd and positive, got 624"),
+            ("S 4 3", "k must be odd and positive, got 4"),
+            ("S 0 3", "k must be odd and positive, got 0"),
+            ("R -1 3", "k must be a decimal integer, got '-1'"),
+            # the derived k = root^2 is held to the same rule
+            ("R2 root=2 partial=3", "k must be odd and positive, got 4"),
+            ("R2 root=0 partial=3", "k must be odd and positive, got 0"),
+            ("X 7 3,5", "unknown kind tag 'X'"),
+            ("s 7 3", "unknown kind tag 's'"),
+            ('S 78557 3,five note="hi"', "cover divisor must be a decimal integer, got 'five'"),
+            ('S 78557 note="x"', "expected 'S <k> <cover>'"),
+            ('S4 625 root=3 partial=3 note="n"', "root^4 != k"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(f"# header\n\n{text}\n")
+        assert str(info.value) == f"line 3: {message}"
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse(self, corpus):
@@ -130,6 +189,34 @@ class TestRoundTrip:
             ]
         canonical = serialize_corpus(corpus).splitlines()
         assert body == canonical
+
+
+ODD = st.integers(0, 10**30).map(lambda x: 2 * x + 1)
+DIVISORS = st.lists(st.integers(0, 10**30), min_size=1, max_size=6).map(tuple)
+# a note holds no quote and nothing str.splitlines() breaks at
+NOTES = st.text(
+    st.characters(exclude_characters='"', exclude_categories=("Cc", "Cs", "Zl", "Zp")),
+    max_size=20,
+)
+
+
+@st.composite
+def records(draw):
+    kind = draw(st.sampled_from([KIND_S, KIND_R, KIND_BOTH, KIND_S4, KIND_R2]))
+    note = draw(NOTES)
+    if kind in (KIND_S4, KIND_R2):
+        root = draw(ODD)
+        power, sign = (4, 1) if kind == KIND_S4 else (2, -1)
+        return CorpusRecord(kind, root**power, ((sign, draw(DIVISORS)),), root, note, 1)
+    signs = {KIND_S: (1,), KIND_R: (-1,), KIND_BOTH: (-1, 1)}[kind]
+    covers = tuple((sign, draw(DIVISORS)) for sign in signs)
+    return CorpusRecord(kind, draw(ODD), covers, None, note, 1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(records())
+def test_serialized_record_parses_back(record):
+    assert parse_corpus(serialize_record(record)) == [record]
 
 
 class TestVerifyCorpus:

@@ -185,6 +185,19 @@ class TestSurveyRange:
         with pytest.raises(ValueError):
             disqualify.survey_range(9, 3, 1, 8)
 
+    def test_work_is_bounded_up_front(self, monkeypatch):
+        # 3*2 + 1 = 7 is prime, so a scan at the bound ends at n = 1
+        assert disqualify.first_prime_exponent(Candidate(3, 1), disqualify.MAX_SCAN_N).n_found == 1
+        with pytest.raises(ValueError, match="n_max = 100001 is above the bound 100000"):
+            disqualify.first_prime_exponent(Candidate(3, 1), disqualify.MAX_SCAN_N + 1)
+        # a survey of MAX_SURVEY_K odd k goes ahead; stubbed scans keep it quick
+        monkeypatch.setattr(disqualify, "Candidate", lambda k, sign: None)
+        monkeypatch.setattr(disqualify, "first_prime_exponent", lambda c, n_max, verbose: None)
+        last_k = 2 * disqualify.MAX_SURVEY_K - 1
+        assert len(disqualify.survey_range(1, last_k, 1, 8)) == disqualify.MAX_SURVEY_K
+        with pytest.raises(ValueError, match="holds 1000001 odd k, above the bound 1000000"):
+            disqualify.survey_range(1, last_k + 2, 1, 8)
+
 
 class TestConsistencyWithCovers:
     def test_covered_numbers_never_disqualified(self):
