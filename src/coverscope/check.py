@@ -6,8 +6,8 @@ stated certificate for every n >= 1 without searching for an order, an
 offset or a prime.  The builders in coverscope.cover and
 coverscope.algebraic produce the same types.  `verify` and `family` run this
 module's hole finder and prefix audit, but take the divisibility facts from
-arith.order_and_offset; only `audit`, and `verify-dataset` for its cover
-records, re-check those facts, through _divisibility_problem.
+arith.order_and_offset; only `audit` and `verify-dataset` re-check those
+facts, through check_facts.
 
 A cover (full, or the partial cover of a coverless number) is proved by its
 divisibility facts and a witness audit of the properness prefix

@@ -164,19 +164,26 @@ def generate_family(candidate: Candidate, divisors, i: int) -> CoverCertificate:
 # Schema: {k, sign, predicate (partial covers only), entries: [{d, b, c}],
 # lcm, divisor_primality_flags, tool_version}.  All unbounded integers
 # travel as decimal strings.  The residue table is not written: the checker
-# derives it from the entries.  Serialization is canonical, so identical
-# certificates give identical bytes.
+# derives it from the entries.  Certificates are written straight from their
+# fields in the dumps_json layout, so identical certificates give identical bytes.
 
 
-def certificate_to_dict(cert: CoverCertificate) -> dict:
-    doc = {"k": str(cert.candidate.k), "sign": cert.candidate.sign}
-    if cert.predicate != PREDICATE_ALL:
-        doc["predicate"] = cert.predicate
-    doc["entries"] = [{"d": str(e.d), "b": str(e.b), "c": str(e.c)} for e in cert.entries]
-    doc["lcm"] = str(cert.lcm)
-    doc["divisor_primality_flags"] = list(cert.divisor_primality)
-    doc["tool_version"] = TOOL_VERSION
-    return doc
+def _cover_object(cert: CoverCertificate, pad: str) -> str:
+    """The certificate as a JSON object in the dumps_json layout, its
+    lines after the first indented by pad.  A cover has at least one entry."""
+    i = pad + "  "
+    entries = ",\n".join([
+        f'{i}  {{\n{i}    "d": "{e.d}",\n{i}    "b": "{e.b}",\n{i}    "c": "{e.c}"\n{i}  }}'
+        for e in cert.entries
+    ])
+    flags = ",\n".join([f"{i}  true" if f else f"{i}  false" for f in cert.divisor_primality])
+    predicate = "" if cert.predicate == PREDICATE_ALL else f'{i}"predicate": "{cert.predicate}",\n'
+    return (
+        f'{{\n{i}"k": "{cert.candidate.k}",\n{i}"sign": {cert.candidate.sign},\n{predicate}'
+        f'{i}"entries": [\n{entries}\n{i}],\n{i}"lcm": "{cert.lcm}",\n'
+        f'{i}"divisor_primality_flags": [\n{flags}\n{i}],\n'
+        f'{i}"tool_version": "{TOOL_VERSION}"\n{pad}}}'
+    )
 
 
 def dumps_json(doc) -> str:
@@ -186,4 +193,4 @@ def dumps_json(doc) -> str:
 
 
 def certificate_to_json(cert: CoverCertificate) -> str:
-    return dumps_json(certificate_to_dict(cert))
+    return _cover_object(cert, "") + "\n"

@@ -16,6 +16,7 @@ Parsing is total: malformed lines are hard errors with their line number.
 
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -83,7 +84,14 @@ def _parse_divisors(text, line_no, what):
     return tuple(_parse_int(part, line_no, f"{what} divisor") for part in text.split(","))
 
 
-def _odd_k(k, line_no):
+def _corpus_k(k, line_no):
+    """k, stated or derived, if odd, positive and short enough to print:
+    reports write k in decimal, which Python refuses past its digit limit
+    (sys.get_int_max_str_digits(), 0 for none).  10^limit has more than
+    3*limit bits, so the bit length spares ordinary k that power."""
+    limit = sys.get_int_max_str_digits()
+    if limit and k.bit_length() > 3 * limit and k >= 10**limit:
+        raise CorpusError(f"line {line_no}: k has more than {limit} digits")
     if k % 2 == 0 or k < 1:
         raise CorpusError(f"line {line_no}: k must be odd and positive, got {k}")
     return k
@@ -103,13 +111,13 @@ def _parse_record(tag, fields, line_no, note):
             sign = _SIGNS[prefix[0] if prefix in ("R:", "S:") else tag[0]]
             covers.append((sign, _parse_divisors(value, line_no, _LABELS.get(prefix, "cover"))))
         elif slot == "k":
-            k = _odd_k(_parse_int(value, line_no, "k"), line_no)
+            k = _corpus_k(_parse_int(value, line_no, "k"), line_no)
         else:
             root = _parse_int(value, line_no, "root")
     if root is not None:  # coverless: k = root^power, derived when not stated
         power = check.CASE_BY_SIGN[_SIGNS[tag[0]]].power
         if k is None:
-            k = _odd_k(root**power, line_no)
+            k = _corpus_k(root**power, line_no)
         elif root**power != k:
             raise CorpusError(f"line {line_no}: root^{power} != k")
     return CorpusRecord(kind, k, tuple(covers), root, note, line_no)
@@ -204,15 +212,17 @@ def _verify_record(record: CorpusRecord) -> RecordResult:
             case = check.CASE_BY_SIGN[sign](record.root, divisors)
             cert = algebraic.build_algebraic_certificate(case)
             lcms.append(cert.partial.lcm)
+            if problem := check.check_facts(cert):
+                raise VerificationError(problem)
     except (VerificationError, ValueError) as exc:
         ok, detail = False, str(exc)
     return RecordResult(record, ok, detail, tuple(lcms), time.perf_counter() - start)
 
 
 def verify_corpus(records) -> CorpusReport:
-    """Prove every record for all n >= 1 as its kind dictates; results keep
-    input order.  Coverless records are also cross-checked term by term to
-    build_algebraic_certificate's default depth."""
+    """Prove every record for all n >= 1 through check.check_facts;
+    results keep input order.  Coverless records are also cross-checked term
+    by term to build_algebraic_certificate's default depth."""
     start = time.perf_counter()
     results = tuple(_verify_record(r) for r in records)
     return CorpusReport(results, time.perf_counter() - start)

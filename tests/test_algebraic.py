@@ -209,7 +209,7 @@ class TestVerifyCoverless:
 class TestAlgebraicCertificate:
     def test_build_and_schema(self):
         cert = build_algebraic_certificate(CASE_A, 200)
-        doc = algebraic.certificate_to_dict(cert)
+        doc = json.loads(algebraic.certificate_to_json(cert))
         assert doc["kind"] == "fourth_power"
         assert doc["k"] == str(CASE_A.k)
         assert doc["root"] == "44745755"
@@ -229,7 +229,7 @@ class TestAlgebraicCertificate:
 
     def test_doctored_coefficients_rejected(self):
         cert = build_algebraic_certificate(CASE_A, 20)
-        doc = algebraic.certificate_to_dict(cert)
+        doc = json.loads(algebraic.certificate_to_json(cert))
         doc["A"] = str(CASE_A.A + 2)
         with pytest.raises(algebraic.CertificateFormatError):
             algebraic.certificate_from_dict(doc)
@@ -242,7 +242,7 @@ class TestAlgebraicCertificate:
             algebraic.certificate_from_dict(doc)
 
     def test_partial_cover_schema_enforced(self):
-        v2 = algebraic.certificate_to_dict(build_algebraic_certificate(CASE_A, 20))
+        v2 = json.loads(algebraic.certificate_to_json(build_algebraic_certificate(CASE_A, 20)))
         partial = lambda d: d["partial_cover_certificate"]  # noqa: E731
         for base, breakages in (
             (v2, ()),
@@ -266,7 +266,7 @@ class TestAlgebraicCertificate:
                     algebraic.certificate_from_dict(doc)
 
     def test_partial_cover_is_not_a_full_cover(self):
-        doc = algebraic.certificate_to_dict(build_algebraic_certificate(CASE_A, 20))
+        doc = json.loads(algebraic.certificate_to_json(build_algebraic_certificate(CASE_A, 20)))
         with pytest.raises(cover.CertificateFormatError):
             cover.certificate_from_dict(doc["partial_cover_certificate"])
 
@@ -290,7 +290,7 @@ class TestAlgebraicCertificate:
     def test_doctored_offset_caught_by_facts_check(self):
         cert = build_algebraic_certificate(CASE_A, 20)
         assert cert.partial.entries[0].c == 1  # true offset for d=3
-        doc = algebraic.certificate_to_dict(cert)
+        doc = json.loads(algebraic.certificate_to_json(cert))
         doc["partial_cover_certificate"]["entries"][0]["c"] = "0"
         loaded = algebraic.certificate_from_dict(doc)
         assert algebraic.check_certificate_facts(loaded) is not None

@@ -208,13 +208,13 @@ class TestCallSiteGuarantees:
         problem = check.check_certificate_facts(with_first_entry(cert, c=-1))
         assert problem == "offset -1 out of range for period 2 (d=3)"
         for field in ("b", "c"):
-            doc = cover.certificate_to_dict(cert)
+            doc = json.loads(cover.certificate_to_json(cert))
             doc["entries"][0][field] = "-1"
             with pytest.raises(check.CertificateFormatError):
                 check.certificate_from_dict(doc)
 
     def test_empty_covers_are_refused(self):
-        doc = cover.certificate_to_dict(selfridge_certificate())
+        doc = json.loads(cover.certificate_to_json(selfridge_certificate()))
         doc["entries"] = []
         with pytest.raises(check.CertificateFormatError, match="nonempty"):
             check.certificate_from_dict(doc)

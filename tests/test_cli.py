@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -7,11 +8,19 @@ import pytest
 
 from coverscope import algebraic, check, cover, dataset, disqualify
 from coverscope.cli import main
+from coverscope.cover import Candidate
 
 SELFRIDGE = "3,5,7,13,19,37,73"
 COVERLESS_S4 = (
     "--k", "4008735125781478102999926000625", "--sign", "s", "--cover", "3,17,97,241,257,673",
     "--partial", "mod4ne2", "--root", "44745755",
+)
+COVERLESS_R2 = (  # the corpus R2 record
+    "--k", "151854033223239213153630592218944998133269330577330714408611445716011170576987377001403"
+    "17416496481",
+    "--sign", "r", "--cover",
+    "7,17,31,41,71,97,113,127,151,241,257,281,337,641,673,1321,14449,29191,65537,6700417",
+    "--partial", "odd", "--root", "3896845303873881175159314620808887046066972469809",
 )
 
 
@@ -166,6 +175,26 @@ class TestVerifyDataset:
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify-dataset", "--corpus", str(tmp_path / "nope.txt"))
         assert code == 2
+
+    @pytest.mark.parametrize("line", [
+        "R2 root={threes} partial=7,17",
+        "S4 {ones} root=3 partial=3",
+    ], ids=["R2", "S4"])
+    def test_k_too_long_to_print_is_a_usage_error(self, capsys, tmp_path, monkeypatch, line):
+        limit = sys.get_int_max_str_digits()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(
+            f"S 78557 {SELFRIDGE}\n"
+            + line.format(threes="3" * (limit // 2 + 1), ones="1" * (limit + 1)) + "\n"
+        )
+
+        def refuse(records):
+            raise AssertionError("a corpus with a bad line was verified")
+
+        monkeypatch.setattr(dataset, "verify_corpus", refuse)
+        code, out, err = run(capsys, "verify-dataset", "--corpus", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: ")
 
     def test_malformed_corpus_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -495,6 +524,33 @@ PINNED_CERTIFICATES = [
     ),
 ]
 
+# The square certificate, the one kind without A and B.
+PINNED_SQUARE_CERTIFICATE = (
+    ("verify", *COVERLESS_R2),
+    "7d93a6476f27678c39c30bf6f4801953d181f4f30b8fb8580eb5f630f0e96ec7",
+)
+
+# sha256 of the 37 certificates of the bundled corpus, concatenated in corpus
+# order: one per cover of each cover record (34) and one per coverless
+# record (3), built at build_algebraic_certificate's default depth.
+PINNED_CORPUS_CERTIFICATES = "8f4cc11eb414964a6cec4d90663c84b046436a31544e3e9ee343377578ce7122"
+
+
+def test_corpus_certificate_bytes_are_pinned():
+    texts = []
+    for record in dataset.load_corpus(dataset.default_corpus_path()):
+        if record.root is None:
+            texts += [
+                cover.certificate_to_json(cover.verify_cover(Candidate(record.k, sign), divisors))
+                for sign, divisors in record.covers
+            ]
+        else:
+            sign, divisors = record.covers[0]
+            case = check.CASE_BY_SIGN[sign](record.root, divisors)
+            texts.append(algebraic.certificate_to_json(algebraic.build_algebraic_certificate(case)))
+    assert len(texts) == 37
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == PINNED_CORPUS_CERTIFICATES
+
 
 # Exit code and sha256 of what first-prime scans print: every verdict,
 # method, witness and, with --verbose, every trail entry.  383 is not
@@ -548,7 +604,8 @@ def test_deepest_cross_check_bytes_are_pinned(capsys, fmt, digest):
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_CERTIFICATES, ids=["78557s", "509203r", "coverless-s4", "family-78557s"]
+    "argv, digest", [*PINNED_CERTIFICATES, PINNED_SQUARE_CERTIFICATE],
+    ids=["78557s", "509203r", "coverless-s4", "family-78557s", "coverless-r2"],
 )
 def test_certificate_bytes_are_pinned_and_audit_ok(capsys, tmp_path, argv, digest):
     path = tmp_path / "cert.json"
@@ -564,6 +621,17 @@ def test_certificate_bytes_are_pinned_and_audit_ok(capsys, tmp_path, argv, diges
 
 
 V1_FIXTURES = sorted((Path(__file__).parent / "fixtures" / "v1").glob("*.json"))
+V2_FIXTURES = sorted((Path(__file__).parent / "fixtures" / "v2").glob("*.json"))
+
+
+def test_v2_fixtures_are_pinned_certificates():
+    # Golden files that CI writes again with `verify --out` and compares.
+    sums = (V2_FIXTURES[0].parent / "SHA256SUMS").read_text().split()
+    assert dict(zip(sums[1::2], sums[0::2])) == {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in V2_FIXTURES
+    }
+    pinned = {digest for _, digest in [*PINNED_CERTIFICATES, PINNED_SQUARE_CERTIFICATE]}
+    assert len(V2_FIXTURES) == 4 and set(sums[0::2]) <= pinned
 
 
 class TestV1Certificates:

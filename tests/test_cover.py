@@ -4,8 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coverscope import check, cover, dataset
+from coverscope import algebraic, check, cover, dataset
 from coverscope.cover import (
     Candidate,
     CoverEntry,
@@ -537,14 +539,14 @@ class TestSerialization:
         assert 0 < refuted < 3 * len(certs)
 
     def test_facts_check_catches_doctored_entry(self, selfridge_cert):
-        doc = cover.certificate_to_dict(selfridge_cert)
+        doc = json.loads(cover.certificate_to_json(selfridge_cert))
         doc["entries"][0]["c"] = "1"  # 3 divides k*2^0 + 1, not k*2^1 + 1
         loaded = cover.certificate_from_dict(doc)
         assert loaded.table != ()  # structure is fine
         assert cover.check_certificate_facts(loaded) is not None
 
     def test_malformed_documents_rejected(self, selfridge_cert):
-        good = cover.certificate_to_dict(selfridge_cert)
+        good = json.loads(cover.certificate_to_json(selfridge_cert))
         table = list(selfridge_cert.table)
         for breakage in (
             lambda d: d.pop("k"),
@@ -569,6 +571,43 @@ class TestSerialization:
             breakage(doc)
             with pytest.raises(cover.CertificateFormatError):
                 cover.certificate_from_dict(doc)
+
+
+# Certificates are written straight from their fields; these are built from
+# arbitrary fields, since the writer reads them without checking them.
+BIG = st.integers(0, 10**40)
+ENTRIES = st.lists(st.builds(CoverEntry, BIG, BIG, BIG), min_size=1, max_size=8).map(tuple)
+
+
+@st.composite
+def cover_certificates(draw, candidate=None, predicate=None):
+    entries = draw(ENTRIES)
+    return check.CoverCertificate(
+        candidate or Candidate(2 * draw(BIG) + 1, draw(st.sampled_from((1, -1)))),
+        entries,
+        draw(BIG),
+        tuple(draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))),
+        predicate or draw(st.sampled_from(sorted(check.PREDICATES))),
+    )
+
+
+@st.composite
+def coverless_certificates(draw):
+    case = draw(st.sampled_from(sorted(check.CASE_BY_SIGN.values(), key=lambda t: t.kind)))(
+        2 * draw(st.integers(0, 10**30)) + 1, ()
+    )
+    partial = draw(cover_certificates(Candidate(case.k, case.sign), case.predicate))
+    return check.AlgebraicCertificate(case, partial, draw(st.integers(1, 10**6)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.one_of(
+    cover_certificates().map(cover.certificate_to_json),
+    coverless_certificates().map(algebraic.certificate_to_json),
+))
+def test_certificate_text_is_a_fixed_point_of_dumps_json(text):
+    # The text is exactly what json.dumps(doc, indent=2) + "\n" makes of it.
+    assert cover.dumps_json(json.loads(text)) == text
 
 
 def test_eq2_identity_exactness_randomized():

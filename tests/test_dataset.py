@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverscope import dataset
+from coverscope import algebraic, arith, check, dataset
 from coverscope.dataset import (
     KIND_BOTH,
     KIND_R,
@@ -109,6 +111,19 @@ class TestParseErrors:
     def test_missing_both_tag(self):
         with pytest.raises(CorpusError):
             parse_corpus("B 15 3,5 S:3,5\n")
+
+    def test_k_too_long_to_print(self):
+        # Reports write k in decimal, which Python refuses past its digit
+        # limit: a derived k is refused at parse time, as a stated one is.
+        limit = sys.get_int_max_str_digits()
+        for line in (
+            f"R2 root={'3' * (limit // 2 + 1)} partial=7,17",
+            f"S4 {'1' * (limit + 1)} root=3 partial=3",
+        ):
+            with pytest.raises(CorpusError, match="^line 2: "):
+                parse_corpus(f"S 78557 3,5,7,13,19,37,73\n{line}\n")
+        k = parse_corpus(f"R2 root={'3' * (limit // 2)} partial=7,17\n")[0].k
+        assert len(str(k)) == limit  # the longest k allowed
 
     def test_line_numbers_reported(self):
         text = "S 78557 3,5,7,13,19,37,73\nR 509202 3,5\n"
@@ -266,6 +281,26 @@ class TestVerifyCorpus:
             [dataset.CorpusRecord(KIND_S, both.k, ((1, r_cov),), None, "", 1)]
         )
         assert "uncovered residue 0" in sierpinski_with_r.results[0].detail
+
+    def test_coverless_facts_are_checked_apart_from_the_builder(self, monkeypatch):
+        # 11 (period 10, true offset 5) is redundant at the end of the README
+        # S4 cover, so a wrong offset for it leaves no hole and witnesses
+        # nothing: the builder, its cross-check stubbed out too, misses it.
+        line = "S4 4008735125781478102999926000625 root=44745755 partial=3,17,97,241,257,673,11\n"
+        assert verify_corpus(parse_corpus(line)).ok
+        walk = arith.order_and_offset
+
+        def wrong_offset_for_11(k, sign, d, bound):
+            return (10, 6) if d == 11 else walk(k, sign, d, bound)
+
+        monkeypatch.setattr(arith, "order_and_offset", wrong_offset_for_11)
+        monkeypatch.setattr(check, "first_coverless_failure", lambda case, partial, n_max: None)
+        record = parse_corpus(line)[0]
+        case = check.CASE_BY_SIGN[1](record.root, record.covers[0][1])
+        assert algebraic.build_algebraic_certificate(case).partial.entries[-1].c == 6
+        report = verify_corpus([record])
+        assert not report.ok
+        assert report.results[0].detail == "11 does not divide k*2^6 +1"
 
     def test_empty_corpus_is_success(self):
         report = verify_corpus(parse_corpus("# nothing here\n"))

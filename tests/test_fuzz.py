@@ -25,14 +25,14 @@ from coverscope.cover import Candidate
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 
-FULL_DOC = cover.certificate_to_dict(
+FULL_DOC = json.loads(cover.certificate_to_json(
     cover.verify_cover(Candidate(78557, 1), (3, 5, 7, 13, 19, 37, 73))
-)
-COVERLESS_DOC = algebraic.certificate_to_dict(
+))
+COVERLESS_DOC = json.loads(algebraic.certificate_to_json(
     algebraic.build_algebraic_certificate(
         algebraic.FourthPowerCase(44745755, (3, 17, 97, 241, 257, 673)), 20
     )
-)
+))
 V1_FULL_DOC = json.loads((Path(__file__).parent / "fixtures/v1/78557s.json").read_text())
 OTHER_SCRIPT = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
