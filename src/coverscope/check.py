@@ -19,17 +19,15 @@ none of the facts.
 
 import json
 import math
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mod, mul
 
 # Largest term-by-term cross-check (--audit-n) the CLI runs.  The witness
-# audit works on residues past the properness prefix, so its cost grows
-# linearly: 78557 to N = 100000 takes about 8 ms (2 vCPUs, Python 3.11).
-# The coverless cross-check still splits each open term as a bignum, which
-# grows with the square of N and sets the bound: about 5 s for the R2 record.
+# audit reads the properness prefix, one period of residues and one
+# pow(2, L, d) per distinct divisor, whatever N.  The bound is set by the
+# coverless cross-check alone, which splits each open term as a bignum and
+# grows with the square of N: about 5.7 s wall for the R2 record
+# (2 vCPUs, Python 3.11).
 MAX_AUDIT_N = 100_000
 
 # Largest L a certificate may state or a cover may reach.  The residue table
@@ -145,9 +143,11 @@ class CoverCertificate:
 
     @property
     def witness_counts(self) -> tuple[int, ...]:
-        """How many residues mod L each entry claims."""
-        counts = Counter(self.table)
-        return tuple(counts[idx] for idx in range(len(self.entries)))
+        """How many residues mod L each entry claims.  The table holds index
+        i only at residues == c_i (mod b_i), so each entry's count is read
+        off its own progression."""
+        table = self.table
+        return tuple([table[e.c::e.b].count(i) for i, e in enumerate(self.entries)])
 
 
 @dataclass(frozen=True)
@@ -454,11 +454,12 @@ def first_audit_failure(certificate: CoverCertificate, n_max: int) -> int | None
     d <= 1 fails at its first claimed n.
 
     Exact, and independent of the facts check_certificate_facts proves: it
-    reads k, the divisors and the table, and checks every claimed n.  Terms
+    reads k, the divisors and the table, and decides every claimed n.  Terms
     are built as bignums only in the properness prefix n <= proof_depth,
-    where a term may not exceed its witness; past it the divisibility is
-    decided on residues below the divisors, with one multiply-mod per
-    claimed n, so the cost is linear in n_max."""
+    where a term may not exceed its witness; past it one period of
+    residues below the divisors is walked, and each later period is decided
+    by one pow(2, L, d) per distinct divisor, so the cost does not grow
+    with n_max."""
     k, sign = certificate.candidate.k, certificate.candidate.sign
     lcm, table, entries = certificate.lcm, certificate.table, certificate.entries
     depth = min(n_max, proof_depth(certificate))
@@ -477,19 +478,21 @@ def _first_residue_failure(certificate: CoverCertificate, depth: int, n_max: int
     every divisor, so a witness d > 1 is proper exactly when it divides.
 
     Row 0 (the first L of those n) walks x = k*2^n mod M, M the lcm of the
-    divisors > 1, doubling once per n.  Each later claimed n lies L above a
-    claimed n of the row before, and its residue k*2^n mod d is the one at
-    n - L times 2^L mod d.  Rows run in order of n, so the first miss is the
-    smallest failing n."""
+    divisors > 1, doubling once per n.  Every later claimed n is n0 + jL for
+    a claimed n0 of row 0, with the same witness d.  Once row 0 has passed,
+    k*2^n0 == -sign (mod d), a unit, so n0 + jL passes for every j exactly
+    when 2^L == 1 (mod d), and otherwise n0 + L fails.  The first failure
+    past row 0 is thus n0 + L for the least n0 whose witness has
+    2^L != 1 (mod d): one period of residues and one pow per distinct
+    witness, whatever n_max."""
     k, sign = certificate.candidate.k, certificate.candidate.sign
     lcm, table = certificate.lcm, certificate.table
     divisors = [e.d for e in certificate.entries]
     modulus = math.lcm(*[d for d in divisors if d > 1])
     x = k % modulus * pow(2, depth, modulus) % modulus
-    last = min(n_max, depth + lcm)
-    starts, mods = [], []
+    first = {}  # witness d -> its first claimed n in row 0
     n_x = depth  # x = k*2^n_x mod M
-    for n in range(depth + 1, last + 1):
+    for n in range(depth + 1, min(n_max, depth + lcm) + 1):
         idx = table[n % lcm]
         if idx is not None:
             x = (x << (n - n_x)) % modulus
@@ -497,25 +500,11 @@ def _first_residue_failure(certificate: CoverCertificate, depth: int, n_max: int
             d = divisors[idx]
             if d <= 1 or (x + sign) % d:
                 return n
-            starts.append(n)
-            mods.append(d)
-    if not starts or starts[0] + lcm > n_max:
+            first.setdefault(d, n)
+    if n_max <= depth + lcm:
         return None
-    step = {d: pow(2, lcm, d) for d in set(mods)}
-    mults = [step[d] for d in mods]
-    # Every claimed n of row 0 passed, so its residue k*2^n mod d is -sign.
-    targets = [-sign % d for d in mods]
-    residues = targets
-    for shift in range(lcm, n_max - starts[0] + 1, lcm):
-        if starts[-1] + shift > n_max:  # the last row stops at n_max
-            width = bisect_right(starts, n_max - shift)
-            starts, mods, mults, targets, residues = (
-                v[:width] for v in (starts, mods, mults, targets, residues))
-        residues = list(map(mod, map(mul, residues, mults), mods))
-        if residues != targets:
-            miss = next(i for i, (y, t) in enumerate(zip(residues, targets)) if y != t)
-            return starts[miss] + shift
-    return None
+    n_bad = min([n for d, n in first.items() if pow(2, lcm, d) != 1], default=n_max) + lcm
+    return n_bad if n_bad <= n_max else None
 
 
 def family_factor(case: CoverlessCase, n: int) -> int:

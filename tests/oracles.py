@@ -129,6 +129,13 @@ def first_match_table(entries, lcm, claimed):
     ]
 
 
+def witness_counts_naive(entries, lcm, claimed):
+    """How many residues mod lcm each entry claims, counted over the whole
+    per-residue scan."""
+    table = first_match_table(entries, lcm, claimed)
+    return tuple(table.count(i) for i in range(len(entries)))
+
+
 def first_audit_failure_naive(certificate, n_max):
     """Smallest claimed n in 1..n_max whose witness d is not a proper divisor
     of k*2^n + sign, or None: each witness from the per-residue scan and

@@ -23,6 +23,7 @@ from oracles import (
     offset_naive,
     order_naive,
     smallest_uncovered,
+    witness_counts_naive,
 )
 
 SELFRIDGE_COVER = (3, 5, 7, 13, 19, 37, 73)
@@ -194,8 +195,8 @@ class TestTableBuilder:
                 cert = cover.verify_cover(Candidate(record.k, sign), divisors, predicate)
                 expected = first_match_table(cert.entries, cert.lcm, CLAIMED[predicate])
                 assert list(cert.table) == expected, (record.k, sign)
-                assert cert.witness_counts == tuple(
-                    expected.count(i) for i in range(len(cert.entries))
+                assert cert.witness_counts == witness_counts_naive(
+                    cert.entries, cert.lcm, CLAIMED[predicate]
                 )
 
     def test_random_divisor_sets_against_scan(self):
@@ -209,13 +210,37 @@ class TestTableBuilder:
                 cert = cover.verify_cover(candidate, divisors, predicate)
                 expected = first_match_table(entries, lcm, CLAIMED[predicate])
                 assert list(cert.table) == expected
-                assert cert.witness_counts == tuple(
-                    expected.count(i) for i in range(len(entries))
+                assert cert.witness_counts == witness_counts_naive(
+                    entries, lcm, CLAIMED[predicate]
                 )
             else:
                 with pytest.raises(UncoveredResidueError) as exc_info:
                     cover.verify_cover(candidate, divisors, predicate)
                 assert (exc_info.value.residue, exc_info.value.lcm) == (hole, lcm)
+
+
+# Entries with periods dividing 2520, so L <= 2520, and any offset below
+# them; the table and the counts read only b and c, so d is arbitrary.
+SMALL_ENTRIES = st.lists(
+    st.sampled_from([b for b in range(1, 25) if 2520 % b == 0]).flatmap(
+        lambda b: st.builds(CoverEntry, st.integers(3, 99), st.just(b), st.integers(0, b - 1))
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(SMALL_ENTRIES, st.sampled_from(sorted(check.PREDICATES)))
+def test_witness_counts_match_the_per_residue_scan(entries, predicate):
+    # A copy of the first entry appended at the end claims nothing: every
+    # residue it matches goes to the first entry.
+    entries = tuple(entries) + (entries[0],)
+    lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
+    cert = hand_certificate(Candidate(78557, 1), entries, lcm, predicate)
+    counts = cert.witness_counts
+    assert counts == witness_counts_naive(entries, lcm, CLAIMED[predicate])
+    assert counts[-1] == 0
 
 
 class TestWitness:
@@ -306,6 +331,30 @@ def doctored_certificates(cert, rng):
     for lcm in (cert.lcm - 1, cert.lcm + 1):
         if lcm >= 1:
             yield dataclasses.replace(cert, lcm=lcm)
+
+
+def wrong_period_certificates():
+    """(cert, n_bad) whose row 0 of the residue walk passes although one
+    witness d has 2^L != 1 (mod d): the entry of d states as its period b
+    the whole L, a multiple of the other periods that its true period does
+    not divide, and as its offset c a true offset past the prefix, so that
+    it claims one n per period, and n_bad = c + L is the first that fails."""
+    for candidate, divisors, predicate in random_divisor_sets():
+        entries = [cover.build_entry(candidate, d) for d in divisors]
+        depth = max(divisors).bit_length()
+        for i, e in enumerate(entries):
+            others = entries[:i] + entries[i + 1:]
+            for m in (1, 2, 3):
+                lcm = m * math.lcm(*(o.b for o in others), PREDICATE_MODULUS[predicate])
+                if pow(2, lcm, e.d) != 1 and depth + e.b < lcm <= 600:
+                    break
+            else:
+                continue
+            # The least c > depth with c == e.c (mod e.b), below lcm.
+            c = e.c + e.b * ((depth - e.c) // e.b + 1)
+            cert = hand_certificate(candidate, [CoverEntry(e.d, lcm, c)] + others, lcm, predicate)
+            if cert.table[c] == 0:
+                yield cert, c + lcm
 
 
 def audit_depths(cert):
@@ -413,6 +462,32 @@ class TestStreamedAudit:
                 assert cover.first_audit_failure(bad, n_max) == expected
                 assert first_audit_failure_naive(bad, n_max) == expected
             assert cover.first_audit_failure(bad, 10 * L) is not None
+
+    def test_a_witness_with_the_wrong_period_fails_one_period_after_row_0(self):
+        # Row 0 passes, and the first failure is L above it, at any depth.
+        rng = random.Random(13)
+        certs = list(wrong_period_certificates())
+        assert len(certs) >= 50
+        for cert, n_bad in certs:
+            depth, L = cover.proof_depth(cert), cert.lcm
+            for n_max in (depth + L, depth + L + 1, 10 * L + 7, rng.randrange(1, 12 * L)):
+                expected = first_audit_failure_naive(cert, n_max)
+                assert cover.first_audit_failure(cert, n_max) == expected
+                assert expected == (n_bad if n_max >= n_bad else None)
+            assert cover.first_audit_failure(cert, cover.MAX_AUDIT_N) == n_bad
+
+    def test_reads_the_prefix_and_one_period_of_the_table(self, selfridge_cert):
+        class CountingTable(tuple):
+            reads = 0
+
+            def __getitem__(self, i):
+                CountingTable.reads += 1
+                return tuple.__getitem__(self, i)
+
+        cert = dataclasses.replace(selfridge_cert)
+        cert.__dict__["table"] = CountingTable(selfridge_cert.table)
+        assert cover.first_audit_failure(cert, cover.MAX_AUDIT_N) is None
+        assert 0 < CountingTable.reads <= cover.proof_depth(cert) + cert.lcm == 43
 
     def test_bignum_terms_only_in_the_properness_prefix(self, selfridge_cert):
         class CountingK(int):
