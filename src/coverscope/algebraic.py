@@ -11,10 +11,10 @@ predicate claims exactly the exponents the factor family leaves out.  The
 cases (CoverlessCase subclasses, paired with their sign in CASE_BY_SIGN),
 the AlgebraicCertificate that joins the two halves, its parser and proof,
 and the one split function family_factor live in coverscope.check; this
-module builds and writes them.
+module builds and writes them, and check.prove proves what it builds.
 """
 
-from coverscope import check, cover
+from coverscope import cover
 
 # Defined in the trusted checker; these names stay importable from algebraic.
 from coverscope.check import (  # noqa: F401
@@ -35,16 +35,12 @@ from coverscope.check import check_algebraic_certificate_facts as check_certific
 
 
 def build_algebraic_certificate(case, n_max: int | None = None) -> AlgebraicCertificate:
-    """Verify the partial cover, then every factor and witness up to n_max
-    (default 200, recorded as audited_n_max) or check.proof_depth if deeper."""
-    n_max = n_max or 200
-    candidate = Candidate(case.k, case.sign)
-    partial = cover.verify_cover(candidate, case.partial_cover, case.predicate)
-    depth = max(n_max, check.proof_depth(partial))
-    n_bad = check.first_coverless_failure(case, partial, depth)
-    if n_bad is not None:
-        raise VerificationError(f"coverless verification failed at n={n_bad}")
-    return AlgebraicCertificate(case, partial, n_max)
+    """Build the partial cover and join it to the case, recording n_max
+    (default 200) as audited_n_max: the depth to which the caller is to
+    cross-check it with check.prove before emitting it.  Proves nothing;
+    raises only where verify_cover cannot build the partial cover."""
+    partial = cover.verify_cover(Candidate(case.k, case.sign), case.partial_cover, case.predicate)
+    return AlgebraicCertificate(case, partial, n_max or 200)
 
 
 # --- serialization -----------------------------------------------------------

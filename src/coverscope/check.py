@@ -1,20 +1,21 @@
-"""The trusted checker: everything `coverscope audit` relies on.
+"""The trusted checker: everything a "proved" verdict relies on.
 
 This module imports only the standard library.  It holds the certificate
 types, the parsers that build them from JSON, and the checks that prove a
 stated certificate for every n >= 1 without searching for an order, an
 offset or a prime.  The builders in coverscope.cover and
-coverscope.algebraic produce the same types.  `verify` and `family` run this
-module's hole finder and prefix audit, but take the divisibility facts from
-arith.order_and_offset; only `audit` and `verify-dataset` re-check those
-facts, through check_facts.
+coverscope.algebraic produce the same types but prove nothing: `verify`,
+`family`, `audit` and `verify-dataset` all end in prove(), which re-checks
+every divisibility fact a builder found, so a fault in a builder is
+refused, not reported as a proof.
 
 A cover (full, or the partial cover of a coverless number) is proved by its
 divisibility facts and a witness audit of the properness prefix
 n <= proof_depth.  A coverless number's algebraic factor family is proved
-once from its coefficients, which parsing fixes.  The term-by-term
-cross-checks at the end of the module are opt-in (`--audit-n`) and trust
-none of the facts.
+once from its coefficients, which parsing fixes.  prove() then runs the
+term-by-term cross-check of n = 1..n_max when asked: `--audit-n`, or the
+audited_n_max recorded in a coverless certificate that `verify` or
+`verify-dataset` builds.  The cross-check trusts none of the facts.
 """
 
 import json
@@ -134,7 +135,7 @@ class CoverCertificate:
         """Residues mod L the entries claim, once per entry: the table's cost."""
         return sum([len(range(e.c, self.lcm, e.b)) for e in self.entries])
 
-    @property
+    @cached_property
     def uncovered_residue(self) -> int | None:
         """Least residue mod L the predicate claims but no entry matches, or None."""
         modulus, claimed = PREDICATES[self.predicate]
@@ -438,13 +439,6 @@ def check_algebraic_certificate_facts(cert: AlgebraicCertificate) -> str | None:
     return None if n_bad is None else f"factor check failed at n={n_bad}"
 
 
-def check_facts(cert: CoverCertificate | AlgebraicCertificate) -> str | None:
-    """The facts check of the certificate's kind."""
-    if isinstance(cert, AlgebraicCertificate):
-        return check_algebraic_certificate_facts(cert)
-    return check_certificate_facts(cert)
-
-
 # --- term-by-term audits -----------------------------------------------------
 
 
@@ -542,11 +536,18 @@ def first_coverless_failure(case, partial: CoverCertificate, n_max: int) -> int 
     return n_bad
 
 
-def cross_check(cert: CoverCertificate | AlgebraicCertificate, n_max: int) -> str | None:
-    """The term-by-term cross-check of n = 1..n_max for the certificate's
-    kind: the first failure, or None."""
+def prove(cert: CoverCertificate | AlgebraicCertificate, n_max: int | None = None) -> str | None:
+    """The one proof of every "proved": the facts check of the certificate's
+    kind, then, when n_max is given, the term-by-term cross-check of
+    n = 1..n_max.  Returns a description of the first problem, or None."""
     if isinstance(cert, AlgebraicCertificate):
-        n_bad = first_coverless_failure(cert.case, cert.partial, n_max)
-        return None if n_bad is None else f"factor check failed at n={n_bad}"
-    n_bad = first_audit_failure(cert, n_max)
-    return None if n_bad is None else f"witness fails at n={n_bad}"
+        problem = check_algebraic_certificate_facts(cert)
+        if problem is None and n_max:
+            n_bad = first_coverless_failure(cert.case, cert.partial, n_max)
+            problem = n_bad and f"factor check failed at n={n_bad}"
+    else:
+        problem = check_certificate_facts(cert)
+        if problem is None and n_max:
+            n_bad = first_audit_failure(cert, n_max)
+            problem = n_bad and f"witness fails at n={n_bad}"
+    return problem

@@ -7,6 +7,7 @@ k*2^n + 1) and r (terms k*2^n - 1).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -133,17 +134,19 @@ def _build_parser():
     return parser
 
 
-def _emit_certificate(cert, to_json, args):
-    """Write cert's JSON to --out and, with --format json, to stdout; text
-    output without --out never builds it."""
-    if not (args.out or args.format == "json"):
-        return
-    text = to_json(cert)
+def _prove_and_emit(cert, n_max, to_json, args, summary):
+    """Refuse cert unless check.prove proves it, cross-checked to n_max if
+    given; then write its JSON to --out and, with --format json, to stdout,
+    or print summary(cert).  Text output without --out never builds the JSON."""
+    problem = check.prove(cert, n_max)
+    if problem is not None:
+        raise VerificationError(problem)
+    text = to_json(cert) if args.out or args.format == "json" else None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if args.format == "json":
-        sys.stdout.write(text)
+    sys.stdout.write(text if args.format == "json" else summary(cert))
+    return 0
 
 
 def _scope(cross_n):
@@ -151,10 +154,13 @@ def _scope(cross_n):
     return f"proved for all n >= 1{cross}"
 
 
-def _cover_summary(cert, cross_n):
+def _cover_summary(cert, audit_n, header=""):
+    """The text summary of a proved cover.  Its scope names the deeper of the
+    cross-check and the proof's own prefix audit, which also checks each term."""
+    cross_n = audit_n and max(audit_n, check.proof_depth(cert))
     counts = cert.witness_counts
     lines = [
-        f"verified: k={cert.candidate.k} ({cert.candidate.sign_name})",
+        f"{header}verified: k={cert.candidate.k} ({cert.candidate.sign_name})",
         "entries (d, b, c): "
         + " ".join(f"({e.d},{e.b},{e.c})" for e in cert.entries),
         f"L = {cert.lcm}",
@@ -173,41 +179,27 @@ def _cover_summary(cert, cross_n):
     return "\n".join(lines) + "\n"
 
 
+def _coverless_summary(cert):
+    candidate, case = cert.candidate, cert.case
+    return (
+        f"verified: k={candidate.k} ({candidate.sign_name}), kind={case.kind}, root={case.root}\n"
+        f"partial cover exhaustive for '{case.predicate}' residues, L = {cert.partial.lcm}\n"
+        f"{_scope(cert.audited_n_max)}: every term has a proper partial cover "
+        "or algebraic factor\n"
+    )
+
+
 def cmd_verify(args):
-    candidate = Candidate(args.k, args.sign)
-    if args.partial or args.root:
-        if not (args.partial and args.root):
-            raise ValueError("--partial and --root must be given together")
-        case = _algebraic_case(args)
-        cert = algebraic.build_algebraic_certificate(case, args.audit_n)
-        _emit_certificate(cert, algebraic.certificate_to_json, args)
-        if args.format == "text":
-            partial = cert.partial
-            sys.stdout.write(
-                f"verified: k={candidate.k} ({candidate.sign_name}), "
-                f"kind={case.kind}, root={case.root}\n"
-                f"partial cover exhaustive for '{partial.predicate}' residues, "
-                f"L = {partial.lcm}\n"
-                f"{_scope(cert.audited_n_max)}: every term has a proper partial cover "
-                "or algebraic factor\n"
-            )
-        return 0
-    cert = cover.verify_cover(candidate, args.cover)
-    return _audit_and_emit(cert, args.audit_n, args)
-
-
-def _audit_and_emit(cert, audit_n, args, header=""):
-    """Finish the proof of a cover verify_cover built with the proof_depth
-    audit (audit_n terms if deeper), then emit it and its summary."""
-    depth = max(check.proof_depth(cert), audit_n or 0)
-    n_bad = check.first_audit_failure(cert, depth)
-    if n_bad is not None:
-        sys.stderr.write(f"audit failed at n={n_bad}\n")
-        return 1
-    _emit_certificate(cert, cover.certificate_to_json, args)
-    if args.format == "text":
-        sys.stdout.write(header + _cover_summary(cert, depth if audit_n else None))
-    return 0
+    if not (args.partial or args.root):
+        cert = cover.verify_cover(Candidate(args.k, args.sign), args.cover)
+        summary = functools.partial(_cover_summary, audit_n=args.audit_n)
+        return _prove_and_emit(cert, args.audit_n, cover.certificate_to_json, args, summary)
+    if not (args.partial and args.root):
+        raise ValueError("--partial and --root must be given together")
+    cert = algebraic.build_algebraic_certificate(_algebraic_case(args), args.audit_n)
+    return _prove_and_emit(
+        cert, cert.audited_n_max, algebraic.certificate_to_json, args, _coverless_summary
+    )
 
 
 def _algebraic_case(args):
@@ -257,15 +249,14 @@ def cmd_survey(args):
 def cmd_family(args):
     cert = cover.generate_family(Candidate(args.k, args.sign), args.cover, args.i)
     header = f"family member i={args.i}: k' = {cert.candidate.k}\n"
-    return _audit_and_emit(cert, None, args, header)
+    summary = functools.partial(_cover_summary, audit_n=None, header=header)
+    return _prove_and_emit(cert, None, cover.certificate_to_json, args, summary)
 
 
 def cmd_audit(args):
     with open(args.file, encoding="utf-8") as fh:
         cert = check.certificate_from_json(fh.read())
-    problem = check.check_facts(cert)
-    if problem is None and args.audit_n:
-        problem = check.cross_check(cert, args.audit_n)
+    problem = check.prove(cert, args.audit_n)
     if problem is not None:
         sys.stderr.write(f"audit FAILED: {problem}\n")
         return 1

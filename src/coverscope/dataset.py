@@ -205,24 +205,25 @@ def _verify_record(record: CorpusRecord) -> RecordResult:
             for sign, divisors in record.covers:
                 cert = cover.verify_cover(Candidate(record.k, sign), divisors)
                 lcms.append(cert.lcm)
-                if problem := cover.check_certificate_facts(cert):
+                if problem := check.prove(cert):
                     raise VerificationError(problem)
         else:
             sign, divisors = record.covers[0]
             case = check.CASE_BY_SIGN[sign](record.root, divisors)
             cert = algebraic.build_algebraic_certificate(case)
+            if problem := check.prove(cert, cert.audited_n_max):
+                raise VerificationError(problem)  # a refused coverless record reports no L
             lcms.append(cert.partial.lcm)
-            if problem := check.check_facts(cert):
-                raise VerificationError(problem)
     except (VerificationError, ValueError) as exc:
         ok, detail = False, str(exc)
     return RecordResult(record, ok, detail, tuple(lcms), time.perf_counter() - start)
 
 
 def verify_corpus(records) -> CorpusReport:
-    """Prove every record for all n >= 1 through check.check_facts;
-    results keep input order.  Coverless records are also cross-checked term
-    by term to build_algebraic_certificate's default depth."""
+    """Prove every record for all n >= 1 through check.prove, the one proof
+    `verify` and `audit` also end in; results keep input order.  Coverless
+    records are also cross-checked term by term to the audited_n_max
+    build_algebraic_certificate records, 200."""
     start = time.perf_counter()
     results = tuple(_verify_record(r) for r in records)
     return CorpusReport(results, time.perf_counter() - start)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from coverscope import algebraic, cover
+from coverscope import algebraic, check, cover
 from coverscope.algebraic import (
     FourthPowerCase,
     SquareCase,
@@ -195,15 +195,30 @@ class TestPartialCover:
             witness(cert, 0)
 
 
+def built_and_proved(case, n_max):
+    """The certificate the builder builds, after check.prove has proved it."""
+    cert = build_algebraic_certificate(case, n_max)
+    assert check.prove(cert, cert.audited_n_max) is None
+    return cert
+
+
 class TestVerifyCoverless:
     def test_first_fourth_power(self):
-        assert build_algebraic_certificate(CASE_A, 200).candidate == Candidate(CASE_A.k, 1)
+        assert built_and_proved(CASE_A, 200).candidate == Candidate(CASE_A.k, 1)
 
     def test_second_fourth_power(self):
-        assert build_algebraic_certificate(CASE_B, 100).candidate == Candidate(CASE_B.k, 1)
+        assert built_and_proved(CASE_B, 100).candidate == Candidate(CASE_B.k, 1)
 
     def test_square(self):
-        assert build_algebraic_certificate(CASE_SQ, 100).candidate == Candidate(CASE_SQ.k, -1)
+        assert built_and_proved(CASE_SQ, 100).candidate == Candidate(CASE_SQ.k, -1)
+
+    def test_builder_runs_no_term_audit(self, monkeypatch):
+        def audit(*args):
+            raise AssertionError("the builder ran a term audit")
+
+        monkeypatch.setattr(check, "first_coverless_failure", audit)
+        monkeypatch.setattr(check, "first_audit_failure", audit)
+        assert build_algebraic_certificate(CASE_A).audited_n_max == 200
 
 
 class TestAlgebraicCertificate:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coverscope import algebraic, check, cover, dataset, disqualify
+from coverscope import algebraic, arith, check, cover, dataset, disqualify
 from coverscope.cli import main
 from coverscope.cover import Candidate
 
@@ -79,8 +79,17 @@ class TestVerify:
             capsys, "verify", "--k", "78557", "--sign", "s",
             "--cover", "157115," + SELFRIDGE, "--audit-n", "40",
         )
-        assert (code, out, err) == (1, "", "audit failed at n=1\n")
+        assert (code, out, err) == (1, "", "not verified: witness fails at n=1\n")
         assert len(calls) == 1
+
+    def test_coverless_witness_failure_is_a_factor_check_failure(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(check, "first_audit_failure", lambda cert, n_max: 5)
+        path = tmp_path / "cert.json"
+        code, out, err = run(capsys, "verify", *COVERLESS_S4, "--out", str(path))
+        assert (code, out, err) == (1, "", "not verified: factor check failed at n=5\n")
+        assert not path.exists()
 
     def test_divisor_claiming_no_residue_is_flagged(self, capsys):
         code, out, _ = run(
@@ -323,7 +332,7 @@ class TestFamily:
             capsys, "family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
             "--i", "1",
         )
-        assert (code, out, err) == (1, "", "audit failed at n=5\n")
+        assert (code, out, err) == (1, "", "not verified: witness fails at n=5\n")
 
     def test_i_zero_is_usage_error(self, capsys):
         code, _, _ = run(
@@ -338,6 +347,75 @@ class TestFamily:
             "--i", "1",
         )
         assert code == 1
+
+
+# A fault in the order and offset walk: 109 (period 36, true offset 31) is
+# given the offset 15, and 11 (period 10, true offset 5), redundant at the
+# end of the README S4 cover, the offset 6.  Neither leaves a hole, and
+# neither claims an n in the properness prefix.
+DOCTORED_OFFSETS = {109: (36, 15), 11: (10, 6)}
+DOCTORED_S4 = (*COVERLESS_S4[:5], COVERLESS_S4[5] + ",11", *COVERLESS_S4[6:])
+
+
+class TestBuilderFaultsAreRefused:
+    """Every command that reports "proved" ends in check.prove, which
+    re-checks what the builders found, so a faulty walk is refused."""
+
+    @pytest.fixture(autouse=True)
+    def doctored_walk(self, monkeypatch):
+        walk = arith.order_and_offset
+        monkeypatch.setattr(
+            arith, "order_and_offset",
+            lambda k, sign, d, bound: DOCTORED_OFFSETS.get(d) or walk(k, sign, d, bound),
+        )
+        assert cover.build_entry(Candidate(78557, 1), 109) == cover.CoverEntry(109, 36, 15)
+
+    @pytest.mark.parametrize(
+        "argv, problem",
+        [
+            (("verify", "--k", "78557", "--sign", "s", "--cover", "109," + SELFRIDGE),
+             "109 does not divide k*2^15 +1"),
+            (("family", "--k", "78557", "--sign", "s", "--cover", "109," + SELFRIDGE, "--i", "1"),
+             "109 does not divide k*2^15 +1"),
+            (("verify", *DOCTORED_S4), "11 does not divide k*2^6 +1"),
+        ],
+        ids=["verify", "family", "verify-partial"],
+    )
+    def test_verify_and_family_exit_1_and_write_nothing(self, capsys, tmp_path, argv, problem):
+        path = tmp_path / "cert.json"
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(path))
+            assert (code, out, err) == (1, "", f"not verified: {problem}\n")
+            assert not path.exists()
+
+    def test_verify_dataset_exits_1(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "S 78557 109,3,5,7,13,19,37,73\n"
+            "S4 4008735125781478102999926000625 root=44745755 partial=3,17,97,241,257,673,11\n"
+        )
+        code, out, _ = run(capsys, "verify-dataset", "--corpus", str(corpus), "--format", "json")
+        assert code == 1
+        assert [(r["ok"], r["detail"]) for r in json.loads(out)["records"]] == [
+            (False, "109 does not divide k*2^15 +1"),
+            (False, "11 does not divide k*2^6 +1"),
+        ]
+
+
+def test_recorded_coverless_depth_is_the_depth_cross_checked(capsys, monkeypatch):
+    depths = []
+    cross_check = check.first_coverless_failure
+    monkeypatch.setattr(
+        check, "first_coverless_failure",
+        lambda case, partial, n_max: depths.append(n_max) or cross_check(case, partial, n_max),
+    )
+    code, out, _ = run(capsys, "verify", *COVERLESS_S4, "--audit-n", "100", "--format", "json")
+    assert (code, json.loads(out)["audited_n_max"], depths) == (0, 100, [100])
+    code, out, _ = run(capsys, "verify", *COVERLESS_S4, "--format", "json")
+    assert (code, json.loads(out)["audited_n_max"], depths) == (0, 200, [100, 200])
+    records = [r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root]
+    assert dataset.verify_corpus(records).ok
+    assert depths == [100, 200, 200, 200, 200]
 
 
 def coverless_certificate(capsys, tmp_path, record):

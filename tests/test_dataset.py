@@ -285,7 +285,8 @@ class TestVerifyCorpus:
     def test_coverless_facts_are_checked_apart_from_the_builder(self, monkeypatch):
         # 11 (period 10, true offset 5) is redundant at the end of the README
         # S4 cover, so a wrong offset for it leaves no hole and witnesses
-        # nothing: the builder, its cross-check stubbed out too, misses it.
+        # nothing: the builder misses it, and the facts check catches it
+        # with the term-by-term cross-check stubbed out.
         line = "S4 4008735125781478102999926000625 root=44745755 partial=3,17,97,241,257,673,11\n"
         assert verify_corpus(parse_corpus(line)).ok
         walk = arith.order_and_offset
