@@ -14,12 +14,12 @@ import importlib
 # Each public name is imported from its module on first use, so that
 # `import coverscope.check` loads the trusted checker and nothing else.
 _HOMES = {
-    "algebraic": ("AlgebraicCertificate", "FourthPowerCase", "SquareCase",
-                  "build_algebraic_certificate", "family_factor"),
+    "algebraic": ("build_algebraic_certificate",),
     "arith": ("PrimalityResult", "is_prime", "proth_test"),
-    "cover": ("TOOL_VERSION", "Candidate", "CoverCertificate", "CoverEntry", "NoOffsetError",
-              "UncoveredResidueError", "VerificationError", "build_entry", "generate_family",
-              "verify_cover", "witness"),
+    "check": ("AlgebraicCertificate", "Candidate", "CoverCertificate", "CoverEntry",
+              "FourthPowerCase", "SquareCase", "VerificationError", "family_factor"),
+    "cover": ("TOOL_VERSION", "NoOffsetError", "UncoveredResidueError", "build_entry",
+              "generate_family", "verify_cover", "witness"),
     "dataset": ("CorpusRecord", "load_corpus", "verify_corpus"),
     "disqualify": ("DisqualificationRecord", "first_prime_exponent", "survey_range"),
 }

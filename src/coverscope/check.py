@@ -21,7 +21,6 @@ audited_n_max recorded in a coverless certificate that `verify` or
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 # Largest term-by-term cross-check (--audit-n) the CLI runs.  The witness
 # audit reads the properness prefix, one period of residues and one
@@ -31,13 +30,16 @@ from functools import cached_property
 # (2 vCPUs, Python 3.11).
 MAX_AUDIT_N = 100_000
 
-# Largest L a certificate may state or a cover may reach.  The residue table
-# is derived, one slot per residue mod L, so this bound keeps every exponent
-# that reaches pow, and every allocation, below 10^7.  It also caps the walk
-# that finds each divisor's period and offset at about 2*sqrt(MAX_LCM) steps.
+# Largest L a certificate may state or a cover may reach.  The hole check
+# writes one byte per residue mod L and the residue table one slot, so this
+# bound keeps every exponent that reaches pow, and every allocation, below
+# 10^7.  It also caps the walk that finds each divisor's period and offset at
+# about 2*sqrt(MAX_LCM) steps.
 MAX_LCM = 10**7
-# Most residues mod L the entries may claim, once per entry: deriving the
-# table writes one slot per claim, 0.8 s at this bound (2 vCPUs, Python 3.11).
+# Most residues mod L the entries may claim, once per entry: the hole check
+# and the table each write once per claim.  Ten extra copies of 3 on the
+# L = 6000012 cover claim 38166749: the byte pass takes 0.05 s, and the table
+# that prove's prefix audit derives 0.8 s (2 vCPUs, Python 3.11).
 MAX_CLAIMS = 4 * MAX_LCM
 
 SIGN_SIERPINSKI = 1
@@ -100,12 +102,29 @@ class CoverEntry:
     c: int
 
 
+class _derived:
+    """A value derived from a frozen certificate's fields on first read and
+    stored in the instance __dict__, which then shadows this non-data
+    descriptor.  functools.cached_property does the same but takes a lock on
+    first read on Python 3.11, about four times the cost of this one."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class CoverCertificate:
     """Cover certificate: entries and L = lcm of the periods and the
-    predicate modulus.  The residue table is derived from them.
-    divisor_primality flags composite divisors - legal in a cover, but worth
-    a warning."""
+    predicate modulus.  Coverage is found by one byte pass over the entries'
+    progressions; the residue table, derived only where a witness is read,
+    comes from the same fields.  divisor_primality flags composite divisors
+    - legal in a cover, but worth a warning."""
 
     candidate: Candidate
     entries: tuple[CoverEntry, ...]
@@ -113,7 +132,7 @@ class CoverCertificate:
     divisor_primality: tuple[bool, ...]
     predicate: str = PREDICATE_ALL
 
-    @cached_property
+    @_derived
     def table(self) -> tuple[int | None, ...]:
         """Residue r in 0..L-1 -> index of the first entry (in cover order)
         with r == c (mod b), or None where no entry matches or the predicate
@@ -132,23 +151,42 @@ class CoverCertificate:
 
     @property
     def claims(self) -> int:
-        """Residues mod L the entries claim, once per entry: the table's cost."""
+        """Residues mod L the entries claim, once per entry: the cost of the
+        byte pass and of the table."""
         return sum([len(range(e.c, self.lcm, e.b)) for e in self.entries])
 
-    @cached_property
-    def uncovered_residue(self) -> int | None:
-        """Least residue mod L the predicate claims but no entry matches, or None."""
+    def _left_out(self) -> bytearray:
+        """One byte per residue mod L: 1 where the predicate does not claim
+        it, 0 elsewhere."""
         modulus, claimed = PREDICATES[self.predicate]
-        columns = [(r, self.table[r::modulus]) for r in claimed]
-        return min([r + modulus * c.index(None) for r, c in columns if None in c], default=None)
+        lcm = self.lcm
+        covered = bytearray(lcm)
+        for r in range(modulus):
+            if r not in claimed:
+                covered[r::modulus] = b"\1" * len(range(r, lcm, modulus))
+        return covered
+
+    @_derived
+    def uncovered_residue(self) -> int | None:
+        """Least residue mod L the predicate claims but no entry matches, or
+        None: 1 is written along every entry's progression, and the first 0
+        left is the hole.  Needs every period b >= 1."""
+        lcm, covered = self.lcm, self._left_out()
+        for e in self.entries:
+            covered[e.c::e.b] = b"\1" * len(range(e.c, lcm, e.b))
+        hole = covered.find(0)
+        return None if hole < 0 else hole
 
     @property
     def witness_counts(self) -> tuple[int, ...]:
-        """How many residues mod L each entry claims.  The table holds index
-        i only at residues == c_i (mod b_i), so each entry's count is read
-        off its own progression."""
-        table = self.table
-        return tuple([table[e.c::e.b].count(i) for i, e in enumerate(self.entries)])
+        """How many residues mod L each entry is the first match for: the
+        claimed residues on its progression that no earlier entry marked."""
+        lcm, covered = self.lcm, self._left_out()
+        counts = []
+        for e in self.entries:
+            counts.append(covered[e.c::e.b].count(0))
+            covered[e.c::e.b] = b"\1" * len(range(e.c, lcm, e.b))
+        return tuple(counts)
 
 
 @dataclass(frozen=True)

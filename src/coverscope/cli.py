@@ -73,7 +73,7 @@ def _build_parser():
     p.add_argument("--cover", type=_cover_list, required=True, metavar="D1,D2,...")
     p.add_argument(
         "--partial",
-        choices=(algebraic.PREDICATE_MOD4_NE_2, algebraic.PREDICATE_ODD),
+        choices=(check.PREDICATE_MOD4_NE_2, check.PREDICATE_ODD),
         help="treat the cover as partial, valid on this exponent condition",
     )
     p.add_argument("--root", type=_positive, help="root with k = root^4 (s) or root^2 (r)")

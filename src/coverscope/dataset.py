@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from coverscope import algebraic, check, cover
-from coverscope.cover import Candidate, VerificationError
+from coverscope.check import Candidate, VerificationError
 
 KIND_S = "sierpinski-cover"
 KIND_R = "riesel-cover"

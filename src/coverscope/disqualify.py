@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from coverscope import arith
-from coverscope.cover import Candidate
+from coverscope.check import Candidate
 
 DEFAULT_SINGLE_N_MAX = 600
 DEFAULT_SURVEY_N_MAX = 16

@@ -139,7 +139,7 @@ def witness_counts_naive(entries, lcm, claimed):
 def first_audit_failure_naive(certificate, n_max):
     """Smallest claimed n in 1..n_max whose witness d is not a proper divisor
     of k*2^n + sign, or None: each witness from the per-residue scan and
-    every term built as a bignum, the loop coverscope.cover.first_audit_failure
+    every term built as a bignum, the loop coverscope.check.first_audit_failure
     used to run.  The properness test comes before the division, so a
     witness d <= 1 fails where the division by 0 would have raised."""
     table = first_match_table(

@@ -11,8 +11,9 @@ import time
 
 import pytest
 
-from coverscope import algebraic, arith, cover, dataset, disqualify
-from coverscope.cover import Candidate, CoverEntry, UncoveredResidueError
+from coverscope import arith, check, cover, dataset, disqualify
+from coverscope.check import Candidate, CoverEntry
+from coverscope.cover import UncoveredResidueError
 from oracles import check_induction_identity, mod_pow_naive, trial_division_prime
 
 SELFRIDGE_COVER = (3, 5, 7, 13, 19, 37, 73)
@@ -91,7 +92,7 @@ def test_criterion_3_audit_depth(corpus):
         certs = cover_certificates(corpus)
         assert len(certs) == 19 + 5 + 2 * 5
         for record, sign, cert in certs:
-            assert cover.first_audit_failure(cert, 10 * cert.lcm) is None, (record.k, sign)
+            assert check.first_audit_failure(cert, 10 * cert.lcm) is None, (record.k, sign)
         assert time.perf_counter() - start < 60.0
 
 
@@ -140,7 +141,7 @@ def test_criterion_6_fourth_power_factorization():
             (44745755, 4004365181040050, 89491510),
             (734110615000775, 1077836790113632192906501201250, 1468221230001550),
         ):
-            case = algebraic.FourthPowerCase(root, ())
+            case = check.FourthPowerCase(root, ())
             assert case.A == coeff_a and case.B == coeff_b
             k = root**4
             for n in range(2, 201, 4):
@@ -152,7 +153,7 @@ def test_criterion_6_fourth_power_factorization():
                 assert term % factor == 0
                 assert factor * cofactor == term
                 assert 1 < factor < term
-                assert algebraic.family_factor(case, n) == factor
+                assert check.family_factor(case, n) == factor
 
 
 def test_criterion_7_square_riesel(corpus):
@@ -170,7 +171,7 @@ def test_criterion_7_square_riesel(corpus):
         divisors = record.covers[0][1]
         assert len(divisors) == 20
         cert = cover.verify_cover(
-            Candidate(k, -1), divisors, algebraic.PREDICATE_ODD
+            Candidate(k, -1), divisors, check.PREDICATE_ODD
         )
         assert cert.lcm % 2 == 0
         assert all(cert.table[r] is not None for r in range(1, cert.lcm, 2))
@@ -183,16 +184,16 @@ def test_criterion_8_negative_controls(corpus):
         assert exc_info.value.residue == 3
         both = next(r for r in corpus if r.k == 143665583045350793098657)
         (_, riesel_cover), (_, sierpinski_cover) = both.covers
-        with pytest.raises(cover.VerificationError):
+        with pytest.raises(check.VerificationError):
             cover.verify_cover(Candidate(both.k, -1), sierpinski_cover)
-        with pytest.raises(cover.VerificationError):
+        with pytest.raises(check.VerificationError):
             cover.verify_cover(Candidate(both.k, 1), riesel_cover)
 
 
 def test_criterion_9_property_suites():
     with criterion(9, "order/mod-pow/primality property suites and determinism"):
         for d in range(3, 1000, 2):
-            b, _ = arith.order_and_offset(1, 1, d, cover.MAX_LCM)
+            b, _ = arith.order_and_offset(1, 1, d, check.MAX_LCM)
             assert pow(2, b, d) == 1
             for j in range(1, b):
                 assert pow(2, j, d) != 1

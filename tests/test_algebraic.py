@@ -5,19 +5,15 @@ from pathlib import Path
 import pytest
 
 from coverscope import algebraic, check, cover
-from coverscope.algebraic import (
+from coverscope.algebraic import build_algebraic_certificate
+from coverscope.check import (
+    Candidate,
     FourthPowerCase,
     SquareCase,
-    build_algebraic_certificate,
+    VerificationError,
     family_factor,
 )
-from coverscope.cover import (
-    Candidate,
-    UncoveredResidueError,
-    VerificationError,
-    verify_cover,
-    witness,
-)
+from coverscope.cover import UncoveredResidueError, verify_cover, witness
 from oracles import smallest_uncovered
 
 # CASE_A's certificate as version 0.1 wrote it, residue table included.
@@ -135,7 +131,7 @@ class TestSquareCase:
 class TestPartialCover:
     def test_first_fourth_power_case(self):
         cert = verify_cover(
-            Candidate(CASE_A.k, 1), CASE_A.partial_cover, algebraic.PREDICATE_MOD4_NE_2
+            Candidate(CASE_A.k, 1), CASE_A.partial_cover, check.PREDICATE_MOD4_NE_2
         )
         assert cert.lcm == 48
         assert cert.lcm % 4 == 0
@@ -147,13 +143,13 @@ class TestPartialCover:
 
     def test_second_fourth_power_case(self):
         cert = verify_cover(
-            Candidate(CASE_B.k, 1), CASE_B.partial_cover, algebraic.PREDICATE_MOD4_NE_2
+            Candidate(CASE_B.k, 1), CASE_B.partial_cover, check.PREDICATE_MOD4_NE_2
         )
         assert cert.lcm == 64
 
     def test_riesel_square_case(self):
         cert = verify_cover(
-            Candidate(CASE_SQ.k, -1), CASE_SQ.partial_cover, algebraic.PREDICATE_ODD
+            Candidate(CASE_SQ.k, -1), CASE_SQ.partial_cover, check.PREDICATE_ODD
         )
         assert cert.lcm == 6720
         assert len(cert.entries) == 20
@@ -163,7 +159,7 @@ class TestPartialCover:
         reduced = tuple(d for d in CASE_A.partial_cover if d != 17)
         with pytest.raises(UncoveredResidueError) as exc_info:
             verify_cover(
-                Candidate(CASE_A.k, 1), reduced, algebraic.PREDICATE_MOD4_NE_2
+                Candidate(CASE_A.k, 1), reduced, check.PREDICATE_MOD4_NE_2
             )
         assert exc_info.value.residue == 4  # smallest predicate residue left open
 
@@ -176,7 +172,7 @@ class TestPartialCover:
         ]
         expected = smallest_uncovered(entries, 48, predicate=lambda r: r % 4 != 2)
         with pytest.raises(UncoveredResidueError) as exc_info:
-            verify_cover(candidate, reduced, algebraic.PREDICATE_MOD4_NE_2)
+            verify_cover(candidate, reduced, check.PREDICATE_MOD4_NE_2)
         assert exc_info.value.residue == expected == 0
 
     def test_unknown_predicate_rejected(self):
@@ -185,7 +181,7 @@ class TestPartialCover:
 
     def test_partial_witness_respects_predicate(self):
         cert = verify_cover(
-            Candidate(CASE_A.k, 1), CASE_A.partial_cover, algebraic.PREDICATE_MOD4_NE_2
+            Candidate(CASE_A.k, 1), CASE_A.partial_cover, check.PREDICATE_MOD4_NE_2
         )
         d = witness(cert, 3)
         assert (CASE_A.k * 8 + 1) % d == 0
@@ -237,24 +233,24 @@ class TestAlgebraicCertificate:
         for case, n_max in ((CASE_A, 60), (CASE_SQ, 40)):
             cert = build_algebraic_certificate(case, n_max)
             doc = json.loads(algebraic.certificate_to_json(cert))
-            loaded = algebraic.certificate_from_dict(doc)
+            loaded = check.algebraic_certificate_from_dict(doc)
             assert loaded.case == case
             assert loaded.partial == cert.partial
-            assert algebraic.check_certificate_facts(loaded) is None
+            assert check.check_algebraic_certificate_facts(loaded) is None
 
     def test_doctored_coefficients_rejected(self):
         cert = build_algebraic_certificate(CASE_A, 20)
         doc = json.loads(algebraic.certificate_to_json(cert))
         doc["A"] = str(CASE_A.A + 2)
-        with pytest.raises(algebraic.CertificateFormatError):
-            algebraic.certificate_from_dict(doc)
+        with pytest.raises(check.CertificateFormatError):
+            check.algebraic_certificate_from_dict(doc)
 
     def test_unclaimed_predicate_residue_rejected(self):
         doc = json.loads(json.dumps(V1_CASE_A))
-        assert algebraic.certificate_from_dict(doc).case == CASE_A
+        assert check.algebraic_certificate_from_dict(doc).case == CASE_A
         doc["partial_cover_certificate"]["table"][3] = None
-        with pytest.raises(algebraic.CertificateFormatError):
-            algebraic.certificate_from_dict(doc)
+        with pytest.raises(check.CertificateFormatError):
+            check.algebraic_certificate_from_dict(doc)
 
     def test_partial_cover_schema_enforced(self):
         v2 = json.loads(algebraic.certificate_to_json(build_algebraic_certificate(CASE_A, 20)))
@@ -277,13 +273,13 @@ class TestAlgebraicCertificate:
             ):
                 doc = json.loads(json.dumps(base))
                 breakage(doc)
-                with pytest.raises(algebraic.CertificateFormatError):
-                    algebraic.certificate_from_dict(doc)
+                with pytest.raises(check.CertificateFormatError):
+                    check.algebraic_certificate_from_dict(doc)
 
     def test_partial_cover_is_not_a_full_cover(self):
         doc = json.loads(algebraic.certificate_to_json(build_algebraic_certificate(CASE_A, 20)))
-        with pytest.raises(cover.CertificateFormatError):
-            cover.certificate_from_dict(doc["partial_cover_certificate"])
+        with pytest.raises(check.CertificateFormatError):
+            check.certificate_from_dict(doc["partial_cover_certificate"])
 
     def test_json_booleans_rejected(self):
         cert = build_algebraic_certificate(CASE_A, 20)
@@ -299,13 +295,13 @@ class TestAlgebraicCertificate:
         ):
             doc = json.loads(algebraic.certificate_to_json(cert))
             breakage(doc)
-            with pytest.raises(algebraic.CertificateFormatError):
-                algebraic.certificate_from_dict(doc)
+            with pytest.raises(check.CertificateFormatError):
+                check.algebraic_certificate_from_dict(doc)
 
     def test_doctored_offset_caught_by_facts_check(self):
         cert = build_algebraic_certificate(CASE_A, 20)
         assert cert.partial.entries[0].c == 1  # true offset for d=3
         doc = json.loads(algebraic.certificate_to_json(cert))
         doc["partial_cover_certificate"]["entries"][0]["c"] = "0"
-        loaded = algebraic.certificate_from_dict(doc)
-        assert algebraic.check_certificate_facts(loaded) is not None
+        loaded = check.algebraic_certificate_from_dict(doc)
+        assert check.check_algebraic_certificate_facts(loaded) is not None

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from coverscope import algebraic, arith, check, cover, dataset, disqualify
+from coverscope.check import Candidate
 from coverscope.cli import main
-from coverscope.cover import Candidate
 
 SELFRIDGE = "3,5,7,13,19,37,73"
 COVERLESS_S4 = (
@@ -368,7 +368,7 @@ class TestBuilderFaultsAreRefused:
             arith, "order_and_offset",
             lambda k, sign, d, bound: DOCTORED_OFFSETS.get(d) or walk(k, sign, d, bound),
         )
-        assert cover.build_entry(Candidate(78557, 1), 109) == cover.CoverEntry(109, 36, 15)
+        assert cover.build_entry(Candidate(78557, 1), 109) == check.CoverEntry(109, 36, 15)
 
     @pytest.mark.parametrize(
         "argv, problem",
@@ -566,7 +566,7 @@ class TestAudit:
         audit = check.first_audit_failure
 
         def first_audit_failure(cert, n_max):
-            excess.append(n_max - cover.proof_depth(cert))
+            excess.append(n_max - check.proof_depth(cert))
             return audit(cert, n_max)
 
         monkeypatch.setattr(check, "first_audit_failure", first_audit_failure)
@@ -675,7 +675,7 @@ def test_deepest_cross_check_bytes_are_pinned(capsys, fmt, digest):
     # Digests of the all-bignum audit's output at --audit-n = MAX_AUDIT_N.
     code, out, err = run(
         capsys, "verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
-        "--audit-n", str(cover.MAX_AUDIT_N), "--format", fmt,
+        "--audit-n", str(check.MAX_AUDIT_N), "--format", fmt,
     )
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -799,6 +799,12 @@ class TestLcmBound:
         )
         assert code == 0
         assert "L = 6000012\n" in out
+        # The whole text, pinned; the tier-1 workflow compares the CLI's stdout with it too.
+        assert out == (Path(__file__).parent / "fixtures" / "verify-78557-L6000012.txt").read_text()
+        assert (
+            "residues claimed per divisor: 3:3000006 5:1500003 7:500001 13:500001 19:166667 "
+            "37:166667 73:166667 1000003:0\n"
+        ) in out
 
     def test_an_l_above_the_bound_exits_2(self, capsys):
         # Periods 36 (the cover), 1000002 (1000003) and 10 (11): L = 30000060.
@@ -821,8 +827,8 @@ class TestLcmBound:
 
 
 class TestClaimsBound:
-    """Deriving the table costs one slot per claimed residue, so a small
-    file with many long progressions is refused before it is derived."""
+    """The hole check and the table cost one write per claimed residue, so
+    a small file with many long progressions is refused before either runs."""
 
     def write(self, tmp_path, doc):
         path = tmp_path / "cert.json"
@@ -897,7 +903,7 @@ class TestAuditBound:
             code, out, err = run(capsys, *argv, "--audit-n", "1000000")
             assert time.perf_counter() - start < 1
             assert (code, out) == (2, "")
-            assert f"--audit-n: value must be <= {cover.MAX_AUDIT_N}" in err
+            assert f"--audit-n: value must be <= {check.MAX_AUDIT_N}" in err
 
     def test_the_bound_is_accepted(self, capsys, tmp_path, monkeypatch):
         # Cross-checks stubbed: for real, N = 10^5 takes about 8 ms on 78557 and 5 s coverless.
@@ -913,7 +919,7 @@ class TestAuditBound:
         monkeypatch.setattr(check, "first_coverless_failure", first_coverless_failure)
         full = tmp_path / "cert.json"
         coverless = tmp_path / "coverless.json"
-        bound = str(cover.MAX_AUDIT_N)
+        bound = str(check.MAX_AUDIT_N)
         for argv in (
             ("verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE, "--out", str(full)),
             ("verify", *COVERLESS_S4, "--out", str(coverless)),
@@ -924,12 +930,12 @@ class TestAuditBound:
             code, out, _ = run(capsys, *argv, "--audit-n", bound)
             assert code == 0
             assert f"cross-checked n = 1..{bound})" in out
-            assert max(depths) == cover.MAX_AUDIT_N
+            assert max(depths) == check.MAX_AUDIT_N
 
     @pytest.mark.parametrize("command", ["verify", "audit"])
     def test_help_states_the_bound(self, capsys, command):
         assert main([command, "--help"]) == 0
-        assert str(cover.MAX_AUDIT_N) in capsys.readouterr().out
+        assert str(check.MAX_AUDIT_N) in capsys.readouterr().out
 
 
 def test_text_output_without_out_never_serializes(capsys, monkeypatch):

@@ -8,13 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverscope import algebraic, check, cover, dataset
-from coverscope.cover import (
-    Candidate,
-    CoverEntry,
-    NoOffsetError,
-    UncoveredResidueError,
-    VerificationError,
-)
+from coverscope.check import Candidate, CoverEntry
+from coverscope.cover import NoOffsetError, UncoveredResidueError
 from oracles import (
     CLAIMED,
     check_induction_identity,
@@ -161,8 +156,22 @@ class TestVerifyCover:
         assert all(cert.divisor_primality[:-1])
         assert cert.witness_counts[-1] == 0  # 3 claims the shared residues first
 
+    @pytest.mark.parametrize("candidate, divisors, predicate", [
+        (Candidate(78557, 1), SELFRIDGE_COVER, check.PREDICATE_ALL),
+        (Candidate(509203, -1), RIESEL_COVER, check.PREDICATE_ALL),
+        (Candidate(44745755**4, 1), (3, 17, 97, 241, 257, 673), check.PREDICATE_MOD4_NE_2),
+    ])
+    def test_the_hole_check_and_the_counts_derive_no_table(self, candidate, divisors, predicate):
+        # Coverage is a byte pass over the progressions; only a witness reads the table.
+        cert = cover.verify_cover(candidate, divisors, predicate)
+        assert "table" not in cert.__dict__
+        assert sum(cert.witness_counts) == sum(map(CLAIMED[predicate], range(cert.lcm)))
+        assert "table" not in cert.__dict__
+        cover.witness(cert, 1)
+        assert "table" in cert.__dict__
 
-PREDICATE_MODULUS = {cover.PREDICATE_ALL: 1, cover.PREDICATE_MOD4_NE_2: 4, cover.PREDICATE_ODD: 2}
+
+PREDICATE_MODULUS = {check.PREDICATE_ALL: 1, check.PREDICATE_MOD4_NE_2: 4, check.PREDICATE_ODD: 2}
 
 
 def random_divisor_sets(count=300):
@@ -189,9 +198,9 @@ class TestTableBuilder:
         corpus = dataset.load_corpus(dataset.default_corpus_path())
         for record in corpus:
             for sign, divisors in record.covers:
-                predicate = cover.PREDICATE_ALL
+                predicate = check.PREDICATE_ALL
                 if record.root is not None:
-                    predicate = cover.PREDICATE_MOD4_NE_2 if sign == 1 else cover.PREDICATE_ODD
+                    predicate = check.PREDICATE_MOD4_NE_2 if sign == 1 else check.PREDICATE_ODD
                 cert = cover.verify_cover(Candidate(record.k, sign), divisors, predicate)
                 expected = first_match_table(cert.entries, cert.lcm, CLAIMED[predicate])
                 assert list(cert.table) == expected, (record.k, sign)
@@ -243,6 +252,30 @@ def test_witness_counts_match_the_per_residue_scan(entries, predicate):
     assert counts[-1] == 0
 
 
+@st.composite
+def overlapping_entries(draw):
+    """SMALL_ENTRIES with some entries repeated, and at times every class
+    of one period but at most one, so that both holes and covers occur."""
+    entries = draw(SMALL_ENTRIES)
+    entries += draw(st.lists(st.sampled_from(entries), max_size=3))
+    if draw(st.booleans()):
+        b = draw(st.sampled_from([2, 3, 4, 6, 8, 12]))
+        open_class = draw(st.sampled_from([None, *range(b)]))
+        entries += [CoverEntry(3, b, c) for c in range(b) if c != open_class]
+    return tuple(draw(st.permutations(entries)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(overlapping_entries(), st.sampled_from(sorted(check.PREDICATES)))
+def test_byte_pass_matches_the_per_residue_scan(entries, predicate):
+    lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
+    cert = hand_certificate(Candidate(78557, 1), entries, lcm, predicate)
+    triples = [(e.d, e.b, e.c) for e in entries]
+    assert cert.uncovered_residue == smallest_uncovered(triples, lcm, CLAIMED[predicate])
+    assert cert.witness_counts == witness_counts_naive(entries, lcm, CLAIMED[predicate])
+    assert "table" not in cert.__dict__
+
+
 class TestWitness:
     def test_examples(self, selfridge_cert):
         assert cover.witness(selfridge_cert, 1) == 5
@@ -265,8 +298,8 @@ class TestWitness:
 
 class TestAudit:
     def test_full_periods(self, selfridge_cert, riesel_cert):
-        assert cover.first_audit_failure(selfridge_cert, 360) is None
-        assert cover.first_audit_failure(riesel_cert, 240) is None
+        assert check.first_audit_failure(selfridge_cert, 360) is None
+        assert check.first_audit_failure(riesel_cert, 240) is None
 
     def test_tampered_table_fails_at_5(self, selfridge_cert):
         # A false entry listed first takes residues 5, 11, ... of the derived
@@ -275,23 +308,23 @@ class TestAudit:
             selfridge_cert, entries=(CoverEntry(3, 6, 5),) + selfridge_cert.entries
         )
         assert bad.table[5] == 0
-        assert cover.first_audit_failure(bad, 36) == 5
+        assert check.first_audit_failure(bad, 36) == 5
 
 
 def corpus_certificates():
     """The certificate of every cover in the bundled corpus."""
     for record in dataset.load_corpus(dataset.default_corpus_path()):
         for sign, divisors in record.covers:
-            predicate = cover.PREDICATE_ALL
+            predicate = check.PREDICATE_ALL
             if record.root is not None:
-                predicate = cover.PREDICATE_MOD4_NE_2 if sign == 1 else cover.PREDICATE_ODD
+                predicate = check.PREDICATE_MOD4_NE_2 if sign == 1 else check.PREDICATE_ODD
             yield cover.verify_cover(Candidate(record.k, sign), divisors, predicate)
 
 
-def hand_certificate(candidate, entries, lcm, predicate=cover.PREDICATE_ALL):
+def hand_certificate(candidate, entries, lcm, predicate=check.PREDICATE_ALL):
     """A certificate for the given entries, holes and all: nothing here is
     checked."""
-    return cover.CoverCertificate(
+    return check.CoverCertificate(
         candidate, tuple(entries), lcm, (True,) * len(entries), predicate
     )
 
@@ -360,7 +393,7 @@ def wrong_period_certificates():
 def audit_depths(cert):
     """The audit depths around which the residue walk changes shape."""
     lcm = cert.lcm
-    return sorted({n for n in (1, cover.proof_depth(cert), lcm - 1, lcm, 3 * lcm + 5) if n >= 1})
+    return sorted({n for n in (1, check.proof_depth(cert), lcm - 1, lcm, 3 * lcm + 5) if n >= 1})
 
 
 class TestStreamedAudit:
@@ -375,7 +408,7 @@ class TestStreamedAudit:
         if n_bad is not None:
             depths += [n for n in (n_bad - 1, n_bad) if n >= 1]
         for n_max in depths:
-            assert cover.first_audit_failure(cert, n_max) == first_audit_failure_naive(
+            assert check.first_audit_failure(cert, n_max) == first_audit_failure_naive(
                 cert, n_max
             ), (cert.candidate, [e.d for e in cert.entries], cert.lcm, n_max)
 
@@ -384,7 +417,7 @@ class TestStreamedAudit:
         signs = set()
         for cert in corpus_certificates():
             signs.add(cert.candidate.sign)
-            assert cover.first_audit_failure(cert, 3 * cert.lcm + 5) is None
+            assert check.first_audit_failure(cert, 3 * cert.lcm + 5) is None
             self.assert_matches_oracle(cert)
             for bad in doctored_certificates(cert, rng):
                 self.assert_matches_oracle(bad)
@@ -420,12 +453,12 @@ class TestStreamedAudit:
                 b = order_naive(2, d)
                 c = offset_naive(k, sign, d, b)
                 if c is not None:
-                    entries.append(cover.CoverEntry(d, b, c))
+                    entries.append(check.CoverEntry(d, b, c))
             lcm = math.lcm(*(e.b for e in entries))
             cert = hand_certificate(candidate, entries, lcm)
             self.assert_matches_oracle(cert)
             n0 = next(n for n in range(1, 8) if candidate.term(n) == divisors[0])
-            assert cover.first_audit_failure(cert, 3 * lcm + 5) == n0
+            assert check.first_audit_failure(cert, 3 * lcm + 5) == n0
 
     def test_failures_at_the_edges_of_the_walk(self, selfridge_cert):
         # L stated as 16, with entries of period 16 that claim residues 8
@@ -443,7 +476,7 @@ class TestStreamedAudit:
         for c, n_bad in ((cert, 31), (cert_23, 23)):
             for n_max in (n_bad - 1, n_bad, 100):
                 expected = n_bad if n_max >= n_bad else None
-                assert cover.first_audit_failure(c, n_max) == expected
+                assert check.first_audit_failure(c, n_max) == expected
                 assert first_audit_failure_naive(c, n_max) == expected
 
     @pytest.mark.parametrize("d", [0, 1, -7])
@@ -459,9 +492,9 @@ class TestStreamedAudit:
             first = next(n for n in range(1, L + 1) if selfridge_cert.table[n % L] == i)
             for n_max in (first - 1, first, 10 * L):
                 expected = first if n_max >= first else None
-                assert cover.first_audit_failure(bad, n_max) == expected
+                assert check.first_audit_failure(bad, n_max) == expected
                 assert first_audit_failure_naive(bad, n_max) == expected
-            assert cover.first_audit_failure(bad, 10 * L) is not None
+            assert check.first_audit_failure(bad, 10 * L) is not None
 
     def test_a_witness_with_the_wrong_period_fails_one_period_after_row_0(self):
         # Row 0 passes, and the first failure is L above it, at any depth.
@@ -469,12 +502,12 @@ class TestStreamedAudit:
         certs = list(wrong_period_certificates())
         assert len(certs) >= 50
         for cert, n_bad in certs:
-            depth, L = cover.proof_depth(cert), cert.lcm
+            depth, L = check.proof_depth(cert), cert.lcm
             for n_max in (depth + L, depth + L + 1, 10 * L + 7, rng.randrange(1, 12 * L)):
                 expected = first_audit_failure_naive(cert, n_max)
-                assert cover.first_audit_failure(cert, n_max) == expected
+                assert check.first_audit_failure(cert, n_max) == expected
                 assert expected == (n_bad if n_max >= n_bad else None)
-            assert cover.first_audit_failure(cert, cover.MAX_AUDIT_N) == n_bad
+            assert check.first_audit_failure(cert, check.MAX_AUDIT_N) == n_bad
 
     def test_reads_the_prefix_and_one_period_of_the_table(self, selfridge_cert):
         class CountingTable(tuple):
@@ -486,8 +519,8 @@ class TestStreamedAudit:
 
         cert = dataclasses.replace(selfridge_cert)
         cert.__dict__["table"] = CountingTable(selfridge_cert.table)
-        assert cover.first_audit_failure(cert, cover.MAX_AUDIT_N) is None
-        assert 0 < CountingTable.reads <= cover.proof_depth(cert) + cert.lcm == 43
+        assert check.first_audit_failure(cert, check.MAX_AUDIT_N) is None
+        assert 0 < CountingTable.reads <= check.proof_depth(cert) + cert.lcm == 43
 
     def test_bignum_terms_only_in_the_properness_prefix(self, selfridge_cert):
         class CountingK(int):
@@ -506,8 +539,8 @@ class TestStreamedAudit:
         k = CountingK(78557)
         k.built = 0
         cert = dataclasses.replace(selfridge_cert, candidate=Candidate(k, 1))
-        assert cover.first_audit_failure(cert, cover.MAX_AUDIT_N) is None
-        assert 0 < k.built <= cover.proof_depth(cert) == 7
+        assert check.first_audit_failure(cert, check.MAX_AUDIT_N) is None
+        assert 0 < k.built <= check.proof_depth(cert) == 7
 
 
 class TestModReductionEquivalence:
@@ -558,11 +591,11 @@ class TestSerialization:
     def test_round_trip(self, selfridge_cert, riesel_cert):
         for cert in (selfridge_cert, riesel_cert):
             doc = json.loads(cover.certificate_to_json(cert))
-            loaded = cover.certificate_from_dict(doc)
+            loaded = check.certificate_from_dict(doc)
             assert loaded == cert
 
     def test_facts_check_passes(self, selfridge_cert):
-        assert cover.check_certificate_facts(selfridge_cert) is None
+        assert check.check_certificate_facts(selfridge_cert) is None
 
     def test_facts_check_refuses_a_misshapen_table(self, selfridge_cert):
         # Certificates built in process skip verify_cover's hole check, so
@@ -574,12 +607,12 @@ class TestSerialization:
             (entries[:5] + entries[6:], "uncovered residue 27 (mod 36)"),
         ):
             cert = dataclasses.replace(selfridge_cert, entries=kept)
-            assert cover.check_certificate_facts(cert) == problem
+            assert check.check_certificate_facts(cert) == problem
 
     def test_proof_refutes_exactly_when_facts_or_deep_audit_do(self):
         def refutation(cert):
             problem = check._divisibility_problem(cert)
-            n_bad = None if problem else cover.first_audit_failure(cert, 10 * cert.lcm)
+            n_bad = None if problem else check.first_audit_failure(cert, 10 * cert.lcm)
             return problem or (n_bad and f"witness fails at n={n_bad}")
 
         rng = random.Random(9)
@@ -608,7 +641,7 @@ class TestSerialization:
                 with_slot(cert, r, rng.randrange(len(cert.entries))),
             ):
                 expected = refutation(doctored)
-                assert cover.check_certificate_facts(doctored) == expected
+                assert check.check_certificate_facts(doctored) == expected
                 refuted += expected is not None
         assert [refutation(c) for c in certs[:2]] == ["witness fails at n=1"] * 2
         assert 0 < refuted < 3 * len(certs)
@@ -616,9 +649,9 @@ class TestSerialization:
     def test_facts_check_catches_doctored_entry(self, selfridge_cert):
         doc = json.loads(cover.certificate_to_json(selfridge_cert))
         doc["entries"][0]["c"] = "1"  # 3 divides k*2^0 + 1, not k*2^1 + 1
-        loaded = cover.certificate_from_dict(doc)
+        loaded = check.certificate_from_dict(doc)
         assert loaded.table != ()  # structure is fine
-        assert cover.check_certificate_facts(loaded) is not None
+        assert check.check_certificate_facts(loaded) is not None
 
     def test_malformed_documents_rejected(self, selfridge_cert):
         good = json.loads(cover.certificate_to_json(selfridge_cert))
@@ -644,8 +677,8 @@ class TestSerialization:
         ):
             doc = json.loads(json.dumps(good))
             breakage(doc)
-            with pytest.raises(cover.CertificateFormatError):
-                cover.certificate_from_dict(doc)
+            with pytest.raises(check.CertificateFormatError):
+                check.certificate_from_dict(doc)
 
 
 # Certificates are written straight from their fields; these are built from

@@ -326,7 +326,7 @@ def test_period_and_offset_correctness_corpus_wide(corpus):
 
     for record in corpus:
         for sign, divisors in record.covers:
-            candidate = cover.Candidate(record.k, sign)
+            candidate = check.Candidate(record.k, sign)
             for d in divisors:
                 entry = cover.build_entry(candidate, d)
                 assert entry.b == order_naive(2, d)

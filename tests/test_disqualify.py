@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverscope import arith, disqualify
-from coverscope.cover import Candidate
+from coverscope.check import Candidate
 from coverscope.dataset import KIND_BOTH, KIND_R, KIND_S, load_corpus, default_corpus_path
 from oracles import least_odd_prime_factor, trial_division_prime
 

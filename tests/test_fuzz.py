@@ -19,9 +19,9 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverscope import algebraic, cover, dataset
+from coverscope import algebraic, check, cover, dataset
+from coverscope.check import Candidate
 from coverscope.cli import main
-from coverscope.cover import Candidate
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 
@@ -30,7 +30,7 @@ FULL_DOC = json.loads(cover.certificate_to_json(
 ))
 COVERLESS_DOC = json.loads(algebraic.certificate_to_json(
     algebraic.build_algebraic_certificate(
-        algebraic.FourthPowerCase(44745755, (3, 17, 97, 241, 257, 673)), 20
+        check.FourthPowerCase(44745755, (3, 17, 97, 241, 257, 673)), 20
     )
 ))
 V1_FULL_DOC = json.loads((Path(__file__).parent / "fixtures/v1/78557s.json").read_text())
