@@ -11,11 +11,12 @@ refused, not reported as a proof.
 
 A cover (full, or the partial cover of a coverless number) is proved by its
 divisibility facts and a witness audit of the properness prefix
-n <= proof_depth.  A coverless number's algebraic factor family is proved
-once from its coefficients, which parsing fixes.  prove() then runs the
-term-by-term cross-check of n = 1..n_max when asked: `--audit-n`, or the
-audited_n_max recorded in a coverless certificate that `verify` or
-`verify-dataset` builds.  The cross-check trusts none of the facts.
+n <= proof_depth, both read from the entries' progressions alone.  A
+coverless number's algebraic factor family is proved once from its
+coefficients, which parsing fixes.  prove() then runs the term-by-term
+cross-check of n = 1..n_max when asked: `--audit-n`, or the audited_n_max
+recorded in a coverless certificate that `verify` or `verify-dataset`
+builds.  The cross-check trusts none of the facts.
 """
 
 import json
@@ -23,23 +24,21 @@ import math
 from dataclasses import dataclass
 
 # Largest term-by-term cross-check (--audit-n) the CLI runs.  The witness
-# audit reads the properness prefix, one period of residues and one
-# pow(2, L, d) per distinct divisor, whatever N.  The bound is set by the
-# coverless cross-check alone, which splits each open term as a bignum and
-# grows with the square of N: about 5.7 s wall for the R2 record
-# (2 vCPUs, Python 3.11).
+# audit reads the properness prefix and one byte pass over the entries'
+# progressions, whatever N.  The bound is set by the coverless cross-check
+# alone, which splits each open term as a bignum and grows with the square
+# of N: about 5.7 s wall for the R2 record (2 vCPUs, Python 3.11).
 MAX_AUDIT_N = 100_000
 
 # Largest L a certificate may state or a cover may reach.  The hole check
-# writes one byte per residue mod L and the residue table one slot, so this
-# bound keeps every exponent that reaches pow, and every allocation, below
-# 10^7.  It also caps the walk that finds each divisor's period and offset at
-# about 2*sqrt(MAX_LCM) steps.
+# and the witness audit write one byte per residue mod L, so this bound
+# keeps every exponent that reaches pow, and every allocation, below 10^7.
+# It also caps the walk that finds each divisor's period and offset at about
+# 2*sqrt(MAX_LCM) steps.
 MAX_LCM = 10**7
-# Most residues mod L the entries may claim, once per entry: the hole check
-# and the table each write once per claim.  Ten extra copies of 3 on the
-# L = 6000012 cover claim 38166749: the byte pass takes 0.05 s, and the table
-# that prove's prefix audit derives 0.8 s (2 vCPUs, Python 3.11).
+# Most residues mod L the entries may claim, once per entry: each byte pass
+# writes once per claim.  Ten extra copies of 3 on the L = 6000012 cover
+# claim 38166749, and the byte pass takes 0.05 s (2 vCPUs, Python 3.11).
 MAX_CLAIMS = 4 * MAX_LCM
 
 SIGN_SIERPINSKI = 1
@@ -121,10 +120,10 @@ class _derived:
 @dataclass(frozen=True)
 class CoverCertificate:
     """Cover certificate: entries and L = lcm of the periods and the
-    predicate modulus.  Coverage is found by one byte pass over the entries'
-    progressions; the residue table, derived only where a witness is read,
-    comes from the same fields.  divisor_primality flags composite divisors
-    - legal in a cover, but worth a warning."""
+    predicate modulus.  Every check reads the entries' progressions in byte
+    passes; the residue table is derived only to compare a version 0.1
+    file's.  divisor_primality flags composite divisors - legal in a cover,
+    but worth a warning."""
 
     candidate: Candidate
     entries: tuple[CoverEntry, ...]
@@ -151,8 +150,7 @@ class CoverCertificate:
 
     @property
     def claims(self) -> int:
-        """Residues mod L the entries claim, once per entry: the cost of the
-        byte pass and of the table."""
+        """Residues mod L the entries claim, once per entry: a byte pass's cost."""
         return sum([len(range(e.c, self.lcm, e.b)) for e in self.entries])
 
     def _left_out(self) -> bytearray:
@@ -177,16 +175,21 @@ class CoverCertificate:
         hole = covered.find(0)
         return None if hole < 0 else hole
 
+    def _progressions(self):
+        """Each entry in cover order, with the bytes of its progression
+        c, c+b, ... below L as they were before the entry marked them: a 0
+        is a claimed residue that no earlier entry matches, one the entry
+        witnesses."""
+        covered = self._left_out()
+        for e in self.entries:
+            before = covered[e.c::e.b]
+            yield e, before
+            covered[e.c::e.b] = b"\1" * len(before)
+
     @property
     def witness_counts(self) -> tuple[int, ...]:
-        """How many residues mod L each entry is the first match for: the
-        claimed residues on its progression that no earlier entry marked."""
-        lcm, covered = self.lcm, self._left_out()
-        counts = []
-        for e in self.entries:
-            counts.append(covered[e.c::e.b].count(0))
-            covered[e.c::e.b] = b"\1" * len(range(e.c, lcm, e.b))
-        return tuple(counts)
+        """How many residues mod L each entry is the first match for."""
+        return tuple([before.count(0) for _, before in self._progressions()])
 
 
 @dataclass(frozen=True)
@@ -481,61 +484,54 @@ def check_algebraic_certificate_facts(cert: AlgebraicCertificate) -> str | None:
 
 
 def first_audit_failure(certificate: CoverCertificate, n_max: int) -> int | None:
-    """Smallest claimed n in 1..n_max where the witness is not a proper
-    divisor of k*2^n + sign, or None when every claimed n passes.  A witness
-    d <= 1 fails at its first claimed n.
+    """Smallest claimed n in 1..n_max where the witness, the first entry in
+    cover order whose progression range(c, L, b) holds n mod L, is not a
+    proper divisor of k*2^n + sign, or None when every claimed n passes.  A
+    witness d <= 1 fails at its first claimed n.  Exact, and independent of
+    the facts check_certificate_facts proves: it reads k and the entries.
 
-    Exact, and independent of the facts check_certificate_facts proves: it
-    reads k, the divisors and the table, and decides every claimed n.  Terms
-    are built as bignums only in the properness prefix n <= proof_depth,
-    where a term may not exceed its witness; past it one period of
-    residues below the divisors is walked, and each later period is decided
-    by one pow(2, L, d) per distinct divisor, so the cost does not grow
-    with n_max."""
+    Terms are built as bignums only in the properness prefix
+    n <= proof_depth, where a term may not exceed its witness.  Past it
+    every term exceeds every divisor, so a witness d > 1 is proper exactly
+    when it divides, and one pass in cover order decides every n, whatever
+    n_max.  The pass gives each entry the residues mod L it witnesses, the
+    0 bytes of its progression before it marks them.  An entry with d > 1,
+    b | L, 2^b == 1 (mod d) and d | k*2^c + sign passes at all of them:
+    each such n is == c (mod b), as b | L, so 2^n == 2^c (mod d).  Any
+    other entry is decided residue by residue, by one pow at the first n0
+    past the prefix.  If n0 fails, it is the first failure; if it passes,
+    k*2^n0 == -sign (mod d), a unit, so k*2^(n0 + jL) + sign ==
+    sign*(1 - 2^(jL)) (mod d), and n0 + jL passes for every j exactly when
+    2^L == 1 (mod d): otherwise n0 + L fails."""
     k, sign = certificate.candidate.k, certificate.candidate.sign
-    lcm, table, entries = certificate.lcm, certificate.table, certificate.entries
+    lcm, entries = certificate.lcm, certificate.entries
+    modulus, claimed = PREDICATES[certificate.predicate]
     depth = min(n_max, proof_depth(certificate))
     for n in range(1, depth + 1):
-        idx = table[n % lcm]
-        if idx is not None:
-            d = entries[idx].d
-            term = (k << n) + sign  # candidate.term(n), without the call
-            if not 1 < d < term or term % d:
-                return n
-    return _first_residue_failure(certificate, depth, n_max) if n_max > depth else None
-
-
-def _first_residue_failure(certificate: CoverCertificate, depth: int, n_max: int) -> int | None:
-    """first_audit_failure over n = depth+1..n_max, where every term exceeds
-    every divisor, so a witness d > 1 is proper exactly when it divides.
-
-    Row 0 (the first L of those n) walks x = k*2^n mod M, M the lcm of the
-    divisors > 1, doubling once per n.  Every later claimed n is n0 + jL for
-    a claimed n0 of row 0, with the same witness d.  Once row 0 has passed,
-    k*2^n0 == -sign (mod d), a unit, so n0 + jL passes for every j exactly
-    when 2^L == 1 (mod d), and otherwise n0 + L fails.  The first failure
-    past row 0 is thus n0 + L for the least n0 whose witness has
-    2^L != 1 (mod d): one period of residues and one pow per distinct
-    witness, whatever n_max."""
-    k, sign = certificate.candidate.k, certificate.candidate.sign
-    lcm, table = certificate.lcm, certificate.table
-    divisors = [e.d for e in certificate.entries]
-    modulus = math.lcm(*[d for d in divisors if d > 1])
-    x = k % modulus * pow(2, depth, modulus) % modulus
-    first = {}  # witness d -> its first claimed n in row 0
-    n_x = depth  # x = k*2^n_x mod M
-    for n in range(depth + 1, min(n_max, depth + lcm) + 1):
-        idx = table[n % lcm]
-        if idx is not None:
-            x = (x << (n - n_x)) % modulus
-            n_x = n
-            d = divisors[idx]
-            if d <= 1 or (x + sign) % d:
-                return n
-            first.setdefault(d, n)
-    if n_max <= depth + lcm:
+        r = n % lcm
+        if r % modulus in claimed:
+            for e in entries:
+                if r in range(e.c, lcm, e.b):
+                    term = (k << n) + sign  # candidate.term(n), without the call
+                    if not 1 < e.d < term or term % e.d:
+                        return n
+                    break
+    if n_max <= depth:
         return None
-    n_bad = min([n for d, n in first.items() if pow(2, lcm, d) != 1], default=n_max) + lcm
+    n_bad = n_max + 1
+    for e, before in certificate._progressions():
+        d = e.d
+        if d > 1 and lcm % e.b == 0 and pow(2, e.b, d) == 1:
+            if (k % d * pow(2, e.c, d) + sign) % d == 0:
+                continue
+        i = before.find(0)
+        while i >= 0:
+            n0 = depth + 1 + (e.c + i * e.b - depth - 1) % lcm
+            if d <= 1 or (k % d * pow(2, n0, d) + sign) % d:
+                n_bad = min(n_bad, n0)
+            elif pow(2, lcm, d) != 1:
+                n_bad = min(n_bad, n0 + lcm)
+            i = before.find(0, i + 1)
     return n_bad if n_bad <= n_max else None
 
 
@@ -561,12 +557,14 @@ def family_factor(case: CoverlessCase, n: int) -> int:
 
 def first_coverless_failure(case, partial: CoverCertificate, n_max: int) -> int | None:
     """Smallest failing exponent in 1..n_max, or None: the partial cover's
-    witness audit for the n it claims, family_factor's bignum split for the
-    rest.  The opt-in cross-check of a coverless proof, which trusts neither
-    the facts nor the coefficient argument."""
+    witness audit for the n its predicate claims, which leaves a hole to the
+    facts check, and family_factor's bignum split for the rest.  The opt-in
+    cross-check of a coverless proof, which trusts neither the facts nor the
+    coefficient argument."""
     n_bad = first_audit_failure(partial, n_max)
+    modulus, claimed = PREDICATES[partial.predicate]
     for n in range(1, n_max + 1 if n_bad is None else n_bad):
-        if partial.table[n % partial.lcm] is None:
+        if n % modulus not in claimed:
             try:
                 family_factor(case, n)
             except VerificationError:

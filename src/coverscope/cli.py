@@ -155,9 +155,7 @@ def _scope(cross_n):
 
 
 def _cover_summary(cert, audit_n, header=""):
-    """The text summary of a proved cover.  Its scope names the deeper of the
-    cross-check and the proof's own prefix audit, which also checks each term."""
-    cross_n = audit_n and max(audit_n, check.proof_depth(cert))
+    """The text summary of a proved cover, cross-checked to audit_n if given."""
     counts = cert.witness_counts
     lines = [
         f"{header}verified: k={cert.candidate.k} ({cert.candidate.sign_name})",
@@ -175,7 +173,7 @@ def _cover_summary(cert, audit_n, header=""):
     idle = [e.d for e, n in zip(cert.entries, counts) if n == 0]
     if idle:
         lines.append(f"warning: divisors claiming no residue: {idle}")
-    lines.append(f"{_scope(cross_n)}: every term has a proper cover factor")
+    lines.append(f"{_scope(audit_n)}: every term has a proper cover factor")
     return "\n".join(lines) + "\n"
 
 

@@ -10,11 +10,11 @@ progressions shows.
 
 A full cover has the predicate `all` (modulus 1): every n must be claimed.
 A partial cover, the cover half of a coverless proof (coverscope.algebraic),
-has a predicate that names only some classes mod a small modulus; the
-residue table, derived where a witness is read, holds None for the others.
-Both kinds share the one certificate type, builder and serializer below,
-and the one parser and facts check in coverscope.check.  L is the lcm of the periods and the
-predicate modulus, so n and n mod L always agree on the predicate.
+has a predicate that names only some classes mod a small modulus.  Both
+kinds share the one certificate type, builder and serializer below, and
+the one parser and facts check in coverscope.check.  L is the lcm of the
+periods and the predicate modulus, so n and n mod L always agree on the
+predicate.
 """
 
 import json
@@ -131,12 +131,13 @@ def witness(certificate: CoverCertificate, n: int) -> int:
     n must satisfy the certificate's predicate."""
     if n < 1:
         raise ValueError("the sequence starts at n = 1")
-    idx = certificate.table[n % certificate.lcm]
-    if idx is None:
-        raise ValueError(
-            f"n={n} does not satisfy the {certificate.predicate} condition"
-        )
-    return certificate.entries[idx].d
+    r = n % certificate.lcm
+    modulus, claimed = PREDICATES[certificate.predicate]
+    if r % modulus in claimed:
+        for e in certificate.entries:
+            if r in range(e.c, certificate.lcm, e.b):
+                return e.d
+    raise ValueError(f"n={n} does not satisfy the {certificate.predicate} condition")
 
 
 def generate_family(candidate: Candidate, divisors, i: int) -> CoverCertificate:
@@ -160,9 +161,9 @@ def generate_family(candidate: Candidate, divisors, i: int) -> CoverCertificate:
 # --- serialization -----------------------------------------------------------
 # Schema: {k, sign, predicate (partial covers only), entries: [{d, b, c}],
 # lcm, divisor_primality_flags, tool_version}.  All unbounded integers
-# travel as decimal strings.  The residue table is not written: the checker
-# derives it from the entries.  Certificates are written straight from their
-# fields in the dumps_json layout, so identical certificates give identical bytes.
+# travel as decimal strings.  The residue table is not written: the
+# entries fix it.  Certificates are written straight from their fields in
+# the dumps_json layout, so identical certificates give identical bytes.
 
 
 def _cover_object(cert: CoverCertificate, pad: str) -> str:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -189,6 +190,23 @@ class TestPartialCover:
             witness(cert, 6)  # 6 == 2 (mod 4): the algebraic side's job
         with pytest.raises(ValueError):
             witness(cert, 0)
+
+    def test_a_hole_is_left_to_the_facts_check(self):
+        # Without its first divisor, the S4 record's partial cover leaves
+        # claimed residues with no witness.  The cross-check skips them, as
+        # the witness audit of a full cover does, and does not hand them to
+        # the factor family, whose domain is the n the predicate leaves out.
+        candidate = Candidate(CASE_A.k, 1)
+        entries = tuple([cover.build_entry(candidate, d) for d in CASE_A.partial_cover[1:]])
+        lcm = math.lcm(*[e.b for e in entries], 4)
+        partial = check.CoverCertificate(
+            candidate, entries, lcm, (True,) * len(entries), check.PREDICATE_MOD4_NE_2
+        )
+        hole = partial.uncovered_residue
+        assert hole == 1
+        assert check.first_coverless_failure(CASE_A, partial, 3 * lcm) is None
+        cert = check.AlgebraicCertificate(CASE_A, partial, 3 * lcm)
+        assert check.prove(cert, 3 * lcm) == f"uncovered residue {hole} (mod {lcm})"
 
 
 def built_and_proved(case, n_max):

@@ -444,6 +444,23 @@ class TestAudit:
         assert code == 0
         assert "audit ok" in out
 
+    def test_verify_and_audit_name_the_same_cross_checked_depth(self, capsys, tmp_path):
+        # 3 is below the proof's prefix depth, 7; both name N as asked.
+        path = tmp_path / "cert.json"
+        code, out, _ = run(
+            capsys, "verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
+            "--audit-n", "3", "--out", str(path),
+        )
+        assert code == 0
+        assert out.endswith(
+            "proved for all n >= 1 (cross-checked n = 1..3): "
+            "every term has a proper cover factor\n"
+        )
+        code, out, _ = run(capsys, "audit", str(path), "--audit-n", "3")
+        assert (code, out) == (
+            0, "audit ok: k=78557, proved for all n >= 1 (cross-checked n = 1..3)\n"
+        )
+
     def test_algebraic_certificate(self, capsys, tmp_path):
         path = tmp_path / "alg.json"
         code, _, _ = run(

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -162,13 +163,11 @@ class TestVerifyCover:
         (Candidate(44745755**4, 1), (3, 17, 97, 241, 257, 673), check.PREDICATE_MOD4_NE_2),
     ])
     def test_the_hole_check_and_the_counts_derive_no_table(self, candidate, divisors, predicate):
-        # Coverage is a byte pass over the progressions; only a witness reads the table.
+        # Coverage is a byte pass over the progressions.
         cert = cover.verify_cover(candidate, divisors, predicate)
         assert "table" not in cert.__dict__
         assert sum(cert.witness_counts) == sum(map(CLAIMED[predicate], range(cert.lcm)))
         assert "table" not in cert.__dict__
-        cover.witness(cert, 1)
-        assert "table" in cert.__dict__
 
 
 PREDICATE_MODULUS = {check.PREDICATE_ALL: 1, check.PREDICATE_MOD4_NE_2: 4, check.PREDICATE_ODD: 2}
@@ -286,6 +285,23 @@ class TestWitness:
     def test_n_zero_rejected(self, selfridge_cert):
         with pytest.raises(ValueError):
             cover.witness(selfridge_cert, 0)
+
+    def test_equals_the_first_match_scan(self):
+        certs = list(corpus_certificates())
+        for candidate, divisors, predicate in random_divisor_sets():
+            entries = [cover.build_entry(candidate, d) for d in divisors]
+            lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
+            certs.append(hand_certificate(candidate, entries, lcm, predicate))
+        for cert in certs:
+            table = first_match_table(cert.entries, cert.lcm, CLAIMED[cert.predicate])
+            for n in range(1, 3 * cert.lcm + 1):
+                idx = table[n % cert.lcm]
+                if idx is None:
+                    with pytest.raises(ValueError):
+                        cover.witness(cert, n)
+                else:
+                    assert cover.witness(cert, n) == cert.entries[idx].d
+            assert "table" not in cert.__dict__
 
     def test_witness_divides_and_proper(self, selfridge_cert, riesel_cert):
         for cert in (selfridge_cert, riesel_cert):
@@ -509,18 +525,19 @@ class TestStreamedAudit:
                 assert expected == (n_bad if n_max >= n_bad else None)
             assert check.first_audit_failure(cert, check.MAX_AUDIT_N) == n_bad
 
-    def test_reads_the_prefix_and_one_period_of_the_table(self, selfridge_cert):
-        class CountingTable(tuple):
-            reads = 0
-
-            def __getitem__(self, i):
-                CountingTable.reads += 1
-                return tuple.__getitem__(self, i)
-
-        cert = dataclasses.replace(selfridge_cert)
-        cert.__dict__["table"] = CountingTable(selfridge_cert.table)
-        assert check.first_audit_failure(cert, check.MAX_AUDIT_N) is None
-        assert 0 < CountingTable.reads <= check.proof_depth(cert) + cert.lcm == 43
+    def test_no_proof_derives_the_table(self):
+        # The 78557 s, 509203 r, S4 and R2 certificates, proved alone and
+        # cross-checked: full covers to the bound, coverless ones to 3 L, as
+        # their cross-check splits every open term as a bignum.
+        fixtures = Path(__file__).parent / "fixtures/v2"
+        for name in ("78557s.json", "509203r.json", "coverless-s4.json", "coverless-r2.json"):
+            cert = check.certificate_from_json((fixtures / name).read_text())
+            partial = getattr(cert, "partial", cert)
+            n_max = 3 * partial.lcm if partial is not cert else check.MAX_AUDIT_N
+            assert check.prove(cert) is None
+            assert check.prove(cert, n_max) is None
+            cover.witness(partial, 1)
+            assert "table" not in partial.__dict__, name
 
     def test_bignum_terms_only_in_the_properness_prefix(self, selfridge_cert):
         class CountingK(int):
