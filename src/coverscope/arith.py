@@ -45,7 +45,8 @@ MR_PROBABILISTIC_ROUNDS = 40
 # under a single gcd with the whole product per term: above 1024 that gcd
 # costs short scans more than the tests it saves; below it, long scans of
 # large terms test more survivors.  Not measured again under the split
-# below, which runs the long gcd on a quarter of the terms.
+# below, which runs the long gcd on a quarter of the terms.  prime_flag reads
+# n up to the bound from the sieve and larger n from is_prime: exact at any bound.
 SIEVE_BOUND = 1024
 
 # How many candidate bases the Proth test examines while hunting for a
@@ -180,6 +181,7 @@ SIEVE_PRODUCT = math.prod(SIEVE_PRIMES)
 SIEVE_SPLIT = 23
 SIEVE_PRODUCT_LOW = math.prod(p for p in SIEVE_PRIMES if p <= SIEVE_SPLIT)
 SIEVE_PRODUCT_HIGH = SIEVE_PRODUCT // SIEVE_PRODUCT_LOW
+_SIEVE_PRIME_SET = frozenset((2, *SIEVE_PRIMES))
 
 
 def small_factor(n: int) -> int:
@@ -250,6 +252,13 @@ def is_prime(n: int) -> PrimalityResult:
         if (1 << m) > k:
             return proth_test(k, m)
     return _miller_rabin(n)
+
+
+def prime_flag(n: int) -> bool:
+    """is_prime(n).is_prime, without building a record for n <= SIEVE_BOUND."""
+    if 0 <= n <= SIEVE_BOUND:
+        return n in _SIEVE_PRIME_SET
+    return is_prime(n).is_prime
 
 
 def _miller_rabin(n):

@@ -123,7 +123,7 @@ class CoverCertificate:
     predicate modulus.  Every check reads the entries' progressions in byte
     passes; the residue table is derived only to compare a version 0.1
     file's.  divisor_primality flags composite divisors - legal in a cover,
-    but worth a warning."""
+    but worth a warning; verify_cover reads them from arith.prime_flag."""
 
     candidate: Candidate
     entries: tuple[CoverEntry, ...]

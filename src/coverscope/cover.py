@@ -101,6 +101,7 @@ def verify_cover(
     for a divisor's period or L above MAX_LCM, or more than MAX_CLAIMS
     claimed residues.
     Deterministic: each residue takes the first matching entry in cover order.
+    The primality flags come from arith.prime_flag.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -116,7 +117,7 @@ def verify_cover(
     lcm = math.lcm(*[e.b for e in entries], modulus)
     if lcm > MAX_LCM:
         raise ValueError(f"L = {lcm} is above the bound {MAX_LCM}")
-    primality = tuple([arith.is_prime(e.d).is_prime for e in entries])
+    primality = tuple([arith.prime_flag(e.d) for e in entries])
     cert = CoverCertificate(candidate, entries, lcm, primality, predicate)
     if cert.claims > MAX_CLAIMS:
         raise ValueError(f"the divisors claim {cert.claims} residues mod L, above {MAX_CLAIMS}")

@@ -101,13 +101,20 @@ def jacobi_naive(a, n):
     return result
 
 
+def matches(r, b, c):
+    """Whether residue r lies on the progression c, c + b, c + 2b, ...: the
+    checker's rule, under which an entry with c >= b matches r = c but not
+    r = c - b."""
+    return c <= r and (r - c) % b == 0
+
+
 def smallest_uncovered(entries, lcm, predicate=None):
     """First residue r in 0..lcm-1 (meeting the predicate, when given) with
-    no entry (d, b, c) satisfying r == c (mod b); None when covered."""
+    no entry (d, b, c) whose progression holds r; None when covered."""
     for r in range(lcm):
         if predicate is not None and not predicate(r):
             continue
-        if all(r % b != c for _, b, c in entries):
+        if not any(matches(r, b, c) for _, b, c in entries):
             return r
     return None
 
@@ -122,9 +129,11 @@ CLAIMED = {
 
 def first_match_table(entries, lcm, claimed):
     """The residue table as a per-residue scan: the index of the first entry
-    (in cover order) with r == c (mod b), None where unclaimed or unmatched."""
+    (in cover order) whose progression holds r, None where unclaimed or
+    unmatched."""
     return [
-        next((i for i, e in enumerate(entries) if r % e.b == e.c), None) if claimed(r) else None
+        next((i for i, e in enumerate(entries) if matches(r, e.b, e.c)), None)
+        if claimed(r) else None
         for r in range(lcm)
     ]
 

@@ -272,6 +272,33 @@ TIER_PRIMES = (
 )
 
 
+class TestPrimeFlag:
+    def test_agrees_with_is_prime_and_trial_division_to_5000(self):
+        # Both sides of SIEVE_BOUND: 1021 and 1031 are prime, 1023 = 3*11*31,
+        # 1025 = 5^2*41 and 1027 = 13*79 are not.
+        for n in range(5001):
+            assert arith.prime_flag(n) == arith.is_prime(n).is_prime == trial_division_prime(n), n
+
+    def test_agrees_above_5000(self):
+        rng = random.Random(21)
+        ns = [rng.randrange(5001, 10**8) for _ in range(2000)] + [1021**2, 1031**2, 1021 * 1031]
+        for n in ns:
+            assert arith.prime_flag(n) == arith.is_prime(n).is_prime == trial_division_prime(n), n
+        for n in (2**61 - 1, 2**67 - 1, 2**89 - 1, 143 * 2**53 + 1):
+            assert arith.prime_flag(n) == arith.is_prime(n).is_prime, n
+
+    def test_builds_no_record_up_to_the_bound(self, monkeypatch):
+        expected = [arith.is_prime(n).is_prime for n in range(arith.SIEVE_BOUND + 1)]
+        monkeypatch.setattr(arith, "PrimalityResult", None)
+        assert [arith.prime_flag(n) for n in range(arith.SIEVE_BOUND + 1)] == expected
+        with pytest.raises(TypeError):
+            arith.prime_flag(arith.SIEVE_BOUND + 1)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            arith.prime_flag(-7)
+
+
 class TestPsiTiers:
     def test_table(self):
         assert len(arith._PSI) == len(arith.MR_DETERMINISTIC_BASES) == 13

@@ -54,6 +54,20 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_composite_divisors_on_each_side_of_the_sieve_bound(self, capsys, tmp_path):
+        # 21 is flagged from the sieve, 1029 = 3 * 7^3 from is_prime; the
+        # tier-1 workflow compares the CLI's stdout and --out file too.
+        out_file = tmp_path / "cert.json"
+        code, out, err = run(
+            capsys, "verify", "--k", "78557", "--sign", "s",
+            "--cover", SELFRIDGE + ",21,1029", "--out", str(out_file),
+        )
+        pinned = Path(__file__).parent / "fixtures" / "verify-78557-composite-divisors"
+        assert (code, err) == (0, "")
+        assert "warning: composite divisors in cover: [21, 1029]\n" in out
+        assert out == pinned.with_suffix(".txt").read_text()
+        assert out_file.read_bytes() == pinned.with_suffix(".json").read_bytes()
+
     def test_incomplete_cover_fails_with_residue(self, capsys):
         code, _, err = run(
             capsys, "verify", "--k", "78557", "--sign", "s", "--cover", "3,5,7"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverscope import algebraic, check, cover, dataset
+from coverscope import algebraic, arith, check, cover, dataset
 from coverscope.check import Candidate, CoverEntry
 from coverscope.cover import NoOffsetError, UncoveredResidueError
 from oracles import (
@@ -157,6 +157,21 @@ class TestVerifyCover:
         assert all(cert.divisor_primality[:-1])
         assert cert.witness_counts[-1] == 0  # 3 claims the shared residues first
 
+    def test_primality_flags_equal_is_prime(self):
+        # 21 is flagged from the sieve, 1029 = 3 * 7^3 above SIEVE_BOUND.
+        certs = [cover.verify_cover(Candidate(78557, 1), SELFRIDGE_COVER + (21, 1029))]
+        certs += corpus_certificates()
+        for candidate, divisors, predicate in random_divisor_sets():
+            try:
+                certs.append(cover.verify_cover(candidate, divisors, predicate))
+            except UncoveredResidueError:
+                continue
+        assert certs[0].divisor_primality[-2:] == (False, False)
+        for cert in certs:
+            assert cert.divisor_primality == tuple(
+                [arith.is_prime(e.d).is_prime for e in cert.entries]
+            ), cert.candidate
+
     @pytest.mark.parametrize("candidate, divisors, predicate", [
         (Candidate(78557, 1), SELFRIDGE_COVER, check.PREDICATE_ALL),
         (Candidate(509203, -1), RIESEL_COVER, check.PREDICATE_ALL),
@@ -227,11 +242,12 @@ class TestTableBuilder:
                 assert (exc_info.value.residue, exc_info.value.lcm) == (hole, lcm)
 
 
-# Entries with periods dividing 2520, so L <= 2520, and any offset below
-# them; the table and the counts read only b and c, so d is arbitrary.
+# Entries with periods dividing 2520, so L <= 2520, and offsets below twice
+# them: an offset c >= b, which the facts check refuses, claims c, c + b, ...
+# but not c - b.  The table and the counts read only b and c, so d is arbitrary.
 SMALL_ENTRIES = st.lists(
     st.sampled_from([b for b in range(1, 25) if 2520 % b == 0]).flatmap(
-        lambda b: st.builds(CoverEntry, st.integers(3, 99), st.just(b), st.integers(0, b - 1))
+        lambda b: st.builds(CoverEntry, st.integers(3, 99), st.just(b), st.integers(0, 2 * b - 1))
     ),
     min_size=1,
     max_size=6,
@@ -354,9 +370,10 @@ def with_slot(cert, r, j):
 
 
 def doctored_certificates(cert, rng):
-    """cert with one offset c shifted (the table following it), one divisor
-    set to a whole claimed term, one claimed table slot reassigned, and L
-    stated one too small and one too large."""
+    """cert with one offset c shifted (the table following it), the shifted
+    offset raised by its period b (c >= b: the entry claims c + b, c + 2b,
+    ... but not c), one divisor set to a whole claimed term, one claimed
+    table slot reassigned, and L stated one too small and one too large."""
     i = rng.randrange(len(cert.entries))
     e = cert.entries[i]
 
@@ -365,6 +382,8 @@ def doctored_certificates(cert, rng):
 
     shifted = with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b))
     yield hand_certificate(cert.candidate, shifted, cert.lcm, cert.predicate)
+    raised = with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b + e.b))
+    yield hand_certificate(cert.candidate, raised, cert.lcm, cert.predicate)
     claimed = [n for n in range(1, cert.lcm + 1) if cert.table[n % cert.lcm] is not None]
     if not claimed:
         return
