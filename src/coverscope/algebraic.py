@@ -9,9 +9,9 @@ partial cover and even n to the difference of squares x^2 - 1, x = a*2^(n/2).
 The partial cover is an ordinary coverscope.cover certificate whose
 predicate claims exactly the exponents the factor family leaves out.  The
 cases (CoverlessCase subclasses, paired with their sign in CASE_BY_SIGN),
-the AlgebraicCertificate that joins the two halves, its parser and proof,
-and the one split function family_factor live in coverscope.check; this
-module builds and writes them, and check.prove proves what it builds.
+the AlgebraicCertificate that joins the two halves, its parser, the one
+split function family_factor and the one proof function prove live in
+coverscope.check; this module builds and writes them, and proves nothing.
 """
 
 from coverscope import cover
@@ -23,10 +23,9 @@ from coverscope.check import (  # noqa: F401
     PREDICATE_ODD,
     FourthPowerCase,
     SquareCase,
-    first_coverless_failure,
 )
 from coverscope.check import algebraic_certificate_from_dict as certificate_from_dict  # noqa: F401
-from coverscope.check import check_algebraic_certificate_facts as check_certificate_facts  # noqa: F401
+from coverscope.check import prove as check_certificate_facts  # noqa: F401
 
 
 def build_algebraic_certificate(case, n_max: int | None = None) -> AlgebraicCertificate:

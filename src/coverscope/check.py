@@ -9,14 +9,15 @@ coverscope.algebraic produce the same types but prove nothing: `verify`,
 every divisibility fact a builder found, so a fault in a builder is
 refused, not reported as a proof.
 
-A cover (full, or the partial cover of a coverless number) is proved by its
-divisibility facts and a witness audit of the properness prefix
-n <= proof_depth, both read from the entries' progressions alone.  A
-coverless number's algebraic factor family is proved once from its
-coefficients, which parsing fixes.  prove() then runs the term-by-term
-cross-check of n = 1..n_max when asked: `--audit-n`, or the audited_n_max
-recorded in a coverless certificate that `verify` or `verify-dataset`
-builds.  The cross-check trusts none of the facts.
+prove() is the one proof function.  A cover (full, or the partial cover of
+a coverless number) is proved by its divisibility facts and a witness audit
+of the properness prefix n <= proof_depth, both read from the entries'
+progressions alone.  A coverless number's algebraic factor family is proved
+once from its coefficients, which parsing fixes.  The same audit call runs
+the term-by-term cross-check of n = 1..n_max when asked, `--audit-n` or the
+audited_n_max recorded in a coverless certificate that `verify` or
+`verify-dataset` builds, and a coverless one adds each factor split below
+n_max.  The cross-check trusts none of the facts.
 """
 
 import json
@@ -315,9 +316,9 @@ def _parse_predicate(doc, predicate):
 
 def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCertificate:
     """Rebuild a cover certificate with the given predicate from its JSON
-    document; run check_certificate_facts afterwards to prove the claim.  A
-    version 0.1 document also states the residue table, which must equal
-    the derived one."""
+    document; run prove afterwards to prove the claim.  A version 0.1
+    document also states the residue table, which must equal the derived
+    one."""
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     _parse_predicate(doc, predicate)
@@ -444,51 +445,12 @@ def _divisibility_problem(cert: CoverCertificate) -> str | None:
     return None if hole is None else f"uncovered residue {hole} (mod {lcm})"
 
 
-def check_certificate_facts(cert: CoverCertificate) -> str | None:
-    """Prove a stated cover certificate for every claimed n >= 1, without
-    searching: the divisibility facts give d | k*2^n + sign for every
-    n == c (mod b), so the first matching entry divides every claimed term,
-    and the proof_depth prefix audit shows each witness proper.  Returns a
-    description of the first problem, or None when the claim holds."""
-    problem = _divisibility_problem(cert)
-    if problem is None and (n_bad := first_audit_failure(cert, proof_depth(cert))):
-        problem = f"witness fails at n={n_bad}"
-    return problem
-
-
-def check_algebraic_certificate_facts(cert: AlgebraicCertificate) -> str | None:
-    """Prove a stated coverless certificate for every n >= 1, without
-    searching.  The partial cover's facts and prefix audit prove the n it
-    claims; the factor family proves the rest from its coefficients.  With
-    x = 2^m, (A x^2 + B x + 1)(A x^2 - B x + 1) = A^2 x^4 + (2A - B^2) x^2 + 1,
-    which at A = 2 root^2, B = 2 root is 4 root^4 x^4 + 1 = k*2^(4m+2) + 1;
-    and (root*2^j)^2 - 1 = k*2^(2j) - 1.  The emitted factor (the + half)
-    is proper unless the other half is 1: 2 root^2 - 2 root + 1 at m = 0,
-    or 2 root - 1 at j = 1, so only at n = 2 with root = 1.  Parsing ties
-    k, the sign, the partial cover's predicate and the coefficients to root;
-    a certificate built in process where they disagree, or with root 1,
-    fails at n = 2, the first exponent of both families, which lies in every
-    prefix as every d >= 3."""
-    problem = _divisibility_problem(cert.partial)
-    if problem is not None:
-        return problem
-    partial, case = cert.partial, cert.case
-    n_bad = first_audit_failure(partial, proof_depth(partial))
-    stated = (partial.candidate.k, partial.candidate.sign, partial.predicate)
-    if case.root < 2 or stated != (case.k, case.sign, case.predicate):
-        n_bad = min(n_bad or 2, 2)
-    return None if n_bad is None else f"factor check failed at n={n_bad}"
-
-
-# --- term-by-term audits -----------------------------------------------------
-
-
 def first_audit_failure(certificate: CoverCertificate, n_max: int) -> int | None:
     """Smallest claimed n in 1..n_max where the witness, the first entry in
     cover order whose progression range(c, L, b) holds n mod L, is not a
     proper divisor of k*2^n + sign, or None when every claimed n passes.  A
     witness d <= 1 fails at its first claimed n.  Exact, and independent of
-    the facts check_certificate_facts proves: it reads k and the entries.
+    the divisibility facts: it reads k and the entries.
 
     Terms are built as bignums only in the properness prefix
     n <= proof_depth, where a term may not exceed its witness.  Past it
@@ -555,35 +517,50 @@ def family_factor(case: CoverlessCase, n: int) -> int:
     return factor
 
 
-def first_coverless_failure(case, partial: CoverCertificate, n_max: int) -> int | None:
-    """Smallest failing exponent in 1..n_max, or None: the partial cover's
-    witness audit for the n its predicate claims, which leaves a hole to the
-    facts check, and family_factor's bignum split for the rest.  The opt-in
-    cross-check of a coverless proof, which trusts neither the facts nor the
-    coefficient argument."""
-    n_bad = first_audit_failure(partial, n_max)
-    modulus, claimed = PREDICATES[partial.predicate]
-    for n in range(1, n_max + 1 if n_bad is None else n_bad):
-        if n % modulus not in claimed:
-            try:
-                family_factor(case, n)
-            except VerificationError:
-                return n
-    return n_bad
-
-
 def prove(cert: CoverCertificate | AlgebraicCertificate, n_max: int | None = None) -> str | None:
-    """The one proof of every "proved": the facts check of the certificate's
-    kind, then, when n_max is given, the term-by-term cross-check of
-    n = 1..n_max.  Returns a description of the first problem, or None."""
-    if isinstance(cert, AlgebraicCertificate):
-        problem = check_algebraic_certificate_facts(cert)
-        if problem is None and n_max:
-            n_bad = first_coverless_failure(cert.case, cert.partial, n_max)
-            problem = n_bad and f"factor check failed at n={n_bad}"
-    else:
-        problem = check_certificate_facts(cert)
-        if problem is None and n_max:
-            n_bad = first_audit_failure(cert, n_max)
-            problem = n_bad and f"witness fails at n={n_bad}"
-    return problem
+    """The one proof of every "proved", for every n >= 1 without searching.
+    Returns a description of the first problem, or None when the claim holds.
+
+    A cover, or the partial cover of a coverless certificate: the
+    divisibility facts give d | k*2^n + sign for every n == c (mod b), so
+    the first matching entry divides every claimed term, and the witness
+    audit of the prefix n <= proof_depth shows each witness proper.  One
+    first_audit_failure call runs that prefix and, when n_max is given, the
+    cross-check of every claimed n <= n_max, which trusts none of the facts.
+
+    A coverless certificate proves the n its predicate leaves out from the
+    factor family's coefficients.  With x = 2^m,
+    (A x^2 + B x + 1)(A x^2 - B x + 1) = A^2 x^4 + (2A - B^2) x^2 + 1, which
+    at A = 2 root^2, B = 2 root is 4 root^4 x^4 + 1 = k*2^(4m+2) + 1; and
+    (root*2^j)^2 - 1 = k*2^(2j) - 1.  The emitted factor (the + half) is
+    proper unless the other half is 1: 2 root^2 - 2 root + 1 at m = 0, or
+    2 root - 1 at j = 1, so only at n = 2 with root = 1.  Parsing ties k,
+    the sign, the partial cover's predicate and the coefficients to root; a
+    certificate built in process where they disagree, or with root 1, fails
+    at n = 2, the first exponent of both families, which lies in every
+    prefix as every d >= 3.  When n_max is given and the prefix passed,
+    family_factor's bignum split then cross-checks each such n below the
+    first audit failure, trusting neither the facts nor this argument.
+    """
+    partial = cert.partial if isinstance(cert, AlgebraicCertificate) else cert
+    problem = _divisibility_problem(partial)
+    if problem is not None:
+        return problem
+    depth = proof_depth(partial)
+    n_bad = first_audit_failure(partial, max(depth, n_max or 0))
+    if partial is cert:
+        return n_bad and f"witness fails at n={n_bad}"
+    case = cert.case
+    stated = (partial.candidate.k, partial.candidate.sign, partial.predicate)
+    if case.root < 2 or stated != (case.k, case.sign, case.predicate):
+        n_bad = min(n_bad or 2, 2)
+    if n_max and (n_bad is None or n_bad > depth):
+        modulus, claimed = PREDICATES[case.predicate]
+        for n in range(2, n_bad or n_max + 1):
+            if n % modulus not in claimed:
+                try:
+                    family_factor(case, n)
+                except VerificationError:
+                    n_bad = n
+                    break
+    return n_bad and f"factor check failed at n={n_bad}"

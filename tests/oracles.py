@@ -165,6 +165,25 @@ def first_audit_failure_naive(certificate, n_max):
     return None
 
 
+def coverless_cross_check_naive(cert, n_max):
+    """Smallest n in 1..n_max where a coverless certificate's term-by-term
+    cross-check fails, or None: first_audit_failure_naive for the n the
+    partial cover's predicate claims, and for the rest (n >= 2) the product
+    of case.halves, which must be the term, with its first half a proper
+    divisor of it."""
+    partial, case = cert.partial, cert.case
+    claimed = CLAIMED[partial.predicate]
+    failures = [first_audit_failure_naive(partial, n_max)]
+    for n in range(2, n_max + 1):
+        if not claimed(n):
+            factor, cofactor = case.halves(case.root * 2 ** (n // case.power))
+            term = case.k * 2**n + case.sign
+            if factor * cofactor != term or not 1 < factor < term:
+                failures.append(n)
+                break
+    return min([n for n in failures if n is not None], default=None)
+
+
 def check_induction_identity(candidate, entry, j_max):
     """Exact check of the telescoping step behind the progression claim.
 

@@ -193,9 +193,9 @@ class TestPartialCover:
 
     def test_a_hole_is_left_to_the_facts_check(self):
         # Without its first divisor, the S4 record's partial cover leaves
-        # claimed residues with no witness.  The cross-check skips them, as
-        # the witness audit of a full cover does, and does not hand them to
-        # the factor family, whose domain is the n the predicate leaves out.
+        # claimed residues with no witness.  The facts check refuses the hole
+        # before any cross-check, so it never reaches the factor family,
+        # whose domain is the n the predicate leaves out.
         candidate = Candidate(CASE_A.k, 1)
         entries = tuple([cover.build_entry(candidate, d) for d in CASE_A.partial_cover[1:]])
         lcm = math.lcm(*[e.b for e in entries], 4)
@@ -204,7 +204,6 @@ class TestPartialCover:
         )
         hole = partial.uncovered_residue
         assert hole == 1
-        assert check.first_coverless_failure(CASE_A, partial, 3 * lcm) is None
         cert = check.AlgebraicCertificate(CASE_A, partial, 3 * lcm)
         assert check.prove(cert, 3 * lcm) == f"uncovered residue {hole} (mod {lcm})"
 
@@ -230,8 +229,8 @@ class TestVerifyCoverless:
         def audit(*args):
             raise AssertionError("the builder ran a term audit")
 
-        monkeypatch.setattr(check, "first_coverless_failure", audit)
         monkeypatch.setattr(check, "first_audit_failure", audit)
+        monkeypatch.setattr(check, "family_factor", audit)
         assert build_algebraic_certificate(CASE_A).audited_n_max == 200
 
 
@@ -254,7 +253,7 @@ class TestAlgebraicCertificate:
             loaded = check.algebraic_certificate_from_dict(doc)
             assert loaded.case == case
             assert loaded.partial == cert.partial
-            assert check.check_algebraic_certificate_facts(loaded) is None
+            assert check.prove(loaded) is None
 
     def test_doctored_coefficients_rejected(self):
         cert = build_algebraic_certificate(CASE_A, 20)
@@ -322,4 +321,4 @@ class TestAlgebraicCertificate:
         doc = json.loads(algebraic.certificate_to_json(cert))
         doc["partial_cover_certificate"]["entries"][0]["c"] = "0"
         loaded = check.algebraic_certificate_from_dict(doc)
-        assert check.check_algebraic_certificate_facts(loaded) is not None
+        assert check.prove(loaded) is not None

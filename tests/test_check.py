@@ -1,6 +1,6 @@
 """The trusted checker, coverscope.check: what it imports, the coverless
-proof from coefficients against the per-n proof it replaced, and the
-argument checks its callers guarantee."""
+proof from coefficients against the per-n proof it replaced and a per-n
+cross-check, and the argument checks its callers guarantee."""
 
 import dataclasses
 import json
@@ -18,8 +18,8 @@ import coverscope
 from coverscope import algebraic, check, cover, dataset
 from coverscope.check import AlgebraicCertificate, Candidate, FourthPowerCase, SquareCase
 from coverscope.cli import main
-from oracles import coverless_facts_per_n
-from test_cover import doctored_certificates, random_divisor_sets
+from oracles import coverless_cross_check_naive, coverless_facts_per_n
+from test_cover import doctored_certificates, n_max_sweep, random_divisor_sets
 from test_fuzz import COVERLESS_DOC, restated_lcm, spoiled_documents
 
 SELFRIDGE = "3,5,7,13,19,37,73"
@@ -58,6 +58,20 @@ def per_n_verdict(cert):
     return coverless_facts_per_n(cert, check._divisibility_problem)
 
 
+def assert_proof_matches_oracles(cert):
+    """check.prove(cert, n_max) at every depth of n_max_sweep against the
+    per-n facts, then, when they hold and n_max is given, the per-n
+    cross-check.  Returns the verdict without a cross-check."""
+    facts = per_n_verdict(cert)
+    for n_max in n_max_sweep(cert.partial):
+        expected = facts
+        if facts is None and n_max:
+            n_bad = coverless_cross_check_naive(cert, n_max)
+            expected = n_bad and f"factor check failed at n={n_bad}"
+        assert check.prove(cert, n_max) == expected, (cert.case, cert.partial.entries, n_max)
+    return facts
+
+
 def corpus_coverless_certificates():
     for record in dataset.load_corpus(dataset.default_corpus_path()):
         if record.root is not None:
@@ -68,8 +82,9 @@ def corpus_coverless_certificates():
 
 
 class TestCoverlessProof:
-    """check_algebraic_certificate_facts proves the factor family from its
-    coefficients; coverless_facts_per_n splits it at every prefix n."""
+    """check.prove proves the factor family from its coefficients;
+    coverless_facts_per_n splits it at every prefix n, and
+    coverless_cross_check_naive at every n up to n_max."""
 
     def test_corpus_records_and_their_doctorings(self):
         rng = random.Random(13)
@@ -79,8 +94,7 @@ class TestCoverlessProof:
         for cert in certs:
             for partial in (cert.partial, *doctored_certificates(cert.partial, rng)):
                 doctored = dataclasses.replace(cert, partial=partial)
-                verdicts.append(check.check_algebraic_certificate_facts(doctored))
-                assert verdicts[-1] == per_n_verdict(doctored)
+                verdicts.append(assert_proof_matches_oracles(doctored))
         assert verdicts.count(None) == 3 and len(verdicts) > 3
 
     def test_roots_1_to_64_with_random_partial_covers(self):
@@ -111,9 +125,7 @@ class TestCoverlessProof:
                         continue
                     case = case_type(root, tuple(e.d for e in partial.entries))
                     cert = AlgebraicCertificate(case, partial, 1)
-                    verdict = check.check_algebraic_certificate_facts(cert)
-                    assert verdict == per_n_verdict(cert), (root, case_type, partial)
-                    verdicts.add(verdict)
+                    verdicts.add(assert_proof_matches_oracles(cert))
         assert {"factor check failed at n=1", "factor check failed at n=2"} <= verdicts
 
     @FUZZ
@@ -123,7 +135,7 @@ class TestCoverlessProof:
             cert = check.algebraic_certificate_from_dict(doc)
         except check.CertificateFormatError:
             return
-        assert check.check_algebraic_certificate_facts(cert) == per_n_verdict(cert)
+        assert check.prove(cert) == per_n_verdict(cert)
 
     def test_emitted_factor_is_proper_except_root_1_at_n_2(self):
         for root in range(1, 65):
@@ -191,6 +203,20 @@ def with_first_entry(cert, **changes):
     return dataclasses.replace(cert, entries=(entry,) + cert.entries[1:])
 
 
+def test_the_prefix_is_audited_whatever_n_max(monkeypatch):
+    # One audit call per proof, to proof_depth = 7 or to n_max past it: a
+    # cross-check shallower than the prefix still audits the whole prefix.
+    depths = []
+    audit = check.first_audit_failure
+    monkeypatch.setattr(
+        check, "first_audit_failure",
+        lambda cert, n_max: depths.append(n_max) or audit(cert, n_max),
+    )
+    for n_max in (None, 1, 6, 7, 8, 500):
+        assert check.prove(selfridge_certificate(), n_max) is None
+    assert depths == [7, 7, 7, 7, 8, 500]
+
+
 class TestCallSiteGuarantees:
     """The argument checks of the deleted arith.mod_pow, arith.lcm_all and
     cover.audit_certificate, made where the arguments come from."""
@@ -198,14 +224,14 @@ class TestCallSiteGuarantees:
     def test_moduli_below_3_never_reach_pow(self):
         cert = selfridge_certificate()
         for d in (2, 1, 0, -7):
-            problem = check.check_certificate_facts(with_first_entry(cert, d=d))
+            problem = check.prove(with_first_entry(cert, d=d))
             assert problem == f"divisor {d} is not odd and >= 3"
             with pytest.raises(ValueError):
                 cover.build_entry(cert.candidate, d)
 
     def test_exponents_are_never_negative(self):
         cert = selfridge_certificate()
-        problem = check.check_certificate_facts(with_first_entry(cert, c=-1))
+        problem = check.prove(with_first_entry(cert, c=-1))
         assert problem == "offset -1 out of range for period 2 (d=3)"
         for field in ("b", "c"):
             doc = json.loads(cover.certificate_to_json(cert))
@@ -223,7 +249,7 @@ class TestCallSiteGuarantees:
 
     def test_periods_below_1_are_refused(self):
         cert = selfridge_certificate()
-        problem = check.check_certificate_facts(with_first_entry(cert, b=0))
+        problem = check.prove(with_first_entry(cert, b=0))
         assert problem == "offset 0 out of range for period 0 (d=3)"
 
     def test_audit_depth_below_1_is_a_usage_error(self, capsys, tmp_path):

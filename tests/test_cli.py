@@ -324,7 +324,7 @@ class TestFamily:
         assert code == 0
         assert "140179427" in out
 
-    def test_verifies_twice_and_audits_the_proof_prefix(self, capsys, monkeypatch):
+    def test_builds_once_and_audits_the_proof_prefix(self, capsys, monkeypatch):
         verified, audited = [], []
         verify, audit = cover.verify_cover, check.first_audit_failure
         monkeypatch.setattr(cover, "verify_cover", lambda *a: verified.append(a) or verify(*a))
@@ -336,7 +336,7 @@ class TestFamily:
             "--i", "1",
         )
         assert code == 0
-        assert len(verified) == 2
+        assert len(verified) == 1
         assert audited == [(73).bit_length()]
         assert out.endswith("\nproved for all n >= 1: every term has a proper cover factor\n")
 
@@ -417,19 +417,28 @@ class TestBuilderFaultsAreRefused:
 
 
 def test_recorded_coverless_depth_is_the_depth_cross_checked(capsys, monkeypatch):
-    depths = []
-    cross_check = check.first_coverless_failure
+    # The witness audit runs to the recorded depth, and the factor family
+    # splits every n up to it that the partial cover leaves out.
+    depths, splits = [], []
+    audit, split = check.first_audit_failure, check.family_factor
     monkeypatch.setattr(
-        check, "first_coverless_failure",
-        lambda case, partial, n_max: depths.append(n_max) or cross_check(case, partial, n_max),
+        check, "first_audit_failure",
+        lambda cert, n_max: depths.append(n_max) or audit(cert, n_max),
+    )
+    monkeypatch.setattr(
+        check, "family_factor", lambda case, n: splits.append(n) or split(case, n)
     )
     code, out, _ = run(capsys, "verify", *COVERLESS_S4, "--audit-n", "100", "--format", "json")
     assert (code, json.loads(out)["audited_n_max"], depths) == (0, 100, [100])
+    assert splits == list(range(2, 101, 4))
     code, out, _ = run(capsys, "verify", *COVERLESS_S4, "--format", "json")
     assert (code, json.loads(out)["audited_n_max"], depths) == (0, 200, [100, 200])
+    assert splits[25:] == list(range(2, 201, 4))
     records = [r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root]
+    splits.clear()
     assert dataset.verify_corpus(records).ok
     assert depths == [100, 200, 200, 200, 200]
+    assert splits == [*range(2, 201, 4), *range(2, 201, 4), *range(2, 201, 2)]
 
 
 def coverless_certificate(capsys, tmp_path, record):
@@ -943,11 +952,11 @@ class TestAuditBound:
         def first_audit_failure(cert, n_max):
             depths.append(n_max)
 
-        def first_coverless_failure(case, partial, n_max):
-            depths.append(n_max)
+        def family_factor(case, n):
+            depths.append(n)
 
         monkeypatch.setattr(check, "first_audit_failure", first_audit_failure)
-        monkeypatch.setattr(check, "first_coverless_failure", first_coverless_failure)
+        monkeypatch.setattr(check, "family_factor", family_factor)
         full = tmp_path / "cert.json"
         coverless = tmp_path / "coverless.json"
         bound = str(check.MAX_AUDIT_N)

@@ -425,6 +425,12 @@ def wrong_period_certificates():
                 yield cert, c + lcm
 
 
+def n_max_sweep(cert):
+    """None, and the cross-check depths around the properness prefix and past L."""
+    depth = check.proof_depth(cert)
+    return (None, 1, 2, depth - 1, depth, depth + 1, 3 * cert.lcm)
+
+
 def audit_depths(cert):
     """The audit depths around which the residue walk changes shape."""
     lcm = cert.lcm
@@ -631,7 +637,7 @@ class TestSerialization:
             assert loaded == cert
 
     def test_facts_check_passes(self, selfridge_cert):
-        assert check.check_certificate_facts(selfridge_cert) is None
+        assert check.prove(selfridge_cert) is None
 
     def test_facts_check_refuses_a_misshapen_table(self, selfridge_cert):
         # Certificates built in process skip verify_cover's hole check, so
@@ -643,9 +649,18 @@ class TestSerialization:
             (entries[:5] + entries[6:], "uncovered residue 27 (mod 36)"),
         ):
             cert = dataclasses.replace(selfridge_cert, entries=kept)
-            assert check.check_certificate_facts(cert) == problem
+            assert check.prove(cert) == problem
 
     def test_proof_refutes_exactly_when_facts_or_deep_audit_do(self):
+        def assert_proof_matches_oracles(cert):
+            # The facts, then the audit of the prefix and of every n <= n_max.
+            depth = max(e.d for e in cert.entries).bit_length()
+            facts = check._divisibility_problem(cert)
+            for n_max in n_max_sweep(cert):
+                n_bad = None if facts else first_audit_failure_naive(cert, max(depth, n_max or 0))
+                expected = facts or (n_bad and f"witness fails at n={n_bad}")
+                assert check.prove(cert, n_max) == expected, (cert, n_max)
+
         def refutation(cert):
             problem = check._divisibility_problem(cert)
             n_bad = None if problem else check.first_audit_failure(cert, 10 * cert.lcm)
@@ -677,8 +692,9 @@ class TestSerialization:
                 with_slot(cert, r, rng.randrange(len(cert.entries))),
             ):
                 expected = refutation(doctored)
-                assert check.check_certificate_facts(doctored) == expected
+                assert check.prove(doctored) == expected
                 refuted += expected is not None
+                assert_proof_matches_oracles(doctored)
         assert [refutation(c) for c in certs[:2]] == ["witness fails at n=1"] * 2
         assert 0 < refuted < 3 * len(certs)
 
@@ -687,7 +703,7 @@ class TestSerialization:
         doc["entries"][0]["c"] = "1"  # 3 divides k*2^0 + 1, not k*2^1 + 1
         loaded = check.certificate_from_dict(doc)
         assert loaded.table != ()  # structure is fine
-        assert check.check_certificate_facts(loaded) is not None
+        assert check.prove(loaded) is not None
 
     def test_malformed_documents_rejected(self, selfridge_cert):
         good = json.loads(cover.certificate_to_json(selfridge_cert))

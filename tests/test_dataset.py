@@ -295,7 +295,8 @@ class TestVerifyCorpus:
             return (10, 6) if d == 11 else walk(k, sign, d, bound)
 
         monkeypatch.setattr(arith, "order_and_offset", wrong_offset_for_11)
-        monkeypatch.setattr(check, "first_coverless_failure", lambda case, partial, n_max: None)
+        monkeypatch.setattr(check, "first_audit_failure", lambda cert, n_max: None)
+        monkeypatch.setattr(check, "family_factor", lambda case, n: None)
         record = parse_corpus(line)[0]
         case = check.CASE_BY_SIGN[1](record.root, record.covers[0][1])
         assert algebraic.build_algebraic_certificate(case).partial.entries[-1].c == 6
