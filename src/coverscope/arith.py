@@ -1,6 +1,7 @@
 """Exact integer arithmetic for the verification engine.
 
-Period and offset of a divisor (one bounded discrete-log walk), and primality
+Period and offset of a divisor (one lookup in a discrete-log table for
+d <= SIEVE_BOUND, one bounded discrete-log walk above it), and primality
 testing with checkable evidence.  Everything is pure Python, exact, and
 float-free.
 """
@@ -40,13 +41,16 @@ MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 MR_PROBABILISTIC_ROUNDS = 40
 
-# A first-prime scan crosses out every term with an odd prime factor up to
-# this bound before any primality test.  Measured at 128..16384 (CHANGES.md)
-# under a single gcd with the whole product per term: above 1024 that gcd
-# costs short scans more than the tests it saves; below it, long scans of
-# large terms test more survivors.  Not measured again under the split
-# below, which runs the long gcd on a quarter of the terms.  prime_flag reads
-# n up to the bound from the sieve and larger n from is_prime: exact at any bound.
+# The bound of the sieve and of the discrete-log tables.  A first-prime scan
+# crosses out every term with an odd prime factor up to it before any
+# primality test.  Measured at 128..16384 (CHANGES.md) under a single gcd
+# with the whole product per term: above 1024 that gcd costs short scans
+# more than the tests it saves; below it, long scans of large terms test
+# more survivors.  Not measured again under the split below, which runs the
+# long gcd on a quarter of the terms.  prime_flag reads n up to the bound
+# from the sieve and larger n from is_prime: exact at any bound.
+# order_and_offset keeps one table of ord_d(2) entries for each odd d up to
+# the bound it meets: 84,166 entries (about 5 MB) when it has met all 511.
 SIEVE_BOUND = 1024
 
 # How many candidate bases the Proth test examines while hunting for a
@@ -76,23 +80,52 @@ class PrimalityResult:
     rounds: int = 0
 
 
+# _LOG_TABLES[d] = {2**j mod d: j for 0 <= j < ord_d(2)}, for odd
+# d <= SIEVE_BOUND, each built on first use.
+_LOG_TABLES = {}
+
+
+def _log_table(d):
+    table, y = {1: 0}, 2
+    while y != 1:
+        table[y] = len(table)
+        y = 2 * y % d
+    _LOG_TABLES[d] = table
+    return table
+
+
 def order_and_offset(k: int, sign: int, d: int, bound: int) -> tuple[int, int | None] | None:
     """(b, c) for odd d >= 3, or None when b > bound.
 
     b is ord_d(2) and c the least c in 0..b-1 with d | k*2**c + sign, or
-    None when there is no such c.  One baby-step giant-step walk (Shanks
-    1971) of y = k*2**j mod d decides both in at most about 2*sqrt(bound)
-    steps, with no factoring: when y returns to k mod d within the
-    isqrt(bound) + 1 baby steps, that step is b and c is the index of
-    -sign mod d in the walk; otherwise every baby step is distinct, and
-    giant steps of 2**-m from k and from -sign meet them at b and at c.
-    When gcd(k, d) > 1 no term is divisible by d, and the walk runs over
-    2**j from 1 with a target, d, that no residue equals.
+    None when there is no such c.
+
+    For d <= SIEVE_BOUND both come from d's discrete-log table, the powers
+    of 2 mod d: b is its size, and k*2**c == -sign (mod d) exactly when
+    -sign*k == 2**-c, so c = -j mod b for the j with 2**j == -sign*k.
+    Every power of 2 is a unit mod d, so when gcd(k, d) > 1 (k == 0 mod d
+    included) -sign*k is no entry and there is no c.
+
+    Above the bound, one baby-step giant-step walk (Shanks 1971) of
+    y = k*2**j mod d decides both in at most about 2*sqrt(bound) steps,
+    with no factoring: when y returns to k mod d within the isqrt(bound) + 1
+    baby steps, that step is b and c is the index of -sign mod d in the
+    walk; otherwise every baby step is distinct, and giant steps of 2**-m
+    from k and from -sign meet them at b and at c.  When gcd(k, d) > 1 no
+    term is divisible by d, and the walk runs over 2**j from 1 with a
+    target, d, that no residue equals.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if d < 3 or d % 2 == 0:
         raise ValueError(f"d must be odd and >= 3, got {d}")
+    if d <= SIEVE_BOUND:
+        table = _LOG_TABLES.get(d) or _log_table(d)
+        b = len(table)
+        if b > bound:
+            return None
+        j = table.get(-sign * k % d)
+        return b, None if j is None else -j % b
     start, target = k % d, -sign % d
     if math.gcd(start, d) != 1:
         start, target = 1, d

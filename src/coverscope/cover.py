@@ -20,6 +20,7 @@ agree on the predicate.
 import dataclasses
 import json
 import math
+import sys
 
 from coverscope import arith
 from coverscope.check import (
@@ -69,8 +70,8 @@ def _require_cover_k(candidate):
 
 
 def build_entry(candidate: Candidate, d: int) -> CoverEntry:
-    """Period and minimal offset for one divisor, from one walk bounded by
-    MAX_LCM (arith.order_and_offset).
+    """Period and minimal offset for one divisor, from one table lookup or
+    one walk bounded by MAX_LCM (arith.order_and_offset).
 
     Raises NoOffsetError when d divides no term (in particular whenever
     d | k, since then every term is sign mod d), and ValueError for a period
@@ -99,7 +100,8 @@ def verify_cover(
     for a divisor's period or L above MAX_LCM, or more than MAX_CLAIMS
     claimed residues.
     Deterministic: each residue takes the first matching entry in cover order.
-    The primality flags come from arith.prime_flag.
+    The primality flags come from arith.prime_flag.  A repeated divisor is
+    built and flagged once.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -107,15 +109,22 @@ def verify_cover(
     divisors = [int(d) for d in divisors]
     if not divisors:
         raise ValueError("cover must contain at least one divisor")
+    # Built in first-seen order, so a repeat moves no error to another divisor.
+    built = {d: build_entry(candidate, d) for d in dict.fromkeys(divisors)}
+    lcm = math.lcm(*[e.b for e in built.values()], modulus)
+    if lcm > MAX_LCM:
+        # Python refuses to write an int past sys.get_int_max_str_digits().
+        limit = sys.get_int_max_str_digits()
+        if limit and lcm >= 10**limit:
+            raise ValueError(f"L has more than {limit} digits, above the bound {MAX_LCM}")
+        raise ValueError(f"L = {lcm} is above the bound {MAX_LCM}")
+    flags = {d: arith.prime_flag(d) for d in built}
     # Tuples from lists, not generators: tuple() of a generator resizes a
     # fresh tuple, which on release joins the free list of its final size;
     # those lists fill (2000 tuples a size) until a full garbage collection,
     # so peak memory would creep with the number of calls.
-    entries = tuple([build_entry(candidate, d) for d in divisors])
-    lcm = math.lcm(*[e.b for e in entries], modulus)
-    if lcm > MAX_LCM:
-        raise ValueError(f"L = {lcm} is above the bound {MAX_LCM}")
-    primality = tuple([arith.prime_flag(e.d) for e in entries])
+    entries = tuple([built[d] for d in divisors])
+    primality = tuple([flags[d] for d in divisors])
     cert = CoverCertificate(candidate, entries, lcm, primality, predicate)
     if cert.claims > MAX_CLAIMS:
         raise ValueError(f"the divisors claim {cert.claims} residues mod L, above {MAX_CLAIMS}")

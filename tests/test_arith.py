@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverscope import arith
 from coverscope.check import MAX_LCM
@@ -166,10 +168,11 @@ class TestFindOffset:
 
 
 def test_order_and_offset_match_the_oracles_at_every_bound():
-    # A bound below the period makes the walk take giant steps and then
-    # give up: the only way an odd d < 1000 reaches those branches.
+    # Odd d up to about twice SIEVE_BOUND: the tables below it, the walk
+    # above it.  A bound below the period makes the walk take giant steps
+    # and then give up, and the table path return None once it is built.
     rng = random.Random(13)
-    for d in range(3, 1000, 2):
+    for d in range(3, 2 * arith.SIEVE_BOUND + 52, 2):
         b = order_naive(2, d)
         for k in (rng.randrange(1, 10**12), d * rng.randrange(1, 10**6),
                   3 * rng.randrange(1, 10**6), 5 * rng.randrange(1, 10**6)):
@@ -178,6 +181,61 @@ def test_order_and_offset_match_the_oracles_at_every_bound():
                 for bound in BOUNDS:
                     want = (b, c) if b <= bound else None
                     assert arith.order_and_offset(k, sign, d, bound) == want, (k, sign, d, bound)
+
+
+@pytest.mark.parametrize("d", [1023, 1025])  # 3*11*31 with a table, 5**2*41 walked
+def test_order_and_offset_on_each_side_of_the_table_bound(d):
+    assert (d <= arith.SIEVE_BOUND) == (d == 1023)
+    rng = random.Random(d)
+    big = rng.randrange(2**4000, 2**4001)
+    b = order_naive(2, d)
+    assert b == (10 if d == 1023 else 20)
+    for k in (0, d, 7 * d, big, big * d, big - big % d + 31, 78557, *rng.sample(range(1, d), 40)):
+        for sign in (1, -1):
+            c = offset_naive(k, sign, d, b)
+            for bound in (b - 1, b, MAX_LCM):
+                want = (b, c) if b <= bound else None
+                assert arith.order_and_offset(k, sign, d, bound) == want, (k, sign, bound)
+    assert (d in arith._LOG_TABLES) == (d <= arith.SIEVE_BOUND)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, arith.SIEVE_BOUND + 200).map(lambda i: 2 * i + 1),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2**70) | st.integers(1, 2**20).map(lambda m: m * 3 * 5 * 7),
+            st.sampled_from((1, -1)),
+            st.integers(1, 3000),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_calls_on_one_divisor_interleave_freely(d, calls):
+    # The first call on d builds its table, at whatever bound it asks for;
+    # the later ones read it.  Dropping d's table first rebuilds it here.
+    arith._LOG_TABLES.pop(d, None)
+    b = order_naive(2, d)
+    for k, sign, bound in calls:
+        want = (b, offset_naive(k, sign, d, b)) if b <= bound else None
+        assert arith.order_and_offset(k, sign, d, bound) == want, (k, sign, bound)
+
+
+def test_the_tables_hold_one_entry_per_power_of_2():
+    # The memory the tables may take: one entry for each j < ord_d(2), for
+    # each odd d up to SIEVE_BOUND, and nothing for larger d.
+    for d in range(3, arith.SIEVE_BOUND + 1, 2):
+        # Every period is above 1: the call builds d's table, then refuses.
+        assert arith.order_and_offset(1, 1, d, 1) is None
+    tables = arith._LOG_TABLES
+    assert sorted(tables) == list(range(3, arith.SIEVE_BOUND + 1, 2))  # 511 divisors
+    for d, table in tables.items():
+        assert table == {pow(2, j, d): j for j in range(order_naive(2, d))}, d
+    assert sum(len(t) for t in tables.values()) == 84166
+    arith.order_and_offset(78557, 1, arith.SIEVE_BOUND + 1, MAX_LCM)
+    arith.order_and_offset(78557, 1, 1000003, MAX_LCM)
+    assert len(arith._LOG_TABLES) == 511
 
 
 class TestLcmAll:

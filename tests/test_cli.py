@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -854,6 +855,25 @@ class TestLcmBound:
         )
         assert (code, out) == (2, "")
         assert err == f"error: L = 30000060 is above the bound {check.MAX_LCM}\n"
+
+    def test_an_l_too_long_to_print_exits_2_naming_the_bound(self, capsys):
+        # Safe primes p = 2q + 1 == 3 (mod 8): 2 is a non-residue, so its
+        # order is p - 1 and every k prime to p has an offset.  L = 2 * the
+        # product of 120 primes q near 5 * 10**5 has over 640 digits, the
+        # least limit Python allows on printing an int.
+        primes = list(itertools.islice((p for p in itertools.count(10**6 + 3, 8)
+                                        if arith.prime_flag(p) and arith.prime_flag(p // 2)), 120))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(
+                capsys, "verify", "--k", "78557", "--sign", "s",
+                "--cover", ",".join(map(str, [3, 5, 7, 13, 19, 37, 73, *primes])),
+            )
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err == f"error: L has more than 640 digits, above the bound {check.MAX_LCM}\n"
 
     def test_a_stated_l_above_the_bound_is_a_usage_error(self, capsys, tmp_path):
         doc = json.loads(V1_FIXTURES[0].read_text())

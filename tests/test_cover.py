@@ -172,6 +172,27 @@ class TestVerifyCover:
                 [arith.is_prime(e.d).is_prime for e in cert.entries]
             ), cert.candidate
 
+    def test_a_repeated_divisor_is_walked_and_flagged_once(self, monkeypatch):
+        walked, flagged = [], []
+        order_and_offset, prime_flag = arith.order_and_offset, arith.prime_flag
+        monkeypatch.setattr(arith, "order_and_offset", lambda k, sign, d, bound: (
+            walked.append(d) or order_and_offset(k, sign, d, bound)))
+        monkeypatch.setattr(arith, "prime_flag", lambda n: flagged.append(n) or prime_flag(n))
+        divisors = SELFRIDGE_COVER + (1029,) * 1000 + (21, 3, 1029, 73)
+        cert = cover.verify_cover(Candidate(78557, 1), divisors)
+        assert walked == flagged == [*SELFRIDGE_COVER, 1029, 21]
+        # The same entries and flags, in the same order, as one walk and
+        # one flag per position give.
+        assert cert.entries == tuple([cover.build_entry(cert.candidate, d) for d in divisors])
+        assert cert.divisor_primality == tuple([arith.is_prime(d).is_prime for d in divisors])
+        assert cert.divisor_primality[7:1008] == (False,) * 1001
+
+    def test_a_repeated_failing_divisor_is_named_at_its_first_place(self):
+        # 23 and 17 (a factor of 78557) both have no offset; 23 comes first.
+        with pytest.raises(NoOffsetError) as exc_info:
+            cover.verify_cover(Candidate(78557, 1), (3, 23, 5, 17, 23, 17))
+        assert exc_info.value.divisor == 23
+
     @pytest.mark.parametrize("candidate, divisors, predicate", [
         (Candidate(78557, 1), SELFRIDGE_COVER, check.PREDICATE_ALL),
         (Candidate(509203, -1), RIESEL_COVER, check.PREDICATE_ALL),
