@@ -10,14 +10,17 @@ every divisibility fact a builder found, so a fault in a builder is
 refused, not reported as a proof.
 
 prove() is the one proof function.  A cover (full, or the partial cover of
-a coverless number) is proved by its divisibility facts and a witness audit
-of the properness prefix n <= proof_depth, both read from the entries'
-progressions alone.  A coverless number's algebraic factor family is proved
-once from its coefficients, which parsing fixes.  The same audit call runs
-the term-by-term cross-check of n = 1..n_max when asked, `--audit-n` or the
-audited_n_max recorded in a coverless certificate that `verify` or
-`verify-dataset` builds, and a coverless one adds each factor split below
-n_max.  The cross-check trusts none of the facts.
+a coverless number) is proved by its divisibility facts and a witness
+audit, both read from the entries' progressions alone: an entry whose facts
+hold divides every term it witnesses, so it fails only where that term is
+the divisor itself, which one divmod decides.  A coverless number's
+algebraic factor family is proved once from its coefficients, which parsing
+fixes.  The same audit call runs the term-by-term cross-check of
+n = 1..n_max when asked, `--audit-n` or the audited_n_max recorded in a
+coverless certificate that `verify` or `verify-dataset` builds, and a
+coverless one adds each factor split below n_max.  The cross-check trusts
+none of the facts: it recomputes them for each entry, and builds bignum
+terms and a byte pass only for the entries where they fail.
 """
 
 import json
@@ -25,10 +28,10 @@ import math
 from dataclasses import dataclass
 
 # Largest term-by-term cross-check (--audit-n) the CLI runs.  The witness
-# audit reads the properness prefix and one byte pass over the entries'
-# progressions, whatever N.  The bound is set by the coverless cross-check
-# alone, which splits each open term as a bignum and grows with the square
-# of N: about 5.7 s wall for the R2 record (2 vCPUs, Python 3.11).
+# audit of a cover whose facts hold takes two pows per entry, whatever N.
+# The bound is set by the coverless cross-check alone, which splits each
+# open term as a bignum and grows with the square of N: about 5.7 s wall
+# for the R2 record (2 vCPUs, Python 3.11).
 MAX_AUDIT_N = 100_000
 
 # Largest L a certificate may state or a cover may reach.  The hole check
@@ -41,6 +44,12 @@ MAX_LCM = 10**7
 # writes once per claim.  Ten extra copies of 3 on the L = 6000012 cover
 # claim 38166749, and the byte pass takes 0.05 s (2 vCPUs, Python 3.11).
 MAX_CLAIMS = 4 * MAX_LCM
+# Most distinct divisors a cover may list, and distinct entries a
+# certificate may state: a cover walks each distinct divisor once, and the
+# facts check and the witness audit take two pows per entry.  Repeats are
+# not counted, so every certificate a cover gives parses.  The corpus and
+# benchmark covers hold at most 21.
+MAX_DIVISORS = 1000
 
 SIGN_SIERPINSKI = 1
 SIGN_RIESEL = -1
@@ -165,24 +174,30 @@ class CoverCertificate:
                 covered[r::modulus] = b"\1" * len(range(r, lcm, modulus))
         return covered
 
+    def _marked(self, entries) -> bytearray:
+        """_left_out with 1 also written along each given entry's
+        progression c, c+b, ... below L."""
+        lcm, covered = self.lcm, self._left_out()
+        for e in entries:
+            covered[e.c::e.b] = b"\1" * len(range(e.c, lcm, e.b))
+        return covered
+
     @_derived
     def uncovered_residue(self) -> int | None:
         """Least residue mod L the predicate claims but no entry matches, or
-        None: 1 is written along every entry's progression, and the first 0
-        left is the hole.  Needs every period b >= 1."""
-        lcm, covered = self.lcm, self._left_out()
-        for e in self.entries:
-            covered[e.c::e.b] = b"\1" * len(range(e.c, lcm, e.b))
-        hole = covered.find(0)
+        None: the first 0 left once every entry is marked is the hole.
+        Needs every period b >= 1."""
+        hole = self._marked(self.entries).find(0)
         return None if hole < 0 else hole
 
-    def _progressions(self):
-        """Each entry in cover order, with the bytes of its progression
-        c, c+b, ... below L as they were before the entry marked them: a 0
-        is a claimed residue that no earlier entry matches, one the entry
-        witnesses."""
-        covered = self._left_out()
-        for e in self.entries:
+    def _progressions(self, start=0):
+        """Each entry from index start on, in cover order, with the bytes of
+        its progression c, c+b, ... below L as they were before the entry
+        marked them: a 0 is a claimed residue that no earlier entry matches,
+        one the entry witnesses.  The entries before start are marked
+        first."""
+        covered = self._marked(self.entries[:start])
+        for e in self.entries[start:]:
             before = covered[e.c::e.b]
             yield e, before
             covered[e.c::e.b] = b"\1" * len(before)
@@ -333,6 +348,10 @@ def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCer
         CoverEntry(_parse_decimal(e, "d"), _parse_decimal(e, "b"), _parse_decimal(e, "c"))
         for e in raw_entries
     ])
+    if len(entries) > MAX_DIVISORS and len(set(entries)) > MAX_DIVISORS:
+        raise CertificateFormatError(
+            f"the certificate states more than {MAX_DIVISORS} distinct entries"
+        )
     if not all(e.b for e in entries):
         raise CertificateFormatError("every period b must be positive")
     lcm = _parse_decimal(doc, "lcm")
@@ -412,8 +431,7 @@ def proof_depth(cert: CoverCertificate) -> int:
     """Past this exponent every term exceeds every divisor, so a witness
     that divides a term is a proper divisor of it."""
     # A loop, not max() over a generator, which costs about three times as
-    # much for a short cover; each audit asks twice, here and in
-    # first_audit_failure.
+    # much for a short cover; every proof asks for it.
     largest = 0
     for e in cert.entries:
         if e.d > largest:
@@ -445,54 +463,80 @@ def _divisibility_problem(cert: CoverCertificate) -> str | None:
     return None if hole is None else f"uncovered residue {hole} (mod {lcm})"
 
 
-def first_audit_failure(certificate: CoverCertificate, n_max: int) -> int | None:
-    """Smallest claimed n in 1..n_max where the witness, the first entry in
-    cover order whose progression range(c, L, b) holds n mod L, is not a
-    proper divisor of k*2^n + sign, or None when every claimed n passes.  A
-    witness d <= 1 fails at its first claimed n.  Exact, and independent of
-    the divisibility facts: it reads k and the entries.
+def witness_index(certificate: CoverCertificate, n: int) -> int | None:
+    """Index of the witness of n: the first entry in cover order whose
+    progression range(c, L, b) holds n mod L, or None where the predicate
+    does not claim n or no entry matches."""
+    lcm = certificate.lcm
+    r = n % lcm
+    modulus, claimed = PREDICATES[certificate.predicate]
+    if r % modulus in claimed:
+        for i, e in enumerate(certificate.entries):
+            if r in range(e.c, lcm, e.b):
+                return i
+    return None
 
-    Terms are built as bignums only in the properness prefix
-    n <= proof_depth, where a term may not exceed its witness.  Past it
-    every term exceeds every divisor, so a witness d > 1 is proper exactly
-    when it divides, and one pass in cover order decides every n, whatever
-    n_max.  The pass gives each entry the residues mod L it witnesses, the
-    0 bytes of its progression before it marks them.  An entry with d > 1,
-    b | L, 2^b == 1 (mod d) and d | k*2^c + sign passes at all of them:
-    each such n is == c (mod b), as b | L, so 2^n == 2^c (mod d).  Any
-    other entry is decided residue by residue, by one pow at the first n0
-    past the prefix.  If n0 fails, it is the first failure; if it passes,
+
+def first_audit_failure(certificate: CoverCertificate, n_max: int) -> int | None:
+    """Smallest claimed n in 1..n_max where the witness (witness_index) is
+    not a proper divisor of k*2^n + sign, or None when every claimed n
+    passes.  A witness d <= 1 fails at its first claimed n.  Exact, and
+    independent of the divisibility facts: it reads k and the entries.
+
+    An entry holds when d > 1, b | L, 2^b == 1 (mod d) and
+    d | k*2^c + sign.  A holding entry divides every term it witnesses:
+    each such n is == c (mod b), as b | L, so 2^n == 2^c (mod d).  Every
+    term is positive, so it fails only where k*2^n + sign == d, which one
+    divmod of d - sign by k decides: the quotient must be 2^n with n >= 1,
+    and the entry must witness that n.  So a cover whose entries all hold,
+    as every cover past the facts check does, costs two pows per entry,
+    whatever n_max, and builds no term.
+
+    One byte pass in cover order, from the first entry that does not hold,
+    gives each such entry the residues mod L it witnesses, the 0 bytes of
+    its progression before it marks them.  On each residue, the n in the
+    properness prefix n <= proof_depth, where a term may not exceed its
+    witness, are built as bignum terms; past the prefix every term exceeds
+    every divisor, so a witness d > 1 is proper exactly when it divides,
+    and one pow at the first n0 past the prefix decides the rest.  If n0
+    fails, it is the residue's first failure; if it passes,
     k*2^n0 == -sign (mod d), a unit, so k*2^(n0 + jL) + sign ==
     sign*(1 - 2^(jL)) (mod d), and n0 + jL passes for every j exactly when
-    2^L == 1 (mod d): otherwise n0 + L fails."""
+    2^L == 1 (mod d): otherwise n0 + L fails.  The least failure over all
+    entries is returned when it is <= n_max."""
     k, sign = certificate.candidate.k, certificate.candidate.sign
     lcm, entries = certificate.lcm, certificate.entries
-    modulus, claimed = PREDICATES[certificate.predicate]
-    depth = min(n_max, proof_depth(certificate))
-    for n in range(1, depth + 1):
-        r = n % lcm
-        if r % modulus in claimed:
-            for e in entries:
-                if r in range(e.c, lcm, e.b):
-                    term = (k << n) + sign  # candidate.term(n), without the call
-                    if not 1 < e.d < term or term % e.d:
-                        return n
-                    break
-    if n_max <= depth:
-        return None
     n_bad = n_max + 1
-    for e, before in certificate._progressions():
+    holds = []
+    for i, e in enumerate(entries):
         d = e.d
-        if d > 1 and lcm % e.b == 0 and pow(2, e.b, d) == 1:
-            if (k % d * pow(2, e.c, d) + sign) % d == 0:
-                continue
+        holds.append(d > 1 and lcm % e.b == 0 and pow(2, e.b, d) == 1
+                     and (k % d * pow(2, e.c, d) + sign) % d == 0)
+        if holds[i]:
+            q, rem = divmod(d - sign, k)
+            n = q.bit_length() - 1
+            if not rem and 0 < n < n_bad and q == 1 << n and witness_index(certificate, n) == i:
+                n_bad = n
+    if all(holds):
+        return n_bad if n_bad <= n_max else None
+    start = holds.index(False)
+    depth = min(n_max, proof_depth(certificate))
+    for held, (e, before) in zip(holds[start:], certificate._progressions(start)):
+        if held:
+            continue
+        d = e.d
         i = before.find(0)
         while i >= 0:
-            n0 = depth + 1 + (e.c + i * e.b - depth - 1) % lcm
-            if d <= 1 or (k % d * pow(2, n0, d) + sign) % d:
-                n_bad = min(n_bad, n0)
-            elif pow(2, lcm, d) != 1:
-                n_bad = min(n_bad, n0 + lcm)
+            r = e.c + i * e.b
+            for n in range(r or lcm, depth + 1, lcm):  # n == r (mod L) in the prefix
+                term = (k << n) + sign  # candidate.term(n), without the call
+                if not 1 < d < term or term % d:
+                    break
+            else:
+                n = depth + 1 + (r - depth - 1) % lcm
+                if d > 1 and (k % d * pow(2, n, d) + sign) % d == 0:
+                    n = n + lcm if pow(2, lcm, d) != 1 else n_bad
+            n_bad = min(n_bad, n)
             i = before.find(0, i + 1)
     return n_bad if n_bad <= n_max else None
 
@@ -523,10 +567,11 @@ def prove(cert: CoverCertificate | AlgebraicCertificate, n_max: int | None = Non
 
     A cover, or the partial cover of a coverless certificate: the
     divisibility facts give d | k*2^n + sign for every n == c (mod b), so
-    the first matching entry divides every claimed term, and the witness
-    audit of the prefix n <= proof_depth shows each witness proper.  One
-    first_audit_failure call runs that prefix and, when n_max is given, the
-    cross-check of every claimed n <= n_max, which trusts none of the facts.
+    the first matching entry divides every claimed term, and is proper
+    unless the term is d itself.  One first_audit_failure call finds any
+    such n, all of which lie in the properness prefix n <= proof_depth,
+    and, when n_max is given, cross-checks every claimed n <= n_max,
+    trusting none of the facts.
 
     A coverless certificate proves the n its predicate leaves out from the
     factor family's coefficients.  With x = 2^m,

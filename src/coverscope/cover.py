@@ -25,6 +25,7 @@ import sys
 from coverscope import arith
 from coverscope.check import (
     MAX_CLAIMS,
+    MAX_DIVISORS,
     MAX_LCM,
     PREDICATE_ALL,
     PREDICATES,
@@ -33,6 +34,7 @@ from coverscope.check import (
     CoverCertificate,
     CoverEntry,
     VerificationError,
+    witness_index,
 )
 
 # The checker's names the benchmark in perfbench/ reaches through cover.
@@ -97,8 +99,9 @@ def verify_cover(
 
     Raises NoOffsetError (naming the divisor) or UncoveredResidueError
     (naming the smallest claimed residue mod L left open), and ValueError
-    for a divisor's period or L above MAX_LCM, or more than MAX_CLAIMS
-    claimed residues.
+    for more than MAX_DIVISORS distinct divisors (before any walk), a
+    divisor's period or L above MAX_LCM, or more than MAX_CLAIMS claimed
+    residues.
     Deterministic: each residue takes the first matching entry in cover order.
     The primality flags come from arith.prime_flag.  A repeated divisor is
     built and flagged once.
@@ -110,7 +113,12 @@ def verify_cover(
     if not divisors:
         raise ValueError("cover must contain at least one divisor")
     # Built in first-seen order, so a repeat moves no error to another divisor.
-    built = {d: build_entry(candidate, d) for d in dict.fromkeys(divisors)}
+    distinct = dict.fromkeys(divisors)
+    if len(distinct) > MAX_DIVISORS:
+        raise ValueError(
+            f"the cover has {len(distinct)} distinct divisors, above the bound {MAX_DIVISORS}"
+        )
+    built = {d: build_entry(candidate, d) for d in distinct}
     lcm = math.lcm(*[e.b for e in built.values()], modulus)
     if lcm > MAX_LCM:
         # Python refuses to write an int past sys.get_int_max_str_digits().
@@ -139,13 +147,10 @@ def witness(certificate: CoverCertificate, n: int) -> int:
     n must satisfy the certificate's predicate."""
     if n < 1:
         raise ValueError("the sequence starts at n = 1")
-    r = n % certificate.lcm
-    modulus, claimed = PREDICATES[certificate.predicate]
-    if r % modulus in claimed:
-        for e in certificate.entries:
-            if r in range(e.c, certificate.lcm, e.b):
-                return e.d
-    raise ValueError(f"n={n} does not satisfy the {certificate.predicate} condition")
+    i = witness_index(certificate, n)
+    if i is None:
+        raise ValueError(f"n={n} does not satisfy the {certificate.predicate} condition")
+    return certificate.entries[i].d
 
 
 def generate_family(candidate: Candidate, divisors, i: int) -> CoverCertificate:

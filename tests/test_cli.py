@@ -949,6 +949,65 @@ class TestClaimsBound:
         )
 
 
+class TestDivisorsBound:
+    """A cover walks each distinct divisor once, and the facts check and
+    the audit take two pows per entry, so more than check.MAX_DIVISORS
+    distinct divisors or entries are refused before that work; repeats do
+    not count."""
+
+    def test_a_cover_over_the_bound_exits_2_before_any_walk(self, capsys, monkeypatch):
+        walked = []
+        order_and_offset = arith.order_and_offset
+        monkeypatch.setattr(arith, "order_and_offset", lambda k, sign, d, bound: (
+            walked.append(d) or order_and_offset(k, sign, d, bound)))
+        # 17 divides 78557, so it has no offset and ends the walks.
+        extra = [17, *range(1025, 1025 + 2 * (check.MAX_DIVISORS - 8), 2)]
+        cover_at_bound = ",".join(map(str, [3, 5, 7, 13, 19, 37, 73, *extra]))
+        code, out, err = run(capsys, "verify", "--k", "78557", "--sign", "s",
+                             "--cover", cover_at_bound + ",3" * 2000)
+        assert (code, out, walked) == (1, "", [3, 5, 7, 13, 19, 37, 73, 17])
+        assert err.startswith("not verified: no offset: 17 divides no term")
+        walked.clear()
+        code, out, err = run(capsys, "verify", "--k", "78557", "--sign", "s",
+                             "--cover", cover_at_bound + ",3,9")
+        assert (code, out, walked) == (2, "", [])
+        assert err == (
+            f"error: the cover has {check.MAX_DIVISORS + 1} distinct divisors, "
+            f"above the bound {check.MAX_DIVISORS}\n"
+        )
+
+    def test_a_certificate_over_the_bound_exits_2(self, capsys, tmp_path):
+        # (3, 2, 0) holds for 78557; (5, 2, 0) is the first that does not.
+        def audit(entries):
+            doc = {
+                "k": "78557", "sign": 1, "entries": entries, "lcm": "2",
+                "divisor_primality_flags": [True] * len(entries),
+            }
+            path = tmp_path / "cert.json"
+            path.write_text(json.dumps(doc))
+            return run(capsys, "audit", str(path))
+
+        at_bound = [
+            {"d": str(d), "b": "2", "c": "0"} for d in range(3, 3 + 2 * check.MAX_DIVISORS, 2)
+        ]
+        assert audit(at_bound * 2) == (1, "", "audit FAILED: 5 does not divide 2^2 - 1\n")
+        over = at_bound + [{"d": "3", "b": "2", "c": "1"}]
+        bound = check.MAX_DIVISORS
+        assert audit(over) == (
+            2, "", f"error: the certificate states more than {bound} distinct entries\n"
+        )
+
+    def test_a_certificate_of_repeats_past_the_bound_audits(self, capsys, tmp_path):
+        # Repeats count once in both bounds, so what verify writes parses.
+        path = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "verify", "--k", "78557", "--sign", "s",
+                         "--cover", SELFRIDGE + ",3" * check.MAX_DIVISORS, "--out", str(path))
+        assert code == 0
+        assert len(json.loads(path.read_text())["entries"]) > check.MAX_DIVISORS
+        code, out, _ = run(capsys, "audit", str(path))
+        assert (code, out) == (0, "audit ok: k=78557, proved for all n >= 1\n")
+
+
 class TestAuditBound:
     def test_above_the_bound_exits_2_before_any_work(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

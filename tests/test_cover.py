@@ -603,7 +603,67 @@ class TestStreamedAudit:
         k.built = 0
         cert = dataclasses.replace(selfridge_cert, candidate=Candidate(k, 1))
         assert check.first_audit_failure(cert, check.MAX_AUDIT_N) is None
+        assert k.built == 0
+        # 3 shifted to the odd residues does not hold: its prefix terms are
+        # built, and the first, 157115 at n = 1, is not a multiple of 3.
+        shifted = dataclasses.replace(cert, entries=(CoverEntry(3, 2, 1),) + cert.entries[1:])
+        assert check.first_audit_failure(shifted, check.MAX_AUDIT_N) == 1
         assert 0 < k.built <= check.proof_depth(cert) == 7
+
+    @pytest.mark.parametrize("divisors", [SELFRIDGE_COVER, SELFRIDGE_COVER + (1000003,)])
+    def test_a_valid_cover_audits_with_no_byte_pass(self, monkeypatch, divisors):
+        # Every entry holds, so neither the audit nor the proof (whose hole
+        # check verify_cover already ran) allocates the L bytes of a pass.
+        cert = cover.verify_cover(Candidate(78557, 1), divisors)
+
+        def left_out(self):
+            raise AssertionError("byte pass")
+
+        monkeypatch.setattr(check.CoverCertificate, "_left_out", left_out)
+        assert check.first_audit_failure(cert, check.MAX_AUDIT_N) is None
+        assert check.prove(cert, check.MAX_AUDIT_N) is None
+
+
+# Family members k = k0 + 2iP of corpus covers (P the product of the cover)
+# with a term d = k*2^n + sign, n <= 12, whose period ord_d(2) is at most
+# 1500, so that a cover holding d as an entry keeps L small:
+# (k0, sign, divisors, i, n).
+WHOLE_TERMS = (
+    (78557, 1, SELFRIDGE_COVER, 0, 4),
+    (271129, 1, RIESEL_COVER, 114, 2),
+    (271129, 1, RIESEL_COVER, 226, 6),
+    (482719, 1, RIESEL_COVER, 107, 4),
+    (2131043, 1, RIESEL_COVER, 33, 5),
+    (509203, -1, RIESEL_COVER, 241, 2),
+    (762701, -1, RIESEL_COVER, 67, 5),
+    (992077, -1, RIESEL_COVER, 10, 1),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    st.sampled_from(WHOLE_TERMS),
+    st.sampled_from(sorted(check.PREDICATES)),
+    st.integers(0, 7),
+    st.booleans(),
+)
+def test_a_holding_whole_term_witness_fails_where_it_witnesses(whole, predicate, at, repeat):
+    # The entry of d = k*2^n + sign holds, so it fails exactly at n, when
+    # it witnesses n: the predicate claims n and no earlier entry holds
+    # n mod L.  A copy of it at the end witnesses nothing.
+    k0, sign, divisors, i, n = whole
+    candidate = Candidate(k0 + 2 * i * math.prod(divisors), sign)
+    base = cover.verify_cover(candidate, divisors)
+    term = cover.build_entry(candidate, candidate.term(n))
+    at = min(at, len(base.entries))
+    entries = base.entries[:at] + (term,) + base.entries[at:] + (term,) * repeat
+    lcm = math.lcm(base.lcm, term.b, PREDICATE_MODULUS[predicate])
+    cert = hand_certificate(candidate, entries, lcm, predicate)
+    assert check._divisibility_problem(cert) is None
+    expected = n if check.witness_index(cert, n) == at else None
+    for n_max in audit_depths(cert):
+        assert check.first_audit_failure(cert, n_max) == first_audit_failure_naive(cert, n_max)
+        assert check.first_audit_failure(cert, n_max) == (expected if n <= n_max else None)
 
 
 class TestModReductionEquivalence:
