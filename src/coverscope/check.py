@@ -15,12 +15,12 @@ audit, both read from the entries' progressions alone: an entry whose facts
 hold divides every term it witnesses, so it fails only where that term is
 the divisor itself, which one divmod decides.  A coverless number's
 algebraic factor family is proved once from its coefficients, which parsing
-fixes.  The same audit call runs the term-by-term cross-check of
-n = 1..n_max when asked, `--audit-n` or the audited_n_max recorded in a
-coverless certificate that `verify` or `verify-dataset` builds, and a
-coverless one adds each factor split below n_max.  The cross-check trusts
-none of the facts: it recomputes them for each entry, and builds bignum
-terms and a byte pass only for the entries where they fail.
+fixes.  The same audit call answers for every claimed n = 1..n_max when
+asked, `--audit-n` or the audited_n_max recorded in a coverless
+certificate that `verify` or `verify-dataset` builds, at the same cost;
+a coverless one adds the bignum split of each factor below n_max.  The
+audit recomputes every entry's facts and refuses a cover where one fails,
+which prove() never hands it, as the facts check comes first.
 """
 
 import json
@@ -28,14 +28,14 @@ import math
 from dataclasses import dataclass
 
 # Largest term-by-term cross-check (--audit-n) the CLI runs.  The witness
-# audit of a cover whose facts hold takes two pows per entry, whatever N.
-# The bound is set by the coverless cross-check alone, which splits each
-# open term as a bignum and grows with the square of N: about 5.7 s wall
-# for the R2 record (2 vCPUs, Python 3.11).
+# audit takes two pows per entry, whatever N.  The bound is set by the
+# coverless cross-check alone, which splits each open term as a bignum and
+# grows with the square of N: about 5.7 s wall for the R2 record (2 vCPUs,
+# Python 3.11).
 MAX_AUDIT_N = 100_000
 
 # Largest L a certificate may state or a cover may reach.  The hole check
-# and the witness audit write one byte per residue mod L, so this bound
+# and the witness counts write one byte per residue mod L, so this bound
 # keeps every exponent that reaches pow, and every allocation, below 10^7.
 # It also caps the walk that finds each divisor's period and offset at about
 # 2*sqrt(MAX_LCM) steps.
@@ -130,10 +130,11 @@ class _derived:
 @dataclass(frozen=True)
 class CoverCertificate:
     """Cover certificate: entries and L = lcm of the periods and the
-    predicate modulus.  Every check reads the entries' progressions in byte
-    passes; the residue table is derived only to compare a version 0.1
-    file's.  divisor_primality flags composite divisors - legal in a cover,
-    but worth a warning; verify_cover reads them from arith.prime_flag."""
+    predicate modulus.  The hole check and the witness counts each read the
+    entries' progressions in one byte pass; the witness audit makes none,
+    and the residue table is derived only to compare a version 0.1 file's.
+    divisor_primality flags composite divisors - legal in a cover, but
+    worth a warning; verify_cover reads them from arith.prime_flag."""
 
     candidate: Candidate
     entries: tuple[CoverEntry, ...]
@@ -174,30 +175,24 @@ class CoverCertificate:
                 covered[r::modulus] = b"\1" * len(range(r, lcm, modulus))
         return covered
 
-    def _marked(self, entries) -> bytearray:
-        """_left_out with 1 also written along each given entry's
-        progression c, c+b, ... below L."""
-        lcm, covered = self.lcm, self._left_out()
-        for e in entries:
-            covered[e.c::e.b] = b"\1" * len(range(e.c, lcm, e.b))
-        return covered
-
     @_derived
     def uncovered_residue(self) -> int | None:
         """Least residue mod L the predicate claims but no entry matches, or
         None: the first 0 left once every entry is marked is the hole.
         Needs every period b >= 1."""
-        hole = self._marked(self.entries).find(0)
+        lcm, covered = self.lcm, self._left_out()
+        for e in self.entries:
+            covered[e.c::e.b] = b"\1" * len(range(e.c, lcm, e.b))
+        hole = covered.find(0)
         return None if hole < 0 else hole
 
-    def _progressions(self, start=0):
-        """Each entry from index start on, in cover order, with the bytes of
-        its progression c, c+b, ... below L as they were before the entry
-        marked them: a 0 is a claimed residue that no earlier entry matches,
-        one the entry witnesses.  The entries before start are marked
-        first."""
-        covered = self._marked(self.entries[:start])
-        for e in self.entries[start:]:
+    def _progressions(self):
+        """Each entry in cover order, with the bytes of its progression c,
+        c+b, ... below L as they were before the entry marked them: a 0 is
+        a claimed residue that no earlier entry matches, one the entry
+        witnesses."""
+        covered = self._left_out()
+        for e in self.entries:
             before = covered[e.c::e.b]
             yield e, before
             covered[e.c::e.b] = b"\1" * len(before)
@@ -480,64 +475,30 @@ def witness_index(certificate: CoverCertificate, n: int) -> int | None:
 def first_audit_failure(certificate: CoverCertificate, n_max: int) -> int | None:
     """Smallest claimed n in 1..n_max where the witness (witness_index) is
     not a proper divisor of k*2^n + sign, or None when every claimed n
-    passes.  A witness d <= 1 fails at its first claimed n.  Exact, and
-    independent of the divisibility facts: it reads k and the entries.
+    passes.  Raises VerificationError, naming the first entry that does not
+    hold, unless every entry does: it reads k and the entries, and trusts
+    no facts check run before it.
 
     An entry holds when d > 1, b | L, 2^b == 1 (mod d) and
     d | k*2^c + sign.  A holding entry divides every term it witnesses:
     each such n is == c (mod b), as b | L, so 2^n == 2^c (mod d).  Every
     term is positive, so it fails only where k*2^n + sign == d, which one
     divmod of d - sign by k decides: the quotient must be 2^n with n >= 1,
-    and the entry must witness that n.  So a cover whose entries all hold,
-    as every cover past the facts check does, costs two pows per entry,
-    whatever n_max, and builds no term.
-
-    One byte pass in cover order, from the first entry that does not hold,
-    gives each such entry the residues mod L it witnesses, the 0 bytes of
-    its progression before it marks them.  On each residue, the n in the
-    properness prefix n <= proof_depth, where a term may not exceed its
-    witness, are built as bignum terms; past the prefix every term exceeds
-    every divisor, so a witness d > 1 is proper exactly when it divides,
-    and one pow at the first n0 past the prefix decides the rest.  If n0
-    fails, it is the residue's first failure; if it passes,
-    k*2^n0 == -sign (mod d), a unit, so k*2^(n0 + jL) + sign ==
-    sign*(1 - 2^(jL)) (mod d), and n0 + jL passes for every j exactly when
-    2^L == 1 (mod d): otherwise n0 + L fails.  The least failure over all
-    entries is returned when it is <= n_max."""
+    and the entry must witness that n.  So the audit costs two pows per
+    entry, whatever n_max, and builds no term.  prove() calls it only once
+    the facts check has passed, which every entry then holds."""
     k, sign = certificate.candidate.k, certificate.candidate.sign
-    lcm, entries = certificate.lcm, certificate.entries
+    lcm = certificate.lcm
     n_bad = n_max + 1
-    holds = []
-    for i, e in enumerate(entries):
+    for i, e in enumerate(certificate.entries):
         d = e.d
-        holds.append(d > 1 and lcm % e.b == 0 and pow(2, e.b, d) == 1
-                     and (k % d * pow(2, e.c, d) + sign) % d == 0)
-        if holds[i]:
-            q, rem = divmod(d - sign, k)
-            n = q.bit_length() - 1
-            if not rem and 0 < n < n_bad and q == 1 << n and witness_index(certificate, n) == i:
-                n_bad = n
-    if all(holds):
-        return n_bad if n_bad <= n_max else None
-    start = holds.index(False)
-    depth = min(n_max, proof_depth(certificate))
-    for held, (e, before) in zip(holds[start:], certificate._progressions(start)):
-        if held:
-            continue
-        d = e.d
-        i = before.find(0)
-        while i >= 0:
-            r = e.c + i * e.b
-            for n in range(r or lcm, depth + 1, lcm):  # n == r (mod L) in the prefix
-                term = (k << n) + sign  # candidate.term(n), without the call
-                if not 1 < d < term or term % d:
-                    break
-            else:
-                n = depth + 1 + (r - depth - 1) % lcm
-                if d > 1 and (k % d * pow(2, n, d) + sign) % d == 0:
-                    n = n + lcm if pow(2, lcm, d) != 1 else n_bad
-            n_bad = min(n_bad, n)
-            i = before.find(0, i + 1)
+        if not (d > 1 and lcm % e.b == 0 and pow(2, e.b, d) == 1
+                and (k % d * pow(2, e.c, d) + sign) % d == 0):
+            raise VerificationError(f"cover entry {i} does not hold its divisibility facts")
+        q, rem = divmod(d - sign, k)
+        n = q.bit_length() - 1
+        if not rem and 0 < n < n_bad and q == 1 << n and witness_index(certificate, n) == i:
+            n_bad = n
     return n_bad if n_bad <= n_max else None
 
 

@@ -225,8 +225,9 @@ def cmd_verify_dataset(args):
 
 
 def cmd_disqualify(args):
+    # Only the JSON record prints the trail, so text output builds none.
     record = disqualify.first_prime_exponent(
-        Candidate(args.k, args.sign), args.max_n, verbose=args.verbose
+        Candidate(args.k, args.sign), args.max_n, verbose=args.verbose and args.format == "json"
     )
     if args.format == "json":
         sys.stdout.write(cover.dumps_json(disqualify.record_to_dict(record)))

@@ -12,6 +12,7 @@ k every term is Proth-form and one exponentiation decides it (leaving a
 re-checkable witness); elsewhere the generic test applies.
 """
 
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -50,7 +51,9 @@ class DisqualificationRecord:
 def first_prime_exponent(
     candidate: Candidate, n_max: int, verbose: bool = False
 ) -> DisqualificationRecord:
-    """Scan n = 1..n_max in order for the first prime k*2^n + sign."""
+    """Scan n = 1..n_max in order for the first prime k*2^n + sign.  A
+    verbose scan raises ValueError on reaching a term with more digits than
+    Python prints (sys.get_int_max_str_digits()), as no trail could show it."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > MAX_SCAN_N:
@@ -60,7 +63,12 @@ def first_prime_exponent(
     proth_from = k.bit_length() if sign == 1 else n_max + 1
     low, high = arith.SIEVE_PRODUCT_LOW, arith.SIEVE_PRODUCT_HIGH
     trail = [] if verbose else None
-    for n in range(1, n_max + 1):
+    n_stop = n_max
+    if verbose and (limit := sys.get_int_max_str_digits()):
+        # The first term of more than limit digits is at the least n >= 1
+        # with k*2^n >= 10^limit - sign; the scan stops before it.
+        n_stop = min(n_max, max(1, ((10**limit - sign - 1) // k).bit_length()) - 1)
+    for n in range(1, n_stop + 1):
         term = (k << n) + sign
         if gcd(term, low) > 1 or gcd(term, high) > 1:
             # some p <= SIEVE_BOUND divides term: composite unless term is p
@@ -81,6 +89,11 @@ def first_prime_exponent(
             return DisqualificationRecord(
                 candidate, n, result, n, tuple(trail) if trail is not None else None
             )
+    if n_stop < n_max:
+        raise ValueError(
+            f"the term at n={n_stop + 1} has more than {limit} digits, "
+            "too long to print in a verbose trail"
+        )
     return DisqualificationRecord(
         candidate, None, None, n_max, tuple(trail) if trail is not None else None
     )

@@ -165,6 +165,19 @@ def first_audit_failure_naive(certificate, n_max):
     return None
 
 
+def entry_holds_naive(certificate, entry):
+    """Whether an entry's divisibility facts hold, every power built whole:
+    d > 1, b | L, d | 2^b - 1 and d | k*2^c + sign."""
+    k, sign = certificate.candidate.k, certificate.candidate.sign
+    d, b, c = entry.d, entry.b, entry.c
+    return (
+        d > 1
+        and certificate.lcm % b == 0
+        and (2**b - 1) % d == 0
+        and (k * 2**c + sign) % d == 0
+    )
+
+
 def coverless_cross_check_naive(cert, n_max):
     """Smallest n in 1..n_max where a coverless certificate's term-by-term
     cross-check fails, or None: first_audit_failure_naive for the n the

@@ -258,6 +258,33 @@ class TestDisqualify:
         assert code == 0
         assert len(json.loads(out)["trail"]) == 1
 
+    def test_only_json_builds_a_trail_which_stops_at_a_term_too_long_to_print(
+        self, capsys, monkeypatch
+    ):
+        # Text output prints no trail.  The JSON one stops before n = 2110,
+        # the first term of more than 640 digits, the least limit Python
+        # allows on printing an int.
+        scan, asked = disqualify.first_prime_exponent, []
+
+        def first_prime_exponent(candidate, n_max, verbose):
+            asked.append(verbose)
+            return scan(candidate, n_max, verbose)
+
+        monkeypatch.setattr(disqualify, "first_prime_exponent", first_prime_exponent)
+        argv = ("disqualify", "--k", "78557", "--sign", "s", "--max-n", "3000")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            plain = run(capsys, *argv)
+            text = run(capsys, *argv, "--verbose")
+            in_json = run(capsys, *argv, "--verbose", "--format", "json")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert plain == text == (1, "    k  n             method\n78557  none <= 3000  -\n", "")
+        assert in_json == (2, "", "error: the term at n=2110 has more than 640 digits, "
+                                  "too long to print in a verbose trail\n")
+        assert asked == [False, False, True]
+
 
 class TestSurvey:
     def test_reproduces_survivors(self, capsys):

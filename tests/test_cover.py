@@ -14,6 +14,7 @@ from coverscope.cover import NoOffsetError, UncoveredResidueError
 from oracles import (
     CLAIMED,
     check_induction_identity,
+    entry_holds_naive,
     first_audit_failure_naive,
     first_match_table,
     offset_naive,
@@ -355,13 +356,15 @@ class TestAudit:
         assert check.first_audit_failure(riesel_cert, 240) is None
 
     def test_tampered_table_fails_at_5(self, selfridge_cert):
-        # A false entry listed first takes residues 5, 11, ... of the derived
-        # table from their true witnesses; 3 does not divide the term at n = 5.
-        bad = dataclasses.replace(
-            selfridge_cert, entries=(CoverEntry(3, 6, 5),) + selfridge_cert.entries
-        )
+        # 3 does not divide the term at n = 5, so the false entry does not
+        # hold: the audit refuses the cover, and the proof names the fact.
+        bad = tampered_certificate(selfridge_cert)
         assert bad.table[5] == 0
-        assert check.first_audit_failure(bad, 36) == 5
+        assert first_audit_failure_naive(bad, 36) == 5
+        with pytest.raises(check.VerificationError, match="entry 0 "):
+            check.first_audit_failure(bad, 36)
+        assert check.prove(bad) == "3 does not divide k*2^5 +1"
+        assert_proof_matches_oracles(bad)
 
 
 def corpus_certificates():
@@ -387,6 +390,15 @@ def with_slot(cert, r, j):
     j's divisor: one slot of the derived table reassigned."""
     return dataclasses.replace(
         cert, entries=(CoverEntry(cert.entries[j].d, cert.lcm, r),) + cert.entries
+    )
+
+
+def tampered_certificate(selfridge_cert):
+    """The Selfridge cover with a false entry (3, 6, 5) listed first, which
+    takes residues 5, 11, ... of the derived table from their true
+    witnesses."""
+    return dataclasses.replace(
+        selfridge_cert, entries=(CoverEntry(3, 6, 5),) + selfridge_cert.entries
     )
 
 
@@ -446,6 +458,29 @@ def wrong_period_certificates():
                 yield cert, c + lcm
 
 
+def edge_certificates(selfridge_cert):
+    """(cert, n_bad) for two L = 16 certificates whose entries of period 16
+    claim residues 8 (d = 3), 9 (d = 5) and 15 (d = 19); 73 claims residue
+    8 after 3, so it claims nothing, but sets the prefix to n <= 7 and the
+    first row of the residue walk to n = 8..23.  Residues 8 and 9 pass for
+    good; 15 (19 has period 18) passes at n = 15 and first fails at 31, the
+    last claimed n of the second row.  The second certificate adds residue
+    7 to d = 7 (period 3), which passes at n = 7, in the prefix, and fails
+    at 23, the last n of the first row."""
+    entries = tuple(CoverEntry(d, 16, r) for d, r in ((3, 8), (5, 9), (19, 15), (73, 8)))
+    cert = dataclasses.replace(selfridge_cert, lcm=16, entries=entries)
+    cert_23 = dataclasses.replace(cert, entries=entries + (CoverEntry(7, 16, 7),))
+    return [(cert, 31), (cert_23, 23)]
+
+
+def with_divisor(cert, i, d):
+    """cert with entry i's divisor set to d."""
+    e = cert.entries[i]
+    return dataclasses.replace(
+        cert, entries=cert.entries[:i] + (dataclasses.replace(e, d=d),) + cert.entries[i + 1:]
+    )
+
+
 def n_max_sweep(cert):
     """None, and the cross-check depths around the properness prefix and past L."""
     depth = check.proof_depth(cert)
@@ -453,26 +488,47 @@ def n_max_sweep(cert):
 
 
 def audit_depths(cert):
-    """The audit depths around which the residue walk changes shape."""
+    """The audit depths around the properness prefix and the first rows
+    n < L, 2L, ... of each residue."""
     lcm = cert.lcm
     return sorted({n for n in (1, check.proof_depth(cert), lcm - 1, lcm, 3 * lcm + 5) if n >= 1})
 
 
-class TestStreamedAudit:
-    """first_audit_failure, which builds bignum terms only in the properness
-    prefix, against the all-bignum oracle."""
+def assert_proof_matches_oracles(cert):
+    """prove(cert, n_max) over n_max_sweep: the facts check's problem, or
+    else the all-bignum audit of the prefix and of every n <= n_max."""
+    depth = max(e.d for e in cert.entries).bit_length()
+    facts = check._divisibility_problem(cert)
+    for n_max in n_max_sweep(cert):
+        n_bad = None if facts else first_audit_failure_naive(cert, max(depth, n_max or 0))
+        expected = facts or (n_bad and f"witness fails at n={n_bad}")
+        assert check.prove(cert, n_max) == expected, (cert, n_max)
 
-    def assert_matches_oracle(self, cert):
-        depths = audit_depths(cert)
-        # Also just below and at the first failure, which tests where each
-        # row of the walk stops.
-        n_bad = first_audit_failure_naive(cert, depths[-1])
-        if n_bad is not None:
-            depths += [n for n in (n_bad - 1, n_bad) if n >= 1]
+
+def assert_audit_matches_oracles(cert):
+    """The proof against the oracles; then, where every entry holds,
+    first_audit_failure against the all-bignum audit at audit_depths and
+    just below and at its first failure, and where one does not, the audit
+    refusing the cover at each depth."""
+    assert_proof_matches_oracles(cert)
+    depths = audit_depths(cert)
+    if not all(entry_holds_naive(cert, e) for e in cert.entries):
         for n_max in depths:
-            assert check.first_audit_failure(cert, n_max) == first_audit_failure_naive(
-                cert, n_max
-            ), (cert.candidate, [e.d for e in cert.entries], cert.lcm, n_max)
+            with pytest.raises(check.VerificationError):
+                check.first_audit_failure(cert, n_max)
+        return
+    n_bad = first_audit_failure_naive(cert, depths[-1])
+    if n_bad is not None:
+        depths += [n for n in (n_bad - 1, n_bad) if n >= 1]
+    for n_max in depths:
+        assert check.first_audit_failure(cert, n_max) == first_audit_failure_naive(
+            cert, n_max
+        ), (cert.candidate, [e.d for e in cert.entries], cert.lcm, n_max)
+
+
+class TestStreamedAudit:
+    """first_audit_failure, which builds no term, against the all-bignum
+    oracle, and the proof against the facts check and that oracle."""
 
     def test_corpus_covers_and_their_doctored_copies(self):
         rng = random.Random(11)
@@ -480,9 +536,9 @@ class TestStreamedAudit:
         for cert in corpus_certificates():
             signs.add(cert.candidate.sign)
             assert check.first_audit_failure(cert, 3 * cert.lcm + 5) is None
-            self.assert_matches_oracle(cert)
+            assert_audit_matches_oracles(cert)
             for bad in doctored_certificates(cert, rng):
-                self.assert_matches_oracle(bad)
+                assert_audit_matches_oracles(bad)
         assert signs == {1, -1}
 
     def test_random_divisor_sets_and_their_doctored_copies(self):
@@ -492,9 +548,9 @@ class TestStreamedAudit:
             lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
             # Sets that leave a hole audit with None there.
             cert = hand_certificate(candidate, entries, lcm, predicate)
-            self.assert_matches_oracle(cert)
+            assert_audit_matches_oracles(cert)
             for bad in doctored_certificates(cert, rng):
-                self.assert_matches_oracle(bad)
+                assert_audit_matches_oracles(bad)
 
     def test_tiny_early_terms(self):
         # Each list's first divisor is a whole early term.  For k = 1, sign -1
@@ -518,48 +574,43 @@ class TestStreamedAudit:
                     entries.append(check.CoverEntry(d, b, c))
             lcm = math.lcm(*(e.b for e in entries))
             cert = hand_certificate(candidate, entries, lcm)
-            self.assert_matches_oracle(cert)
+            assert_audit_matches_oracles(cert)
             n0 = next(n for n in range(1, 8) if candidate.term(n) == divisors[0])
             assert check.first_audit_failure(cert, 3 * lcm + 5) == n0
 
     def test_failures_at_the_edges_of_the_walk(self, selfridge_cert):
-        # L stated as 16, with entries of period 16 that claim residues 8
-        # (d = 3), 9 (d = 5) and 15 (d = 19); 73 claims residue 8 after 3,
-        # so it claims nothing, but sets the prefix to n <= 7 and the first
-        # row of the residue walk to n = 8..23.  Residues 8 and 9 pass for
-        # good; 15 (19 has period 18) passes at n = 15 and first fails at
-        # 31, the last claimed n of the second row.
-        entries = tuple(CoverEntry(d, 16, r) for d, r in ((3, 8), (5, 9), (19, 15), (73, 8)))
-        cert = dataclasses.replace(selfridge_cert, lcm=16, entries=entries)
-        # Residue 7 to d = 7 (period 3) passes at n = 7, in the prefix, and
-        # fails at 23, the last n of the first row.
-        cert_23 = dataclasses.replace(cert, entries=entries + (CoverEntry(7, 16, 7),))
-        assert [r for r, idx in enumerate(cert_23.table) if idx is not None] == [7, 8, 9, 15]
-        for c, n_bad in ((cert, 31), (cert_23, 23)):
+        # 19 and 73 do not hold with period 16: the oracle fails where the
+        # residue walk ends a row, and the audit refuses both certificates.
+        certs = edge_certificates(selfridge_cert)
+        assert [r for r, idx in enumerate(certs[1][0].table) if idx is not None] == [7, 8, 9, 15]
+        for c, n_bad in certs:
             for n_max in (n_bad - 1, n_bad, 100):
                 expected = n_bad if n_max >= n_bad else None
-                assert check.first_audit_failure(c, n_max) == expected
                 assert first_audit_failure_naive(c, n_max) == expected
+                with pytest.raises(check.VerificationError, match="entry 2 "):
+                    check.first_audit_failure(c, n_max)
+            assert check.prove(c) == "19 does not divide 2^16 - 1"
+            assert_proof_matches_oracles(c)
 
     @pytest.mark.parametrize("d", [0, 1, -7])
     def test_divisor_below_2_fails_at_its_first_claimed_n(self, selfridge_cert, d):
         # Entry 5 (d = 37) is first claimed at n = 27, past the prefix n <= 7.
+        # The oracle fails there; the audit refuses the entry at any depth.
         L = selfridge_cert.lcm
-        for i, e in enumerate(selfridge_cert.entries):
-            bad = dataclasses.replace(
-                selfridge_cert,
-                entries=selfridge_cert.entries[:i] + (dataclasses.replace(e, d=d),)
-                + selfridge_cert.entries[i + 1:],
-            )
+        for i in range(len(selfridge_cert.entries)):
+            bad = with_divisor(selfridge_cert, i, d)
             first = next(n for n in range(1, L + 1) if selfridge_cert.table[n % L] == i)
             for n_max in (first - 1, first, 10 * L):
                 expected = first if n_max >= first else None
-                assert check.first_audit_failure(bad, n_max) == expected
                 assert first_audit_failure_naive(bad, n_max) == expected
-            assert check.first_audit_failure(bad, 10 * L) is not None
+                with pytest.raises(check.VerificationError, match=f"entry {i} "):
+                    check.first_audit_failure(bad, n_max)
+            assert check.prove(bad) == f"divisor {d} is not odd and >= 3"
+            assert_proof_matches_oracles(bad)
 
     def test_a_witness_with_the_wrong_period_fails_one_period_after_row_0(self):
-        # Row 0 passes, and the first failure is L above it, at any depth.
+        # Row 0 passes, and the oracle's first failure is L above it, at any
+        # depth; the audit refuses the entry, as 2^L != 1 (mod d).
         rng = random.Random(13)
         certs = list(wrong_period_certificates())
         assert len(certs) >= 50
@@ -567,9 +618,11 @@ class TestStreamedAudit:
             depth, L = check.proof_depth(cert), cert.lcm
             for n_max in (depth + L, depth + L + 1, 10 * L + 7, rng.randrange(1, 12 * L)):
                 expected = first_audit_failure_naive(cert, n_max)
-                assert check.first_audit_failure(cert, n_max) == expected
                 assert expected == (n_bad if n_max >= n_bad else None)
-            assert check.first_audit_failure(cert, check.MAX_AUDIT_N) == n_bad
+                with pytest.raises(check.VerificationError, match="entry 0 "):
+                    check.first_audit_failure(cert, n_max)
+            assert check.prove(cert) == f"{cert.entries[0].d} does not divide 2^{L} - 1"
+            assert_proof_matches_oracles(cert)
 
     def test_no_proof_derives_the_table(self):
         # The 78557 s, 509203 r, S4 and R2 certificates, proved alone and
@@ -604,11 +657,12 @@ class TestStreamedAudit:
         cert = dataclasses.replace(selfridge_cert, candidate=Candidate(k, 1))
         assert check.first_audit_failure(cert, check.MAX_AUDIT_N) is None
         assert k.built == 0
-        # 3 shifted to the odd residues does not hold: its prefix terms are
-        # built, and the first, 157115 at n = 1, is not a multiple of 3.
+        # 3 shifted to the odd residues does not hold: the audit refuses the
+        # cover, and builds no term either.
         shifted = dataclasses.replace(cert, entries=(CoverEntry(3, 2, 1),) + cert.entries[1:])
-        assert check.first_audit_failure(shifted, check.MAX_AUDIT_N) == 1
-        assert 0 < k.built <= check.proof_depth(cert) == 7
+        with pytest.raises(check.VerificationError, match="entry 0 "):
+            check.first_audit_failure(shifted, check.MAX_AUDIT_N)
+        assert k.built == 0
 
     @pytest.mark.parametrize("divisors", [SELFRIDGE_COVER, SELFRIDGE_COVER + (1000003,)])
     def test_a_valid_cover_audits_with_no_byte_pass(self, monkeypatch, divisors):
@@ -622,6 +676,36 @@ class TestStreamedAudit:
         monkeypatch.setattr(check.CoverCertificate, "_left_out", left_out)
         assert check.first_audit_failure(cert, check.MAX_AUDIT_N) is None
         assert check.prove(cert, check.MAX_AUDIT_N) is None
+
+
+def test_prove_audits_only_covers_whose_facts_hold(monkeypatch, selfridge_cert):
+    # No certificate whose facts fail reaches first_audit_failure from the
+    # proof; one whose facts hold reaches it once, at max(depth, n_max).
+    audit, calls = check.first_audit_failure, []
+
+    def first_audit_failure(cert, n_max):
+        calls.append((cert, n_max))
+        return audit(cert, n_max)
+
+    monkeypatch.setattr(check, "first_audit_failure", first_audit_failure)
+    rng = random.Random(14)
+    certs = [tampered_certificate(selfridge_cert)]
+    certs += [c for c, _ in edge_certificates(selfridge_cert) + list(wrong_period_certificates())]
+    certs += [with_divisor(selfridge_cert, i, d) for d in (0, 1, -7) for i in range(7)]
+    for cert in corpus_certificates():
+        certs += [cert, *doctored_certificates(cert, rng)]
+    refused = 0
+    for cert in certs:
+        facts = check._divisibility_problem(cert)
+        refused += facts is not None
+        for n_max in (None, 3 * cert.lcm):
+            calls.clear()
+            problem = check.prove(cert, n_max)
+            if facts is not None:
+                assert (problem, calls) == (facts, [])
+            else:
+                assert calls == [(cert, max(check.proof_depth(cert), n_max or 0))]
+    assert 0 < refused < len(certs)
 
 
 # Family members k = k0 + 2iP of corpus covers (P the product of the cover)
@@ -733,15 +817,6 @@ class TestSerialization:
             assert check.prove(cert) == problem
 
     def test_proof_refutes_exactly_when_facts_or_deep_audit_do(self):
-        def assert_proof_matches_oracles(cert):
-            # The facts, then the audit of the prefix and of every n <= n_max.
-            depth = max(e.d for e in cert.entries).bit_length()
-            facts = check._divisibility_problem(cert)
-            for n_max in n_max_sweep(cert):
-                n_bad = None if facts else first_audit_failure_naive(cert, max(depth, n_max or 0))
-                expected = facts or (n_bad and f"witness fails at n={n_bad}")
-                assert check.prove(cert, n_max) == expected, (cert, n_max)
-
         def refutation(cert):
             problem = check._divisibility_problem(cert)
             n_bad = None if problem else check.first_audit_failure(cert, 10 * cert.lcm)

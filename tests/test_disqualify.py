@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,35 @@ class TestFirstPrimeExponent:
         record = disqualify.first_prime_exponent(Candidate(143, 1), 60, verbose=True)
         for i, result in enumerate(record.trail[:20], start=1):
             assert trial_division_prime(143 * 2**i + 1) == result.is_prime
+
+    @pytest.mark.parametrize("k, sign", [(78557, 1), (509203, -1)])
+    def test_a_verbose_scan_stops_at_a_term_too_long_to_print(self, k, sign):
+        # Neither sequence holds a prime.  Under the least limit Python
+        # allows, 640 digits, the trail prints every term before the first
+        # one longer than that, and a verbose scan does not reach it.
+        candidate = Candidate(k, sign)
+        n_long = next(n for n in itertools.count(1) if candidate.term(n) >= 10**640)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            record = disqualify.first_prime_exponent(candidate, n_long - 1, verbose=True)
+            assert len(json.dumps(disqualify.record_to_dict(record)["trail"][-1])) > 640
+            for n_max in (n_long, disqualify.MAX_SCAN_N):
+                with pytest.raises(ValueError) as info:
+                    disqualify.first_prime_exponent(candidate, n_max, verbose=True)
+                assert str(info.value) == (
+                    f"the term at n={n_long} has more than 640 digits, "
+                    "too long to print in a verbose trail"
+                )
+            # A plain scan prints no term, and a verbose one that finds its
+            # prime first ends as it did; so does one whose k is too long.
+            assert disqualify.first_prime_exponent(candidate, 2 * n_long).n_searched == 2 * n_long
+            hit = disqualify.first_prime_exponent(Candidate(143, 1), 2 * n_long, verbose=True)
+            assert (hit.n_found, len(hit.trail)) == (53, 53)
+            with pytest.raises(ValueError, match="^the term at n=1 has more than 640 digits"):
+                disqualify.first_prime_exponent(Candidate(10**700 + 1, sign), 1, verbose=True)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_riesel_side(self):
         # 509203*2^n - 1 composite throughout (covered); 3*2^n - 1 prime at n=1
