@@ -18,9 +18,9 @@ METHOD_SIEVE = "sieve"
 # Deterministic Miller-Rabin: _PSI[t-1] is psi_t, the least strong
 # pseudoprime to all of the first t prime bases (Jaeschke 1993; Sorenson and
 # Webster 2015 for psi_12 and psi_13), so below psi_t those t bases decide n.
-# A test of n runs the bases in order and stops after the first t, for the
-# least t with n < psi_t: a prime below 2047 costs one round, one below 2**31
-# at most four, and one just below 2**64 twelve.
+# That is the rule a deterministic result is re-checked by (PrimalityResult);
+# is_prime reaches the same verdicts with fewer exponentiations, from the
+# sieve and _MR_ROWS.
 _PSI = (
     2047,
     1373653,
@@ -39,6 +39,28 @@ _PSI = (
 MR_DETERMINISTIC_BOUND = _PSI[-1]
 MR_DETERMINISTIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+# (bound, bases) in increasing bound: the bases decide every n below the
+# bound, and is_prime runs those of the first row above n.  Each bound below
+# 2**64 is a strong pseudoprime to all of its row's bases.  The first four
+# rows are Jaeschke's (1993), the next two psi_5 and psi_6; below 2**64,
+# Sinclair's seven bases, checked against Feitsma's list of base-2 strong
+# pseudoprimes below 2**64.  Above 2**64 the rows are psi_12 and psi_13 with
+# the re-check rule's bases in its order, so the composite witness written
+# there, the first base that shows n composite, is the one the rule finds.
+# Every base is below every n its row meets, and one that shares a factor
+# with n shows n composite: no power of it is 1 or -1 mod n.
+_MR_ROWS = (
+    (1373653, (2, 3)),
+    (9080191, (31, 73)),
+    (4759123141, (2, 7, 61)),
+    (1122004669633, (2, 13, 23, 1662803)),
+    (_PSI[4], MR_DETERMINISTIC_BASES[:5]),
+    (_PSI[5], MR_DETERMINISTIC_BASES[:6]),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (_PSI[11], MR_DETERMINISTIC_BASES[:12]),
+    (_PSI[12], MR_DETERMINISTIC_BASES),
+)
+
 MR_PROBABILISTIC_ROUNDS = 40
 
 # The bound of the sieve and of the discrete-log tables.  A first-prime scan
@@ -51,6 +73,8 @@ MR_PROBABILISTIC_ROUNDS = 40
 # from the sieve and larger n from is_prime: exact at any bound.
 # order_and_offset keeps one table of ord_d(2) entries for each odd d up to
 # the bound it meets: 84,166 entries (about 5 MB) when it has met all 511.
+# The bound also fixes SIEVE_SQUARE, below which is_prime decides n by the
+# sieve alone.
 SIEVE_BOUND = 1024
 
 # How many candidate bases the Proth test examines while hunting for a
@@ -62,13 +86,16 @@ PROTH_CANDIDATE_LIMIT = 1000
 class PrimalityResult:
     """Outcome of one primality test, with enough data to re-check it.
 
-    n is the integer that was tested.  For the Proth method, witness is the
-    base a with jacobi(a, n) = -1; n is prime iff a**((n-1)/2) == -1 (mod n),
-    so the claim re-verifies from this record alone.  For Miller-Rabin,
-    witness is the base that certified compositeness (0 when none is
-    singled out); a deterministic result re-verifies by re-running the
-    first t bases of MR_DETERMINISTIC_BASES, for the least t with n below
-    psi_t, the t-th entry of _PSI.  For the sieve method, witness is a prime
+    n is the integer that was tested.  method names the rule that re-checks
+    the claim, not the exponentiations that generation ran.  For the Proth
+    method, witness is the base a with jacobi(a, n) = -1; n is prime iff
+    a**((n-1)/2) == -1 (mod n), so the claim re-verifies from this record
+    alone.  For Miller-Rabin, witness is the base that certified
+    compositeness (0 when none is singled out, as below 2**64); a
+    deterministic result re-verifies by running the first t bases of
+    MR_DETERMINISTIC_BASES, for the least t with n below psi_t, the t-th
+    entry of _PSI, although is_prime may have decided n by the sieve or by
+    a shorter base set of _MR_ROWS.  For the sieve method, witness is a prime
     p <= SIEVE_BOUND with p | n and p < n, so n is composite by one
     reduction.  rounds is nonzero only for the probabilistic method.
     """
@@ -215,6 +242,10 @@ SIEVE_SPLIT = 23
 SIEVE_PRODUCT_LOW = math.prod(p for p in SIEVE_PRIMES if p <= SIEVE_SPLIT)
 SIEVE_PRODUCT_HIGH = SIEVE_PRODUCT // SIEVE_PRODUCT_LOW
 _SIEVE_PRIME_SET = frozenset((2, *SIEVE_PRIMES))
+# The square of the least prime above SIEVE_BOUND, 1031**2: a composite
+# below it has a prime factor up to the bound, so an odd n from SIEVE_BOUND
+# up to it is prime exactly when gcd(n, SIEVE_PRODUCT) == 1.
+SIEVE_SQUARE = next(p for p in _odd_primes_upto(2 * SIEVE_BOUND) if p > SIEVE_BOUND) ** 2
 
 
 def small_factor(n: int) -> int:
@@ -273,10 +304,11 @@ def proth_test(k: int, m: int) -> PrimalityResult:
 def is_prime(n: int) -> PrimalityResult:
     """Primality of n with the method recorded in the result.
 
-    Deterministic below MR_DETERMINISTIC_BOUND (Miller-Rabin with only the
-    first prime bases that n's psi_t tier needs); a decisive Proth test for
-    n = k*2**m + 1 with 2**m > k; otherwise MR_PROBABILISTIC_ROUNDS rounds
-    of Miller-Rabin, flagged probabilistic.
+    Deterministic below MR_DETERMINISTIC_BOUND (the sieve below
+    SIEVE_SQUARE, above it Miller-Rabin with the bases of n's row of
+    _MR_ROWS); a decisive Proth test for n = k*2**m + 1 with 2**m > k;
+    otherwise MR_PROBABILISTIC_ROUNDS rounds of Miller-Rabin, flagged
+    probabilistic.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -297,23 +329,29 @@ def prime_flag(n: int) -> bool:
 def _miller_rabin(n):
     """is_prime without the Proth branch, which proth_test falls back to.
 
-    Repeated probabilistic runs report identically: their bases come from
-    an n-seeded generator.
+    An odd n up to SIEVE_BOUND is read from the sieve, one below
+    SIEVE_SQUARE is prime iff coprime to SIEVE_PRODUCT, and one below
+    MR_DETERMINISTIC_BOUND is decided by the bases of the first row of
+    _MR_ROWS above it.  Repeated probabilistic runs report identically:
+    their bases come from an n-seeded generator.
     """
     if n > 2 and n % 2 == 0:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=2)
-    if n <= MR_DETERMINISTIC_BASES[-1]:  # the bases are the primes up to 41
-        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, n in MR_DETERMINISTIC_BASES)
+    if n <= SIEVE_BOUND:
+        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, n in _SIEVE_PRIME_SET)
+    if n < SIEVE_SQUARE:
+        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, math.gcd(n, SIEVE_PRODUCT) == 1)
     d, s = _mr_decompose(n)
     if n < MR_DETERMINISTIC_BOUND:
-        # n > 41, so a base that divides n is caught as an MR witness too.
-        # A composite below 2**64 is reported with witness 0.
-        for a, psi in zip(MR_DETERMINISTIC_BASES, _PSI):
+        for bound, bases in _MR_ROWS:
+            if n < bound:
+                break
+        for a in bases:
             if _mr_composite(n, a, d, s):
+                # A composite below 2**64 is reported with witness 0.
                 witness = a if n >> 64 else 0
                 return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=witness)
-            if n < psi:
-                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
+        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
     rng = random.Random(n)
     for _ in range(MR_PROBABILISTIC_ROUNDS):
         a = rng.randrange(2, n - 1)

@@ -9,7 +9,11 @@ exists.  The least p is searched for only when a verbose trail records it
 (method "sieve", witness p) or when the term is at most SIEVE_BOUND and may
 be p itself.  Every other term is tested: on the +1 side, once 2^n outgrows
 k every term is Proth-form and one exponentiation decides it (leaving a
-re-checkable witness); elsewhere the generic test applies.
+re-checkable witness); elsewhere arith.is_prime applies, which decides a
+term below arith.SIEVE_SQUARE with no exponentiation and one below 2**64
+with at most seven.  The JSON record writes the found prime in full, also
+past Python's limit on printing an int, while a verbose trail stops before
+the first term over it.
 """
 
 import sys
@@ -115,12 +119,29 @@ def survey_range(
     ]
 
 
+def _decimal(x: int) -> str:
+    """str(x) for x >= 0, also past sys.get_int_max_str_digits(), which a
+    found prime may be: in pieces of the limit's digits, each of which
+    Python prints.  The CLI holds k to the limit's digits and n to
+    MAX_SCAN_N, which bounds the cost.  2**(3*limit) < 10**limit, so
+    ordinary x are printed whole."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or x.bit_length() <= 3 * limit:
+        return str(x)
+    unit, pieces = 10**limit, []
+    while x >= unit:
+        x, low = divmod(x, unit)
+        pieces.append(str(low).zfill(limit))
+    pieces.append(str(x))
+    return "".join(reversed(pieces))
+
+
 def primality_to_dict(result: arith.PrimalityResult) -> dict:
     return {
-        "n": str(result.n),
+        "n": _decimal(result.n),
         "method": result.method,
         "is_prime": result.is_prime,
-        "witness": str(result.witness),
+        "witness": _decimal(result.witness),
         "rounds": result.rounds,
     }
 

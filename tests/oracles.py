@@ -78,6 +78,28 @@ def strong_probable_prime(n, a):
     return powers[0] == 1 or n - 1 in powers
 
 
+# Sorenson and Webster (2015): every n below PSI_13 that is a strong probable
+# prime to each of the first 13 primes is prime (the first 12 decide every
+# n below 2**64).
+FIRST_13_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def prime_naive(n):
+    """Primality of 0 <= n < PSI_13: trial division below 10**7, above it a
+    strong-probable-prime check to each of FIRST_13_PRIMES."""
+    if n < 10**7:
+        return trial_division_prime(n)
+    return n % 2 == 1 and all(strong_probable_prime(n, a) for a in FIRST_13_PRIMES)
+
+
+def next_prime_naive(n):
+    """The least prime >= n, for n < PSI_13, by prime_naive."""
+    while not prime_naive(n):
+        n += 1
+    return n
+
+
 def factorize_naive(n):
     factors = {}
     f = 2

@@ -1,4 +1,3 @@
-import bisect
 import math
 import random
 
@@ -12,8 +11,10 @@ from oracles import (
     factorize_naive,
     jacobi_naive,
     mod_pow_naive,
+    next_prime_naive,
     offset_naive,
     order_naive,
+    prime_naive,
     primes_below_naive,
     strong_probable_prime,
     trial_division_prime,
@@ -319,14 +320,22 @@ class TestIsPrime:
 # for (psi_7 = psi_8 and psi_9 = psi_10 = psi_11), so base t + 1 catches it.
 PSI_TIERS = [(t, arith._PSI[t - 1]) for t in range(1, 13) if arith._PSI[t - 1] != arith._PSI[t]]
 
-# One prime per base count: the least t with n < psi_t, which the test of a
-# prime n must reach before it may stop.
-TIER_PRIMES = (
-    (2039, 1),
-    (2**31 - 1, 4),
-    (2**61 - 1, 9),
-    (2**64 - 59, 12),
-    (318665857834031151167483, 13),  # least prime above psi_12
+# The largest prime below each row bound of _MR_ROWS, and below 1031**2,
+# with the bases its test runs, in order: none up to the sieve square, so
+# a return to more rounds shows without timing.
+FIRST_FIVE = (2, 3, 5, 7, 11)
+ROW_PRIMES = (
+    (1021, ()),
+    (1062949, ()),
+    (1373639, (2, 3)),
+    (9080189, (31, 73)),
+    (4759123129, (2, 7, 61)),
+    (1122004669603, (2, 13, 23, 1662803)),
+    (2152302898729, FIRST_FIVE),
+    (3474749660329, (*FIRST_FIVE, 13)),
+    (2**64 - 59, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318665857834031151167441, arith.MR_DETERMINISTIC_BASES[:12]),
+    (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES),
 )
 
 
@@ -377,8 +386,18 @@ class TestPsiTiers:
         wrong = [n for n in range(2**21) if arith.is_prime(n).is_prime != flags[n]]
         assert wrong == []
 
+    def test_each_row_bound_below_2_to_the_64_fools_its_bases(self):
+        bounds = [bound for bound, _ in arith._MR_ROWS]
+        assert bounds == sorted(bounds) and bounds[-1] == arith.MR_DETERMINISTIC_BOUND
+        assert arith.SIEVE_SQUARE == 1031**2 < bounds[0]
+        low = [(bound, bases) for bound, bases in arith._MR_ROWS if bound < 2**64]
+        assert len(low) == 6
+        for bound, bases in low:
+            assert all(strong_probable_prime(bound, a) for a in bases), bound
+            assert not arith.is_prime(bound).is_prime, bound
+
     def test_a_prime_runs_exactly_its_tier_of_bases(self, monkeypatch):
-        # Timing-free guard against a return to a flat base count.
+        # Timing-free guard against more rounds.
         bases_run = []
         real = arith._mr_composite
 
@@ -387,11 +406,10 @@ class TestPsiTiers:
             return real(n, a, d, s)
 
         monkeypatch.setattr(arith, "_mr_composite", counting)
-        for n, t in TIER_PRIMES:
+        for n, bases in ROW_PRIMES:
             bases_run.clear()
             assert arith.is_prime(n).is_prime, n
-            assert bases_run == list(arith.MR_DETERMINISTIC_BASES[:t]), n
-            assert t == bisect.bisect_right(arith._PSI, n) + 1, n  # least t with n < psi_t
+            assert tuple(bases_run) == bases, n
 
 
 class TestProth:
@@ -542,8 +560,10 @@ class TestDispatcher:
         ns += [rng.randrange(2**82, 2**100) for _ in range(100)]
         ns += [2**89 - 1, 2**67 - 1, 2**61 - 1]
         ns += [rng.randrange(2**63, 2**64) for _ in range(1000)]
-        # After the draws above, so that none of them changes: each tier edge.
-        ns += [n for psi in arith._PSI for n in range(psi - 300, psi + 301)]
+        # After the draws above, so that none of them changes: each tier
+        # edge, each row bound and the sieve square.
+        edges = {*arith._PSI, *(bound for bound, _ in arith._MR_ROWS), arith.SIEVE_SQUARE}
+        ns += [n for edge in sorted(edges) for n in range(edge - 300, edge + 301)]
         assert any(_nonproth_reference(n).is_prime for n in ns if n > 2**64)
         for n in ns:
             assert arith._miller_rabin(n) == _nonproth_reference(n), n
@@ -559,6 +579,31 @@ class TestDispatcher:
         assert all(arith.jacobi(a, n) != -1 for a in candidates)
         expected = arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, False)
         assert arith.proth_test(32769, 17) == expected == _nonproth_reference(n)
+
+
+# The ranges is_prime decides by one rule each: the sieve up to SIEVE_BOUND,
+# the gcd below SIEVE_SQUARE, then one row of _MR_ROWS each.
+_ROW_EDGES = (0, arith.SIEVE_BOUND + 1, arith.SIEVE_SQUARE, *(b for b, _ in arith._MR_ROWS))
+ROW_RANGES = tuple(zip(_ROW_EDGES, (edge - 1 for edge in _ROW_EDGES[1:])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(ROW_RANGES).flatmap(lambda r: st.integers(*r)))
+def test_is_prime_agrees_with_the_oracle_in_each_row(n):
+    assert arith.is_prime(n).is_prime == prime_naive(n), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1025, 2**32).flatmap(
+    lambda x: st.tuples(st.just(x), st.integers(1025, 2**62 // x))
+))
+def test_products_of_two_primes_above_1024_are_refused(xy):
+    # The least primes p >= x and q >= y are below 2x and 2y (Bertrand's
+    # postulate), so p * q < 4xy <= 2**64, and the sieve finds no factor.
+    p, q = map(next_prime_naive, xy)
+    n = p * q
+    assert n < 2**64
+    assert (arith.is_prime(n).is_prime, prime_naive(n)) == (False, False), (p, q)
 
 
 def test_order_exists_iff_coprime_property():

@@ -286,6 +286,30 @@ class TestDisqualify:
         assert asked == [False, False, True]
 
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no limit on printing an int"
+    )
+    @pytest.mark.parametrize("scan", [("disqualify", "--k", "{k}"),
+                                      ("survey", "--from", "{k}", "--to", "{k}")])
+    def test_json_writes_a_found_prime_longer_than_python_prints(self, capsys, scan):
+        # Under a limit of 640 digits, the least Python allows: k has 640
+        # digits, and its first term, 2k + 1, is a prime of 641.
+        k = 6 * 10**639 + 185
+        argv = [part.format(k=k) for part in scan] + ["--sign", "s", "--max-n", "1",
+                                                      "--format", "json"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        doc = doc[0] if scan[0] == "survey" else doc
+        assert (doc["n_found"], doc["primality"]["n"]) == (1, str(2 * k + 1))
+        assert doc["primality"]["is_prime"] is True
+
+
 class TestSurvey:
     def test_reproduces_survivors(self, capsys):
         code, out, _ = run(
@@ -719,12 +743,18 @@ PINNED_SCANS = [
         0,
         "354a90cc3c98107caf1bc7ec17e62d0c96c2897d0142f6b4c8c71866aae96dd4",
     ),
+    (
+        ("survey", "--from", "1", "--to", "9999", "--sign", "s", "--max-n", "600",
+         "--format", "json"),
+        0,
+        "16bf2f76988c6719939d2b4623e7b53872612e5ca44b4401d6ab0e6ea2a1c5a7",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, exit_code, digest", PINNED_SCANS,
-    ids=["disqualify-383s", "disqualify-383s-verbose", "survey-r600"],
+    ids=["disqualify-383s", "disqualify-383s-verbose", "survey-r600", "survey-s600"],
 )
 def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, *argv)

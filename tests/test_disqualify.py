@@ -254,6 +254,26 @@ class TestReports:
         assert doc["primality"]["is_prime"] is True
         assert doc["primality"]["witness"].isdigit()
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no limit on printing an int"
+    )
+    def test_terms_past_the_print_limit_are_written_in_full(self):
+        # Pieces of 640 digits, the least limit Python allows, zero-padded
+        # where a piece starts with zeros.
+        ns = [10**640 - 1, 10**640, 8**640, 10**1500 + 7, 3**5000, 2**100000 + 1]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            docs = [disqualify.primality_to_dict(arith.PrimalityResult(n, "x", True, witness=n))
+                    for n in ns]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert [(doc["n"], doc["witness"]) for doc in docs] == [(str(n), str(n)) for n in ns]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize(
         "sign, digest",
         [
