@@ -69,8 +69,7 @@ MR_PROBABILISTIC_ROUNDS = 40
 # with the whole product per term: above 1024 that gcd costs short scans
 # more than the tests it saves; below it, long scans of large terms test
 # more survivors.  Not measured again under the split below, which runs the
-# long gcd on a quarter of the terms.  prime_flag reads n up to the bound
-# from the sieve and larger n from is_prime: exact at any bound.
+# long gcd on a quarter of the terms.
 # order_and_offset keeps one table of ord_d(2) entries for each odd d up to
 # the bound it meets: 84,166 entries (about 5 MB) when it has met all 511.
 # The bound also fixes SIEVE_SQUARE, below which is_prime decides n by the
@@ -317,13 +316,6 @@ def is_prime(n: int) -> PrimalityResult:
         if (1 << m) > k:
             return proth_test(k, m)
     return _miller_rabin(n)
-
-
-def prime_flag(n: int) -> bool:
-    """is_prime(n).is_prime, without building a record for n <= SIEVE_BOUND."""
-    if 0 <= n <= SIEVE_BOUND:
-        return n in _SIEVE_PRIME_SET
-    return is_prime(n).is_prime
 
 
 def _miller_rabin(n):

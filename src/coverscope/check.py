@@ -133,13 +133,12 @@ class CoverCertificate:
     predicate modulus.  The hole check and the witness counts each read the
     entries' progressions in one byte pass; the witness audit makes none,
     and the residue table is derived only to compare a version 0.1 file's.
-    divisor_primality flags composite divisors - legal in a cover, but
-    worth a warning; verify_cover reads them from arith.prime_flag."""
+    Whether a divisor is prime is no part of the claim: any d > 1 that
+    divides a term and is smaller than it will do."""
 
     candidate: Candidate
     entries: tuple[CoverEntry, ...]
     lcm: int
-    divisor_primality: tuple[bool, ...]
     predicate: str = PREDICATE_ALL
 
     @_derived
@@ -302,8 +301,12 @@ def _parse_sign(doc):
     return sign
 
 
-def _parse_flags(doc, n_entries):
-    flags = doc.get("divisor_primality_flags")
+def _check_legacy_flags(doc, n_entries):
+    # Files of tool_version 0.1 and 0.2 state a primality flag per entry,
+    # which no proof reads: its shape is checked, its values are not kept.
+    if "divisor_primality_flags" not in doc:
+        return
+    flags = doc["divisor_primality_flags"]
     if (
         not isinstance(flags, list)
         or len(flags) != n_entries
@@ -312,7 +315,6 @@ def _parse_flags(doc, n_entries):
         raise CertificateFormatError(
             "divisor_primality_flags must hold one true/false per entry"
         )
-    return tuple(flags)
 
 
 def _parse_predicate(doc, predicate):
@@ -354,8 +356,8 @@ def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCer
         raise CertificateFormatError(f"lcm is above the bound {MAX_LCM}")
     if lcm % PREDICATES[predicate][0] != 0:
         raise CertificateFormatError("lcm must be a multiple of the predicate modulus")
-    flags = _parse_flags(doc, len(entries))
-    cert = CoverCertificate(candidate, entries, lcm, flags, predicate)
+    _check_legacy_flags(doc, len(entries))
+    cert = CoverCertificate(candidate, entries, lcm, predicate)
     if cert.claims > MAX_CLAIMS:
         raise CertificateFormatError(f"the entries claim more than {MAX_CLAIMS} residues mod L")
     if "table" in doc:

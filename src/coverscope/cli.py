@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from coverscope import algebraic, check, cover, dataset, disqualify
+from coverscope import algebraic, arith, check, cover, dataset, disqualify
 from coverscope.check import Candidate, VerificationError
 
 
@@ -167,7 +167,9 @@ def _cover_summary(cert, audit_n, header=""):
             f"{e.d}:{n}" for e, n in zip(cert.entries, counts)
         ),
     ]
-    composite = [e.d for e, p in zip(cert.entries, cert.divisor_primality) if not p]
+    # Advisory: a cover needs no prime divisor.  One test per distinct divisor.
+    prime = {d: arith.is_prime(d).is_prime for d in {e.d for e in cert.entries}}
+    composite = [e.d for e in cert.entries if not prime[e.d]]
     if composite:
         lines.append(f"warning: composite divisors in cover: {composite}")
     idle = [e.d for e, n in zip(cert.entries, counts) if n == 0]

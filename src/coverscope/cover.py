@@ -41,7 +41,7 @@ from coverscope.check import (
 from coverscope.check import certificate_from_dict, first_audit_failure  # noqa: F401
 from coverscope.check import prove as check_certificate_facts  # noqa: F401
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 
 
 class NoOffsetError(VerificationError):
@@ -103,8 +103,7 @@ def verify_cover(
     divisor's period or L above MAX_LCM, or more than MAX_CLAIMS claimed
     residues.
     Deterministic: each residue takes the first matching entry in cover order.
-    The primality flags come from arith.prime_flag.  A repeated divisor is
-    built and flagged once.
+    A repeated divisor is built once.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -126,14 +125,12 @@ def verify_cover(
         if limit and lcm >= 10**limit:
             raise ValueError(f"L has more than {limit} digits, above the bound {MAX_LCM}")
         raise ValueError(f"L = {lcm} is above the bound {MAX_LCM}")
-    flags = {d: arith.prime_flag(d) for d in built}
-    # Tuples from lists, not generators: tuple() of a generator resizes a
+    # A tuple from a list, not a generator: tuple() of a generator resizes a
     # fresh tuple, which on release joins the free list of its final size;
     # those lists fill (2000 tuples a size) until a full garbage collection,
     # so peak memory would creep with the number of calls.
     entries = tuple([built[d] for d in divisors])
-    primality = tuple([flags[d] for d in divisors])
-    cert = CoverCertificate(candidate, entries, lcm, primality, predicate)
+    cert = CoverCertificate(candidate, entries, lcm, predicate)
     if cert.claims > MAX_CLAIMS:
         raise ValueError(f"the divisors claim {cert.claims} residues mod L, above {MAX_CLAIMS}")
     hole = cert.uncovered_residue
@@ -156,7 +153,7 @@ def witness(certificate: CoverCertificate, n: int) -> int:
 def generate_family(candidate: Candidate, divisors, i: int) -> CoverCertificate:
     """Certificate of the i-th sibling k' = k + 2*i*P (P = product of the
     cover divisors), built once: k' == k (mod d) for every divisor, so the
-    base's entries, L and flags are the sibling's, the certificate `verify`
+    base's entries and L are the sibling's, the certificate `verify`
     writes for k'.  Proves nothing; check.prove re-checks every fact
     against k'."""
     if i < 1:
@@ -169,10 +166,10 @@ def generate_family(candidate: Candidate, divisors, i: int) -> CoverCertificate:
 
 # --- serialization -----------------------------------------------------------
 # Schema: {k, sign, predicate (partial covers only), entries: [{d, b, c}],
-# lcm, divisor_primality_flags, tool_version}.  All unbounded integers
-# travel as decimal strings.  The residue table is not written: the
-# entries fix it.  Certificates are written straight from their fields in
-# the dumps_json layout, so identical certificates give identical bytes.
+# lcm, tool_version}.  All unbounded integers travel as decimal strings.
+# The residue table is not written: the entries fix it.  Certificates are
+# written straight from their fields in the dumps_json layout, so identical
+# certificates give identical bytes.
 
 
 def _cover_object(cert: CoverCertificate, pad: str) -> str:
@@ -183,12 +180,10 @@ def _cover_object(cert: CoverCertificate, pad: str) -> str:
         f'{i}  {{\n{i}    "d": "{e.d}",\n{i}    "b": "{e.b}",\n{i}    "c": "{e.c}"\n{i}  }}'
         for e in cert.entries
     ])
-    flags = ",\n".join([f"{i}  true" if f else f"{i}  false" for f in cert.divisor_primality])
     predicate = "" if cert.predicate == PREDICATE_ALL else f'{i}"predicate": "{cert.predicate}",\n'
     return (
         f'{{\n{i}"k": "{cert.candidate.k}",\n{i}"sign": {cert.candidate.sign},\n{predicate}'
         f'{i}"entries": [\n{entries}\n{i}],\n{i}"lcm": "{cert.lcm}",\n'
-        f'{i}"divisor_primality_flags": [\n{flags}\n{i}],\n'
         f'{i}"tool_version": "{TOOL_VERSION}"\n{pad}}}'
     )
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -19,6 +20,8 @@ from oracles import smallest_uncovered
 
 # CASE_A's certificate as version 0.1 wrote it, residue table included.
 V1_CASE_A = json.loads((Path(__file__).parent / "fixtures/v1/coverless-s4.json").read_text())
+# And as version 0.2 wrote it, a primality flag per divisor included.
+V2_CASE_A = json.loads((Path(__file__).parent / "fixtures/v2/coverless-s4.json").read_text())
 
 CASE_A = FourthPowerCase(44745755, (3, 17, 97, 241, 257, 673))
 CASE_B = FourthPowerCase(734110615000775, (3, 17, 257, 641, 65537, 6700417))
@@ -199,9 +202,7 @@ class TestPartialCover:
         candidate = Candidate(CASE_A.k, 1)
         entries = tuple([cover.build_entry(candidate, d) for d in CASE_A.partial_cover[1:]])
         lcm = math.lcm(*[e.b for e in entries], 4)
-        partial = check.CoverCertificate(
-            candidate, entries, lcm, (True,) * len(entries), check.PREDICATE_MOD4_NE_2
-        )
+        partial = check.CoverCertificate(candidate, entries, lcm, check.PREDICATE_MOD4_NE_2)
         hole = partial.uncovered_residue
         assert hole == 1
         cert = check.AlgebraicCertificate(CASE_A, partial, 3 * lcm)
@@ -270,10 +271,10 @@ class TestAlgebraicCertificate:
             check.algebraic_certificate_from_dict(doc)
 
     def test_partial_cover_schema_enforced(self):
-        v2 = json.loads(algebraic.certificate_to_json(build_algebraic_certificate(CASE_A, 20)))
+        current = json.loads(algebraic.certificate_to_json(build_algebraic_certificate(CASE_A, 20)))
         partial = lambda d: d["partial_cover_certificate"]  # noqa: E731
         for base, breakages in (
-            (v2, ()),
+            (current, ()),
             (V1_CASE_A, (
                 lambda d: partial(d)["table"].__setitem__(2, 0),  # 2 == 2 (mod 4): must be null
                 lambda d: partial(d).update(table=partial(d)["table"] + [0, 1], lcm="50"),
@@ -299,8 +300,9 @@ class TestAlgebraicCertificate:
             check.certificate_from_dict(doc["partial_cover_certificate"])
 
     def test_json_booleans_rejected(self):
-        cert = build_algebraic_certificate(CASE_A, 20)
-        for breakage in (
+        # The current format, and 0.2.0, which states primality flags.
+        current = json.loads(algebraic.certificate_to_json(build_algebraic_certificate(CASE_A, 20)))
+        for base, breakage in itertools.product((current, V2_CASE_A), (
             lambda d: d.update(sign=True),
             lambda d: d.update(sign=-1),
             lambda d: d.update(audited_n_max=True),
@@ -309,8 +311,8 @@ class TestAlgebraicCertificate:
                 True if t == 1 else t for t in V1_CASE_A["partial_cover_certificate"]["table"]
             ]),
             lambda d: d["partial_cover_certificate"].update(divisor_primality_flags=[1] * 6),
-        ):
-            doc = json.loads(algebraic.certificate_to_json(cert))
+        )):
+            doc = json.loads(json.dumps(base))
             breakage(doc)
             with pytest.raises(check.CertificateFormatError):
                 check.algebraic_certificate_from_dict(doc)

@@ -279,7 +279,23 @@ class TestIsPrime:
         assert 78557 == 17 * 4621
 
     def test_agrees_with_trial_division(self):
+        # Both sides of SIEVE_BOUND: 1021 and 1031 are prime, 1023 = 3*11*31,
+        # 1025 = 5^2*41 and 1027 = 13*79 are not.
         for n in range(20000):
+            assert arith.is_prime(n).is_prime == trial_division_prime(n), n
+
+    def test_agrees_with_the_sieve_set_and_trial_division_to_5000(self):
+        # is_prime reads n <= SIEVE_BOUND from _SIEVE_PRIME_SET.
+        for n in range(5001):
+            flag = arith.is_prime(n).is_prime
+            assert flag == trial_division_prime(n), n
+            if n <= arith.SIEVE_BOUND:
+                assert flag == (n in arith._SIEVE_PRIME_SET), n
+
+    def test_agrees_with_trial_division_above_20000(self):
+        rng = random.Random(21)
+        ns = [rng.randrange(20000, 10**8) for _ in range(2000)] + [1021**2, 1031**2, 1021 * 1031]
+        for n in ns:
             assert arith.is_prime(n).is_prime == trial_division_prime(n), n
 
     def test_above_word_limit_deterministic(self):
@@ -307,6 +323,13 @@ class TestIsPrime:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             arith.is_prime(-1)
+
+    def test_negative_rejected_at_every_size(self):
+        # The negatives of a sieve prime, a prime past SIEVE_BOUND, the
+        # largest prime below 2**64 and a Proth-form number past the bound.
+        for n in (-7, -1031, -(2**64 - 59), -(5 * 2**100 + 1)):
+            with pytest.raises(ValueError):
+                arith.is_prime(n)
 
     def test_word_boundary(self):
         largest = arith.is_prime(2**64 - 59)  # largest prime below 2**64
@@ -337,33 +360,6 @@ ROW_PRIMES = (
     (318665857834031151167441, arith.MR_DETERMINISTIC_BASES[:12]),
     (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES),
 )
-
-
-class TestPrimeFlag:
-    def test_agrees_with_is_prime_and_trial_division_to_5000(self):
-        # Both sides of SIEVE_BOUND: 1021 and 1031 are prime, 1023 = 3*11*31,
-        # 1025 = 5^2*41 and 1027 = 13*79 are not.
-        for n in range(5001):
-            assert arith.prime_flag(n) == arith.is_prime(n).is_prime == trial_division_prime(n), n
-
-    def test_agrees_above_5000(self):
-        rng = random.Random(21)
-        ns = [rng.randrange(5001, 10**8) for _ in range(2000)] + [1021**2, 1031**2, 1021 * 1031]
-        for n in ns:
-            assert arith.prime_flag(n) == arith.is_prime(n).is_prime == trial_division_prime(n), n
-        for n in (2**61 - 1, 2**67 - 1, 2**89 - 1, 143 * 2**53 + 1):
-            assert arith.prime_flag(n) == arith.is_prime(n).is_prime, n
-
-    def test_builds_no_record_up_to_the_bound(self, monkeypatch):
-        expected = [arith.is_prime(n).is_prime for n in range(arith.SIEVE_BOUND + 1)]
-        monkeypatch.setattr(arith, "PrimalityResult", None)
-        assert [arith.prime_flag(n) for n in range(arith.SIEVE_BOUND + 1)] == expected
-        with pytest.raises(TypeError):
-            arith.prime_flag(arith.SIEVE_BOUND + 1)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            arith.prime_flag(-7)
 
 
 class TestPsiTiers:

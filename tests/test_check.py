@@ -6,9 +6,11 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,12 @@ def test_import_loads_only_the_standard_library():
     }
     others = {m.split(".")[0] for m in loaded} - {"coverscope", "__main__"}
     assert others <= set(sys.stdlib_module_names)
+
+
+def test_tool_version_is_the_package_version():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    assert re.findall(r'(?m)^version = "([^"]*)"$', pyproject) == [cover.TOOL_VERSION]
 
 
 def test_package_names_resolve_on_first_use():
@@ -270,7 +278,7 @@ def test_huge_stated_periods_are_refused_before_any_pow(capsys, tmp_path):
     entry = {"d": str(2**14000 - 1), "b": str(14000 * 10**4000), "c": "0"}
     doc = {
         "k": "1", "sign": -1, "entries": [entry] * 64, "lcm": "2",
-        "divisor_primality_flags": [False] * 64, "tool_version": cover.TOOL_VERSION,
+        "tool_version": cover.TOOL_VERSION,
     }
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))

@@ -673,37 +673,37 @@ class TestAudit:
 
 
 # sha256 of the certificate each command writes: canonical 2-space JSON,
-# one flag and entry field per line.  The format is stable, so these change
-# only with tool_version; tests/fixtures/v1 keeps the 0.1.0 files.
+# one entry field per line.  The format is stable, so these change only
+# with tool_version; tests/fixtures/v1 and v2 keep the 0.1.0 and 0.2.0 files.
 PINNED_CERTIFICATES = [
     (
         ("verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE),
-        "e85969633f57e36b0e9852bffd243f0374672051cd3adad4b42b5c5ac7566fb7",
+        "ba01b7466d7fdc9812cfc31582ad20c87c49ca7e02914a850564d19dd9be8947",
     ),
     (
         ("verify", "--k", "509203", "--sign", "r", "--cover", "3,5,7,13,17,241"),
-        "eeb24531e81280efd5a829b1e97c9fe15daaecc9a71134636d85fab2ed60800a",
+        "8ead716671ca074f48672a420a9882a259a63d29210bb2b60090e131283fdbfa",
     ),
     (
         ("verify", *COVERLESS_S4),
-        "f7f9551be604a4be9b8a6262d96b5c8faeb28787487b892aadfd019b8e4d3d63",
+        "91f9f39e569e5190803958ce7c8b07d1641297947fa2bcc5f357407cbf54f9b6",
     ),
     (
         ("family", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE, "--i", "2"),
-        "8b18122047599ea10c83c1fbd12eedda92981f3a27e92b7a51b7694e54677362",
+        "c96f6dab57c2ecf797483e5aca7f768369e43650661c39bf7a111d2700003f2f",
     ),
 ]
 
 # The square certificate, the one kind without A and B.
 PINNED_SQUARE_CERTIFICATE = (
     ("verify", *COVERLESS_R2),
-    "7d93a6476f27678c39c30bf6f4801953d181f4f30b8fb8580eb5f630f0e96ec7",
+    "d097317b7a99a3e0b057fc91e9f6843f9ffd82300997684ef72e537d24a00f27",
 )
 
 # sha256 of the 37 certificates of the bundled corpus, concatenated in corpus
 # order: one per cover of each cover record (34) and one per coverless
 # record (3), built at build_algebraic_certificate's default depth.
-PINNED_CORPUS_CERTIFICATES = "8f4cc11eb414964a6cec4d90663c84b046436a31544e3e9ee343377578ce7122"
+PINNED_CORPUS_CERTIFICATES = "eb286a3c6720f3311e29a88f2bbea3cd8308069f1341f2e10096d6b938333485"
 
 
 def test_corpus_certificate_bytes_are_pinned():
@@ -766,11 +766,12 @@ def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
     "fmt, digest",
     [
         ("text", "e23bbd74dba3a40a9483e093bb9aeb34a4e41cd2d348ffd1f72ef1e57780ec82"),
-        ("json", "e85969633f57e36b0e9852bffd243f0374672051cd3adad4b42b5c5ac7566fb7"),
+        ("json", PINNED_CERTIFICATES[0][1]),
     ],
 )
 def test_deepest_cross_check_bytes_are_pinned(capsys, fmt, digest):
-    # Digests of the all-bignum audit's output at --audit-n = MAX_AUDIT_N.
+    # Digests of the output at --audit-n = MAX_AUDIT_N: the text summary and
+    # the certificate, which does not record the cross-check's depth.
     code, out, err = run(
         capsys, "verify", "--k", "78557", "--sign", "s", "--cover", SELFRIDGE,
         "--audit-n", str(check.MAX_AUDIT_N), "--format", fmt,
@@ -790,6 +791,11 @@ def test_certificate_bytes_are_pinned_and_audit_ok(capsys, tmp_path, argv, diges
     assert hashlib.sha256(data).hexdigest() == digest
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert (code, out.encode()) == (0, data)
+    # No primality flags: no proof reads them.
+    doc = json.loads(data)
+    for cert in (doc, doc.get("partial_cover_certificate", doc)):
+        assert "divisor_primality_flags" not in cert
+        assert cert["tool_version"] == cover.TOOL_VERSION == "0.3.0"
     code, out, _ = run(capsys, "audit", str(path))
     assert code == 0 and out.startswith("audit ok: ")
     code, out, _ = run(capsys, "audit", str(path), "--format", "json")
@@ -798,35 +804,70 @@ def test_certificate_bytes_are_pinned_and_audit_ok(capsys, tmp_path, argv, diges
 
 V1_FIXTURES = sorted((Path(__file__).parent / "fixtures" / "v1").glob("*.json"))
 V2_FIXTURES = sorted((Path(__file__).parent / "fixtures" / "v2").glob("*.json"))
+V3_FIXTURES = sorted((Path(__file__).parent / "fixtures" / "v3").glob("*.json"))
+
+
+def sums_match(fixtures):
+    """The directory's SHA256SUMS names exactly these files with their digests."""
+    sums = (fixtures[0].parent / "SHA256SUMS").read_text().split()
+    assert dict(zip(sums[1::2], sums[0::2])) == {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in fixtures
+    }
+    return set(sums[0::2])
+
+
+def test_v3_fixtures_are_pinned_certificates(capsys):
+    # Golden files that CI writes again with `verify --out` and compares.
+    pinned = {digest for _, digest in [*PINNED_CERTIFICATES, PINNED_SQUARE_CERTIFICATE]}
+    assert len(V3_FIXTURES) == 4 and sums_match(V3_FIXTURES) <= pinned
+    for path in V3_FIXTURES:
+        assert_audits_ok(capsys, path)
 
 
 def test_v2_fixtures_are_pinned_certificates():
-    # Golden files that CI writes again with `verify --out` and compares.
-    sums = (V2_FIXTURES[0].parent / "SHA256SUMS").read_text().split()
-    assert dict(zip(sums[1::2], sums[0::2])) == {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in V2_FIXTURES
-    }
-    pinned = {digest for _, digest in [*PINNED_CERTIFICATES, PINNED_SQUARE_CERTIFICATE]}
-    assert len(V2_FIXTURES) == 4 and set(sums[0::2]) <= pinned
+    # What tool_version 0.2.0 wrote for the same four commands, kept as audit inputs.
+    assert len(V2_FIXTURES) == 4 and sums_match(V2_FIXTURES)
+
+
+def assert_audits_ok(capsys, path):
+    k = json.loads(path.read_text())["k"]
+    code, out, err = run(capsys, "audit", str(path))
+    assert (code, out, err) == (0, f"audit ok: k={k}, proved for all n >= 1\n", "")
+    code, out, err = run(capsys, "audit", str(path), "--format", "json")
+    assert (code, json.loads(out), err) == (0, {"ok": True, "k": k}, "")
+
+
+class TestV2Certificates:
+    """Files written by tool_version 0.2.0, which state a primality flag per
+    divisor that no proof reads."""
+
+    @pytest.mark.parametrize("path", V2_FIXTURES, ids=lambda p: p.stem)
+    def test_fixture_audits_ok(self, capsys, path):
+        assert_audits_ok(capsys, path)
+
+    @pytest.mark.parametrize("path", V2_FIXTURES, ids=lambda p: p.stem)
+    def test_flipped_flags_audit_as_the_original(self, capsys, tmp_path, path):
+        doc = json.loads(path.read_text())
+        cert = doc.get("partial_cover_certificate", doc)
+        cert["divisor_primality_flags"] = [not f for f in cert["divisor_primality_flags"]]
+        flipped = tmp_path / "flipped.json"
+        flipped.write_text(json.dumps(doc))
+        for fmt in ("text", "json"):
+            assert run(capsys, "audit", str(flipped), "--format", fmt) == run(
+                capsys, "audit", str(path), "--format", fmt
+            )
 
 
 class TestV1Certificates:
     """Files written by tool_version 0.1.0, which states the residue table."""
 
     def test_fixtures_are_the_pinned_files(self):
-        sums = (V1_FIXTURES[0].parent / "SHA256SUMS").read_text().split()
-        assert dict(zip(sums[1::2], sums[0::2])) == {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in V1_FIXTURES
-        }
+        sums_match(V1_FIXTURES)
         assert len(V1_FIXTURES) == len(PINNED_CERTIFICATES)
 
     @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda p: p.stem)
     def test_fixture_audits_ok(self, capsys, path):
-        k = json.loads(path.read_text())["k"]
-        code, out, err = run(capsys, "audit", str(path))
-        assert (code, out, err) == (0, f"audit ok: k={k}, proved for all n >= 1\n", "")
-        code, out, err = run(capsys, "audit", str(path), "--format", "json")
-        assert (code, json.loads(out), err) == (0, {"ok": True, "k": k}, "")
+        assert_audits_ok(capsys, path)
 
     @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda p: p.stem)
     def test_doctored_table_is_a_usage_error(self, capsys, tmp_path, path):
@@ -919,7 +960,8 @@ class TestLcmBound:
         # product of 120 primes q near 5 * 10**5 has over 640 digits, the
         # least limit Python allows on printing an int.
         primes = list(itertools.islice((p for p in itertools.count(10**6 + 3, 8)
-                                        if arith.prime_flag(p) and arith.prime_flag(p // 2)), 120))
+                                        if arith.is_prime(p).is_prime
+                                        and arith.is_prime(p // 2).is_prime), 120))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -957,10 +999,7 @@ class TestClaimsBound:
         # and give L = 9999990; each copy of the first claims half of it.
         entries = [{"d": "3", "b": "2", "c": "0"}] * 100
         entries.append({"d": "3", "b": "9999990", "c": "0"})
-        doc = {
-            "k": "78557", "sign": 1, "entries": entries, "lcm": "9999990",
-            "divisor_primality_flags": [True] * len(entries),
-        }
+        doc = {"k": "78557", "sign": 1, "entries": entries, "lcm": "9999990"}
         start = time.perf_counter()
         code, out, err = run(capsys, "audit", str(self.write(tmp_path, doc)))
         assert time.perf_counter() - start < 1
@@ -1036,10 +1075,7 @@ class TestDivisorsBound:
     def test_a_certificate_over_the_bound_exits_2(self, capsys, tmp_path):
         # (3, 2, 0) holds for 78557; (5, 2, 0) is the first that does not.
         def audit(entries):
-            doc = {
-                "k": "78557", "sign": 1, "entries": entries, "lcm": "2",
-                "divisor_primality_flags": [True] * len(entries),
-            }
+            doc = {"k": "78557", "sign": 1, "entries": entries, "lcm": "2"}
             path = tmp_path / "cert.json"
             path.write_text(json.dumps(doc))
             return run(capsys, "audit", str(path))

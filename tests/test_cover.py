@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coverscope import algebraic, arith, check, cover, dataset
+from coverscope import algebraic, arith, check, cli, cover, dataset
 from coverscope.check import Candidate, CoverEntry
 from coverscope.cover import NoOffsetError, UncoveredResidueError
 from oracles import (
@@ -34,6 +35,13 @@ SELFRIDGE_ENTRIES = (
     CoverEntry(73, 9, 3),
 )
 RIESEL_COVER = (3, 5, 7, 13, 17, 241)
+
+
+def composite_warning(cert):
+    """The divisors the text summary of a proved cover warns are composite."""
+    prefix = "warning: composite divisors in cover: "
+    lines = cli._cover_summary(cert, None).splitlines()
+    return next((json.loads(line[len(prefix):]) for line in lines if line.startswith(prefix)), [])
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +116,7 @@ class TestVerifyCover:
         assert selfridge_cert.lcm == 36
         assert len(selfridge_cert.table) == 36
         assert sum(selfridge_cert.witness_counts) == 36
-        assert all(selfridge_cert.divisor_primality)
+        assert composite_warning(selfridge_cert) == []
 
     def test_riesel(self, riesel_cert):
         assert riesel_cert.lcm == 24
@@ -152,41 +160,43 @@ class TestVerifyCover:
         assert cover.certificate_to_json(a) == cover.certificate_to_json(b)
 
     def test_composite_divisor_flagged(self):
-        # appending 9 = 3^2 keeps the cover valid; the entry is flagged
+        # appending 9 = 3^2 keeps the cover valid; the text summary warns of it
         cert = cover.verify_cover(Candidate(78557, 1), SELFRIDGE_COVER + (9,))
-        assert cert.divisor_primality[-1] is False
-        assert all(cert.divisor_primality[:-1])
+        assert composite_warning(cert) == [9]
         assert cert.witness_counts[-1] == 0  # 3 claims the shared residues first
 
     def test_primality_flags_equal_is_prime(self):
-        # 21 is flagged from the sieve, 1029 = 3 * 7^3 above SIEVE_BOUND.
-        certs = [cover.verify_cover(Candidate(78557, 1), SELFRIDGE_COVER + (21, 1029))]
+        # The text summary warns of exactly the entries is_prime refuses, in
+        # cover order and with repeats: 21 is at most SIEVE_BOUND, 1029 =
+        # 3 * 7^3 above it.
+        certs = [cover.verify_cover(Candidate(78557, 1), SELFRIDGE_COVER + (21, 1029, 21))]
         certs += corpus_certificates()
         for candidate, divisors, predicate in random_divisor_sets():
             try:
                 certs.append(cover.verify_cover(candidate, divisors, predicate))
             except UncoveredResidueError:
                 continue
-        assert certs[0].divisor_primality[-2:] == (False, False)
+        assert composite_warning(certs[0]) == [21, 1029, 21]
         for cert in certs:
-            assert cert.divisor_primality == tuple(
-                [arith.is_prime(e.d).is_prime for e in cert.entries]
-            ), cert.candidate
+            assert composite_warning(cert) == [
+                e.d for e in cert.entries if not arith.is_prime(e.d).is_prime
+            ], cert.candidate
 
-    def test_a_repeated_divisor_is_walked_and_flagged_once(self, monkeypatch):
-        walked, flagged = [], []
-        order_and_offset, prime_flag = arith.order_and_offset, arith.prime_flag
+    def test_a_repeated_divisor_is_walked_once(self, monkeypatch):
+        walked, tested = [], []
+        order_and_offset, is_prime = arith.order_and_offset, arith.is_prime
         monkeypatch.setattr(arith, "order_and_offset", lambda k, sign, d, bound: (
             walked.append(d) or order_and_offset(k, sign, d, bound)))
-        monkeypatch.setattr(arith, "prime_flag", lambda n: flagged.append(n) or prime_flag(n))
+        monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or is_prime(n))
         divisors = SELFRIDGE_COVER + (1029,) * 1000 + (21, 3, 1029, 73)
         cert = cover.verify_cover(Candidate(78557, 1), divisors)
-        assert walked == flagged == [*SELFRIDGE_COVER, 1029, 21]
-        # The same entries and flags, in the same order, as one walk and
-        # one flag per position give.
+        # No primality test: no proof reads one.
+        assert (walked, tested) == ([*SELFRIDGE_COVER, 1029, 21], [])
+        # The same entries, in the same order, as one walk per position gives.
         assert cert.entries == tuple([cover.build_entry(cert.candidate, d) for d in divisors])
-        assert cert.divisor_primality == tuple([arith.is_prime(d).is_prime for d in divisors])
-        assert cert.divisor_primality[7:1008] == (False,) * 1001
+        # The text summary tests each distinct divisor once.
+        assert composite_warning(cert) == [1029] * 1000 + [21, 1029]
+        assert sorted(tested) == sorted(set(divisors))
 
     def test_a_repeated_failing_divisor_is_named_at_its_first_place(self):
         # 23 and 17 (a factor of 78557) both have no offset; 23 comes first.
@@ -380,9 +390,7 @@ def corpus_certificates():
 def hand_certificate(candidate, entries, lcm, predicate=check.PREDICATE_ALL):
     """A certificate for the given entries, holes and all: nothing here is
     checked."""
-    return check.CoverCertificate(
-        candidate, tuple(entries), lcm, (True,) * len(entries), predicate
-    )
+    return check.CoverCertificate(candidate, tuple(entries), lcm, predicate)
 
 
 def with_slot(cert, r, j):
@@ -792,7 +800,7 @@ class TestSerialization:
         assert doc["lcm"] == "36"
         assert doc["entries"][6] == {"d": "73", "b": "9", "c": "3"}
         assert "table" not in doc
-        assert doc["divisor_primality_flags"] == [True] * 7
+        assert "divisor_primality_flags" not in doc
         assert doc["tool_version"] == cover.TOOL_VERSION
 
     def test_round_trip(self, selfridge_cert, riesel_cert):
@@ -862,9 +870,11 @@ class TestSerialization:
         assert check.prove(loaded) is not None
 
     def test_malformed_documents_rejected(self, selfridge_cert):
-        good = json.loads(cover.certificate_to_json(selfridge_cert))
+        # The current format, and 0.2.0, which states primality flags.
+        current = json.loads(cover.certificate_to_json(selfridge_cert))
+        v2 = json.loads((Path(__file__).parent / "fixtures/v2/78557s.json").read_text())
         table = list(selfridge_cert.table)
-        for breakage in (
+        for good, breakage in itertools.product((current, v2), (
             lambda d: d.pop("k"),
             lambda d: d.update(k="78,557"),
             lambda d: d.update(entries=[]),
@@ -882,7 +892,7 @@ class TestSerialization:
             lambda d: d["entries"][0].update(d="\u00b2"),  # superscript two
             lambda d: d.update(predicate="all"),  # only partial covers state one
             lambda d: d.update(predicate="odd"),
-        ):
+        )):
             doc = json.loads(json.dumps(good))
             breakage(doc)
             with pytest.raises(check.CertificateFormatError):
@@ -897,12 +907,10 @@ ENTRIES = st.lists(st.builds(CoverEntry, BIG, BIG, BIG), min_size=1, max_size=8)
 
 @st.composite
 def cover_certificates(draw, candidate=None, predicate=None):
-    entries = draw(ENTRIES)
     return check.CoverCertificate(
         candidate or Candidate(2 * draw(BIG) + 1, draw(st.sampled_from((1, -1)))),
-        entries,
+        draw(ENTRIES),
         draw(BIG),
-        tuple(draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))),
         predicate or draw(st.sampled_from(sorted(check.PREDICATES))),
     )
 

@@ -4,7 +4,8 @@ Each certificate mutation spoils one field of a valid document (drops a
 key, retypes a value, writes decimals in another script, cuts or grows a
 list) or restates L, so `coverscope audit` must answer 1 (refuted) or 2
 (malformed) and never raise.  The documents are the certificates written
-now and one written by tool_version 0.1.0, which states its residue table.
+now, one written by tool_version 0.1.0, which states its residue table, and
+one written by 0.2.0, which states a primality flag per divisor.
 Corpus mutations edit bundled lines at random; parse_corpus must return
 records or raise CorpusError.
 """
@@ -34,6 +35,7 @@ COVERLESS_DOC = json.loads(algebraic.certificate_to_json(
     )
 ))
 V1_FULL_DOC = json.loads((Path(__file__).parent / "fixtures/v1/78557s.json").read_text())
+V2_FULL_DOC = json.loads((Path(__file__).parent / "fixtures/v2/78557s.json").read_text())
 OTHER_SCRIPT = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
@@ -74,8 +76,10 @@ def spoiled_documents(draw, base):
     for key in path[:-1]:
         parent = parent[key]
     key = path[-1]
-    # A certificate without its table is the current format, not a spoiled one.
-    if isinstance(key, str) and key != "table" and draw(st.booleans()):
+    # A certificate without its table or flags is the current format, not a
+    # spoiled one.
+    optional = ("table", "divisor_primality_flags")
+    if isinstance(key, str) and key not in optional and draw(st.booleans()):
         del parent[key]
     else:
         parent[key] = draw(st.sampled_from(_spoiled(parent[key])))
@@ -117,18 +121,23 @@ def test_unspoiled_documents_audit_ok():
     assert _audit(FULL_DOC) == 0
     assert _audit(COVERLESS_DOC) == 0
     assert _audit(V1_FULL_DOC) == 0
+    assert _audit(V2_FULL_DOC) == 0
 
 
 @FUZZ
 @given(st.one_of(
-    spoiled_documents(FULL_DOC), spoiled_documents(COVERLESS_DOC), spoiled_documents(V1_FULL_DOC)
+    spoiled_documents(FULL_DOC), spoiled_documents(COVERLESS_DOC),
+    spoiled_documents(V1_FULL_DOC), spoiled_documents(V2_FULL_DOC),
 ))
 def test_spoiled_certificate_is_refuted_or_rejected(doc):
     assert _audit(doc) in (1, 2)
 
 
 @FUZZ
-@given(st.one_of(restated_lcm(FULL_DOC), restated_lcm(COVERLESS_DOC), restated_lcm(V1_FULL_DOC)))
+@given(st.one_of(
+    restated_lcm(FULL_DOC), restated_lcm(COVERLESS_DOC),
+    restated_lcm(V1_FULL_DOC), restated_lcm(V2_FULL_DOC),
+))
 def test_restated_lcm_is_refuted(doc):
     assert _audit(doc) == 1
 
