@@ -76,8 +76,9 @@ MR_PROBABILISTIC_ROUNDS = 40
 # sieve alone.
 SIEVE_BOUND = 1024
 
-# How many candidate bases the Proth test examines while hunting for a
-# quadratic non-residue before giving up and falling back to Miller-Rabin.
+# How many candidates proth_test (bases, hunting for a quadratic
+# non-residue) and llr_test (starts P) examine before giving up: proth_test
+# then falls back to Miller-Rabin, and llr_test proves nothing.
 PROTH_CANDIDATE_LIMIT = 1000
 
 
@@ -93,8 +94,10 @@ class PrimalityResult:
     compositeness (0 when none is singled out, as below 2**64); a
     deterministic result re-verifies by running the first t bases of
     MR_DETERMINISTIC_BASES, for the least t with n below psi_t, the t-th
-    entry of _PSI, although is_prime may have decided n by the sieve or by
-    a shorter base set of _MR_ROWS.  For the sieve method, witness is a prime
+    entry of _PSI, although is_prime may have decided n by the sieve, by
+    a shorter base set of _MR_ROWS, or, for a prime n = k*2**m - 1 with
+    2**m > k, by one base and one llr_test run; the record is the same
+    either way.  For the sieve method, witness is a prime
     p <= SIEVE_BOUND with p | n and p < n, so n is composite by one
     reduction.  rounds is nonzero only for the probabilistic method.
     """
@@ -300,14 +303,67 @@ def proth_test(k: int, m: int) -> PrimalityResult:
     return _miller_rabin(n)
 
 
+def llr_test(k: int, m: int) -> int:
+    """Lucas-Lehmer-Riesel proof that N = k*2**m - 1 is prime, for k odd,
+    2**m > k and m >= 2: the start P that proves it, or 0 for no proof.
+
+    Takes the least P >= 3, among PROTH_CANDIDATE_LIMIT candidates, with
+    jacobi(P-2, N) = 1 and jacobi(P+2, N) = -1 (Rodseth 1994), computes
+    u = V_k(P) by the Lucas ladder (V_{2j} = V_j**2 - 2, V_{2j+1} =
+    V_j*V_{j+1} - P), then u = u**2 - 2 for m - 2 steps, which leaves
+    V_{(N+1)/4}(P) mod N (Riesel 1969).  For prime N that start makes u
+    end at 0.  No P found, a Jacobi symbol of 0 or a nonzero u decide
+    nothing, and 0 is returned.
+
+    u ending at 0 proves N prime for any P.  Let alpha be a root of
+    x**2 - P*x + 1, so V_j = alpha**j + alpha**-j.  For a prime q | N,
+    V_{(N+1)/4} == 0 (mod q) gives alpha**((N+1)/2) == -1, so alpha is no
+    +-1 (m >= 2), q does not divide P**2 - 4, and the order of alpha,
+    which divides N + 1 = k*2**m but not (N+1)/2, is a multiple of 2**m.
+    That order divides q - 1 or q + 1, so q == +-1 (mod 2**m) and
+    q >= 2**m - 1.  A composite N would be a product of at least two
+    such q.  If one is 2**m - 1, the cofactor N/q == 1 (mod 2**m), as
+    N == q == -1, so it is at least 2**m + 1 and N >= 2**(2m) - 1;
+    otherwise N >= (2**m + 1)**2.  Both exceed N = k*2**m - 1 <
+    2**(2m) - 1.  So a wrong start can only cost time, never a verdict.
+    Stdlib only, with plain %.
+    """
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"k must be odd and positive, got {k}")
+    if m < 2 or (1 << m) <= k:
+        raise ValueError(f"Riesel form needs m >= 2 and 2**m > k, got k={k}, m={m}")
+    n = (k << m) - 1
+    for p in range(3, 3 + PROTH_CANDIDATE_LIMIT):
+        j = jacobi(p - 2, n)
+        if j == 1:
+            j = jacobi(p + 2, n)
+            if j == -1:
+                break
+        if j == 0:
+            return 0
+    else:
+        return 0
+    # x, y = V_j, V_{j+1} for j the leading bits of k read so far
+    x, y = p % n, (p * p - 2) % n
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            x, y = (x * y - p) % n, (y * y - 2) % n
+        else:
+            x, y = (x * x - 2) % n, (x * y - p) % n
+    for _ in range(m - 2):
+        x = (x * x - 2) % n
+    return p if x == 0 else 0
+
+
 def is_prime(n: int) -> PrimalityResult:
     """Primality of n with the method recorded in the result.
 
     Deterministic below MR_DETERMINISTIC_BOUND (the sieve below
     SIEVE_SQUARE, above it Miller-Rabin with the bases of n's row of
-    _MR_ROWS); a decisive Proth test for n = k*2**m + 1 with 2**m > k;
-    otherwise MR_PROBABILISTIC_ROUNDS rounds of Miller-Rabin, flagged
-    probabilistic.
+    _MR_ROWS, where one llr_test run after the first base proves a prime
+    n = k*2**m - 1 with 2**m > k); a decisive Proth test for
+    n = k*2**m + 1 with 2**m > k; otherwise MR_PROBABILISTIC_ROUNDS rounds
+    of Miller-Rabin, flagged probabilistic.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -324,8 +380,13 @@ def _miller_rabin(n):
     An odd n up to SIEVE_BOUND is read from the sieve, one below
     SIEVE_SQUARE is prime iff coprime to SIEVE_PRODUCT, and one below
     MR_DETERMINISTIC_BOUND is decided by the bases of the first row of
-    _MR_ROWS above it.  Repeated probabilistic runs report identically:
-    their bases come from an n-seeded generator.
+    _MR_ROWS above it.  There, when n + 1 = k*2**m with k odd and
+    2**m > k and the row's first base does not show n composite, one
+    llr_test run follows: a proof of primality skips the other bases, and
+    no proof lets them all run, so the record is the bases' in either case,
+    a composite at or above 2**64 keeping the first base that shows it as
+    its witness.  Repeated probabilistic runs report identically: their
+    bases come from an n-seeded generator.
     """
     if n > 2 and n % 2 == 0:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=2)
@@ -338,11 +399,20 @@ def _miller_rabin(n):
         for bound, bases in _MR_ROWS:
             if n < bound:
                 break
+        # n + 1 = k*2**m with k odd; Riesel form when 2**m > k
+        m = ((n + 1) & ~n).bit_length() - 1
+        k = (n + 1) >> m
+        riesel = k >> m == 0
         for a in bases:
             if _mr_composite(n, a, d, s):
                 # A composite below 2**64 is reported with witness 0.
                 witness = a if n >> 64 else 0
                 return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=witness)
+            if riesel:
+                # after the first base only: a proof skips the rest
+                if llr_test(k, m):
+                    break
+                riesel = False
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
     rng = random.Random(n)
     for _ in range(MR_PROBABILISTIC_ROUNDS):

@@ -9,9 +9,12 @@ exists.  The least p is searched for only when a verbose trail records it
 (method "sieve", witness p) or when the term is at most SIEVE_BOUND and may
 be p itself.  Every other term is tested: on the +1 side, once 2^n outgrows
 k every term is Proth-form and one exponentiation decides it (leaving a
-re-checkable witness); elsewhere arith.is_prime applies, which decides a
-term below arith.SIEVE_SQUARE with no exponentiation and one below 2**64
-with at most seven.  The JSON record writes the found prime in full, also
+re-checkable witness).  Elsewhere a term above SIEVE_BOUND and below
+arith.SIEVE_SQUARE that passed both gcds is prime with no further test, and
+is recorded as arith.is_prime records it.  arith.is_prime decides the rest,
+one below 2**64 with at most seven exponentiations, and proves a prime
+k*2^n - 1 with 2^n > k below psi_13 by one base and one Lucas-Lehmer-Riesel
+run (arith.llr_test).  The JSON record writes the found prime in full, also
 past Python's limit on printing an int, while a verbose trail stops before
 the first term over it.
 """
@@ -85,6 +88,9 @@ def first_prime_exponent(
                 continue
         if n >= proth_from:
             result = arith.proth_test(k, n)
+        elif arith.SIEVE_BOUND < term < arith.SIEVE_SQUARE:
+            # the gcds found no factor up to SIEVE_BOUND, so term is prime
+            result = arith.PrimalityResult(term, arith.METHOD_MR_DETERMINISTIC, True)
         else:
             result = arith.is_prime(term)
         if trail is not None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coverscope import arith
 from coverscope.check import MAX_LCM
 from oracles import (
+    PSI_13,
     factorize_naive,
     jacobi_naive,
     mod_pow_naive,
@@ -362,6 +363,37 @@ ROW_PRIMES = (
 )
 
 
+# The largest prime k*2**m - 1 with 2**m > k below each row bound of
+# _MR_ROWS, each above the previous bound (and the first above 1031**2).
+RIESEL_ROW_PRIMES = (
+    669 * 2**11 - 1,
+    1105 * 2**13 - 1,
+    18153 * 2**18 - 1,
+    133749 * 2**23 - 1,
+    513143 * 2**22 - 1,
+    828437 * 2**22 - 1,
+    4294967247 * 2**32 - 1,
+    289824909317 * 2**40 - 1,
+    1508417001169 * 2**41 - 1,
+)
+
+
+def _riesel_form(n):
+    """(k, m) with n + 1 = k*2**m, k odd and 2**m > k, else None."""
+    m = ((n + 1) & -(n + 1)).bit_length() - 1
+    k = (n + 1) >> m
+    return (k, m) if k < 2**m else None
+
+
+def _recheck_rule(n):
+    """The deterministic record of an odd n from SIEVE_SQUARE up to 2**64:
+    the first t bases of MR_DETERMINISTIC_BASES for the least t with n below
+    psi_t, composite witness 0."""
+    t = next(t for t, psi in enumerate(arith._PSI, 1) if n < psi)
+    verdict = all(strong_probable_prime(n, a) for a in arith.MR_DETERMINISTIC_BASES[:t])
+    return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, verdict)
+
+
 class TestPsiTiers:
     def test_table(self):
         assert len(arith._PSI) == len(arith.MR_DETERMINISTIC_BASES) == 13
@@ -406,6 +438,94 @@ class TestPsiTiers:
             bases_run.clear()
             assert arith.is_prime(n).is_prime, n
             assert tuple(bases_run) == bases, n
+
+    def test_a_riesel_form_prime_runs_its_first_base_and_one_llr_run(self, monkeypatch):
+        bases_run, llr_runs = [], []
+        real_composite, real_llr = arith._mr_composite, arith.llr_test
+
+        def counting_composite(n, a, d, s):
+            bases_run.append(a)
+            return real_composite(n, a, d, s)
+
+        def counting_llr(k, m):
+            llr_runs.append((k, m))
+            return real_llr(k, m)
+
+        monkeypatch.setattr(arith, "_mr_composite", counting_composite)
+        monkeypatch.setattr(arith, "llr_test", counting_llr)
+        assert not any(_riesel_form(n) for n, _ in ROW_PRIMES)
+        for n, _ in ROW_PRIMES:
+            llr_runs.clear()
+            arith.is_prime(n)
+            assert llr_runs == [], n
+        for (bound, bases), n in zip(arith._MR_ROWS, RIESEL_ROW_PRIMES):
+            assert n < bound and _riesel_form(n), n
+            bases_run.clear()
+            llr_runs.clear()
+            assert arith.is_prime(n) == arith.PrimalityResult(
+                n, arith.METHOD_MR_DETERMINISTIC, True
+            ), n
+            assert bases_run == [bases[0]], n
+            assert llr_runs == [_riesel_form(n)], n
+
+
+class TestLucasLehmerRiesel:
+    def test_agrees_with_a_sieve_below_2_to_the_22(self):
+        flags = primes_below_naive(2**22)
+        seen = 0
+        for m in range(2, 22):
+            for k in range(1, min(2**m, 2**22 >> m), 2):
+                n = k * 2**m - 1
+                assert n < 2**22
+                p = arith.llr_test(k, m)
+                assert bool(p) == flags[n], (k, m)
+                if p:
+                    assert arith.jacobi(p - 2, n) == 1 and arith.jacobi(p + 2, n) == -1
+                seen += 1
+        assert seen > 2000
+
+    def test_is_prime_follows_the_recheck_rule_on_riesel_form_n_to_2_to_the_24(self):
+        seen = 0
+        for m in range(2, 24):
+            for k in range(1, min(2**m, 2**24 >> m), 2):
+                n = k * 2**m - 1
+                if n >= arith.SIEVE_SQUARE:
+                    assert arith.is_prime(n) == _recheck_rule(n), n
+                    seen += 1
+        assert seen > 4000
+
+    def test_form_violations_rejected(self):
+        for k, m in ((4, 10), (17, 4), (1, 1), (0, 5), (-1, 5)):
+            with pytest.raises(ValueError):
+                arith.llr_test(k, m)
+
+    def test_random_verdicts_do_not_depend_on_the_kernel(self, monkeypatch):
+        # The kernel only skips bases: with it never proving, every record
+        # below psi_13 comes out the same from the bases alone.
+        rng = random.Random(28)
+        ns = []
+        for m in range(11, 81):
+            k_max = min(2**m, arith.MR_DETERMINISTIC_BOUND >> m)
+            ns += [rng.randrange(1, k_max, 2) * 2**m - 1 for _ in range(60)]
+        ns = [n for n in ns if arith.SIEVE_SQUARE <= n < arith.MR_DETERMINISTIC_BOUND]
+        with_kernel = [arith.is_prime(n) for n in ns]
+        assert sum(r.is_prime for r in with_kernel) > 50
+        monkeypatch.setattr(arith, "llr_test", lambda k, m: 0)
+        assert [arith.is_prime(n) for n in ns] == with_kernel
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 81).flatmap(
+    lambda m: st.tuples(
+        st.integers(0, (min(2**m - 1, PSI_13 >> m) - 1) // 2), st.just(m)
+    )
+))
+def test_llr_agrees_with_the_oracle_below_psi_13(km):
+    j, m = km
+    k = 2 * j + 1
+    n = k * 2**m - 1
+    assert k < 2**m and n < PSI_13
+    assert bool(arith.llr_test(k, m)) == prime_naive(n), (k, m)
 
 
 class TestProth:

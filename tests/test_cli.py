@@ -763,6 +763,19 @@ def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
 
 
 @pytest.mark.parametrize(
+    "argv, exit_code, digest", PINNED_SCANS,
+    ids=["disqualify-383s", "disqualify-383s-verbose", "survey-r600", "survey-s600"],
+)
+def test_scan_bytes_do_not_depend_on_the_llr_kernel(capsys, monkeypatch, argv, exit_code, digest):
+    # A Lucas-Lehmer-Riesel proof only skips Miller-Rabin bases, so a
+    # kernel that never proves anything leaves every byte as it is.
+    monkeypatch.setattr(arith, "llr_test", lambda k, m: 0)
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "fmt, digest",
     [
         ("text", "e23bbd74dba3a40a9483e093bb9aeb34a4e41cd2d348ffd1f72ef1e57780ec82"),

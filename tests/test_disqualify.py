@@ -131,6 +131,24 @@ class TestSieve:
             assert record.n_found == 1 and record.primality.n == term
             assert record.primality.method != arith.METHOD_SIEVE
 
+    def test_terms_below_the_sieve_square_are_recorded_as_is_prime_records_them(self):
+        # A term above SIEVE_BOUND and below SIEVE_SQUARE that passes the
+        # gcds is recorded prime with no is_prime call; the term 1, at the
+        # lower edge, is coprime to the product but still tested.
+        below_square = 0
+        for k in range(1, 2**12, 2):
+            for sign in (1, -1):
+                record = disqualify.first_prime_exponent(Candidate(k, sign), 40, verbose=True)
+                for result in record.trail:
+                    if result.method not in (arith.METHOD_SIEVE, arith.METHOD_PROTH):
+                        assert result == arith.is_prime(result.n), (k, sign, result.n)
+                        below_square += arith.SIEVE_BOUND < result.n < arith.SIEVE_SQUARE
+        assert below_square > 1000
+        record = disqualify.first_prime_exponent(Candidate(1, -1), 1, verbose=True)
+        assert record.trail == (arith.is_prime(1),) == (
+            arith.PrimalityResult(1, arith.METHOD_MR_DETERMINISTIC, False),
+        )
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         k=st.integers(0, 2**19 - 1).map(lambda i: 2 * i + 1),
