@@ -97,9 +97,14 @@ class PrimalityResult:
     entry of _PSI, although is_prime may have decided n by the sieve, by
     a shorter base set of _MR_ROWS, or, for a prime n = k*2**m - 1 with
     2**m > k, by one base and one llr_test run; the record is the same
-    either way.  For the sieve method, witness is a prime
-    p <= SIEVE_BOUND with p | n and p < n, so n is composite by one
-    reduction.  rounds is nonzero only for the probabilistic method.
+    either way.  A probabilistic prime has witness 0 and rounds
+    MR_PROBABILISTIC_ROUNDS, also when is_prime proved it by one round and
+    one llr_test run (n = k*2**m - 1 in that test's form): the record
+    states no more than the rounds would, and a checker that relabels such
+    a verdict decisive must re-run the proof.  For the sieve method,
+    witness is a prime p <= SIEVE_BOUND with p | n and p < n, so n is
+    composite by one reduction.  rounds is nonzero only for the
+    probabilistic method.
     """
 
     n: int
@@ -303,56 +308,152 @@ def proth_test(k: int, m: int) -> PrimalityResult:
     return _miller_rabin(n)
 
 
-def llr_test(k: int, m: int) -> int:
-    """Lucas-Lehmer-Riesel proof that N = k*2**m - 1 is prime, for k odd,
-    2**m > k and m >= 2: the start P that proves it, or 0 for no proof.
+def _lucas_v(p, j, n):
+    # V_j(p) mod n for j >= 1 by the Lucas ladder: x, y = V_i, V_{i+1} for
+    # i the leading bits of j read so far (V_{2i} = V_i**2 - 2,
+    # V_{2i+1} = V_i*V_{i+1} - p).
+    x, y = p % n, (p * p - 2) % n
+    for bit in bin(j)[3:]:
+        if bit == "1":
+            x, y = (x * y - p) % n, (y * y - 2) % n
+        else:
+            x, y = (x * x - 2) % n, (x * y - p) % n
+    return x
 
-    Takes the least P >= 3, among PROTH_CANDIDATE_LIMIT candidates, with
-    jacobi(P-2, N) = 1 and jacobi(P+2, N) = -1 (Rodseth 1994), computes
-    u = V_k(P) by the Lucas ladder (V_{2j} = V_j**2 - 2, V_{2j+1} =
-    V_j*V_{j+1} - P), then u = u**2 - 2 for m - 2 steps, which leaves
-    V_{(N+1)/4}(P) mod N (Riesel 1969).  For prime N that start makes u
-    end at 0.  No P found, a Jacobi symbol of 0 or a nonzero u decide
-    nothing, and 0 is returned.
 
-    u ending at 0 proves N prime for any P.  Let alpha be a root of
-    x**2 - P*x + 1, so V_j = alpha**j + alpha**-j.  For a prime q | N,
-    V_{(N+1)/4} == 0 (mod q) gives alpha**((N+1)/2) == -1, so alpha is no
-    +-1 (m >= 2), q does not divide P**2 - 4, and the order of alpha,
-    which divides N + 1 = k*2**m but not (N+1)/2, is a multiple of 2**m.
-    That order divides q - 1 or q + 1, so q == +-1 (mod 2**m) and
-    q >= 2**m - 1.  A composite N would be a product of at least two
-    such q.  If one is 2**m - 1, the cofactor N/q == 1 (mod 2**m), as
-    N == q == -1, so it is at least 2**m + 1 and N >= 2**(2m) - 1;
-    otherwise N >= (2**m + 1)**2.  Both exceed N = k*2**m - 1 <
-    2**(2m) - 1.  So a wrong start can only cost time, never a verdict.
-    Stdlib only, with plain %.
-    """
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"k must be odd and positive, got {k}")
-    if m < 2 or (1 << m) <= k:
-        raise ValueError(f"Riesel form needs m >= 2 and 2**m > k, got k={k}, m={m}")
-    n = (k << m) - 1
+def _rodseth_starts(n):
+    # Each P >= 3 among PROTH_CANDIDATE_LIMIT candidates with
+    # jacobi(P-2, n) = 1 and jacobi(P+2, n) = -1 (Rodseth 1994), in order,
+    # up to the first Jacobi symbol of 0.
     for p in range(3, 3 + PROTH_CANDIDATE_LIMIT):
         j = jacobi(p - 2, n)
         if j == 1:
             j = jacobi(p + 2, n)
             if j == -1:
-                break
+                yield p
         if j == 0:
+            return
+
+
+def _factored_part(k, m):
+    """(F, qs) for N = k*2**m - 1, or None when no F reaches the bound.
+
+    F = 2**m * q**e over the odd primes q in qs, each q <= SIEVE_BOUND with
+    q**e the full power of q in k, taken largest q**e first until
+    (F - 1)**3 > N.  With 2**m > k, F = 2**m already does, and qs is empty.
+    """
+    n = (k << m) - 1
+    f = 1 << m
+    if (f - 1) ** 3 > n:
+        return f, ()
+    # g is squarefree: once q*q > g, what is left of it is 1 or a prime.
+    g = math.gcd(k, SIEVE_PRODUCT)
+    primes = []
+    for q in SIEVE_PRIMES:
+        if q * q > g:
+            break
+        if g % q == 0:
+            g //= q
+            primes.append(q)
+    if g > 1:
+        primes.append(g)
+    powers = []
+    for q in primes:
+        e = q
+        while k % (e * q) == 0:
+            e *= q
+        powers.append((e, q))
+    qs = []
+    for e, q in sorted(powers, reverse=True):
+        f *= e
+        qs.append(q)
+        if (f - 1) ** 3 > n:
+            return f, tuple(qs)
+    return None
+
+
+def _two_factor_split(n, f):
+    """(a, b) with a, b >= 1 and n = (a*f + 1)*(b*f - 1), or None when there
+    is no such pair; for f >= 4 dividing n + 1 and n < (f - 1)**3.
+
+    Such a split gives (n + 1)/f = r = t*f + (b - a) with t = a*b, and
+    |b - a| < t, so t lies strictly between r/(f + 1) and r/(f - 1).  As
+    r < f**2 - 1, that interval is shorter than 2 and holds at most two t.
+    For each, (a + b)**2 = (r - t*f)**2 + 4t, so one isqrt decides it.
+    """
+    r = (n + 1) // f
+    for t in range(r // (f + 1) + 1, (r - 1) // (f - 1) + 1):
+        delta = r - t * f  # b - a
+        square = delta * delta + 4 * t  # (a + b)**2
+        s = math.isqrt(square)
+        if s * s == square:
+            return (s - delta) // 2, (s + delta) // 2
+    return None
+
+
+def llr_test(k: int, m: int) -> int:
+    """Lucas proof that N = k*2**m - 1 is prime, for k odd and m >= 2: the
+    start P that proves it, or 0 for no proof.
+
+    The factored part F of N + 1 is 2**m times the full powers q**e of the
+    odd primes q <= SIEVE_BOUND dividing k, taken largest first until
+    (F - 1)**3 > N (_factored_part); with 2**m > k, F = 2**m.  When no F
+    reaches that bound, the form fails and ValueError is raised.
+
+    Tries the starts P >= 3, among PROTH_CANDIDATE_LIMIT candidates, with
+    jacobi(P-2, N) = 1 and jacobi(P+2, N) = -1 (Rodseth 1994), in order.
+    For each it computes V_{(N+1)/4}(P) mod N by the Lucas ladder (Riesel
+    1969), as V_k(V_{2**(m-2)}(P)); for prime N every such start makes it 0,
+    so a nonzero value ends the test.  Then, for each odd q taken into F,
+    V_{(N+1)/q}(P) = V_{k/q}(V_{2**m}(P)).  N is proved prime, and P
+    returned, when gcd(V_{(N+1)/q}(P) - 2, N) = 1 for every such q and,
+    when 2**m <= k, N is not (a*F + 1)*(b*F - 1) for any a, b >= 1
+    (_two_factor_split; Morrison's N+1 test with the cube-root bound of
+    Brillhart, Lehmer and Selfridge 1975).  A prime fails a q's gcd for
+    about one start in q; then the next start is tried.  No start left, a
+    Jacobi symbol of 0 or a split found give 0: no proof, no verdict.
+
+    A proof holds for any P.  Let alpha be a root of x**2 - P*x + 1, so
+    V_j = alpha**j + alpha**-j, and let p be a prime factor of N.
+    V_{(N+1)/4} == 0 (mod p) gives alpha**((N+1)/2) == -1, so P is not
+    +-2 mod p, x**2 - P*x + 1 has distinct roots mod p, and alpha lies in
+    F_p or in F_{p**2} with norm 1, with an order that divides p - 1 or
+    p + 1.  That order divides N + 1 = k*2**m but not (N+1)/2, so 2**m
+    divides it.  V_j - 2 = alpha**-j * (alpha**j - 1)**2, so a gcd of 1
+    gives alpha**((N+1)/q) != 1 mod p, and the full power q**e of N + 1
+    divides the order too.  So F divides p - 1 or p + 1, and p >= F - 1.
+    With 2**m > k, a composite N would be a product of at least two such
+    p.  If one is 2**m - 1, the cofactor N/p == 1 (mod 2**m), as
+    N == p == -1, so it is at least 2**m + 1 and N >= 2**(2m) - 1;
+    otherwise N >= (2**m + 1)**2.  Both exceed N = k*2**m - 1 <
+    2**(2m) - 1.  With 2**m <= k, three such factors would exceed
+    N < (F - 1)**3, so a composite N is p*p' with p*p' == -1 (mod F),
+    one factor == 1 and the other == -1 (F >= 4): N = (a*F + 1)*(b*F - 1)
+    with a, b >= 1, which the last check rules out.  So a wrong start can
+    only cost time, never a verdict.  Stdlib only, with plain %.
+    """
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"k must be odd and positive, got {k}")
+    part = _factored_part(k, m) if m >= 2 else None
+    if part is None:
+        raise ValueError(
+            f"Riesel form needs m >= 2 and (F-1)**3 > k*2**m - 1 for the factored part F, "
+            f"got k={k}, m={m}"
+        )
+    f, qs = part
+    n = (k << m) - 1
+    for p in _rodseth_starts(n):
+        w = p  # V_{2**(m-2)}(P)
+        for _ in range(m - 2):
+            w = (w * w - 2) % n
+        if _lucas_v(w, k, n):
             return 0
-    else:
-        return 0
-    # x, y = V_j, V_{j+1} for j the leading bits of k read so far
-    x, y = p % n, (p * p - 2) % n
-    for bit in bin(k)[3:]:
-        if bit == "1":
-            x, y = (x * y - p) % n, (y * y - 2) % n
-        else:
-            x, y = (x * x - 2) % n, (x * y - p) % n
-    for _ in range(m - 2):
-        x = (x * x - 2) % n
-    return p if x == 0 else 0
+        if qs:
+            w = ((w * w - 2) ** 2 - 2) % n  # V_{2**m}(P)
+            if any(math.gcd(_lucas_v(w, k // q, n) - 2, n) != 1 for q in qs):
+                continue
+        return 0 if k >> m and _two_factor_split(n, f) else p
+    return 0
 
 
 def is_prime(n: int) -> PrimalityResult:
@@ -363,7 +464,9 @@ def is_prime(n: int) -> PrimalityResult:
     _MR_ROWS, where one llr_test run after the first base proves a prime
     n = k*2**m - 1 with 2**m > k); a decisive Proth test for
     n = k*2**m + 1 with 2**m > k; otherwise MR_PROBABILISTIC_ROUNDS rounds
-    of Miller-Rabin, flagged probabilistic.
+    of Miller-Rabin, flagged probabilistic, where one llr_test run after
+    the first round proves a prime n = k*2**m - 1 in llr_test's form and
+    skips the other rounds.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -385,8 +488,15 @@ def _miller_rabin(n):
     llr_test run follows: a proof of primality skips the other bases, and
     no proof lets them all run, so the record is the bases' in either case,
     a composite at or above 2**64 keeping the first base that shows it as
-    its witness.  Repeated probabilistic runs report identically: their
-    bases come from an n-seeded generator.
+    its witness.  Above it, MR_PROBABILISTIC_ROUNDS bases come from an
+    n-seeded generator, so repeated runs report identically.  When
+    n + 1 = k*2**m with m >= 2 is in llr_test's form (_factored_part) and
+    the first round does not show n composite, one llr_test run follows:
+    a proof skips the other rounds and returns what all of them passing
+    gives, as a prime passes every round; no proof runs them all from the
+    same generator, so every composite keeps its witness.  Below psi_13 the
+    run is kept to 2**m > k: there a row's bases, one pow each, cost less
+    than the ladders an odd q of k would add.
     """
     if n > 2 and n % 2 == 0:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=2)
@@ -395,13 +505,13 @@ def _miller_rabin(n):
     if n < SIEVE_SQUARE:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, math.gcd(n, SIEVE_PRODUCT) == 1)
     d, s = _mr_decompose(n)
+    # n + 1 = k*2**m with k odd
+    m = ((n + 1) & ~n).bit_length() - 1
+    k = (n + 1) >> m
     if n < MR_DETERMINISTIC_BOUND:
         for bound, bases in _MR_ROWS:
             if n < bound:
                 break
-        # n + 1 = k*2**m with k odd; Riesel form when 2**m > k
-        m = ((n + 1) & ~n).bit_length() - 1
-        k = (n + 1) >> m
         riesel = k >> m == 0
         for a in bases:
             if _mr_composite(n, a, d, s):
@@ -415,10 +525,16 @@ def _miller_rabin(n):
                 riesel = False
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
     rng = random.Random(n)
+    riesel = m >= 2
     for _ in range(MR_PROBABILISTIC_ROUNDS):
         a = rng.randrange(2, n - 1)
         if _mr_composite(n, a, d, s):
             return PrimalityResult(
                 n, METHOD_MR_PROBABILISTIC, False, witness=a, rounds=MR_PROBABILISTIC_ROUNDS
             )
+        if riesel:
+            # after the first round only: a proof skips the rest
+            if _factored_part(k, m) and llr_test(k, m):
+                break
+            riesel = False
     return PrimalityResult(n, METHOD_MR_PROBABILISTIC, True, rounds=MR_PROBABILISTIC_ROUNDS)

@@ -14,9 +14,10 @@ arith.SIEVE_SQUARE that passed both gcds is prime with no further test, and
 is recorded as arith.is_prime records it.  arith.is_prime decides the rest,
 one below 2**64 with at most seven exponentiations, and proves a prime
 k*2^n - 1 with 2^n > k below psi_13 by one base and one Lucas-Lehmer-Riesel
-run (arith.llr_test).  The JSON record writes the found prime in full, also
-past Python's limit on printing an int, while a verbose trail stops before
-the first term over it.
+run (arith.llr_test), and one above psi_13 in that test's form, 2^n <= k
+included, by one round and one run.  The JSON record writes the found prime
+in full, also past Python's limit on printing an int, while a verbose trail
+stops before the first term over it.
 """
 
 import sys

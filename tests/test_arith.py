@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coverscope import arith
@@ -495,9 +495,73 @@ class TestLucasLehmerRiesel:
         assert seen > 4000
 
     def test_form_violations_rejected(self):
-        for k, m in ((4, 10), (17, 4), (1, 1), (0, 5), (-1, 5)):
+        # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
+        # factor to add to F = 2**m, and (F - 1)**3 <= N.
+        for k, m in ((4, 10), (1031, 2), (1031**5, 20), (1031 * 1033, 4), (1, 1), (0, 5),
+                     (-1, 5)):
             with pytest.raises(ValueError):
                 arith.llr_test(k, m)
+
+    def test_valid_forms_with_2_to_the_m_at_most_k(self):
+        # (k, m, F, the odd primes taken into F, N = k*2**m - 1 prime).
+        # 2**m alone reaches the cube bound for 17*2**4 - 1 = 271 and for
+        # 1031*2**10 - 1; 111546435 = 3*5*...*23 takes 23 and 19, and
+        # 557732175 = 5*111546435 takes its power 5**2 before 23.
+        cases = (
+            (17, 4, 16, (), True),
+            (1031, 10, 2**10, (), False),
+            (3**5 * 35, 2, 4 * 3**5, (3,), True),
+            (111546435, 3, 8 * 23 * 19, (23, 19), True),
+            (557732175, 2, 4 * 25 * 23, (5, 23), True),
+        )
+        for k, m, f, qs, prime in cases:
+            n = k * 2**m - 1
+            assert k >= 2**m and prime_naive(n) == prime, (k, m)
+            assert arith._factored_part(k, m) == (f, qs), (k, m)
+            assert (f - 1) ** 3 > n and (n + 1) % f == 0
+            assert bool(arith.llr_test(k, m)) == prime, (k, m)
+
+    def test_two_factor_exclusion_carries_the_proof(self, monkeypatch):
+        # (k, m, a, b): N = k*2**m - 1 = (a*F + 1)*(b*F - 1) is composite,
+        # yet it passes every Lucas check of llr_test with F from
+        # _factored_part, F = 2**m or 2**m times odd prime powers of k.
+        composites = (
+            (1155, 6, 3, 6),
+            (3597, 8, 1, 14),
+            (616035, 2, 42, 3),
+            (4199121, 5, 4, 5),
+            (258057, 10, 12, 21),
+            (5165332095, 4, 30, 15),
+            (4062192441766305, 22, 210, 315),
+        )
+        for k, m, a, b in composites:
+            n = k * 2**m - 1
+            f, _ = arith._factored_part(k, m)
+            assert n == (a * f + 1) * (b * f - 1) and k >= 2**m, (k, m)
+            assert arith._two_factor_split(n, f) == (a, b), (k, m)
+            assert arith.llr_test(k, m) == 0, (k, m)
+        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f: None)
+        for k, m, _, _ in composites:
+            assert arith.llr_test(k, m), (k, m)
+
+    def test_the_odd_q_checks_carry_the_proof(self, monkeypatch):
+        # (k, m, F, qs) of composite N = k*2**m - 1 that pass the check of
+        # V_{(N+1)/4} and the two-factor exclusion with F, but not a q's gcd.
+        composites = (
+            (405, 3, 648, (3,)),  # 41*79
+            (1977, 4, 10544, (659,)),  # 673*47
+            (3129, 5, 4768, (149,)),  # 449*223
+            (26883, 4, 1648, (103,)),  # 929*463
+            (639975, 9, 27136, (53,)),  # 25601*12799
+        )
+        for k, m, f, qs in composites:
+            assert arith._factored_part(k, m) == (f, qs), (k, m)
+            assert not prime_naive(k * 2**m - 1)
+            assert arith.llr_test(k, m) == 0, (k, m)
+        real = arith._factored_part
+        monkeypatch.setattr(arith, "_factored_part", lambda k, m: (real(k, m)[0], ()))
+        for k, m, _, _ in composites:
+            assert arith.llr_test(k, m), (k, m)
 
     def test_random_verdicts_do_not_depend_on_the_kernel(self, monkeypatch):
         # The kernel only skips bases: with it never proving, every record
@@ -526,6 +590,133 @@ def test_llr_agrees_with_the_oracle_below_psi_13(km):
     n = k * 2**m - 1
     assert k < 2**m and n < PSI_13
     assert bool(arith.llr_test(k, m)) == prime_naive(n), (k, m)
+
+
+def _riesel_above_psi_13(rng, primes_only=False):
+    """(k, m) with k odd, 2**m <= k and psi_13 <= k*2**m - 1 < 2**100, in
+    llr_test's form; for half the draws k is multiplied by one to three
+    odd primes up to SIEVE_BOUND."""
+    while True:
+        m = rng.randrange(2, 50)
+        k = rng.randrange(max(PSI_13 >> m, 2**m), 2**100 >> m) | 1
+        if rng.random() < 0.5:
+            for _ in range(rng.randrange(1, 4)):
+                k *= rng.choice(arith.SIEVE_PRIMES)
+        n = k * 2**m - 1
+        if n >> 100 or not arith._factored_part(k, m):
+            continue
+        if not primes_only or prime_naive(n):
+            return k, m
+
+
+@st.composite
+def riesel_above_psi_13(draw):
+    """(k, m) with k odd, 2**m <= k and k*2**m - 1 >= psi_13; for half the
+    draws k is multiplied by one to three odd primes up to SIEVE_BOUND."""
+    m = draw(st.integers(2, 49))
+    k = draw(st.integers(max(PSI_13 >> m, 2**m), (2**100 >> m) - 1)) | 1
+    if draw(st.booleans()):
+        k *= math.prod(draw(st.lists(st.sampled_from(arith.SIEVE_PRIMES), min_size=1, max_size=3)))
+    return k, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(riesel_above_psi_13())
+def test_an_llr_proof_above_psi_13_is_a_prime(km):
+    # prime_naive above psi_13 is 13 strong bases: every prime passes them.
+    k, m = km
+    assume(arith._factored_part(k, m))
+    if arith.llr_test(k, m):
+        assert prime_naive(k * 2**m - 1), (k, m)
+
+
+class TestRieselAbovePsi13:
+    def test_most_primes_are_proved_and_no_composite_is(self):
+        rng = random.Random(29)
+        kms = [_riesel_above_psi_13(rng, primes_only=True) for _ in range(150)]
+        proved = sum(bool(arith.llr_test(k, m)) for k, m in kms)
+        assert proved > 120
+        draws = [_riesel_above_psi_13(rng) for _ in range(300)]
+        proved = [(k, m) for k, m in draws if arith.llr_test(k, m)]
+        assert all(prime_naive(k * 2**m - 1) for k, m in proved), proved
+
+    def test_two_factor_split_finds_every_constructed_pair(self):
+        rng = random.Random(30)
+        seen = 0
+        for f in (1, 3, 35, 1155, 3**5, 1021):
+            for m in range(2, 40):
+                big_f = 2**m * f
+                for _ in range(10):
+                    a = rng.randrange(1, big_f)
+                    b = rng.randrange(1, max(2, (big_f - 3) ** 3 // ((a * big_f + 1) * big_f)))
+                    n = (a * big_f + 1) * (b * big_f - 1)
+                    if n >= (big_f - 1) ** 3:
+                        continue
+                    split = arith._two_factor_split(n, big_f)
+                    assert split is not None, (n, big_f)
+                    a1, b1 = split
+                    assert a1 >= 1 and b1 >= 1 and (a1 * big_f + 1) * (b1 * big_f - 1) == n
+                    seen += 1
+        assert seen > 1500
+
+    def test_two_factor_split_finds_nothing_on_primes(self):
+        rng = random.Random(31)
+        seen = 0
+        for f in (1, 3, 35, 1155):
+            for m in range(2, 30):
+                big_f = 2**m * f
+                for _ in range(20):
+                    n = rng.randrange(1, (big_f - 1) ** 3 // big_f) * big_f - 1
+                    if n > 2 and prime_naive(n):
+                        assert arith._two_factor_split(n, big_f) is None, (n, big_f)
+                        seen += 1
+        assert seen > 100
+
+    def test_records_do_not_depend_on_the_kernel(self, monkeypatch):
+        # A proof returns what 40 passing rounds return, and no proof runs
+        # them all from the same generator.
+        rng = random.Random(32)
+        ns = [k * 2**m - 1 for k, m in (_riesel_above_psi_13(rng) for _ in range(400))]
+        ns += [k * 2**m - 1 for k, m in (_riesel_above_psi_13(rng, True) for _ in range(40))]
+        ns += [k * 2**m - 1 for k in range(3, 200, 2) for m in (90, 99)]
+        with_kernel = [arith.is_prime(n) for n in ns]
+        assert sum(r.is_prime for r in with_kernel) > 50
+        monkeypatch.setattr(arith, "llr_test", lambda k, m: 0)
+        assert [arith.is_prime(n) for n in ns] == with_kernel
+
+    @pytest.mark.parametrize("k, m, rounds, kernel_runs", [
+        # First prime of the pinned disqualify scan: F = 2**25 * 463.
+        (208458014172092995, 25, 1, 1),
+        # 2**94 > 3, so F = 2**94.
+        (3, 94, 1, 1),
+        # k has no odd factor up to SIEVE_BOUND and (2**2 - 1)**3 < N.
+        (829261016169971846490977, 2, arith.MR_PROBABILISTIC_ROUNDS, 0),
+    ])
+    def test_a_prime_runs_one_round_and_one_kernel_run_in_form_else_all(
+        self, monkeypatch, k, m, rounds, kernel_runs
+    ):
+        # Timing-free guard against more rounds.
+        bases_run, llr_runs = [], []
+        real_composite, real_llr = arith._mr_composite, arith.llr_test
+
+        def counting_composite(n, a, d, s):
+            bases_run.append(a)
+            return real_composite(n, a, d, s)
+
+        def counting_llr(k, m):
+            llr_runs.append((k, m))
+            return real_llr(k, m)
+
+        monkeypatch.setattr(arith, "_mr_composite", counting_composite)
+        monkeypatch.setattr(arith, "llr_test", counting_llr)
+        n = k * 2**m - 1
+        assert n >= arith.MR_DETERMINISTIC_BOUND
+        assert (arith._factored_part(k, m) is not None) == bool(kernel_runs)
+        assert arith.is_prime(n) == arith.PrimalityResult(
+            n, arith.METHOD_MR_PROBABILISTIC, True, rounds=arith.MR_PROBABILISTIC_ROUNDS
+        )
+        assert len(bases_run) == rounds
+        assert llr_runs == [(k, m)] * kernel_runs
 
 
 class TestProth:

@@ -749,12 +749,30 @@ PINNED_SCANS = [
         0,
         "16bf2f76988c6719939d2b4623e7b53872612e5ca44b4401d6ab0e6ea2a1c5a7",
     ),
+    # The first prime, at n = 25, is 83 bits, above psi_13 and not of Proth
+    # form; llr_test proves it with F = 2**25 * 463 after one round.
+    (
+        ("disqualify", "--k", "208458014172092995", "--sign", "r", "--format", "json",
+         "--max-n", "64"),
+        0,
+        "f2892b5c4b85729ce6bd5aeeb30b02aa19592866c61f855b790e53f232218bef",
+    ),
+    (
+        ("disqualify", "--k", "208458014172092995", "--sign", "r", "--format", "json",
+         "--max-n", "64", "--verbose"),
+        0,
+        "a100580db209d753623a6d9db5c4223d439ede97507da340ccea55ceb04d7d65",
+    ),
+]
+PINNED_SCAN_IDS = [
+    "disqualify-383s", "disqualify-383s-verbose", "survey-r600", "survey-s600",
+    "disqualify-big-r", "disqualify-big-r-verbose",
 ]
 
 
 @pytest.mark.parametrize(
     "argv, exit_code, digest", PINNED_SCANS,
-    ids=["disqualify-383s", "disqualify-383s-verbose", "survey-r600", "survey-s600"],
+    ids=PINNED_SCAN_IDS,
 )
 def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, *argv)
@@ -764,11 +782,11 @@ def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
 
 @pytest.mark.parametrize(
     "argv, exit_code, digest", PINNED_SCANS,
-    ids=["disqualify-383s", "disqualify-383s-verbose", "survey-r600", "survey-s600"],
+    ids=PINNED_SCAN_IDS,
 )
 def test_scan_bytes_do_not_depend_on_the_llr_kernel(capsys, monkeypatch, argv, exit_code, digest):
-    # A Lucas-Lehmer-Riesel proof only skips Miller-Rabin bases, so a
-    # kernel that never proves anything leaves every byte as it is.
+    # A Lucas proof only skips Miller-Rabin bases or rounds, so a kernel
+    # that never proves anything leaves every byte as it is.
     monkeypatch.setattr(arith, "llr_test", lambda k, m: 0)
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
