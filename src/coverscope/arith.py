@@ -76,9 +76,10 @@ MR_PROBABILISTIC_ROUNDS = 40
 # sieve alone.
 SIEVE_BOUND = 1024
 
-# How many candidates proth_test (bases, hunting for a quadratic
-# non-residue) and llr_test (starts P) examine before giving up: proth_test
-# then falls back to Miller-Rabin, and llr_test proves nothing.
+# How many candidates proth_test and pocklington_test (bases, hunting for a
+# quadratic non-residue) and llr_test (starts P) examine before giving up:
+# proth_test then falls back to Miller-Rabin, and the other two prove
+# nothing.
 PROTH_CANDIDATE_LIMIT = 1000
 
 
@@ -95,16 +96,15 @@ class PrimalityResult:
     deterministic result re-verifies by running the first t bases of
     MR_DETERMINISTIC_BASES, for the least t with n below psi_t, the t-th
     entry of _PSI, although is_prime may have decided n by the sieve, by
-    a shorter base set of _MR_ROWS, or, for a prime n = k*2**m - 1 with
-    2**m > k, by one base and one llr_test run; the record is the same
-    either way.  A probabilistic prime has witness 0 and rounds
+    a shorter base set of _MR_ROWS, or, for a prime in form on its side,
+    by one base and one pocklington_test or llr_test run; the record is
+    the same either way.  A probabilistic prime has witness 0 and rounds
     MR_PROBABILISTIC_ROUNDS, also when is_prime proved it by one round and
-    one llr_test run (n = k*2**m - 1 in that test's form): the record
-    states no more than the rounds would, and a checker that relabels such
-    a verdict decisive must re-run the proof.  For the sieve method,
-    witness is a prime p <= SIEVE_BOUND with p | n and p < n, so n is
-    composite by one reduction.  rounds is nonzero only for the
-    probabilistic method.
+    one such run: the record states no more than the rounds would, and a
+    checker that relabels such a verdict decisive must re-run the proof.
+    For the sieve method, witness is a prime p <= SIEVE_BOUND with p | n
+    and p < n, so n is composite by one reduction.  rounds is nonzero only
+    for the probabilistic method.
     """
 
     n: int
@@ -335,14 +335,31 @@ def _rodseth_starts(n):
             return
 
 
-def _factored_part(k, m):
-    """(F, qs) for N = k*2**m - 1, or None when no F reaches the bound.
+def _nonresidues(n):
+    # Each a = 3, 5, 7, ... among PROTH_CANDIDATE_LIMIT candidates with
+    # jacobi(a, n) = -1, in order, up to the first Jacobi symbol of 0.
+    for a in range(3, 3 + 2 * PROTH_CANDIDATE_LIMIT, 2):
+        j = jacobi(a, n)
+        if j == -1:
+            yield a
+        elif j == 0:
+            return
+
+
+def _factored_part(k, m, sign):
+    """(F, qs) for N = k*2**m + sign, or None when no F reaches the bound.
 
     F = 2**m * q**e over the odd primes q in qs, each q <= SIEVE_BOUND with
     q**e the full power of q in k, taken largest q**e first until
     (F - 1)**3 > N.  With 2**m > k, F = 2**m already does, and qs is empty.
+    Above psi_13 only, when those q fall short, c, what is left of k with
+    them divided out, joins as one more q if a deterministic
+    _miller_rabin(c) proves it prime (c < psi_13); then F is all of
+    N - sign.  A probabilistic verdict on c never counts.  (Falling short
+    means c > F**2 roughly, so c >= 2**54 above psi_13: no c there is
+    below SIEVE_SQUARE, where the sieve alone would decide it.)
     """
-    n = (k << m) - 1
+    n = (k << m) + sign
     f = 1 << m
     if (f - 1) ** 3 > n:
         return f, ()
@@ -369,36 +386,100 @@ def _factored_part(k, m):
         qs.append(q)
         if (f - 1) ** 3 > n:
             return f, tuple(qs)
+    if n >= MR_DETERMINISTIC_BOUND:
+        c = (n - sign) // f
+        if c < MR_DETERMINISTIC_BOUND and _miller_rabin(c).is_prime:
+            return f * c, (*qs, c)
     return None
 
 
-def _two_factor_split(n, f):
-    """(a, b) with a, b >= 1 and n = (a*f + 1)*(b*f - 1), or None when there
-    is no such pair; for f >= 4 dividing n + 1 and n < (f - 1)**3.
+def _two_factor_split(n, f, sign):
+    """(a, b) with 1 <= a <= b for sign +1, a, b >= 1 for sign -1, and
+    n = (a*f + 1)*(b*f + sign), or None when there is no such pair; for
+    f >= 4 dividing n - sign and n < (f - 1)**3.
 
-    Such a split gives (n + 1)/f = r = t*f + (b - a) with t = a*b, and
-    |b - a| < t, so t lies strictly between r/(f + 1) and r/(f - 1).  As
-    r < f**2 - 1, that interval is shorter than 2 and holds at most two t.
-    For each, (a + b)**2 = (r - t*f)**2 + 4t, so one isqrt decides it.
+    Such a split gives (n - sign)/f = r = t*f + delta with t = a*b >= 1
+    and delta = b + sign*a, where |delta| < t for sign -1 and
+    2 <= delta <= t + 1 for sign +1; either way
+    r // (f + 1) <= t <= r // (f - 1).  As r < f**2 - 1, that range holds
+    at most three integers.  For each, (b - sign*a)**2 = delta**2 -
+    4*sign*t, so one isqrt decides it, and a pair found with a, b >= 1
+    meets both equations, so it is a split.
     """
-    r = (n + 1) // f
-    for t in range(r // (f + 1) + 1, (r - 1) // (f - 1) + 1):
-        delta = r - t * f  # b - a
-        square = delta * delta + 4 * t  # (a + b)**2
+    r = (n - sign) // f
+    for t in range(max(1, r // (f + 1)), r // (f - 1) + 1):
+        delta = r - t * f
+        square = delta * delta - 4 * sign * t
+        if square < 0:
+            continue
         s = math.isqrt(square)
-        if s * s == square:
-            return (s - delta) // 2, (s + delta) // 2
+        a, b = sign * (delta - s) // 2, (delta + s) // 2
+        if s * s == square and a >= 1 and b >= 1:
+            return a, b
     return None
 
 
-def llr_test(k: int, m: int) -> int:
+def pocklington_test(k: int, m: int, part=None) -> int:
+    """N-1 proof that N = k*2**m + 1 is prime, for k odd and m >= 1: the
+    base a that proves it, or 0 for no proof.
+
+    F, the factored part of N - 1, is 2**m times the full powers q**e of
+    the odd primes q <= SIEVE_BOUND dividing k, taken largest first until
+    (F - 1)**3 > N, with k's cofactor joining above psi_13
+    (_factored_part, which part, when given, already is).  When no F
+    reaches that bound, the form fails and ValueError is raised.
+
+    Tries the bases a = 3, 5, 7, ..., among PROTH_CANDIDATE_LIMIT
+    candidates, with jacobi(a, N) = -1, in order.  For prime N Euler's
+    criterion makes a**((N-1)/2) == -1 at every such a, so any other value
+    ends the test.  N is proved prime, and a returned, when also
+    gcd(a**((N-1)/q) - 1, N) = 1 for every odd q taken into F and, when
+    2**m <= k, N is not (a'*F + 1)*(b'*F + 1) for any a', b' >= 1
+    (_two_factor_split; Pocklington's theorem with the cube-root bound of
+    Brillhart, Lehmer and Selfridge 1975).  A prime fails a q's gcd for
+    about one base in q; then the next base is tried.  No base left, a
+    Jacobi symbol of 0 or a split found give 0: no proof, no verdict.
+
+    A proof holds for any a.  Let p be a prime factor of N.
+    a**((N-1)/2) == -1 (mod p), so the order of a mod p divides
+    N - 1 = k*2**m but not (N-1)/2, and 2**m divides it; a gcd of 1 gives
+    a**((N-1)/q) != 1 mod p, so the full power q**e of N - 1 divides it
+    too.  So F divides p - 1 and p >= F + 1.  With 2**m > k, that is
+    p > sqrt(N) (Proth's theorem), so N is prime.  With 2**m <= k, three
+    such factors would exceed N < (F - 1)**3, so a composite N is p*p'
+    with both == 1 (mod F): N = (a'*F + 1)*(b'*F + 1), which the last
+    check rules out.  So a wrong base can only cost time, never a
+    verdict.  Stdlib only, with plain pow.
+    """
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"k must be odd and positive, got {k}")
+    if part is None:
+        part = _factored_part(k, m, 1) if m >= 1 else None
+        if part is None:
+            raise ValueError(
+                f"Sierpinski form needs m >= 1 and (F-1)**3 > k*2**m + 1 for the factored "
+                f"part F, got k={k}, m={m}"
+            )
+    f, qs = part
+    n = (k << m) + 1
+    for a in _nonresidues(n):
+        if pow(a, n >> 1, n) != n - 1:
+            return 0
+        if any(math.gcd(pow(a, (n - 1) // q, n) - 1, n) != 1 for q in qs):
+            continue
+        return 0 if k >> m and _two_factor_split(n, f, 1) else a
+    return 0
+
+
+def llr_test(k: int, m: int, part=None) -> int:
     """Lucas proof that N = k*2**m - 1 is prime, for k odd and m >= 2: the
     start P that proves it, or 0 for no proof.
 
     The factored part F of N + 1 is 2**m times the full powers q**e of the
     odd primes q <= SIEVE_BOUND dividing k, taken largest first until
-    (F - 1)**3 > N (_factored_part); with 2**m > k, F = 2**m.  When no F
-    reaches that bound, the form fails and ValueError is raised.
+    (F - 1)**3 > N, with k's cofactor joining above psi_13 (_factored_part,
+    which part, when given, already is); with 2**m > k, F = 2**m.  When no
+    F reaches that bound, the form fails and ValueError is raised.
 
     Tries the starts P >= 3, among PROTH_CANDIDATE_LIMIT candidates, with
     jacobi(P-2, N) = 1 and jacobi(P+2, N) = -1 (Rodseth 1994), in order.
@@ -434,12 +515,13 @@ def llr_test(k: int, m: int) -> int:
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"k must be odd and positive, got {k}")
-    part = _factored_part(k, m) if m >= 2 else None
     if part is None:
-        raise ValueError(
-            f"Riesel form needs m >= 2 and (F-1)**3 > k*2**m - 1 for the factored part F, "
-            f"got k={k}, m={m}"
-        )
+        part = _factored_part(k, m, -1) if m >= 2 else None
+        if part is None:
+            raise ValueError(
+                f"Riesel form needs m >= 2 and (F-1)**3 > k*2**m - 1 for the factored part F, "
+                f"got k={k}, m={m}"
+            )
     f, qs = part
     n = (k << m) - 1
     for p in _rodseth_starts(n):
@@ -452,7 +534,7 @@ def llr_test(k: int, m: int) -> int:
             w = ((w * w - 2) ** 2 - 2) % n  # V_{2**m}(P)
             if any(math.gcd(_lucas_v(w, k // q, n) - 2, n) != 1 for q in qs):
                 continue
-        return 0 if k >> m and _two_factor_split(n, f) else p
+        return 0 if k >> m and _two_factor_split(n, f, -1) else p
     return 0
 
 
@@ -461,12 +543,11 @@ def is_prime(n: int) -> PrimalityResult:
 
     Deterministic below MR_DETERMINISTIC_BOUND (the sieve below
     SIEVE_SQUARE, above it Miller-Rabin with the bases of n's row of
-    _MR_ROWS, where one llr_test run after the first base proves a prime
-    n = k*2**m - 1 with 2**m > k); a decisive Proth test for
-    n = k*2**m + 1 with 2**m > k; otherwise MR_PROBABILISTIC_ROUNDS rounds
-    of Miller-Rabin, flagged probabilistic, where one llr_test run after
-    the first round proves a prime n = k*2**m - 1 in llr_test's form and
-    skips the other rounds.
+    _MR_ROWS, where one proof on n's side after the first base can skip
+    the rest); a decisive Proth test for n = k*2**m + 1 with 2**m > k;
+    otherwise MR_PROBABILISTIC_ROUNDS rounds of Miller-Rabin, flagged
+    probabilistic, where one proof on n's side after the first round can
+    skip the rest (_miller_rabin).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -477,26 +558,41 @@ def is_prime(n: int) -> PrimalityResult:
     return _miller_rabin(n)
 
 
+def _proved_on_its_side(n, d, s):
+    # Whether one kernel run proves odd n = d*2**s + 1 prime: n == 1 (mod 4)
+    # is k*2**m + 1 with m = s >= 2 (pocklington_test), n == 3 (mod 4) is
+    # k*2**m - 1 with m >= 2 (llr_test), each when in its form.  Below
+    # psi_13 only from 2**32 up, the crossover measured on first-prime
+    # scans, or for k*2**m - 1 with 2**m > k.
+    if s >= 2:
+        sign, k, m = 1, d, s
+    else:
+        m = ((n + 1) & ~n).bit_length() - 1
+        sign, k = -1, (n + 1) >> m
+    if n < MR_DETERMINISTIC_BOUND and not (n >> 32 or sign < 0 and k >> m == 0):
+        return False
+    part = _factored_part(k, m, sign)
+    return part is not None and bool((pocklington_test if sign > 0 else llr_test)(k, m, part))
+
+
 def _miller_rabin(n):
     """is_prime without the Proth branch, which proth_test falls back to.
 
     An odd n up to SIEVE_BOUND is read from the sieve, one below
     SIEVE_SQUARE is prime iff coprime to SIEVE_PRODUCT, and one below
     MR_DETERMINISTIC_BOUND is decided by the bases of the first row of
-    _MR_ROWS above it.  There, when n + 1 = k*2**m with k odd and
-    2**m > k and the row's first base does not show n composite, one
-    llr_test run follows: a proof of primality skips the other bases, and
-    no proof lets them all run, so the record is the bases' in either case,
-    a composite at or above 2**64 keeping the first base that shows it as
-    its witness.  Above it, MR_PROBABILISTIC_ROUNDS bases come from an
-    n-seeded generator, so repeated runs report identically.  When
-    n + 1 = k*2**m with m >= 2 is in llr_test's form (_factored_part) and
-    the first round does not show n composite, one llr_test run follows:
-    a proof skips the other rounds and returns what all of them passing
-    gives, as a prime passes every round; no proof runs them all from the
-    same generator, so every composite keeps its witness.  Below psi_13 the
-    run is kept to 2**m > k: there a row's bases, one pow each, cost less
-    than the ladders an odd q of k would add.
+    _MR_ROWS above it; a composite at or above 2**64 keeps the first base
+    that shows it as its witness.  Above it, MR_PROBABILISTIC_ROUNDS bases
+    come from an n-seeded generator, so repeated runs report identically.
+    When the first base or round does not show n composite and n is in
+    form on its side, one kernel run follows: pocklington_test for
+    n == 1 (mod 4), llr_test for n == 3 (mod 4), with the factored part
+    computed once.  Below psi_13 that happens from 2**32 up, the measured
+    crossover, and for every k*2**m - 1 with 2**m > k.  A proof skips the
+    other bases or rounds and returns what all of them passing gives, as a
+    prime passes every one; no proof runs them all (the rounds from the
+    same generator), so every record, a composite's witness included, is
+    what the bases or rounds alone give.
     """
     if n > 2 and n % 2 == 0:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=2)
@@ -505,36 +601,25 @@ def _miller_rabin(n):
     if n < SIEVE_SQUARE:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, math.gcd(n, SIEVE_PRODUCT) == 1)
     d, s = _mr_decompose(n)
-    # n + 1 = k*2**m with k odd
-    m = ((n + 1) & ~n).bit_length() - 1
-    k = (n + 1) >> m
     if n < MR_DETERMINISTIC_BOUND:
         for bound, bases in _MR_ROWS:
             if n < bound:
                 break
-        riesel = k >> m == 0
-        for a in bases:
+        for i, a in enumerate(bases):
             if _mr_composite(n, a, d, s):
                 # A composite below 2**64 is reported with witness 0.
                 witness = a if n >> 64 else 0
                 return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=witness)
-            if riesel:
-                # after the first base only: a proof skips the rest
-                if llr_test(k, m):
-                    break
-                riesel = False
+            if i == 0 and _proved_on_its_side(n, d, s):
+                break
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
     rng = random.Random(n)
-    riesel = m >= 2
-    for _ in range(MR_PROBABILISTIC_ROUNDS):
+    for i in range(MR_PROBABILISTIC_ROUNDS):
         a = rng.randrange(2, n - 1)
         if _mr_composite(n, a, d, s):
             return PrimalityResult(
                 n, METHOD_MR_PROBABILISTIC, False, witness=a, rounds=MR_PROBABILISTIC_ROUNDS
             )
-        if riesel:
-            # after the first round only: a proof skips the rest
-            if _factored_part(k, m) and llr_test(k, m):
-                break
-            riesel = False
+        if i == 0 and _proved_on_its_side(n, d, s):
+            break
     return PrimalityResult(n, METHOD_MR_PROBABILISTIC, True, rounds=MR_PROBABILISTIC_ROUNDS)

@@ -12,12 +12,14 @@ k every term is Proth-form and one exponentiation decides it (leaving a
 re-checkable witness).  Elsewhere a term above SIEVE_BOUND and below
 arith.SIEVE_SQUARE that passed both gcds is prime with no further test, and
 is recorded as arith.is_prime records it.  arith.is_prime decides the rest,
-one below 2**64 with at most seven exponentiations, and proves a prime
-k*2^n - 1 with 2^n > k below psi_13 by one base and one Lucas-Lehmer-Riesel
-run (arith.llr_test), and one above psi_13 in that test's form, 2^n <= k
-included, by one round and one run.  The JSON record writes the found prime
-in full, also past Python's limit on printing an int, while a verbose trail
-stops before the first term over it.
+one below 2**64 with at most seven exponentiations.  A prime in form on
+its side, with F = 2^m times small prime powers of its own k'
+(N = k'*2^m +- 1, m >= 2) reaching (F - 1)^3 > N, is proved by one base or
+round and one N-1 proof (arith.pocklington_test) or N+1 proof
+(arith.llr_test): below psi_13 from 2**32 up, and for every k'*2^m - 1
+with 2^m > k'.  The JSON record writes the found prime in full, also past
+Python's limit on printing an int, while a verbose trail stops before the
+first term over it.
 """
 
 import sys

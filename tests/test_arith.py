@@ -346,7 +346,10 @@ PSI_TIERS = [(t, arith._PSI[t - 1]) for t in range(1, 13) if arith._PSI[t - 1] !
 
 # The largest prime below each row bound of _MR_ROWS, and below 1031**2,
 # with the bases its test runs, in order: none up to the sieve square, so
-# a return to more rounds shows without timing.
+# a return to more rounds shows without timing.  Only 2**64 - 59 is in form
+# on its side (n - 1 = 4*k with F = 4*547*137*11), so pocklington_test
+# proves it after one base; 2**64 - 83, the largest prime below 2**64 out
+# of form, runs Sinclair's whole row.
 FIRST_FIVE = (2, 3, 5, 7, 11)
 ROW_PRIMES = (
     (1021, ()),
@@ -357,7 +360,8 @@ ROW_PRIMES = (
     (1122004669603, (2, 13, 23, 1662803)),
     (2152302898729, FIRST_FIVE),
     (3474749660329, (*FIRST_FIVE, 13)),
-    (2**64 - 59, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (2**64 - 59, (2,)),
+    (2**64 - 83, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
     (318665857834031151167441, arith.MR_DETERMINISTIC_BASES[:12]),
     (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES),
 )
@@ -447,9 +451,9 @@ class TestPsiTiers:
             bases_run.append(a)
             return real_composite(n, a, d, s)
 
-        def counting_llr(k, m):
+        def counting_llr(k, m, part=None):
             llr_runs.append((k, m))
-            return real_llr(k, m)
+            return real_llr(k, m, part)
 
         monkeypatch.setattr(arith, "_mr_composite", counting_composite)
         monkeypatch.setattr(arith, "llr_test", counting_llr)
@@ -517,7 +521,7 @@ class TestLucasLehmerRiesel:
         for k, m, f, qs, prime in cases:
             n = k * 2**m - 1
             assert k >= 2**m and prime_naive(n) == prime, (k, m)
-            assert arith._factored_part(k, m) == (f, qs), (k, m)
+            assert arith._factored_part(k, m, -1) == (f, qs), (k, m)
             assert (f - 1) ** 3 > n and (n + 1) % f == 0
             assert bool(arith.llr_test(k, m)) == prime, (k, m)
 
@@ -536,11 +540,11 @@ class TestLucasLehmerRiesel:
         )
         for k, m, a, b in composites:
             n = k * 2**m - 1
-            f, _ = arith._factored_part(k, m)
+            f, _ = arith._factored_part(k, m, -1)
             assert n == (a * f + 1) * (b * f - 1) and k >= 2**m, (k, m)
-            assert arith._two_factor_split(n, f) == (a, b), (k, m)
+            assert arith._two_factor_split(n, f, -1) == (a, b), (k, m)
             assert arith.llr_test(k, m) == 0, (k, m)
-        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f: None)
+        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign: None)
         for k, m, _, _ in composites:
             assert arith.llr_test(k, m), (k, m)
 
@@ -555,11 +559,13 @@ class TestLucasLehmerRiesel:
             (639975, 9, 27136, (53,)),  # 25601*12799
         )
         for k, m, f, qs in composites:
-            assert arith._factored_part(k, m) == (f, qs), (k, m)
+            assert arith._factored_part(k, m, -1) == (f, qs), (k, m)
             assert not prime_naive(k * 2**m - 1)
             assert arith.llr_test(k, m) == 0, (k, m)
         real = arith._factored_part
-        monkeypatch.setattr(arith, "_factored_part", lambda k, m: (real(k, m)[0], ()))
+        monkeypatch.setattr(
+            arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], ())
+        )
         for k, m, _, _ in composites:
             assert arith.llr_test(k, m), (k, m)
 
@@ -574,7 +580,8 @@ class TestLucasLehmerRiesel:
         ns = [n for n in ns if arith.SIEVE_SQUARE <= n < arith.MR_DETERMINISTIC_BOUND]
         with_kernel = [arith.is_prime(n) for n in ns]
         assert sum(r.is_prime for r in with_kernel) > 50
-        monkeypatch.setattr(arith, "llr_test", lambda k, m: 0)
+        monkeypatch.setattr(arith, "llr_test", lambda k, m, part=None: 0)
+        monkeypatch.setattr(arith, "pocklington_test", lambda k, m, part=None: 0)
         assert [arith.is_prime(n) for n in ns] == with_kernel
 
 
@@ -592,18 +599,19 @@ def test_llr_agrees_with_the_oracle_below_psi_13(km):
     assert bool(arith.llr_test(k, m)) == prime_naive(n), (k, m)
 
 
-def _riesel_above_psi_13(rng, primes_only=False):
-    """(k, m) with k odd, 2**m <= k and psi_13 <= k*2**m - 1 < 2**100, in
-    llr_test's form; for half the draws k is multiplied by one to three
-    odd primes up to SIEVE_BOUND."""
+def _in_form_above_psi_13(rng, primes_only=False, sign=-1):
+    """(k, m) with k odd, 2**m <= k and psi_13 <= k*2**m + sign < 2**100,
+    in the form of sign's kernel (llr_test for -1, pocklington_test for
+    +1); for half the draws k is multiplied by one to three odd primes up
+    to SIEVE_BOUND."""
     while True:
         m = rng.randrange(2, 50)
         k = rng.randrange(max(PSI_13 >> m, 2**m), 2**100 >> m) | 1
         if rng.random() < 0.5:
             for _ in range(rng.randrange(1, 4)):
                 k *= rng.choice(arith.SIEVE_PRIMES)
-        n = k * 2**m - 1
-        if n >> 100 or not arith._factored_part(k, m):
+        n = k * 2**m + sign
+        if n >> 100 or not arith._factored_part(k, m, sign):
             continue
         if not primes_only or prime_naive(n):
             return k, m
@@ -625,7 +633,7 @@ def riesel_above_psi_13(draw):
 def test_an_llr_proof_above_psi_13_is_a_prime(km):
     # prime_naive above psi_13 is 13 strong bases: every prime passes them.
     k, m = km
-    assume(arith._factored_part(k, m))
+    assume(arith._factored_part(k, m, -1))
     if arith.llr_test(k, m):
         assert prime_naive(k * 2**m - 1), (k, m)
 
@@ -633,10 +641,10 @@ def test_an_llr_proof_above_psi_13_is_a_prime(km):
 class TestRieselAbovePsi13:
     def test_most_primes_are_proved_and_no_composite_is(self):
         rng = random.Random(29)
-        kms = [_riesel_above_psi_13(rng, primes_only=True) for _ in range(150)]
+        kms = [_in_form_above_psi_13(rng, primes_only=True) for _ in range(150)]
         proved = sum(bool(arith.llr_test(k, m)) for k, m in kms)
         assert proved > 120
-        draws = [_riesel_above_psi_13(rng) for _ in range(300)]
+        draws = [_in_form_above_psi_13(rng) for _ in range(300)]
         proved = [(k, m) for k, m in draws if arith.llr_test(k, m)]
         assert all(prime_naive(k * 2**m - 1) for k, m in proved), proved
 
@@ -652,7 +660,7 @@ class TestRieselAbovePsi13:
                     n = (a * big_f + 1) * (b * big_f - 1)
                     if n >= (big_f - 1) ** 3:
                         continue
-                    split = arith._two_factor_split(n, big_f)
+                    split = arith._two_factor_split(n, big_f, -1)
                     assert split is not None, (n, big_f)
                     a1, b1 = split
                     assert a1 >= 1 and b1 >= 1 and (a1 * big_f + 1) * (b1 * big_f - 1) == n
@@ -668,20 +676,24 @@ class TestRieselAbovePsi13:
                 for _ in range(20):
                     n = rng.randrange(1, (big_f - 1) ** 3 // big_f) * big_f - 1
                     if n > 2 and prime_naive(n):
-                        assert arith._two_factor_split(n, big_f) is None, (n, big_f)
+                        assert arith._two_factor_split(n, big_f, -1) is None, (n, big_f)
                         seen += 1
         assert seen > 100
 
     def test_records_do_not_depend_on_the_kernel(self, monkeypatch):
         # A proof returns what 40 passing rounds return, and no proof runs
-        # them all from the same generator.
+        # them all from the same generator; so on both sides.
         rng = random.Random(32)
-        ns = [k * 2**m - 1 for k, m in (_riesel_above_psi_13(rng) for _ in range(400))]
-        ns += [k * 2**m - 1 for k, m in (_riesel_above_psi_13(rng, True) for _ in range(40))]
+        ns = []
+        for sign in (-1, 1):
+            kms = [_in_form_above_psi_13(rng, sign=sign) for _ in range(400)]
+            kms += [_in_form_above_psi_13(rng, True, sign) for _ in range(40)]
+            ns += [k * 2**m + sign for k, m in kms]
         ns += [k * 2**m - 1 for k in range(3, 200, 2) for m in (90, 99)]
         with_kernel = [arith.is_prime(n) for n in ns]
-        assert sum(r.is_prime for r in with_kernel) > 50
-        monkeypatch.setattr(arith, "llr_test", lambda k, m: 0)
+        assert sum(r.is_prime for r in with_kernel) > 100
+        monkeypatch.setattr(arith, "llr_test", lambda k, m, part=None: 0)
+        monkeypatch.setattr(arith, "pocklington_test", lambda k, m, part=None: 0)
         assert [arith.is_prime(n) for n in ns] == with_kernel
 
     @pytest.mark.parametrize("k, m, rounds, kernel_runs", [
@@ -689,8 +701,11 @@ class TestRieselAbovePsi13:
         (208458014172092995, 25, 1, 1),
         # 2**94 > 3, so F = 2**94.
         (3, 94, 1, 1),
-        # k has no odd factor up to SIEVE_BOUND and (2**2 - 1)**3 < N.
+        # k has no odd factor up to SIEVE_BOUND and (2**2 - 1)**3 < N, and
+        # k itself is composite, so the cofactor rule does not apply.
         (829261016169971846490977, 2, arith.MR_PROBABILISTIC_ROUNDS, 0),
+        # k is a prime below psi_13, so it joins F by the cofactor rule.
+        (10605807533490612797, 30, 1, 1),
     ])
     def test_a_prime_runs_one_round_and_one_kernel_run_in_form_else_all(
         self, monkeypatch, k, m, rounds, kernel_runs
@@ -699,24 +714,324 @@ class TestRieselAbovePsi13:
         bases_run, llr_runs = [], []
         real_composite, real_llr = arith._mr_composite, arith.llr_test
 
-        def counting_composite(n, a, d, s):
-            bases_run.append(a)
-            return real_composite(n, a, d, s)
+        def counting_composite(x, a, d, s):
+            # rounds on n only: the cofactor rule's test of k counts apart
+            if x == n:
+                bases_run.append(a)
+            return real_composite(x, a, d, s)
 
-        def counting_llr(k, m):
+        def counting_llr(k, m, part=None):
             llr_runs.append((k, m))
-            return real_llr(k, m)
+            return real_llr(k, m, part)
 
         monkeypatch.setattr(arith, "_mr_composite", counting_composite)
         monkeypatch.setattr(arith, "llr_test", counting_llr)
         n = k * 2**m - 1
         assert n >= arith.MR_DETERMINISTIC_BOUND
-        assert (arith._factored_part(k, m) is not None) == bool(kernel_runs)
+        assert (arith._factored_part(k, m, -1) is not None) == bool(kernel_runs)
         assert arith.is_prime(n) == arith.PrimalityResult(
             n, arith.METHOD_MR_PROBABILISTIC, True, rounds=arith.MR_PROBABILISTIC_ROUNDS
         )
         assert len(bases_run) == rounds
         assert llr_runs == [(k, m)] * kernel_runs
+
+
+@st.composite
+def sierpinski_in_form(draw, low, high):
+    """(k, m) with k odd, 2**m <= k and low <= k*2**m + 1 < high, in
+    pocklington_test's form, k a draw times one to three odd primes up to
+    SIEVE_BOUND."""
+    m = draw(st.integers(1, 40))
+    p = math.prod(draw(st.lists(st.sampled_from(arith.SIEVE_PRIMES), min_size=1, max_size=3)))
+    lo, hi = max(low >> m, 2**m) // p + 1, (high >> m) // p
+    assume(lo < hi)
+    k = (draw(st.integers(lo, hi - 1)) | 1) * p
+    assume(low <= k * 2**m + 1 < high and arith._factored_part(k, m, 1))
+    return k, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(sierpinski_in_form(2**32, PSI_13))
+def test_pocklington_agrees_with_the_oracle_from_2_to_the_32_to_psi_13(km):
+    k, m = km
+    assert bool(arith.pocklington_test(k, m)) == prime_naive(k * 2**m + 1), (k, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sierpinski_in_form(PSI_13, 2**100))
+def test_a_pocklington_proof_above_psi_13_is_a_prime(km):
+    # prime_naive above psi_13 is 13 strong bases: every prime passes them.
+    k, m = km
+    if arith.pocklington_test(k, m):
+        assert prime_naive(k * 2**m + 1), (k, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((1, -1)),
+    st.integers(2, 40),
+    st.sampled_from((1, 3, 5, 15, 7, 105, 3**4, 1021)),
+    st.integers(1, 2**20),
+    st.integers(1, 2**20),
+)
+def test_no_kernel_proves_a_product_of_two_factors_of_its_side(sign, j, f, a, b):
+    # N = (a*F0 + 1)*(b*F0 + sign) with F0 = 2**j * f is composite, and
+    # every prime factor of such an N is == 1 or == sign mod F0, the shape
+    # the last check of each kernel is there to rule out.
+    f0 = 2**j * f
+    n = (a * f0 + 1) * (b * f0 + sign)
+    m = ((n - sign) & (sign - n)).bit_length() - 1
+    k = (n - sign) >> m
+    part = arith._factored_part(k, m, sign)
+    assume(part is not None and k >= 2**m)
+    kernel = arith.pocklington_test if sign > 0 else arith.llr_test
+    assert kernel(k, m) == 0, (k, m, sign)
+
+
+class TestPocklington:
+    def test_agrees_with_a_sieve_below_2_to_the_18(self):
+        flags = primes_below_naive(2**18)
+        seen = 0
+        for m in range(1, 18):
+            for k in range(1, 2**18 >> m, 2):
+                n = k * 2**m + 1
+                if n >= 2**18 or arith._factored_part(k, m, 1) is None:
+                    continue
+                a = arith.pocklington_test(k, m)
+                assert bool(a) == flags[n], (k, m)
+                if a:
+                    assert arith.jacobi(a, n) == -1 and pow(a, n >> 1, n) == n - 1
+                seen += 1
+        assert seen > 50000
+
+    def test_form_violations_rejected(self):
+        # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
+        # factor to add to F = 2**m, and (F - 1)**3 <= N.
+        for k, m in ((4, 10), (1031, 2), (1031**5, 20), (1031 * 1033, 4), (1, 1), (1, 0),
+                     (0, 5), (-1, 5)):
+            with pytest.raises(ValueError):
+                arith.pocklington_test(k, m)
+
+    def test_valid_forms(self):
+        # (k, m, F, the odd primes taken into F, N = k*2**m + 1 prime).
+        # 2**m alone reaches the cube bound for 3*2**4 + 1 = 49 and for
+        # 13*2**8 + 1; 9279 = 3**2 * 1031 takes its power 3**2, and
+        # 171468703 = 7*23*1031*1033 takes 23 before 7; 111546435 =
+        # 3*5*...*23 takes 23 and 19, and 557732175 = 5*111546435 takes its
+        # power 5**2 before 23.
+        cases = (
+            (3, 4, 16, (), False),
+            (13, 8, 2**8, (), True),
+            (3**6 * 35, 2, 4 * 3**6, (3,), True),
+            (9279, 5, 32 * 9, (3,), True),
+            (171468703, 4, 16 * 23 * 7, (23, 7), True),
+            (111546435, 3, 8 * 23 * 19, (23, 19), True),
+            (557732175, 4, 16 * 25 * 23, (5, 23), True),
+            (41257931656341621, 20, 2**20 * 13 * 3, (13, 3), True),
+        )
+        for k, m, f, qs, prime in cases:
+            n = k * 2**m + 1
+            assert prime_naive(n) == prime, (k, m)
+            assert arith._factored_part(k, m, 1) == (f, qs), (k, m)
+            assert (f - 1) ** 3 > n and (n - 1) % f == 0
+            assert bool(arith.pocklington_test(k, m)) == prime, (k, m)
+
+    def test_the_cofactor_of_k_joins_f_above_psi_13_only(self):
+        # k = 10605807533490612797 is a prime below psi_13 with no factor up
+        # to SIEVE_BOUND, and 2**30 * 3 falls short of the cube bound.
+        k = 10605807533490612797
+        assert arith._factored_part(k, 30, -1) == (k * 2**30, (k,))
+        assert arith._factored_part(3 * k, 30, 1) == (3 * k * 2**30, (3, k))
+        # Below psi_13 the cofactor never joins.
+        assert k * 2**6 - 1 < arith.MR_DETERMINISTIC_BOUND
+        assert arith._factored_part(k, 6, -1) is None
+        # A composite cofactor never joins, and neither does one at or above
+        # psi_13, prime or not: psi_13 itself passes the first 13 prime
+        # bases, and psi_13 + 142 is a prime only 40 rounds vouch for.
+        big = 829261016169971846490977
+        assert arith.small_factor(big) == 0 and not arith.is_prime(big).is_prime
+        assert arith._factored_part(big, 2, -1) is None
+        for c in (PSI_13, PSI_13 + 142):
+            assert arith.small_factor(c) == 0
+            assert arith._factored_part(c, 2, 1) is None
+            assert arith._factored_part(c, 2, -1) is None
+        assert arith.is_prime(PSI_13 + 142).is_prime
+
+    def test_two_factor_exclusion_carries_the_proof(self, monkeypatch):
+        # (k, m, a, b): N = k*2**m + 1 = (a*F + 1)*(b*F + 1) is composite,
+        # yet it passes every check of pocklington_test before the last,
+        # with F from _factored_part.
+        composites = (
+            (205, 4, 1, 12),
+            (46143, 8, 3, 60),
+            (56553, 5, 3, 12),
+            (694195, 4, 5, 30),
+            (74317959, 14, 63, 72),
+            (1815479325, 16, 27, 1026),
+            (44511738705, 12, 63, 126),
+            (4194304185, 20, 25, 160),
+        )
+        for k, m, a, b in composites:
+            n = k * 2**m + 1
+            f, _ = arith._factored_part(k, m, 1)
+            assert n == (a * f + 1) * (b * f + 1) and k >= 2**m, (k, m)
+            assert arith._two_factor_split(n, f, 1) == (a, b), (k, m)
+            assert arith.pocklington_test(k, m) == 0, (k, m)
+        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign: None)
+        for k, m, _, _ in composites:
+            assert arith.pocklington_test(k, m), (k, m)
+
+    def test_the_odd_q_checks_carry_the_proof(self, monkeypatch):
+        # (k, m, F, qs) of composite N = k*2**m + 1 that pass Euler's check
+        # and the two-factor exclusion with F, but not a q's gcd.
+        composites = (
+            (4530375, 3, 1000, (5,)),
+            (876681, 4, 2032, (127,)),
+            (3219681465, 5, 20384, (7, 13)),
+            (2488321575, 13, 8347648, (1019,)),
+            (127075753875, 12, 2904064, (709,)),
+        )
+        for k, m, f, qs in composites:
+            assert arith._factored_part(k, m, 1) == (f, qs), (k, m)
+            assert not prime_naive(k * 2**m + 1)
+            assert arith.pocklington_test(k, m) == 0, (k, m)
+        real = arith._factored_part
+        monkeypatch.setattr(
+            arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], ())
+        )
+        for k, m, _, _ in composites:
+            assert arith.pocklington_test(k, m), (k, m)
+
+    def test_most_primes_above_psi_13_are_proved_and_no_composite_is(self):
+        rng = random.Random(33)
+        kms = [_in_form_above_psi_13(rng, True, 1) for _ in range(100)]
+        proved = sum(bool(arith.pocklington_test(k, m)) for k, m in kms)
+        assert proved > 90
+        draws = [_in_form_above_psi_13(rng, sign=1) for _ in range(200)]
+        proved = [(k, m) for k, m in draws if arith.pocklington_test(k, m)]
+        assert all(prime_naive(k * 2**m + 1) for k, m in proved), proved
+
+    def test_two_factor_split_finds_every_constructed_pair(self):
+        rng = random.Random(34)
+        seen = 0
+        for f in (1, 3, 35, 1155, 3**5, 1021):
+            for m in range(2, 40):
+                big_f = 2**m * f
+                for _ in range(10):
+                    a = rng.randrange(1, big_f)
+                    b = rng.randrange(1, max(2, (big_f - 3) ** 3 // ((a * big_f + 1) * big_f)))
+                    n = (a * big_f + 1) * (b * big_f + 1)
+                    if n >= (big_f - 1) ** 3:
+                        continue
+                    split = arith._two_factor_split(n, big_f, 1)
+                    assert split is not None, (n, big_f)
+                    a1, b1 = split
+                    assert 1 <= a1 <= b1 and (a1 * big_f + 1) * (b1 * big_f + 1) == n
+                    seen += 1
+        assert seen > 1500
+
+    def test_two_factor_split_finds_nothing_on_primes(self):
+        rng = random.Random(35)
+        seen = 0
+        for f in (1, 3, 35, 1155):
+            for m in range(2, 30):
+                big_f = 2**m * f
+                for _ in range(20):
+                    n = rng.randrange(1, (big_f - 1) ** 3 // big_f) * big_f + 1
+                    if prime_naive(n):
+                        assert arith._two_factor_split(n, big_f, 1) is None, (n, big_f)
+                        seen += 1
+        assert seen > 100
+
+    def test_is_prime_follows_the_recheck_rule_from_2_to_the_32_to_2_to_the_64(self):
+        # Every record of random odd n on both sides, in form or not, is the
+        # re-check rule's, whether or not a kernel proved it.
+        rng = random.Random(36)
+        ns = [rng.randrange(2**32, 2**64) | 1 for _ in range(3000)]
+        ns += [k * 2**m + 1 for k, m in self._in_form_below_psi_13(rng, 2**64, 1500)]
+        assert sum(arith.is_prime(n).is_prime for n in ns) > 150
+        for n in ns:
+            assert arith.is_prime(n) == _recheck_rule(n), n
+
+    def test_verdicts_below_psi_13_do_not_depend_on_the_kernels(self, monkeypatch):
+        rng = random.Random(37)
+        ns = [k * 2**m + 1 for k, m in self._in_form_below_psi_13(rng, PSI_13, 1500)]
+        ns += [rng.randrange(2**32, PSI_13) | 1 for _ in range(1500)]
+        with_kernel = [arith.is_prime(n) for n in ns]
+        assert sum(r.is_prime for r in with_kernel) > 80
+        monkeypatch.setattr(arith, "llr_test", lambda k, m, part=None: 0)
+        monkeypatch.setattr(arith, "pocklington_test", lambda k, m, part=None: 0)
+        assert [arith.is_prime(n) for n in ns] == with_kernel
+
+    def test_agrees_with_the_oracle_from_2_to_the_32_to_psi_13(self):
+        rng = random.Random(38)
+        kms = self._in_form_below_psi_13(rng, PSI_13, 100, primes_only=True)
+        kms += self._in_form_below_psi_13(rng, PSI_13, 200)
+        for k, m in kms:
+            assert bool(arith.pocklington_test(k, m)) == prime_naive(k * 2**m + 1), (k, m)
+
+    @staticmethod
+    def _in_form_below_psi_13(rng, high, count, primes_only=False):
+        # (k, m) with 2**32 <= k*2**m + 1 < high in pocklington_test's form,
+        # k a draw times one to three odd primes up to SIEVE_BOUND.
+        kms = []
+        while len(kms) < count:
+            m = rng.randrange(1, 40)
+            p = math.prod(rng.choice(arith.SIEVE_PRIMES) for _ in range(rng.randrange(1, 4)))
+            lo, hi = max(2**32 >> m, 2**m) // p + 1, (high >> m) // p
+            if lo < hi:
+                k = (rng.randrange(lo, hi) | 1) * p
+                n = k * 2**m + 1
+                if 2**32 <= n < high and arith._factored_part(k, m, 1):
+                    if not primes_only or prime_naive(n):
+                        kms.append((k, m))
+        return kms
+
+    @pytest.mark.parametrize("n, bases, kernel_runs", [
+        # In [2**64, psi_13): F = 2**20 * 13 * 3 and F = 2**16 * 761.
+        (41257931656341621 * 2**20 + 1, (2,), [("pocklington", 41257931656341621, 20)]),
+        (111411527898315965 * 2**16 - 1, (2,), [("llr", 111411527898315965, 16)]),
+        # Below 2**64: F = 4 * 547 * 137 * 11.
+        (2**64 - 59, (2,), [("pocklington", (2**64 - 60) // 4, 2)]),
+        # Above psi_13, one round: F = 2**34 * 1021.
+        (7139711239991325154707 * 2**34 + 1, None, [("pocklington", 7139711239991325154707, 34)]),
+        # In form but below 2**32, the crossover: the whole row, no kernel.
+        (9080189, (31, 73), []),
+        # Out of form on its side: the whole row, no kernel.
+        (318665857834031151167441, arith.MR_DETERMINISTIC_BASES[:12], []),
+        (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES, []),
+    ])
+    def test_a_prime_runs_one_base_and_one_kernel_run_in_form_else_its_row(
+        self, monkeypatch, n, bases, kernel_runs
+    ):
+        # Timing-free guard against more bases or rounds, on each side.
+        bases_run, runs = [], []
+        real_composite = arith._mr_composite
+        real = {"llr": arith.llr_test, "pocklington": arith.pocklington_test}
+
+        def counting_composite(x, a, d, s):
+            if x == n:
+                bases_run.append(a)
+            return real_composite(x, a, d, s)
+
+        def counting(name):
+            def kernel(k, m, part=None):
+                runs.append((name, k, m))
+                return real[name](k, m, part)
+            return kernel
+
+        monkeypatch.setattr(arith, "_mr_composite", counting_composite)
+        monkeypatch.setattr(arith, "llr_test", counting("llr"))
+        monkeypatch.setattr(arith, "pocklington_test", counting("pocklington"))
+        result = arith.is_prime(n)
+        assert result.is_prime and result.witness == 0
+        if bases is None:
+            assert result.method == arith.METHOD_MR_PROBABILISTIC
+            assert len(bases_run) == 1
+        else:
+            assert result == arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, True)
+            assert tuple(bases_run) == bases
+        assert runs == kernel_runs
 
 
 class TestProth:

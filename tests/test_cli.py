@@ -763,10 +763,25 @@ PINNED_SCANS = [
         0,
         "a100580db209d753623a6d9db5c4223d439ede97507da340ccea55ceb04d7d65",
     ),
+    # First primes between 2**64 and psi_13, one on each side, each proved
+    # after the row's first base: by pocklington_test with F = 2**20 * 13 * 3
+    # at n = 20, and by llr_test with F = 2**16 * 761 at n = 16.
+    (
+        ("disqualify", "--k", "41257931656341621", "--sign", "s", "--format", "json",
+         "--max-n", "64"),
+        0,
+        "c74e6e9e3f359ef4e1f4b9ccc7b5edc6559612af6ab3ff64c12d95cc5c4cc644",
+    ),
+    (
+        ("disqualify", "--k", "111411527898315965", "--sign", "r", "--format", "json",
+         "--max-n", "64"),
+        0,
+        "ad5b4937d2d21b59253e286d0411e8bd66a341ba6347b2e84e9612105af36d22",
+    ),
 ]
 PINNED_SCAN_IDS = [
     "disqualify-383s", "disqualify-383s-verbose", "survey-r600", "survey-s600",
-    "disqualify-big-r", "disqualify-big-r-verbose",
+    "disqualify-big-r", "disqualify-big-r-verbose", "disqualify-mid-s", "disqualify-mid-r",
 ]
 
 
@@ -785,9 +800,10 @@ def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
     ids=PINNED_SCAN_IDS,
 )
 def test_scan_bytes_do_not_depend_on_the_llr_kernel(capsys, monkeypatch, argv, exit_code, digest):
-    # A Lucas proof only skips Miller-Rabin bases or rounds, so a kernel
-    # that never proves anything leaves every byte as it is.
-    monkeypatch.setattr(arith, "llr_test", lambda k, m: 0)
+    # An N+1 or N-1 proof only skips Miller-Rabin bases or rounds, so
+    # kernels that never prove anything leave every byte as it is.
+    monkeypatch.setattr(arith, "llr_test", lambda k, m, part=None: 0)
+    monkeypatch.setattr(arith, "pocklington_test", lambda k, m, part=None: 0)
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
