@@ -76,10 +76,10 @@ MR_PROBABILISTIC_ROUNDS = 40
 # sieve alone.
 SIEVE_BOUND = 1024
 
-# How many candidates proth_test and pocklington_test (bases, hunting for a
-# quadratic non-residue) and llr_test (starts P) examine before giving up:
-# proth_test then falls back to Miller-Rabin, and the other two prove
-# nothing.
+# How many candidates the one N-1 loop of proth_test and pocklington_test
+# (bases, hunting for a quadratic non-residue) and llr_test (starts P)
+# examine before giving up: proth_test then falls back to Miller-Rabin, and
+# the other two prove nothing.
 PROTH_CANDIDATE_LIMIT = 1000
 
 
@@ -88,12 +88,14 @@ class PrimalityResult:
     """Outcome of one primality test, with enough data to re-check it.
 
     n is the integer that was tested.  method names the rule that re-checks
-    the claim, not the exponentiations that generation ran.  For the Proth
-    method, witness is the base a with jacobi(a, n) = -1; n is prime iff
-    a**((n-1)/2) == -1 (mod n), so the claim re-verifies from this record
-    alone.  For Miller-Rabin, witness is the base that certified
-    compositeness (0 when none is singled out, as below 2**64); a
-    deterministic result re-verifies by running the first t bases of
+    the claim, not the exponentiations that generation ran.  The Proth
+    method is the N-1 proof with F = 2**m for n = k*2**m + 1, 2**m > k:
+    witness is the base a with jacobi(a, n) = -1, and n is prime iff
+    a**((n-1)/2) == -1 (mod n), or, for a composite, a base with
+    1 < gcd(a, n) < n, so the claim re-verifies from this record alone.
+    For Miller-Rabin, witness is the base that certified compositeness (0
+    when none is singled out, as below 2**64); a deterministic result
+    re-verifies by running the first t bases of
     MR_DETERMINISTIC_BASES, for the least t with n below psi_t, the t-th
     entry of _PSI, although is_prime may have decided n by the sieve, by
     a shorter base set of _MR_ROWS, or, for a prime in form on its side,
@@ -278,34 +280,20 @@ def small_factor(n: int) -> int:
 def proth_test(k: int, m: int) -> PrimalityResult:
     """Decisive primality test for N = k*2**m + 1 with 2**m > k, k odd.
 
-    Scans a = 3, 5, 7, ... for a base with jacobi(a, N) = -1.  For prime N
-    Euler's criterion forces a**((N-1)/2) == -1 at such a base, and with
-    2**m > k the converse holds too, so the first non-residue decides N
-    either way with one exponentiation.  When no non-residue turns up
-    within PROTH_CANDIDATE_LIMIT candidates (N a perfect square, say),
+    The N-1 proof of pocklington_test with F = 2**m and no odd q
+    (_nminus1_proof): the first base a = 3, 5, 7, ... with
+    jacobi(a, N) = -1 decides N either way with one exponentiation, as
+    Euler's criterion makes a**((N-1)/2) == -1 for prime N and, with
+    2**m > k, Proth's theorem proves N prime from it.  A base with
+    1 < gcd(a, N) < N shows N composite first.  When no non-residue turns
+    up within PROTH_CANDIDATE_LIMIT candidates (N a perfect square, say),
     falls back to Miller-Rabin.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"k must be odd and positive, got {k}")
     if m < 1 or (1 << m) <= k:
         raise ValueError(f"Proth form needs 2**m > k, got k={k}, m={m}")
-    n = k * (1 << m) + 1
-    half = (n - 1) // 2
-    a = 3
-    for _ in range(PROTH_CANDIDATE_LIMIT):
-        j = jacobi(a, n)
-        if j == 0:
-            g = math.gcd(a, n)
-            if 1 < g < n:
-                # a supplies a proper factor
-                return PrimalityResult(n, METHOD_PROTH, False, witness=a)
-        elif j == -1:
-            if pow(a, half, n) == n - 1:
-                return PrimalityResult(n, METHOD_PROTH, True, witness=a)
-            return PrimalityResult(n, METHOD_PROTH, False, witness=a)
-        a += 2
-    # No non-residue among the candidates (n a perfect square, say).
-    return _miller_rabin(n)
+    return _nminus1_proof(k, m, 1 << m, ()) or _miller_rabin((k << m) + 1)
 
 
 def _lucas_v(p, j, n):
@@ -332,17 +320,6 @@ def _rodseth_starts(n):
             if j == -1:
                 yield p
         if j == 0:
-            return
-
-
-def _nonresidues(n):
-    # Each a = 3, 5, 7, ... among PROTH_CANDIDATE_LIMIT candidates with
-    # jacobi(a, n) = -1, in order, up to the first Jacobi symbol of 0.
-    for a in range(3, 3 + 2 * PROTH_CANDIDATE_LIMIT, 2):
-        j = jacobi(a, n)
-        if j == -1:
-            yield a
-        elif j == 0:
             return
 
 
@@ -430,15 +407,17 @@ def pocklington_test(k: int, m: int, part=None) -> int:
     reaches that bound, the form fails and ValueError is raised.
 
     Tries the bases a = 3, 5, 7, ..., among PROTH_CANDIDATE_LIMIT
-    candidates, with jacobi(a, N) = -1, in order.  For prime N Euler's
-    criterion makes a**((N-1)/2) == -1 at every such a, so any other value
-    ends the test.  N is proved prime, and a returned, when also
-    gcd(a**((N-1)/q) - 1, N) = 1 for every odd q taken into F and, when
-    2**m <= k, N is not (a'*F + 1)*(b'*F + 1) for any a', b' >= 1
-    (_two_factor_split; Pocklington's theorem with the cube-root bound of
-    Brillhart, Lehmer and Selfridge 1975).  A prime fails a q's gcd for
-    about one base in q; then the next base is tried.  No base left, a
-    Jacobi symbol of 0 or a split found give 0: no proof, no verdict.
+    candidates, with jacobi(a, N) = -1, in order (_nminus1_proof, which
+    proth_test runs with F = 2**m).  For prime N Euler's criterion makes
+    a**((N-1)/2) == -1 at every such a, so any other value ends the test,
+    as does a base with 1 < gcd(a, N) < N.  N is proved prime, and a
+    returned, when also gcd(a**((N-1)/q) - 1, N) = 1 for every odd q
+    taken into F and, when 2**m <= k, N is not (a'*F + 1)*(b'*F + 1) for
+    any a', b' >= 1 (_two_factor_split; Pocklington's theorem with the
+    cube-root bound of Brillhart, Lehmer and Selfridge 1975).  A prime
+    fails a q's gcd for about one base in q; then the next base is tried.
+    No base left, a base that shows N composite or a split found give 0:
+    no proof, no verdict.
 
     A proof holds for any a.  Let p be a prime factor of N.
     a**((N-1)/2) == -1 (mod p), so the order of a mod p divides
@@ -451,24 +430,51 @@ def pocklington_test(k: int, m: int, part=None) -> int:
     check rules out.  So a wrong base can only cost time, never a
     verdict.  Stdlib only, with plain pow.
     """
+    result = _nminus1_proof(k, m, *_kernel_part(k, m, 1, part))
+    return result.witness if result is not None and result.is_prime else 0
+
+
+def _nminus1_proof(k, m, f, qs):
+    """The base loop of pocklington_test and proth_test for
+    N = k*2**m + 1, with F = f and qs the odd q taken into it.
+
+    A METHOD_PROTH result, proth_test's record when 2**m > k, that is
+    prime with the base that proves N prime, or composite with the base
+    that shows it (Euler's check failed, or 1 < gcd(a, N) < N), or None,
+    undecided: no base left or a split found.  A base that is a multiple
+    of N (N below the candidates) is passed over.
+    """
+    n = (k << m) + 1
+    for a in range(3, 3 + 2 * PROTH_CANDIDATE_LIMIT, 2):
+        j = jacobi(a, n)
+        if j == 0:
+            if 1 < math.gcd(a, n) < n:
+                return PrimalityResult(n, METHOD_PROTH, False, a)
+        elif j < 0:
+            if pow(a, n >> 1, n) != n - 1:
+                return PrimalityResult(n, METHOD_PROTH, False, a)
+            if any(math.gcd(pow(a, (n - 1) // q, n) - 1, n) != 1 for q in qs):
+                continue
+            if k >> m and _two_factor_split(n, f, 1):
+                return None
+            return PrimalityResult(n, METHOD_PROTH, True, a)
+    return None
+
+
+def _kernel_part(k, m, sign, part):
+    # part, or the factored part of N = k*2**m + sign in the form of its
+    # side's kernel, pocklington_test or llr_test; else ValueError.
     if k < 1 or k % 2 == 0:
         raise ValueError(f"k must be odd and positive, got {k}")
     if part is None:
-        part = _factored_part(k, m, 1) if m >= 1 else None
+        form, op, least_m = ("Sierpinski", "+", 1) if sign > 0 else ("Riesel", "-", 2)
+        part = _factored_part(k, m, sign) if m >= least_m else None
         if part is None:
             raise ValueError(
-                f"Sierpinski form needs m >= 1 and (F-1)**3 > k*2**m + 1 for the factored "
+                f"{form} form needs m >= {least_m} and (F-1)**3 > k*2**m {op} 1 for the factored "
                 f"part F, got k={k}, m={m}"
             )
-    f, qs = part
-    n = (k << m) + 1
-    for a in _nonresidues(n):
-        if pow(a, n >> 1, n) != n - 1:
-            return 0
-        if any(math.gcd(pow(a, (n - 1) // q, n) - 1, n) != 1 for q in qs):
-            continue
-        return 0 if k >> m and _two_factor_split(n, f, 1) else a
-    return 0
+    return part
 
 
 def llr_test(k: int, m: int, part=None) -> int:
@@ -513,16 +519,7 @@ def llr_test(k: int, m: int, part=None) -> int:
     with a, b >= 1, which the last check rules out.  So a wrong start can
     only cost time, never a verdict.  Stdlib only, with plain %.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"k must be odd and positive, got {k}")
-    if part is None:
-        part = _factored_part(k, m, -1) if m >= 2 else None
-        if part is None:
-            raise ValueError(
-                f"Riesel form needs m >= 2 and (F-1)**3 > k*2**m - 1 for the factored part F, "
-                f"got k={k}, m={m}"
-            )
-    f, qs = part
+    f, qs = _kernel_part(k, m, -1, part)
     n = (k << m) - 1
     for p in _rodseth_starts(n):
         w = p  # V_{2**(m-2)}(P)
@@ -563,7 +560,9 @@ def _proved_on_its_side(n, d, s):
     # is k*2**m + 1 with m = s >= 2 (pocklington_test), n == 3 (mod 4) is
     # k*2**m - 1 with m >= 2 (llr_test), each when in its form.  Below
     # psi_13 only from 2**32 up, the crossover measured on first-prime
-    # scans, or for k*2**m - 1 with 2**m > k.
+    # scans, or for k*2**m - 1 with 2**m > k.  Below 2**64 not for
+    # k*2**m - 1 with two or more odd q in F: each q adds a Lucas ladder
+    # over k/q, which costs more than the rest of the row.
     if s >= 2:
         sign, k, m = 1, d, s
     else:
@@ -572,27 +571,28 @@ def _proved_on_its_side(n, d, s):
     if n < MR_DETERMINISTIC_BOUND and not (n >> 32 or sign < 0 and k >> m == 0):
         return False
     part = _factored_part(k, m, sign)
-    return part is not None and bool((pocklington_test if sign > 0 else llr_test)(k, m, part))
+    if part is None or sign < 0 and len(part[1]) > 1 and not n >> 64:
+        return False
+    return bool((pocklington_test if sign > 0 else llr_test)(k, m, part))
 
 
 def _miller_rabin(n):
     """is_prime without the Proth branch, which proth_test falls back to.
 
     An odd n up to SIEVE_BOUND is read from the sieve, one below
-    SIEVE_SQUARE is prime iff coprime to SIEVE_PRODUCT, and one below
-    MR_DETERMINISTIC_BOUND is decided by the bases of the first row of
-    _MR_ROWS above it; a composite at or above 2**64 keeps the first base
-    that shows it as its witness.  Above it, MR_PROBABILISTIC_ROUNDS bases
-    come from an n-seeded generator, so repeated runs report identically.
-    When the first base or round does not show n composite and n is in
-    form on its side, one kernel run follows: pocklington_test for
-    n == 1 (mod 4), llr_test for n == 3 (mod 4), with the factored part
-    computed once.  Below psi_13 that happens from 2**32 up, the measured
-    crossover, and for every k*2**m - 1 with 2**m > k.  A proof skips the
-    other bases or rounds and returns what all of them passing gives, as a
-    prime passes every one; no proof runs them all (the rounds from the
-    same generator), so every record, a composite's witness included, is
-    what the bases or rounds alone give.
+    SIEVE_SQUARE is prime iff coprime to SIEVE_PRODUCT.  Above that one
+    loop runs the bases: below MR_DETERMINISTIC_BOUND those of the first
+    row of _MR_ROWS above n, at or above it MR_PROBABILISTIC_ROUNDS bases
+    from an n-seeded generator, so repeated runs report identically.  A
+    composite at or above 2**64 keeps the first base that shows it as its
+    witness.  When the first base does not show n composite and n is in
+    form on its side, one kernel run follows (_proved_on_its_side):
+    pocklington_test for n == 1 (mod 4), llr_test for n == 3 (mod 4),
+    with the factored part computed once.  A proof skips the other bases
+    and returns what all of them passing gives, as a prime passes every
+    one; no proof runs them all (the rounds from the same generator), so
+    every record, a composite's witness included, is what the bases alone
+    give.
     """
     if n > 2 and n % 2 == 0:
         return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=2)
@@ -605,21 +605,15 @@ def _miller_rabin(n):
         for bound, bases in _MR_ROWS:
             if n < bound:
                 break
-        for i, a in enumerate(bases):
-            if _mr_composite(n, a, d, s):
-                # A composite below 2**64 is reported with witness 0.
-                witness = a if n >> 64 else 0
-                return PrimalityResult(n, METHOD_MR_DETERMINISTIC, False, witness=witness)
-            if i == 0 and _proved_on_its_side(n, d, s):
-                break
-        return PrimalityResult(n, METHOD_MR_DETERMINISTIC, True)
-    rng = random.Random(n)
-    for i in range(MR_PROBABILISTIC_ROUNDS):
-        a = rng.randrange(2, n - 1)
+        method, rounds = METHOD_MR_DETERMINISTIC, 0
+    else:
+        rng = random.Random(n)
+        bases = (rng.randrange(2, n - 1) for _ in range(MR_PROBABILISTIC_ROUNDS))
+        method, rounds = METHOD_MR_PROBABILISTIC, MR_PROBABILISTIC_ROUNDS
+    for i, a in enumerate(bases):
         if _mr_composite(n, a, d, s):
-            return PrimalityResult(
-                n, METHOD_MR_PROBABILISTIC, False, witness=a, rounds=MR_PROBABILISTIC_ROUNDS
-            )
+            # A composite below 2**64 is reported with witness 0.
+            return PrimalityResult(n, method, False, a if n >> 64 else 0, rounds)
         if i == 0 and _proved_on_its_side(n, d, s):
             break
-    return PrimalityResult(n, METHOD_MR_PROBABILISTIC, True, rounds=MR_PROBABILISTIC_ROUNDS)
+    return PrimalityResult(n, method, True, 0, rounds)

@@ -788,21 +788,45 @@ def test_no_kernel_proves_a_product_of_two_factors_of_its_side(sign, j, f, a, b)
     assert kernel(k, m) == 0, (k, m, sign)
 
 
+def _proth_record(n, prime):
+    # proth_test's record for n = k*2**m + 1 < 2**20 with 2**m > k, k odd, from
+    # the oracle's Jacobi symbol: the first base a = 3, 5, 7, ... with
+    # jacobi(a, n) = -1 decides n, one with 1 < gcd(a, n) < n shows it
+    # composite; with neither among the candidates, Miller-Rabin decides.
+    for a in range(3, 3 + 2 * arith.PROTH_CANDIDATE_LIMIT, 2):
+        if 1 < math.gcd(a, n) < n:
+            return arith.PrimalityResult(n, arith.METHOD_PROTH, False, witness=a)
+        if jacobi_naive(a, n) == -1:
+            return arith.PrimalityResult(n, arith.METHOD_PROTH, prime, witness=a)
+    return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, prime)
+
+
 class TestPocklington:
     def test_agrees_with_a_sieve_below_2_to_the_18(self):
-        flags = primes_below_naive(2**18)
-        seen = 0
-        for m in range(1, 18):
-            for k in range(1, 2**18 >> m, 2):
+        # proth_test is the same base loop with F = 2**m: on every
+        # Proth-form N below 2**20 its record is the first base a with
+        # jacobi(a, N) = -1 or 1 < gcd(a, N) < N, else the fallback's, and
+        # on a prime below 2**18 pocklington_test proves N with that base.
+        flags = primes_below_naive(2**20)
+        seen = proth_seen = 0
+        for m in range(1, 20):
+            for k in range(1, 2**20 >> m, 2):
                 n = k * 2**m + 1
+                proth = None
+                if k < 2**m:
+                    proth = arith.proth_test(k, m)
+                    assert proth == _proth_record(n, flags[n]), (k, m)
+                    proth_seen += 1
                 if n >= 2**18 or arith._factored_part(k, m, 1) is None:
                     continue
                 a = arith.pocklington_test(k, m)
                 assert bool(a) == flags[n], (k, m)
                 if a:
                     assert arith.jacobi(a, n) == -1 and pow(a, n >> 1, n) == n - 1
+                if proth is not None and flags[n]:
+                    assert a == proth.witness, (k, m)
                 seen += 1
-        assert seen > 50000
+        assert seen > 50000 and proth_seen > 1500
 
     def test_form_violations_rejected(self):
         # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
@@ -997,6 +1021,9 @@ class TestPocklington:
         (7139711239991325154707 * 2**34 + 1, None, [("pocklington", 7139711239991325154707, 34)]),
         # In form but below 2**32, the crossover: the whole row, no kernel.
         (9080189, (31, 73), []),
+        # -1 side below 2**64 with two odd q, F = 2**10 * 811 * 17: the
+        # Lucas ladders cost more than the row, so the whole row, no kernel.
+        (16935981269394083 * 2**10 - 1, arith._MR_ROWS[6][1], []),
         # Out of form on its side: the whole row, no kernel.
         (318665857834031151167441, arith.MR_DETERMINISTIC_BASES[:12], []),
         (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES, []),
@@ -1058,12 +1085,6 @@ class TestProth:
         for m, expected in ((1, True), (2, True), (4, True), (5, False)):
             n = 2**(2**m) + 1
             assert arith.proth_test(1, 2**m).is_prime == expected, n
-
-    def test_agrees_with_trial_division(self):
-        for k in range(1, 40, 2):
-            for m in range(k.bit_length() + 1, 14):
-                result = arith.proth_test(k, m)
-                assert result.is_prime == trial_division_prime(k * 2**m + 1), (k, m)
 
     def test_form_violations_rejected(self):
         with pytest.raises(ValueError):
@@ -1138,8 +1159,11 @@ def _is_prime_u64_reference(n):
 
 
 def _nonproth_reference(n):
-    """is_prime's non-Proth branch as it stood before proth_test shared it,
-    kept as the reference for the shared dispatcher."""
+    """_miller_rabin's records by plain Miller-Rabin, with no sieve, row or
+    kernel: the first twelve prime bases below 2**64, the first thirteen
+    up to psi_13, then the seeded rounds in a loop of their own.  Kept as
+    the reference for _miller_rabin's one base loop, which is is_prime
+    without the Proth branch and proth_test's fallback."""
     if n < 2:
         return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, False)
     if n == 2:
