@@ -76,10 +76,10 @@ MR_PROBABILISTIC_ROUNDS = 40
 # sieve alone.
 SIEVE_BOUND = 1024
 
-# How many candidates the one N-1 loop of proth_test and pocklington_test
-# (bases, hunting for a quadratic non-residue) and llr_test (starts P)
-# examine before giving up: proth_test then falls back to Miller-Rabin, and
-# the other two prove nothing.
+# How many candidates the N-1 proof (bases, hunting for a quadratic
+# non-residue) and the N+1 proof (starts P) examine before giving up:
+# proth_test then falls back to Miller-Rabin, and the trigger proves
+# nothing.
 PROTH_CANDIDATE_LIMIT = 1000
 
 
@@ -99,11 +99,12 @@ class PrimalityResult:
     MR_DETERMINISTIC_BASES, for the least t with n below psi_t, the t-th
     entry of _PSI, although is_prime may have decided n by the sieve, by
     a shorter base set of _MR_ROWS, or, for a prime in form on its side,
-    by one base and one pocklington_test or llr_test run; the record is
-    the same either way.  A probabilistic prime has witness 0 and rounds
-    MR_PROBABILISTIC_ROUNDS, also when is_prime proved it by one round and
-    one such run: the record states no more than the rounds would, and a
-    checker that relabels such a verdict decisive must re-run the proof.
+    by one base and one N-1 or N+1 proof (_nminus1_proof, _nplus1_proof);
+    the record is the same either way.  A probabilistic prime has witness
+    0 and rounds MR_PROBABILISTIC_ROUNDS, also when is_prime proved it by
+    one round and one such proof: the record states no more than the
+    rounds would, and a checker that relabels such a verdict decisive must
+    re-run the proof.
     For the sieve method, witness is a prime p <= SIEVE_BOUND with p | n
     and p < n, so n is composite by one reduction.  rounds is nonzero only
     for the probabilistic method.
@@ -260,17 +261,10 @@ SIEVE_SQUARE = next(p for p in _odd_primes_upto(2 * SIEVE_BOUND) if p > SIEVE_BO
 def small_factor(n: int) -> int:
     """Least odd prime p <= SIEVE_BOUND with p | n and p < n, else 0.
 
-    A nonzero result proves n composite; 0 decides nothing.  A gcd with
-    SIEVE_PRODUCT_LOW, then with SIEVE_PRODUCT_HIGH only when the first is
-    1, finds whether any such p exists; every prime of the low half is
-    below every prime of the high half, so the least p divides the first
-    gcd above 1.
+    A nonzero result proves n composite; 0 decides nothing.  One gcd with
+    SIEVE_PRODUCT finds whether any such p exists.
     """
-    g = math.gcd(n, SIEVE_PRODUCT_LOW)
-    if g == 1:
-        g = math.gcd(n, SIEVE_PRODUCT_HIGH)
-        if g == 1:
-            return 0
+    g = math.gcd(n, SIEVE_PRODUCT)
     for p in SIEVE_PRIMES:
         if g % p == 0:
             return p if p < n else 0
@@ -280,10 +274,9 @@ def small_factor(n: int) -> int:
 def proth_test(k: int, m: int) -> PrimalityResult:
     """Decisive primality test for N = k*2**m + 1 with 2**m > k, k odd.
 
-    The N-1 proof of pocklington_test with F = 2**m and no odd q
-    (_nminus1_proof): the first base a = 3, 5, 7, ... with
-    jacobi(a, N) = -1 decides N either way with one exponentiation, as
-    Euler's criterion makes a**((N-1)/2) == -1 for prime N and, with
+    The N-1 proof (_nminus1_proof) with F = 2**m and no odd q: the first
+    base a = 3, 5, 7, ... with jacobi(a, N) = -1 decides N either way
+    with one exponentiation, as Euler's criterion makes a**((N-1)/2) == -1 for prime N and, with
     2**m > k, Proth's theorem proves N prime from it.  A base with
     1 < gcd(a, N) < N shows N composite first.  When no non-residue turns
     up within PROTH_CANDIDATE_LIMIT candidates (N a perfect square, say),
@@ -324,7 +317,8 @@ def _rodseth_starts(n):
 
 
 def _factored_part(k, m, sign):
-    """(F, qs) for N = k*2**m + sign, or None when no F reaches the bound.
+    """(F, qs) for N = k*2**m + sign, or None when N is out of form on its
+    side: no F reaches the bound.
 
     F = 2**m * q**e over the odd primes q in qs, each q <= SIEVE_BOUND with
     q**e the full power of q in k, taken largest q**e first until
@@ -396,28 +390,25 @@ def _two_factor_split(n, f, sign):
     return None
 
 
-def pocklington_test(k: int, m: int, part=None) -> int:
-    """N-1 proof that N = k*2**m + 1 is prime, for k odd and m >= 1: the
-    base a that proves it, or 0 for no proof.
-
-    F, the factored part of N - 1, is 2**m times the full powers q**e of
-    the odd primes q <= SIEVE_BOUND dividing k, taken largest first until
-    (F - 1)**3 > N, with k's cofactor joining above psi_13
-    (_factored_part, which part, when given, already is).  When no F
-    reaches that bound, the form fails and ValueError is raised.
+def _nminus1_proof(k, m, f, qs):
+    """N-1 proof for N = k*2**m + 1, k odd and m >= 1, with F = f the
+    factored part of N - 1 (_factored_part, or 2**m when 2**m > k, as
+    proth_test runs it) and qs the odd q taken into it.
 
     Tries the bases a = 3, 5, 7, ..., among PROTH_CANDIDATE_LIMIT
-    candidates, with jacobi(a, N) = -1, in order (_nminus1_proof, which
-    proth_test runs with F = 2**m).  For prime N Euler's criterion makes
-    a**((N-1)/2) == -1 at every such a, so any other value ends the test,
-    as does a base with 1 < gcd(a, N) < N.  N is proved prime, and a
-    returned, when also gcd(a**((N-1)/q) - 1, N) = 1 for every odd q
-    taken into F and, when 2**m <= k, N is not (a'*F + 1)*(b'*F + 1) for
-    any a', b' >= 1 (_two_factor_split; Pocklington's theorem with the
+    candidates, with jacobi(a, N) = -1, in order.  For prime N Euler's
+    criterion makes a**((N-1)/2) == -1 at every such a, so any other value
+    shows N composite, as does a base with 1 < gcd(a, N) < N; a base that
+    is a multiple of N (N below the candidates) is passed over.  N is
+    proved prime by a when also gcd(a**((N-1)/q) - 1, N) = 1 for every q
+    in qs and, when 2**m <= k, N is not (a'*F + 1)*(b'*F + 1) for any
+    a', b' >= 1 (_two_factor_split; Pocklington's theorem with the
     cube-root bound of Brillhart, Lehmer and Selfridge 1975).  A prime
     fails a q's gcd for about one base in q; then the next base is tried.
-    No base left, a base that shows N composite or a split found give 0:
-    no proof, no verdict.
+
+    A METHOD_PROTH result, proth_test's record when 2**m > k, that is
+    prime with the base that proves N prime or composite with the base
+    that shows it; or None, undecided: no base left or a split found.
 
     A proof holds for any a.  Let p be a prime factor of N.
     a**((N-1)/2) == -1 (mod p), so the order of a mod p divides
@@ -429,20 +420,6 @@ def pocklington_test(k: int, m: int, part=None) -> int:
     with both == 1 (mod F): N = (a'*F + 1)*(b'*F + 1), which the last
     check rules out.  So a wrong base can only cost time, never a
     verdict.  Stdlib only, with plain pow.
-    """
-    result = _nminus1_proof(k, m, *_kernel_part(k, m, 1, part))
-    return result.witness if result is not None and result.is_prime else 0
-
-
-def _nminus1_proof(k, m, f, qs):
-    """The base loop of pocklington_test and proth_test for
-    N = k*2**m + 1, with F = f and qs the odd q taken into it.
-
-    A METHOD_PROTH result, proth_test's record when 2**m > k, that is
-    prime with the base that proves N prime, or composite with the base
-    that shows it (Euler's check failed, or 1 < gcd(a, N) < N), or None,
-    undecided: no base left or a split found.  A base that is a multiple
-    of N (N below the candidates) is passed over.
     """
     n = (k << m) + 1
     for a in range(3, 3 + 2 * PROTH_CANDIDATE_LIMIT, 2):
@@ -461,37 +438,16 @@ def _nminus1_proof(k, m, f, qs):
     return None
 
 
-def _kernel_part(k, m, sign, part):
-    # part, or the factored part of N = k*2**m + sign in the form of its
-    # side's kernel, pocklington_test or llr_test; else ValueError.
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"k must be odd and positive, got {k}")
-    if part is None:
-        form, op, least_m = ("Sierpinski", "+", 1) if sign > 0 else ("Riesel", "-", 2)
-        part = _factored_part(k, m, sign) if m >= least_m else None
-        if part is None:
-            raise ValueError(
-                f"{form} form needs m >= {least_m} and (F-1)**3 > k*2**m {op} 1 for the factored "
-                f"part F, got k={k}, m={m}"
-            )
-    return part
-
-
-def llr_test(k: int, m: int, part=None) -> int:
-    """Lucas proof that N = k*2**m - 1 is prime, for k odd and m >= 2: the
-    start P that proves it, or 0 for no proof.
-
-    The factored part F of N + 1 is 2**m times the full powers q**e of the
-    odd primes q <= SIEVE_BOUND dividing k, taken largest first until
-    (F - 1)**3 > N, with k's cofactor joining above psi_13 (_factored_part,
-    which part, when given, already is); with 2**m > k, F = 2**m.  When no
-    F reaches that bound, the form fails and ValueError is raised.
+def _nplus1_proof(k, m, f, qs):
+    """N+1 proof for N = k*2**m - 1, k odd and m >= 2, with F = f the
+    factored part of N + 1 (_factored_part) and qs the odd q taken into
+    it: the start P that proves N prime, or 0 for no proof.
 
     Tries the starts P >= 3, among PROTH_CANDIDATE_LIMIT candidates, with
     jacobi(P-2, N) = 1 and jacobi(P+2, N) = -1 (Rodseth 1994), in order.
     For each it computes V_{(N+1)/4}(P) mod N by the Lucas ladder (Riesel
     1969), as V_k(V_{2**(m-2)}(P)); for prime N every such start makes it 0,
-    so a nonzero value ends the test.  Then, for each odd q taken into F,
+    so a nonzero value ends the test.  Then, for each q in qs,
     V_{(N+1)/q}(P) = V_{k/q}(V_{2**m}(P)).  N is proved prime, and P
     returned, when gcd(V_{(N+1)/q}(P) - 2, N) = 1 for every such q and,
     when 2**m <= k, N is not (a*F + 1)*(b*F - 1) for any a, b >= 1
@@ -519,7 +475,6 @@ def llr_test(k: int, m: int, part=None) -> int:
     with a, b >= 1, which the last check rules out.  So a wrong start can
     only cost time, never a verdict.  Stdlib only, with plain %.
     """
-    f, qs = _kernel_part(k, m, -1, part)
     n = (k << m) - 1
     for p in _rodseth_starts(n):
         w = p  # V_{2**(m-2)}(P)
@@ -556,13 +511,14 @@ def is_prime(n: int) -> PrimalityResult:
 
 
 def _proved_on_its_side(n, d, s):
-    # Whether one kernel run proves odd n = d*2**s + 1 prime: n == 1 (mod 4)
-    # is k*2**m + 1 with m = s >= 2 (pocklington_test), n == 3 (mod 4) is
-    # k*2**m - 1 with m >= 2 (llr_test), each when in its form.  Below
-    # psi_13 only from 2**32 up, the crossover measured on first-prime
-    # scans, or for k*2**m - 1 with 2**m > k.  Below 2**64 not for
-    # k*2**m - 1 with two or more odd q in F: each q adds a Lucas ladder
-    # over k/q, which costs more than the rest of the row.
+    # Whether one proof proves odd n = d*2**s + 1 prime: n == 1 (mod 4) is
+    # k*2**m + 1 with m = s >= 2 (_nminus1_proof), n == 3 (mod 4) is
+    # k*2**m - 1 with m >= 2 (_nplus1_proof), each when in its form
+    # (_factored_part).  Below psi_13 only from 2**32 up, the crossover
+    # measured on first-prime scans, or for k*2**m - 1 with 2**m > k.
+    # Below 2**64 not for k*2**m - 1 with two or more odd q in F: each q
+    # adds a Lucas ladder over k/q, which costs more than the rest of the
+    # row.
     if s >= 2:
         sign, k, m = 1, d, s
     else:
@@ -573,7 +529,10 @@ def _proved_on_its_side(n, d, s):
     part = _factored_part(k, m, sign)
     if part is None or sign < 0 and len(part[1]) > 1 and not n >> 64:
         return False
-    return bool((pocklington_test if sign > 0 else llr_test)(k, m, part))
+    if sign < 0:
+        return _nplus1_proof(k, m, *part) > 0
+    result = _nminus1_proof(k, m, *part)
+    return result is not None and result.is_prime
 
 
 def _miller_rabin(n):
@@ -586,9 +545,9 @@ def _miller_rabin(n):
     from an n-seeded generator, so repeated runs report identically.  A
     composite at or above 2**64 keeps the first base that shows it as its
     witness.  When the first base does not show n composite and n is in
-    form on its side, one kernel run follows (_proved_on_its_side):
-    pocklington_test for n == 1 (mod 4), llr_test for n == 3 (mod 4),
-    with the factored part computed once.  A proof skips the other bases
+    form on its side, one proof follows (_proved_on_its_side):
+    _nminus1_proof for n == 1 (mod 4), _nplus1_proof for n == 3 (mod 4),
+    with F from _factored_part.  A proof skips the other bases
     and returns what all of them passing gives, as a prime passes every
     one; no proof runs them all (the rounds from the same generator), so
     every record, a composite's witness included, is what the bases alone

@@ -111,22 +111,6 @@ class CoverEntry:
     c: int
 
 
-class _derived:
-    """A value derived from a frozen certificate's fields on first read and
-    stored in the instance __dict__, which then shadows this non-data
-    descriptor.  functools.cached_property does the same but takes a lock on
-    first read on Python 3.11, about four times the cost of this one."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class CoverCertificate:
     """Cover certificate: entries and L = lcm of the periods and the
@@ -141,7 +125,7 @@ class CoverCertificate:
     lcm: int
     predicate: str = PREDICATE_ALL
 
-    @_derived
+    @property
     def table(self) -> tuple[int | None, ...]:
         """Residue r in 0..L-1 -> index of the first entry (in cover order)
         with r == c (mod b), or None where no entry matches or the predicate
@@ -174,7 +158,7 @@ class CoverCertificate:
                 covered[r::modulus] = b"\1" * len(range(r, lcm, modulus))
         return covered
 
-    @_derived
+    @property
     def uncovered_residue(self) -> int | None:
         """Least residue mod L the predicate claims but no entry matches, or
         None: the first 0 left once every entry is marked is the hole.

@@ -9,17 +9,15 @@ exists.  The least p is searched for only when a verbose trail records it
 (method "sieve", witness p) or when the term is at most SIEVE_BOUND and may
 be p itself.  Every other term is tested: on the +1 side, once 2^n outgrows
 k every term is Proth-form and one exponentiation decides it (leaving a
-re-checkable witness).  Elsewhere a term above SIEVE_BOUND and below
-arith.SIEVE_SQUARE that passed both gcds is prime with no further test, and
-is recorded as arith.is_prime records it.  arith.is_prime decides the rest,
-one below 2**64 with at most seven exponentiations.  A prime in form on
-its side, with F = 2^m times small prime powers of its own k'
-(N = k'*2^m +- 1, m >= 2) reaching (F - 1)^3 > N, is proved by one base or
-round and one N-1 proof (arith.pocklington_test) or N+1 proof
-(arith.llr_test): below psi_13 from 2**32 up, and for every k'*2^m - 1
-with 2^m > k'.  The JSON record writes the found prime in full, also past
-Python's limit on printing an int, while a verbose trail stops before the
-first term over it.
+re-checkable witness).  arith.is_prime decides the rest: a term below
+arith.SIEVE_SQUARE by one more gcd, one below 2**64 with at most seven
+exponentiations.  A prime in form on its side, with F = 2^m times small
+prime powers of its own k' (N = k'*2^m +- 1, m >= 2) reaching
+(F - 1)^3 > N, is proved by one base or round and one N-1 or N+1 proof
+(arith._nminus1_proof, arith._nplus1_proof): below psi_13 from 2**32 up,
+and for every k'*2^m - 1 with 2^m > k'.  The JSON record writes the found
+prime in full, also past Python's limit on printing an int, while a
+verbose trail stops before the first term over it.
 """
 
 import sys
@@ -63,7 +61,9 @@ def first_prime_exponent(
 ) -> DisqualificationRecord:
     """Scan n = 1..n_max in order for the first prime k*2^n + sign.  A
     verbose scan raises ValueError on reaching a term with more digits than
-    Python prints (sys.get_int_max_str_digits()), as no trail could show it."""
+    Python prints (sys.get_int_max_str_digits()): its trail keeps every
+    term, and that limit is what bounds their size, though
+    primality_to_dict would write a term of any length."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > MAX_SCAN_N:
@@ -89,13 +89,7 @@ def first_prime_exponent(
                 if trail is not None:
                     trail.append(arith.PrimalityResult(term, arith.METHOD_SIEVE, False, witness=p))
                 continue
-        if n >= proth_from:
-            result = arith.proth_test(k, n)
-        elif arith.SIEVE_BOUND < term < arith.SIEVE_SQUARE:
-            # the gcds found no factor up to SIEVE_BOUND, so term is prime
-            result = arith.PrimalityResult(term, arith.METHOD_MR_DETERMINISTIC, True)
-        else:
-            result = arith.is_prime(term)
+        result = arith.proth_test(k, n) if n >= proth_from else arith.is_prime(term)
         if trail is not None:
             trail.append(result)
         if result.is_prime:

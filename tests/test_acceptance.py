@@ -174,7 +174,8 @@ def test_criterion_7_square_riesel(corpus):
             Candidate(k, -1), divisors, check.PREDICATE_ODD
         )
         assert cert.lcm % 2 == 0
-        assert all(cert.table[r] is not None for r in range(1, cert.lcm, 2))
+        table = cert.table
+        assert all(table[r] is not None for r in range(1, cert.lcm, 2))
 
 
 def test_criterion_8_negative_controls(corpus):

@@ -139,11 +139,12 @@ class TestPartialCover:
         )
         assert cert.lcm == 48
         assert cert.lcm % 4 == 0
+        table = cert.table
         for r in range(cert.lcm):
             if r % 4 != 2:
-                assert cert.table[r] is not None
+                assert table[r] is not None
             else:
-                assert cert.table[r] is None
+                assert table[r] is None
 
     def test_second_fourth_power_case(self):
         cert = verify_cover(
@@ -157,7 +158,8 @@ class TestPartialCover:
         )
         assert cert.lcm == 6720
         assert len(cert.entries) == 20
-        assert all(cert.table[r] is not None for r in range(1, cert.lcm, 2))
+        table = cert.table
+        assert all(table[r] is not None for r in range(1, cert.lcm, 2))
 
     def test_dropping_a_divisor_uncovers(self):
         reduced = tuple(d for d in CASE_A.partial_cover if d != 17)

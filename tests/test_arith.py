@@ -11,7 +11,6 @@ from oracles import (
     PSI_13,
     factorize_naive,
     jacobi_naive,
-    mod_pow_naive,
     next_prime_naive,
     offset_naive,
     order_naive,
@@ -20,29 +19,6 @@ from oracles import (
     strong_probable_prime,
     trial_division_prime,
 )
-
-
-class TestModPow:
-    def test_exponent_zero(self):
-        assert pow(2, 0, 7) == 1
-
-    def test_known_values(self):
-        assert pow(2, 9, 73) == 1  # 512 = 7*73 + 1
-        assert pow(2, 4, 5) == 1  # 16 mod 5
-
-    def test_matches_repeated_multiplication(self):
-        for base in range(50):
-            for exp in range(50):
-                for modulus in range(2, 50):
-                    assert pow(base, exp, modulus) == mod_pow_naive(
-                        base, exp, modulus
-                    )
-
-    def test_bignum_operands(self):
-        base = 3**200
-        modulus = 10**50 + 151
-        half = pow(base, 10**15, modulus)
-        assert pow(base, 10**30, modulus) == pow(half, 10**15, modulus)
 
 
 BOUNDS = (1, 2, 3, 10, 50, 1000, MAX_LCM)
@@ -240,17 +216,6 @@ def test_the_tables_hold_one_entry_per_power_of_2():
     assert len(arith._LOG_TABLES) == 511
 
 
-class TestLcmAll:
-    def test_witness_moduli(self):
-        assert math.lcm(2, 4, 3, 12, 18, 36, 9) == 36
-
-    def test_single(self):
-        assert math.lcm(1) == 1
-
-    def test_riesel_cover_periods(self):
-        assert math.lcm(2, 4, 3, 12, 8, 24) == 24
-
-
 class TestJacobi:
     def test_matches_factorization_oracle(self):
         rng = random.Random(7)
@@ -347,7 +312,7 @@ PSI_TIERS = [(t, arith._PSI[t - 1]) for t in range(1, 13) if arith._PSI[t - 1] !
 # The largest prime below each row bound of _MR_ROWS, and below 1031**2,
 # with the bases its test runs, in order: none up to the sieve square, so
 # a return to more rounds shows without timing.  Only 2**64 - 59 is in form
-# on its side (n - 1 = 4*k with F = 4*547*137*11), so pocklington_test
+# on its side (n - 1 = 4*k with F = 4*547*137*11), so the N-1 proof
 # proves it after one base; 2**64 - 83, the largest prime below 2**64 out
 # of form, runs Sinclair's whole row.
 FIRST_FIVE = (2, 3, 5, 7, 11)
@@ -387,6 +352,98 @@ def _riesel_form(n):
     m = ((n + 1) & -(n + 1)).bit_length() - 1
     k = (n + 1) >> m
     return (k, m) if k < 2**m else None
+
+
+def n_minus_1(k, m):
+    """The base that proves N = k*2**m + 1 prime by the N-1 proof with F
+    from _factored_part, else 0."""
+    result = arith._nminus1_proof(k, m, *arith._factored_part(k, m, 1))
+    return result.witness if result is not None and result.is_prime else 0
+
+
+def n_plus_1(k, m):
+    """The start that proves N = k*2**m - 1 prime by the N+1 proof with F
+    from _factored_part, else 0."""
+    return arith._nplus1_proof(k, m, *arith._factored_part(k, m, -1))
+
+
+@pytest.fixture
+def trigger_proofs(monkeypatch):
+    """("N-1" or "N+1", k, m) for each proof is_prime's trigger runs, in
+    order; the N-1 proof proth_test runs is not counted."""
+    runs, active = [], []
+    real_trigger = arith._proved_on_its_side
+
+    def trigger(n, d, s):
+        active.append(n)
+        try:
+            return real_trigger(n, d, s)
+        finally:
+            active.pop()
+
+    def counting(side, real):
+        def proof(k, m, f, qs):
+            if active:
+                runs.append((side, k, m))
+            return real(k, m, f, qs)
+        return proof
+
+    monkeypatch.setattr(arith, "_proved_on_its_side", trigger)
+    monkeypatch.setattr(arith, "_nminus1_proof", counting("N-1", arith._nminus1_proof))
+    monkeypatch.setattr(arith, "_nplus1_proof", counting("N+1", arith._nplus1_proof))
+    return runs
+
+
+def lucas_v_by_matrix(p, j, n):
+    """V_j(p) mod n as the trace of [[p, -1], [1, 0]]**j mod n, whose
+    eigenvalues are the roots alpha, 1/alpha of x**2 - p*x + 1."""
+    result, base = ((1, 0), (0, 1)), ((p % n, n - 1), (1, 0))
+
+    def times(x, y):
+        return tuple(
+            tuple(sum(x[r][i] * y[i][c] for i in range(2)) % n for c in range(2))
+            for r in range(2)
+        )
+
+    while j:
+        if j & 1:
+            result = times(result, base)
+        base = times(base, base)
+        j >>= 1
+    return (result[0][0] + result[1][1]) % n
+
+
+def test_f_is_2_to_the_m_whenever_2_to_the_m_exceeds_k():
+    # proth_test runs the N-1 proof with F = 2**m and no odd q, the part
+    # _factored_part gives whenever 2**m > k, on either side, from m = 2.
+    for m in range(2, 14):
+        for k in range(1, 2**m, 2):
+            for sign in (1, -1):
+                assert arith._factored_part(k, m, sign) == (2**m, ()), (k, m, sign)
+
+
+def test_the_trigger_proves_no_composite_and_most_primes_in_form():
+    rng = random.Random(40)
+    ns = [rng.randrange(2**32, 2**90) | 1 for _ in range(600)]
+    for sign in (1, -1):
+        ns += [k * 2**m + sign for k, m in (_in_form_above_psi_13(rng, sign=sign) for _ in range(300))]
+        ns += [k * 2**m + sign for k, m in (_in_form_above_psi_13(rng, True, sign) for _ in range(30))]
+    proved = 0
+    for n in ns:
+        d, s = arith._mr_decompose(n)
+        if arith._proved_on_its_side(n, d, s):
+            assert prime_naive(n), n
+            proved += 1
+    assert proved > 50
+
+
+def test_a_proth_form_prime_is_proved_without_the_trigger(trigger_proofs):
+    # is_prime hands k*2**m + 1 with 2**m > k to proth_test, whose N-1
+    # proof the trigger's counter leaves out.
+    n = 47 * 2**583 + 1
+    result = arith.is_prime(n)
+    assert result.is_prime and result.method == arith.METHOD_PROTH
+    assert trigger_proofs == []
 
 
 def _recheck_rule(n):
@@ -443,34 +500,31 @@ class TestPsiTiers:
             assert arith.is_prime(n).is_prime, n
             assert tuple(bases_run) == bases, n
 
-    def test_a_riesel_form_prime_runs_its_first_base_and_one_llr_run(self, monkeypatch):
-        bases_run, llr_runs = [], []
-        real_composite, real_llr = arith._mr_composite, arith.llr_test
+    def test_a_riesel_form_prime_runs_its_first_base_and_one_llr_run(
+        self, monkeypatch, trigger_proofs
+    ):
+        bases_run = []
+        real_composite = arith._mr_composite
 
         def counting_composite(n, a, d, s):
             bases_run.append(a)
             return real_composite(n, a, d, s)
 
-        def counting_llr(k, m, part=None):
-            llr_runs.append((k, m))
-            return real_llr(k, m, part)
-
         monkeypatch.setattr(arith, "_mr_composite", counting_composite)
-        monkeypatch.setattr(arith, "llr_test", counting_llr)
         assert not any(_riesel_form(n) for n, _ in ROW_PRIMES)
         for n, _ in ROW_PRIMES:
-            llr_runs.clear()
+            trigger_proofs.clear()
             arith.is_prime(n)
-            assert llr_runs == [], n
+            assert all(side == "N-1" for side, _, _ in trigger_proofs), n
         for (bound, bases), n in zip(arith._MR_ROWS, RIESEL_ROW_PRIMES):
             assert n < bound and _riesel_form(n), n
             bases_run.clear()
-            llr_runs.clear()
+            trigger_proofs.clear()
             assert arith.is_prime(n) == arith.PrimalityResult(
                 n, arith.METHOD_MR_DETERMINISTIC, True
             ), n
             assert bases_run == [bases[0]], n
-            assert llr_runs == [_riesel_form(n)], n
+            assert trigger_proofs == [("N+1", *_riesel_form(n))], n
 
 
 class TestLucasLehmerRiesel:
@@ -481,7 +535,7 @@ class TestLucasLehmerRiesel:
             for k in range(1, min(2**m, 2**22 >> m), 2):
                 n = k * 2**m - 1
                 assert n < 2**22
-                p = arith.llr_test(k, m)
+                p = n_plus_1(k, m)
                 assert bool(p) == flags[n], (k, m)
                 if p:
                     assert arith.jacobi(p - 2, n) == 1 and arith.jacobi(p + 2, n) == -1
@@ -501,10 +555,33 @@ class TestLucasLehmerRiesel:
     def test_form_violations_rejected(self):
         # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
         # factor to add to F = 2**m, and (F - 1)**3 <= N.
-        for k, m in ((4, 10), (1031, 2), (1031**5, 20), (1031 * 1033, 4), (1, 1), (0, 5),
-                     (-1, 5)):
-            with pytest.raises(ValueError):
-                arith.llr_test(k, m)
+        for k, m in ((1031, 2), (1031**5, 20), (1031 * 1033, 4)):
+            assert arith._factored_part(k, m, -1) is None, (k, m)
+
+    def test_the_start_rechecks_by_a_matrix_power(self):
+        # Primes N = k*2**m - 1, with and without odd q in F, up to past
+        # psi_13: the start P the proof returns is one of Rodseth's, and,
+        # with V_j taken apart from the Lucas ladder as the trace of
+        # [[P, -1], [1, 0]]**j, V_{(N+1)/4}(P) == 0 and every q's gcd is 1.
+        cases = (
+            (17, 4),
+            (3**5 * 35, 2),
+            (111546435, 3),
+            (557732175, 2),
+            (3, 94),
+            (208458014172092995, 25),
+            (10605807533490612797, 30),
+        )
+        for k, m in cases:
+            n = k * 2**m - 1
+            assert prime_naive(n), (k, m)
+            _, qs = arith._factored_part(k, m, -1)
+            p = n_plus_1(k, m)
+            assert arith.jacobi(p - 2, n) == 1 and arith.jacobi(p + 2, n) == -1, (k, m)
+            assert lucas_v_by_matrix(p, (n + 1) // 4, n) == 0, (k, m)
+            for q in qs:
+                v = lucas_v_by_matrix(p, (n + 1) // q, n)
+                assert math.gcd(v - 2, n) == 1, (k, m, q)
 
     def test_valid_forms_with_2_to_the_m_at_most_k(self):
         # (k, m, F, the odd primes taken into F, N = k*2**m - 1 prime).
@@ -523,11 +600,11 @@ class TestLucasLehmerRiesel:
             assert k >= 2**m and prime_naive(n) == prime, (k, m)
             assert arith._factored_part(k, m, -1) == (f, qs), (k, m)
             assert (f - 1) ** 3 > n and (n + 1) % f == 0
-            assert bool(arith.llr_test(k, m)) == prime, (k, m)
+            assert bool(n_plus_1(k, m)) == prime, (k, m)
 
     def test_two_factor_exclusion_carries_the_proof(self, monkeypatch):
         # (k, m, a, b): N = k*2**m - 1 = (a*F + 1)*(b*F - 1) is composite,
-        # yet it passes every Lucas check of llr_test with F from
+        # yet it passes every Lucas check of the N+1 proof with F from
         # _factored_part, F = 2**m or 2**m times odd prime powers of k.
         composites = (
             (1155, 6, 3, 6),
@@ -543,10 +620,10 @@ class TestLucasLehmerRiesel:
             f, _ = arith._factored_part(k, m, -1)
             assert n == (a * f + 1) * (b * f - 1) and k >= 2**m, (k, m)
             assert arith._two_factor_split(n, f, -1) == (a, b), (k, m)
-            assert arith.llr_test(k, m) == 0, (k, m)
+            assert n_plus_1(k, m) == 0, (k, m)
         monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign: None)
         for k, m, _, _ in composites:
-            assert arith.llr_test(k, m), (k, m)
+            assert n_plus_1(k, m), (k, m)
 
     def test_the_odd_q_checks_carry_the_proof(self, monkeypatch):
         # (k, m, F, qs) of composite N = k*2**m - 1 that pass the check of
@@ -561,13 +638,13 @@ class TestLucasLehmerRiesel:
         for k, m, f, qs in composites:
             assert arith._factored_part(k, m, -1) == (f, qs), (k, m)
             assert not prime_naive(k * 2**m - 1)
-            assert arith.llr_test(k, m) == 0, (k, m)
+            assert n_plus_1(k, m) == 0, (k, m)
         real = arith._factored_part
         monkeypatch.setattr(
             arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], ())
         )
         for k, m, _, _ in composites:
-            assert arith.llr_test(k, m), (k, m)
+            assert n_plus_1(k, m), (k, m)
 
     def test_random_verdicts_do_not_depend_on_the_kernel(self, monkeypatch):
         # The kernel only skips bases: with it never proving, every record
@@ -580,8 +657,7 @@ class TestLucasLehmerRiesel:
         ns = [n for n in ns if arith.SIEVE_SQUARE <= n < arith.MR_DETERMINISTIC_BOUND]
         with_kernel = [arith.is_prime(n) for n in ns]
         assert sum(r.is_prime for r in with_kernel) > 50
-        monkeypatch.setattr(arith, "llr_test", lambda k, m, part=None: 0)
-        monkeypatch.setattr(arith, "pocklington_test", lambda k, m, part=None: 0)
+        monkeypatch.setattr(arith, "_proved_on_its_side", lambda n, d, s: False)
         assert [arith.is_prime(n) for n in ns] == with_kernel
 
 
@@ -596,14 +672,13 @@ def test_llr_agrees_with_the_oracle_below_psi_13(km):
     k = 2 * j + 1
     n = k * 2**m - 1
     assert k < 2**m and n < PSI_13
-    assert bool(arith.llr_test(k, m)) == prime_naive(n), (k, m)
+    assert bool(n_plus_1(k, m)) == prime_naive(n), (k, m)
 
 
 def _in_form_above_psi_13(rng, primes_only=False, sign=-1):
     """(k, m) with k odd, 2**m <= k and psi_13 <= k*2**m + sign < 2**100,
-    in the form of sign's kernel (llr_test for -1, pocklington_test for
-    +1); for half the draws k is multiplied by one to three odd primes up
-    to SIEVE_BOUND."""
+    in the form of sign's proof (N+1 for -1, N-1 for +1); for half the
+    draws k is multiplied by one to three odd primes up to SIEVE_BOUND."""
     while True:
         m = rng.randrange(2, 50)
         k = rng.randrange(max(PSI_13 >> m, 2**m), 2**100 >> m) | 1
@@ -634,7 +709,7 @@ def test_an_llr_proof_above_psi_13_is_a_prime(km):
     # prime_naive above psi_13 is 13 strong bases: every prime passes them.
     k, m = km
     assume(arith._factored_part(k, m, -1))
-    if arith.llr_test(k, m):
+    if n_plus_1(k, m):
         assert prime_naive(k * 2**m - 1), (k, m)
 
 
@@ -642,10 +717,10 @@ class TestRieselAbovePsi13:
     def test_most_primes_are_proved_and_no_composite_is(self):
         rng = random.Random(29)
         kms = [_in_form_above_psi_13(rng, primes_only=True) for _ in range(150)]
-        proved = sum(bool(arith.llr_test(k, m)) for k, m in kms)
+        proved = sum(bool(n_plus_1(k, m)) for k, m in kms)
         assert proved > 120
         draws = [_in_form_above_psi_13(rng) for _ in range(300)]
-        proved = [(k, m) for k, m in draws if arith.llr_test(k, m)]
+        proved = [(k, m) for k, m in draws if n_plus_1(k, m)]
         assert all(prime_naive(k * 2**m - 1) for k, m in proved), proved
 
     def test_two_factor_split_finds_every_constructed_pair(self):
@@ -692,8 +767,7 @@ class TestRieselAbovePsi13:
         ns += [k * 2**m - 1 for k in range(3, 200, 2) for m in (90, 99)]
         with_kernel = [arith.is_prime(n) for n in ns]
         assert sum(r.is_prime for r in with_kernel) > 100
-        monkeypatch.setattr(arith, "llr_test", lambda k, m, part=None: 0)
-        monkeypatch.setattr(arith, "pocklington_test", lambda k, m, part=None: 0)
+        monkeypatch.setattr(arith, "_proved_on_its_side", lambda n, d, s: False)
         assert [arith.is_prime(n) for n in ns] == with_kernel
 
     @pytest.mark.parametrize("k, m, rounds, kernel_runs", [
@@ -708,11 +782,11 @@ class TestRieselAbovePsi13:
         (10605807533490612797, 30, 1, 1),
     ])
     def test_a_prime_runs_one_round_and_one_kernel_run_in_form_else_all(
-        self, monkeypatch, k, m, rounds, kernel_runs
+        self, monkeypatch, trigger_proofs, k, m, rounds, kernel_runs
     ):
         # Timing-free guard against more rounds.
-        bases_run, llr_runs = [], []
-        real_composite, real_llr = arith._mr_composite, arith.llr_test
+        bases_run = []
+        real_composite = arith._mr_composite
 
         def counting_composite(x, a, d, s):
             # rounds on n only: the cofactor rule's test of k counts apart
@@ -720,12 +794,7 @@ class TestRieselAbovePsi13:
                 bases_run.append(a)
             return real_composite(x, a, d, s)
 
-        def counting_llr(k, m, part=None):
-            llr_runs.append((k, m))
-            return real_llr(k, m, part)
-
         monkeypatch.setattr(arith, "_mr_composite", counting_composite)
-        monkeypatch.setattr(arith, "llr_test", counting_llr)
         n = k * 2**m - 1
         assert n >= arith.MR_DETERMINISTIC_BOUND
         assert (arith._factored_part(k, m, -1) is not None) == bool(kernel_runs)
@@ -733,13 +802,13 @@ class TestRieselAbovePsi13:
             n, arith.METHOD_MR_PROBABILISTIC, True, rounds=arith.MR_PROBABILISTIC_ROUNDS
         )
         assert len(bases_run) == rounds
-        assert llr_runs == [(k, m)] * kernel_runs
+        assert trigger_proofs == [("N+1", k, m)] * kernel_runs
 
 
 @st.composite
 def sierpinski_in_form(draw, low, high):
     """(k, m) with k odd, 2**m <= k and low <= k*2**m + 1 < high, in
-    pocklington_test's form, k a draw times one to three odd primes up to
+    the N-1 proof's form, k a draw times one to three odd primes up to
     SIEVE_BOUND."""
     m = draw(st.integers(1, 40))
     p = math.prod(draw(st.lists(st.sampled_from(arith.SIEVE_PRIMES), min_size=1, max_size=3)))
@@ -754,7 +823,7 @@ def sierpinski_in_form(draw, low, high):
 @given(sierpinski_in_form(2**32, PSI_13))
 def test_pocklington_agrees_with_the_oracle_from_2_to_the_32_to_psi_13(km):
     k, m = km
-    assert bool(arith.pocklington_test(k, m)) == prime_naive(k * 2**m + 1), (k, m)
+    assert bool(n_minus_1(k, m)) == prime_naive(k * 2**m + 1), (k, m)
 
 
 @settings(max_examples=300, deadline=None)
@@ -762,7 +831,7 @@ def test_pocklington_agrees_with_the_oracle_from_2_to_the_32_to_psi_13(km):
 def test_a_pocklington_proof_above_psi_13_is_a_prime(km):
     # prime_naive above psi_13 is 13 strong bases: every prime passes them.
     k, m = km
-    if arith.pocklington_test(k, m):
+    if n_minus_1(k, m):
         assert prime_naive(k * 2**m + 1), (k, m)
 
 
@@ -784,8 +853,8 @@ def test_no_kernel_proves_a_product_of_two_factors_of_its_side(sign, j, f, a, b)
     k = (n - sign) >> m
     part = arith._factored_part(k, m, sign)
     assume(part is not None and k >= 2**m)
-    kernel = arith.pocklington_test if sign > 0 else arith.llr_test
-    assert kernel(k, m) == 0, (k, m, sign)
+    prove = n_minus_1 if sign > 0 else n_plus_1
+    assert prove(k, m) == 0, (k, m, sign)
 
 
 def _proth_record(n, prime):
@@ -806,7 +875,8 @@ class TestPocklington:
         # proth_test is the same base loop with F = 2**m: on every
         # Proth-form N below 2**20 its record is the first base a with
         # jacobi(a, N) = -1 or 1 < gcd(a, N) < N, else the fallback's, and
-        # on a prime below 2**18 pocklington_test proves N with that base.
+        # on a prime below 2**18 the N-1 proof with F from _factored_part
+        # proves N with that base.
         flags = primes_below_naive(2**20)
         seen = proth_seen = 0
         for m in range(1, 20):
@@ -819,7 +889,7 @@ class TestPocklington:
                     proth_seen += 1
                 if n >= 2**18 or arith._factored_part(k, m, 1) is None:
                     continue
-                a = arith.pocklington_test(k, m)
+                a = n_minus_1(k, m)
                 assert bool(a) == flags[n], (k, m)
                 if a:
                     assert arith.jacobi(a, n) == -1 and pow(a, n >> 1, n) == n - 1
@@ -831,10 +901,30 @@ class TestPocklington:
     def test_form_violations_rejected(self):
         # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
         # factor to add to F = 2**m, and (F - 1)**3 <= N.
-        for k, m in ((4, 10), (1031, 2), (1031**5, 20), (1031 * 1033, 4), (1, 1), (1, 0),
-                     (0, 5), (-1, 5)):
-            with pytest.raises(ValueError):
-                arith.pocklington_test(k, m)
+        for k, m in ((1031, 2), (1031**5, 20), (1031 * 1033, 4)):
+            assert arith._factored_part(k, m, 1) is None, (k, m)
+
+    def test_the_base_rechecks_from_the_result_alone(self):
+        # Primes N = k*2**m + 1 with 2**m <= k and odd q in F: the base the
+        # proof returns meets Euler's criterion and every q's gcd.
+        cases = (
+            (3**6 * 35, 2),
+            (9279, 5),
+            (171468703, 4),
+            (111546435, 3),
+            (557732175, 4),
+            (41257931656341621, 20),
+            (7139711239991325154707, 34),
+        )
+        for k, m in cases:
+            n = k * 2**m + 1
+            f, qs = arith._factored_part(k, m, 1)
+            assert k >= 2**m and qs and prime_naive(n), (k, m)
+            a = n_minus_1(k, m)
+            assert a and pow(a, n >> 1, n) == n - 1, (k, m)
+            for q in qs:
+                assert (n - 1) % (q * 2**m) == 0
+                assert math.gcd(pow(a, (n - 1) // q, n) - 1, n) == 1, (k, m, q)
 
     def test_valid_forms(self):
         # (k, m, F, the odd primes taken into F, N = k*2**m + 1 prime).
@@ -858,7 +948,7 @@ class TestPocklington:
             assert prime_naive(n) == prime, (k, m)
             assert arith._factored_part(k, m, 1) == (f, qs), (k, m)
             assert (f - 1) ** 3 > n and (n - 1) % f == 0
-            assert bool(arith.pocklington_test(k, m)) == prime, (k, m)
+            assert bool(n_minus_1(k, m)) == prime, (k, m)
 
     def test_the_cofactor_of_k_joins_f_above_psi_13_only(self):
         # k = 10605807533490612797 is a prime below psi_13 with no factor up
@@ -883,7 +973,7 @@ class TestPocklington:
 
     def test_two_factor_exclusion_carries_the_proof(self, monkeypatch):
         # (k, m, a, b): N = k*2**m + 1 = (a*F + 1)*(b*F + 1) is composite,
-        # yet it passes every check of pocklington_test before the last,
+        # yet it passes every check of the N-1 proof before the last,
         # with F from _factored_part.
         composites = (
             (205, 4, 1, 12),
@@ -900,10 +990,10 @@ class TestPocklington:
             f, _ = arith._factored_part(k, m, 1)
             assert n == (a * f + 1) * (b * f + 1) and k >= 2**m, (k, m)
             assert arith._two_factor_split(n, f, 1) == (a, b), (k, m)
-            assert arith.pocklington_test(k, m) == 0, (k, m)
+            assert n_minus_1(k, m) == 0, (k, m)
         monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign: None)
         for k, m, _, _ in composites:
-            assert arith.pocklington_test(k, m), (k, m)
+            assert n_minus_1(k, m), (k, m)
 
     def test_the_odd_q_checks_carry_the_proof(self, monkeypatch):
         # (k, m, F, qs) of composite N = k*2**m + 1 that pass Euler's check
@@ -918,21 +1008,21 @@ class TestPocklington:
         for k, m, f, qs in composites:
             assert arith._factored_part(k, m, 1) == (f, qs), (k, m)
             assert not prime_naive(k * 2**m + 1)
-            assert arith.pocklington_test(k, m) == 0, (k, m)
+            assert n_minus_1(k, m) == 0, (k, m)
         real = arith._factored_part
         monkeypatch.setattr(
             arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], ())
         )
         for k, m, _, _ in composites:
-            assert arith.pocklington_test(k, m), (k, m)
+            assert n_minus_1(k, m), (k, m)
 
     def test_most_primes_above_psi_13_are_proved_and_no_composite_is(self):
         rng = random.Random(33)
         kms = [_in_form_above_psi_13(rng, True, 1) for _ in range(100)]
-        proved = sum(bool(arith.pocklington_test(k, m)) for k, m in kms)
+        proved = sum(bool(n_minus_1(k, m)) for k, m in kms)
         assert proved > 90
         draws = [_in_form_above_psi_13(rng, sign=1) for _ in range(200)]
-        proved = [(k, m) for k, m in draws if arith.pocklington_test(k, m)]
+        proved = [(k, m) for k, m in draws if n_minus_1(k, m)]
         assert all(prime_naive(k * 2**m + 1) for k, m in proved), proved
 
     def test_two_factor_split_finds_every_constructed_pair(self):
@@ -983,8 +1073,7 @@ class TestPocklington:
         ns += [rng.randrange(2**32, PSI_13) | 1 for _ in range(1500)]
         with_kernel = [arith.is_prime(n) for n in ns]
         assert sum(r.is_prime for r in with_kernel) > 80
-        monkeypatch.setattr(arith, "llr_test", lambda k, m, part=None: 0)
-        monkeypatch.setattr(arith, "pocklington_test", lambda k, m, part=None: 0)
+        monkeypatch.setattr(arith, "_proved_on_its_side", lambda n, d, s: False)
         assert [arith.is_prime(n) for n in ns] == with_kernel
 
     def test_agrees_with_the_oracle_from_2_to_the_32_to_psi_13(self):
@@ -992,11 +1081,11 @@ class TestPocklington:
         kms = self._in_form_below_psi_13(rng, PSI_13, 100, primes_only=True)
         kms += self._in_form_below_psi_13(rng, PSI_13, 200)
         for k, m in kms:
-            assert bool(arith.pocklington_test(k, m)) == prime_naive(k * 2**m + 1), (k, m)
+            assert bool(n_minus_1(k, m)) == prime_naive(k * 2**m + 1), (k, m)
 
     @staticmethod
     def _in_form_below_psi_13(rng, high, count, primes_only=False):
-        # (k, m) with 2**32 <= k*2**m + 1 < high in pocklington_test's form,
+        # (k, m) with 2**32 <= k*2**m + 1 < high in the N-1 proof's form,
         # k a draw times one to three odd primes up to SIEVE_BOUND.
         kms = []
         while len(kms) < count:
@@ -1013,12 +1102,12 @@ class TestPocklington:
 
     @pytest.mark.parametrize("n, bases, kernel_runs", [
         # In [2**64, psi_13): F = 2**20 * 13 * 3 and F = 2**16 * 761.
-        (41257931656341621 * 2**20 + 1, (2,), [("pocklington", 41257931656341621, 20)]),
-        (111411527898315965 * 2**16 - 1, (2,), [("llr", 111411527898315965, 16)]),
+        (41257931656341621 * 2**20 + 1, (2,), [("N-1", 41257931656341621, 20)]),
+        (111411527898315965 * 2**16 - 1, (2,), [("N+1", 111411527898315965, 16)]),
         # Below 2**64: F = 4 * 547 * 137 * 11.
-        (2**64 - 59, (2,), [("pocklington", (2**64 - 60) // 4, 2)]),
+        (2**64 - 59, (2,), [("N-1", (2**64 - 60) // 4, 2)]),
         # Above psi_13, one round: F = 2**34 * 1021.
-        (7139711239991325154707 * 2**34 + 1, None, [("pocklington", 7139711239991325154707, 34)]),
+        (7139711239991325154707 * 2**34 + 1, None, [("N-1", 7139711239991325154707, 34)]),
         # In form but below 2**32, the crossover: the whole row, no kernel.
         (9080189, (31, 73), []),
         # -1 side below 2**64 with two odd q, F = 2**10 * 811 * 17: the
@@ -1029,27 +1118,18 @@ class TestPocklington:
         (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES, []),
     ])
     def test_a_prime_runs_one_base_and_one_kernel_run_in_form_else_its_row(
-        self, monkeypatch, n, bases, kernel_runs
+        self, monkeypatch, trigger_proofs, n, bases, kernel_runs
     ):
         # Timing-free guard against more bases or rounds, on each side.
-        bases_run, runs = [], []
+        bases_run = []
         real_composite = arith._mr_composite
-        real = {"llr": arith.llr_test, "pocklington": arith.pocklington_test}
 
         def counting_composite(x, a, d, s):
             if x == n:
                 bases_run.append(a)
             return real_composite(x, a, d, s)
 
-        def counting(name):
-            def kernel(k, m, part=None):
-                runs.append((name, k, m))
-                return real[name](k, m, part)
-            return kernel
-
         monkeypatch.setattr(arith, "_mr_composite", counting_composite)
-        monkeypatch.setattr(arith, "llr_test", counting("llr"))
-        monkeypatch.setattr(arith, "pocklington_test", counting("pocklington"))
         result = arith.is_prime(n)
         assert result.is_prime and result.witness == 0
         if bases is None:
@@ -1058,7 +1138,7 @@ class TestPocklington:
         else:
             assert result == arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, True)
             assert tuple(bases_run) == bases
-        assert runs == kernel_runs
+        assert trigger_proofs == kernel_runs
 
 
 class TestProth:
@@ -1091,6 +1171,39 @@ class TestProth:
             arith.proth_test(4, 10)
         with pytest.raises(ValueError):
             arith.proth_test(17, 4)  # 2^4 = 16 <= 17
+
+    def test_a_prime_square_with_no_small_factor_falls_back(self):
+        # N = 65537**2 = 32769*2**17 + 1: every a coprime to N has
+        # jacobi(a, N) = jacobi(a, 65537)**2 = 1, and no candidate shares a
+        # factor with it, so the N-1 proof is undecided and Miller-Rabin
+        # decides.
+        k, m = 32769, 17
+        n = k * 2**m + 1
+        assert n == 65537**2 and 2**m > k
+        assert arith._nminus1_proof(k, m, 2**m, ()) is None
+        assert arith.proth_test(k, m) == arith.PrimalityResult(
+            n, arith.METHOD_MR_DETERMINISTIC, False
+        )
+
+    def test_a_composite_record_names_a_base_that_shows_it(self):
+        # The base of a METHOD_PROTH composite shares a factor with N, or
+        # is a non-residue that fails Euler's criterion: either proves N
+        # composite from the result alone.
+        rng = random.Random(39)
+        seen = 0
+        while seen < 200:
+            m = rng.randrange(10, 100)
+            k = rng.randrange(1, 2**m, 2)
+            n = k * 2**m + 1
+            if prime_naive(n):
+                continue
+            result = arith.proth_test(k, m)
+            assert not result.is_prime and result.method == arith.METHOD_PROTH, (k, m)
+            a = result.witness
+            assert 1 < math.gcd(a, n) < n or (
+                arith.jacobi(a, n) == -1 and pow(a, n >> 1, n) != n - 1
+            ), (k, m)
+            seen += 1
 
 
 class TestSmallFactor:

@@ -750,7 +750,7 @@ PINNED_SCANS = [
         "16bf2f76988c6719939d2b4623e7b53872612e5ca44b4401d6ab0e6ea2a1c5a7",
     ),
     # The first prime, at n = 25, is 83 bits, above psi_13 and not of Proth
-    # form; llr_test proves it with F = 2**25 * 463 after one round.
+    # form; the N+1 proof proves it with F = 2**25 * 463 after one round.
     (
         ("disqualify", "--k", "208458014172092995", "--sign", "r", "--format", "json",
          "--max-n", "64"),
@@ -764,8 +764,8 @@ PINNED_SCANS = [
         "a100580db209d753623a6d9db5c4223d439ede97507da340ccea55ceb04d7d65",
     ),
     # First primes between 2**64 and psi_13, one on each side, each proved
-    # after the row's first base: by pocklington_test with F = 2**20 * 13 * 3
-    # at n = 20, and by llr_test with F = 2**16 * 761 at n = 16.
+    # after the row's first base: by the N-1 proof with F = 2**20 * 13 * 3
+    # at n = 20, and by the N+1 proof with F = 2**16 * 761 at n = 16.
     (
         ("disqualify", "--k", "41257931656341621", "--sign", "s", "--format", "json",
          "--max-n", "64"),
@@ -800,10 +800,9 @@ def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
     ids=PINNED_SCAN_IDS,
 )
 def test_scan_bytes_do_not_depend_on_the_llr_kernel(capsys, monkeypatch, argv, exit_code, digest):
-    # An N+1 or N-1 proof only skips Miller-Rabin bases or rounds, so
-    # kernels that never prove anything leave every byte as it is.
-    monkeypatch.setattr(arith, "llr_test", lambda k, m, part=None: 0)
-    monkeypatch.setattr(arith, "pocklington_test", lambda k, m, part=None: 0)
+    # An N+1 or N-1 proof only skips Miller-Rabin bases or rounds, so a
+    # trigger that never proves anything leaves every byte as it is.
+    monkeypatch.setattr(arith, "_proved_on_its_side", lambda n, d, s: False)
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -42,6 +43,17 @@ def composite_warning(cert):
     prefix = "warning: composite divisors in cover: "
     lines = cli._cover_summary(cert, None).splitlines()
     return next((json.loads(line[len(prefix):]) for line in lines if line.startswith(prefix)), [])
+
+
+@contextlib.contextmanager
+def table_unread():
+    """Fails any read of CoverCertificate.table inside the block."""
+    def read(cert):
+        raise AssertionError("the residue table was derived")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(check.CoverCertificate, "table", property(read))
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -211,10 +223,9 @@ class TestVerifyCover:
     ])
     def test_the_hole_check_and_the_counts_derive_no_table(self, candidate, divisors, predicate):
         # Coverage is a byte pass over the progressions.
-        cert = cover.verify_cover(candidate, divisors, predicate)
-        assert "table" not in cert.__dict__
-        assert sum(cert.witness_counts) == sum(map(CLAIMED[predicate], range(cert.lcm)))
-        assert "table" not in cert.__dict__
+        with table_unread():
+            cert = cover.verify_cover(candidate, divisors, predicate)
+            assert sum(cert.witness_counts) == sum(map(CLAIMED[predicate], range(cert.lcm)))
 
 
 PREDICATE_MODULUS = {check.PREDICATE_ALL: 1, check.PREDICATE_MOD4_NE_2: 4, check.PREDICATE_ODD: 2}
@@ -318,9 +329,9 @@ def test_byte_pass_matches_the_per_residue_scan(entries, predicate):
     lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
     cert = hand_certificate(Candidate(78557, 1), entries, lcm, predicate)
     triples = [(e.d, e.b, e.c) for e in entries]
-    assert cert.uncovered_residue == smallest_uncovered(triples, lcm, CLAIMED[predicate])
-    assert cert.witness_counts == witness_counts_naive(entries, lcm, CLAIMED[predicate])
-    assert "table" not in cert.__dict__
+    with table_unread():
+        assert cert.uncovered_residue == smallest_uncovered(triples, lcm, CLAIMED[predicate])
+        assert cert.witness_counts == witness_counts_naive(entries, lcm, CLAIMED[predicate])
 
 
 class TestWitness:
@@ -342,14 +353,14 @@ class TestWitness:
             certs.append(hand_certificate(candidate, entries, lcm, predicate))
         for cert in certs:
             table = first_match_table(cert.entries, cert.lcm, CLAIMED[cert.predicate])
-            for n in range(1, 3 * cert.lcm + 1):
-                idx = table[n % cert.lcm]
-                if idx is None:
-                    with pytest.raises(ValueError):
-                        cover.witness(cert, n)
-                else:
-                    assert cover.witness(cert, n) == cert.entries[idx].d
-            assert "table" not in cert.__dict__
+            with table_unread():
+                for n in range(1, 3 * cert.lcm + 1):
+                    idx = table[n % cert.lcm]
+                    if idx is None:
+                        with pytest.raises(ValueError):
+                            cover.witness(cert, n)
+                    else:
+                        assert cover.witness(cert, n) == cert.entries[idx].d
 
     def test_witness_divides_and_proper(self, selfridge_cert, riesel_cert):
         for cert in (selfridge_cert, riesel_cert):
@@ -425,7 +436,8 @@ def doctored_certificates(cert, rng):
     yield hand_certificate(cert.candidate, shifted, cert.lcm, cert.predicate)
     raised = with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b + e.b))
     yield hand_certificate(cert.candidate, raised, cert.lcm, cert.predicate)
-    claimed = [n for n in range(1, cert.lcm + 1) if cert.table[n % cert.lcm] is not None]
+    table = cert.table
+    claimed = [n for n in range(1, cert.lcm + 1) if table[n % cert.lcm] is not None]
     if not claimed:
         return
     n0 = rng.choice(claimed[:8])
@@ -433,7 +445,7 @@ def doctored_certificates(cert, rng):
         cert, entries=with_entry(dataclasses.replace(e, d=cert.candidate.term(n0)))
     )
     r = rng.choice(claimed) % cert.lcm
-    j = rng.choice([j for j in range(len(cert.entries)) if j != cert.table[r]] or [0])
+    j = rng.choice([j for j in range(len(cert.entries)) if j != table[r]] or [0])
     yield with_slot(cert, r, j)
     # A wrong L: the residues below it keep their witnesses, so n < L pass,
     # and a later n fails once an entry's period does not divide L.
@@ -604,10 +616,10 @@ class TestStreamedAudit:
     def test_divisor_below_2_fails_at_its_first_claimed_n(self, selfridge_cert, d):
         # Entry 5 (d = 37) is first claimed at n = 27, past the prefix n <= 7.
         # The oracle fails there; the audit refuses the entry at any depth.
-        L = selfridge_cert.lcm
+        L, table = selfridge_cert.lcm, selfridge_cert.table
         for i in range(len(selfridge_cert.entries)):
             bad = with_divisor(selfridge_cert, i, d)
-            first = next(n for n in range(1, L + 1) if selfridge_cert.table[n % L] == i)
+            first = next(n for n in range(1, L + 1) if table[n % L] == i)
             for n_max in (first - 1, first, 10 * L):
                 expected = first if n_max >= first else None
                 assert first_audit_failure_naive(bad, n_max) == expected
@@ -638,13 +650,13 @@ class TestStreamedAudit:
         # their cross-check splits every open term as a bignum.
         fixtures = Path(__file__).parent / "fixtures/v2"
         for name in ("78557s.json", "509203r.json", "coverless-s4.json", "coverless-r2.json"):
-            cert = check.certificate_from_json((fixtures / name).read_text())
-            partial = getattr(cert, "partial", cert)
-            n_max = 3 * partial.lcm if partial is not cert else check.MAX_AUDIT_N
-            assert check.prove(cert) is None
-            assert check.prove(cert, n_max) is None
-            cover.witness(partial, 1)
-            assert "table" not in partial.__dict__, name
+            with table_unread():
+                cert = check.certificate_from_json((fixtures / name).read_text())
+                partial = getattr(cert, "partial", cert)
+                n_max = 3 * partial.lcm if partial is not cert else check.MAX_AUDIT_N
+                assert check.prove(cert) is None
+                assert check.prove(cert, n_max) is None
+                cover.witness(partial, 1)
 
     def test_bignum_terms_only_in_the_properness_prefix(self, selfridge_cert):
         class CountingK(int):
@@ -674,16 +686,20 @@ class TestStreamedAudit:
 
     @pytest.mark.parametrize("divisors", [SELFRIDGE_COVER, SELFRIDGE_COVER + (1000003,)])
     def test_a_valid_cover_audits_with_no_byte_pass(self, monkeypatch, divisors):
-        # Every entry holds, so neither the audit nor the proof (whose hole
-        # check verify_cover already ran) allocates the L bytes of a pass.
+        # Every entry holds, so the audit allocates none of the L bytes of a
+        # pass, and the proof allocates them once, for its hole check.
         cert = cover.verify_cover(Candidate(78557, 1), divisors)
+        passes, real = [], check.CoverCertificate._left_out
 
         def left_out(self):
-            raise AssertionError("byte pass")
+            passes.append(self.lcm)
+            return real(self)
 
         monkeypatch.setattr(check.CoverCertificate, "_left_out", left_out)
         assert check.first_audit_failure(cert, check.MAX_AUDIT_N) is None
+        assert passes == []
         assert check.prove(cert, check.MAX_AUDIT_N) is None
+        assert passes == [cert.lcm]
 
 
 def test_prove_audits_only_covers_whose_facts_hold(monkeypatch, selfridge_cert):

@@ -133,8 +133,9 @@ class TestSieve:
 
     def test_terms_below_the_sieve_square_are_recorded_as_is_prime_records_them(self):
         # A term above SIEVE_BOUND and below SIEVE_SQUARE that passes the
-        # gcds is recorded prime with no is_prime call; the term 1, at the
-        # lower edge, is coprime to the product but still tested.
+        # gcds is recorded prime, as is_prime decides it by one more gcd;
+        # the term 1, at the lower edge, is coprime to the product but
+        # still tested.
         below_square = 0
         for k in range(1, 2**12, 2):
             for sign in (1, -1):
