@@ -252,10 +252,13 @@ SIEVE_SPLIT = 23
 SIEVE_PRODUCT_LOW = math.prod(p for p in SIEVE_PRIMES if p <= SIEVE_SPLIT)
 SIEVE_PRODUCT_HIGH = SIEVE_PRODUCT // SIEVE_PRODUCT_LOW
 _SIEVE_PRIME_SET = frozenset((2, *SIEVE_PRIMES))
-# The square of the least prime above SIEVE_BOUND, 1031**2: a composite
-# below it has a prime factor up to the bound, so an odd n from SIEVE_BOUND
-# up to it is prime exactly when gcd(n, SIEVE_PRODUCT) == 1.
-SIEVE_SQUARE = next(p for p in _odd_primes_upto(2 * SIEVE_BOUND) if p > SIEVE_BOUND) ** 2
+# The least prime above SIEVE_BOUND, 1031: a number with every prime factor
+# up to the bound divided out has none below it.
+SIEVE_NEXT_PRIME = next(p for p in _odd_primes_upto(2 * SIEVE_BOUND) if p > SIEVE_BOUND)
+# Its square, 1031**2: a composite below it has a prime factor up to the
+# bound, so an odd n from SIEVE_BOUND up to it is prime exactly when
+# gcd(n, SIEVE_PRODUCT) == 1.
+SIEVE_SQUARE = SIEVE_NEXT_PRIME**2
 
 
 def small_factor(n: int) -> int:
@@ -286,7 +289,7 @@ def proth_test(k: int, m: int) -> PrimalityResult:
         raise ValueError(f"k must be odd and positive, got {k}")
     if m < 1 or (1 << m) <= k:
         raise ValueError(f"Proth form needs 2**m > k, got k={k}, m={m}")
-    return _nminus1_proof(k, m, 1 << m, ()) or _miller_rabin((k << m) + 1)
+    return _nminus1_proof(k, m, 1 << m, (), 1) or _miller_rabin((k << m) + 1)
 
 
 def _lucas_v(p, j, n):
@@ -317,23 +320,27 @@ def _rodseth_starts(n):
 
 
 def _factored_part(k, m, sign):
-    """(F, qs) for N = k*2**m + sign, or None when N is out of form on its
-    side: no F reaches the bound.
+    """(F, qs, lo) for N = k*2**m + sign, or None when N is out of form on
+    its side: no F reaches a bound.  The proofs show every prime factor of
+    a composite N at least F*lo - 1.
 
     F = 2**m * q**e over the odd primes q in qs, each q <= SIEVE_BOUND with
     q**e the full power of q in k, taken largest q**e first until
-    (F - 1)**3 > N.  With 2**m > k, F = 2**m already does, and qs is empty.
-    Above psi_13 only, when those q fall short, c, what is left of k with
-    them divided out, joins as one more q if a deterministic
-    _miller_rabin(c) proves it prime (c < psi_13); then F is all of
-    N - sign.  A probabilistic verdict on c never counts.  (Falling short
-    means c > F**2 roughly, so c >= 2**54 above psi_13: no c there is
-    below SIEVE_SQUARE, where the sieve alone would decide it.)
+    (F - 1)**3 > N, with lo = 1.  With 2**m > k, F = 2**m already does,
+    and qs is empty.  When every such q falls short, R = (N - sign)/F,
+    what is left of k, has no prime factor below lo = SIEVE_NEXT_PRIME: N
+    is in form with that lo when R > 1, (F*lo - 1)**3 > N and the range of
+    t = a*b that _two_factor_split searches holds at most three integers.
+    Above psi_13 only, when that also falls short, c = R joins as one more
+    q if a deterministic _miller_rabin(c) proves it prime (c < psi_13);
+    then F is all of N - sign and lo = 1.  A probabilistic verdict on c
+    never counts.  (Falling short there means c > 1.5*lo*F**2 roughly, so
+    c > 2**57 above psi_13.)
     """
     n = (k << m) + sign
     f = 1 << m
     if (f - 1) ** 3 > n:
-        return f, ()
+        return f, (), 1
     # g is squarefree: once q*q > g, what is left of it is 1 or a prime.
     g = math.gcd(k, SIEVE_PRODUCT)
     primes = []
@@ -356,44 +363,57 @@ def _factored_part(k, m, sign):
         f *= e
         qs.append(q)
         if (f - 1) ** 3 > n:
-            return f, tuple(qs)
+            return f, tuple(qs), 1
+    lo = SIEVE_NEXT_PRIME
+    if f < n - sign and (f * lo - 1) ** 3 > n and len(_split_range(n, f, sign, lo)) <= 3:
+        return f, tuple(qs), lo
     if n >= MR_DETERMINISTIC_BOUND:
         c = (n - sign) // f
         if c < MR_DETERMINISTIC_BOUND and _miller_rabin(c).is_prime:
-            return f * c, (*qs, c)
+            return f * c, (*qs, c), 1
     return None
 
 
-def _two_factor_split(n, f, sign):
-    """(a, b) with 1 <= a <= b for sign +1, a, b >= 1 for sign -1, and
-    n = (a*f + 1)*(b*f + sign), or None when there is no such pair; for
-    f >= 4 dividing n - sign and n < (f - 1)**3.
+def _split_range(n, f, sign, lo):
+    # The t = a*b that _two_factor_split(n, f, sign, lo) tries.
+    r = (n - sign) // f
+    return range(max(1, (r - lo) * lo // (f * lo + 1)), r * lo // (f * lo - 1) + 1)
 
-    Such a split gives (n - sign)/f = r = t*f + delta with t = a*b >= 1
-    and delta = b + sign*a, where |delta| < t for sign -1 and
-    2 <= delta <= t + 1 for sign +1; either way
-    r // (f + 1) <= t <= r // (f - 1).  As r < f**2 - 1, that range holds
-    at most three integers.  For each, (b - sign*a)**2 = delta**2 -
-    4*sign*t, so one isqrt decides it, and a pair found with a, b >= 1
-    meets both equations, so it is a split.
+
+def _two_factor_split(n, f, sign, lo):
+    """(a, b) with lo <= a <= b for sign +1, a, b >= lo for sign -1, and
+    n = (a*f + 1)*(b*f + sign), or None when there is no such pair; for
+    f >= 4 dividing n - sign and lo >= 1.
+
+    Such a split gives (n - sign)/f = r = t*f + delta with t = a*b and
+    delta = b + sign*a.  (a - lo)*(b - lo) >= 0 gives a + b <= t/lo + lo,
+    so 2 <= delta <= t/lo + lo for sign +1 and |delta| = |b - a| <=
+    t/lo - lo for sign -1; either way
+    (r - lo)*lo/(f*lo + 1) <= t <= r*lo/(f*lo - 1) (_split_range).  With
+    lo = 1 and n < (f - 1)**3, r < f**2 - 1 and that range holds at most
+    three integers; _factored_part gives a larger lo only where it does
+    too.  For each t, (b - sign*a)**2 = delta**2 - 4*sign*t, so one isqrt
+    decides it, and a pair found with a, b >= lo meets both equations, so
+    it is a split.
     """
     r = (n - sign) // f
-    for t in range(max(1, r // (f + 1)), r // (f - 1) + 1):
+    for t in _split_range(n, f, sign, lo):
         delta = r - t * f
         square = delta * delta - 4 * sign * t
         if square < 0:
             continue
         s = math.isqrt(square)
         a, b = sign * (delta - s) // 2, (delta + s) // 2
-        if s * s == square and a >= 1 and b >= 1:
+        if s * s == square and a >= lo and b >= lo:
             return a, b
     return None
 
 
-def _nminus1_proof(k, m, f, qs):
+def _nminus1_proof(k, m, f, qs, lo):
     """N-1 proof for N = k*2**m + 1, k odd and m >= 1, with F = f the
-    factored part of N - 1 (_factored_part, or 2**m when 2**m > k, as
-    proth_test runs it) and qs the odd q taken into it.
+    factored part of N - 1, qs the odd q taken into it and lo the bound on
+    the prime factors of R = (N-1)/F (_factored_part, or 2**m, () and 1
+    when 2**m > k, as proth_test runs it).
 
     Tries the bases a = 3, 5, 7, ..., among PROTH_CANDIDATE_LIMIT
     candidates, with jacobi(a, N) = -1, in order.  For prime N Euler's
@@ -401,10 +421,11 @@ def _nminus1_proof(k, m, f, qs):
     shows N composite, as does a base with 1 < gcd(a, N) < N; a base that
     is a multiple of N (N below the candidates) is passed over.  N is
     proved prime by a when also gcd(a**((N-1)/q) - 1, N) = 1 for every q
-    in qs and, when 2**m <= k, N is not (a'*F + 1)*(b'*F + 1) for any
-    a', b' >= 1 (_two_factor_split; Pocklington's theorem with the
-    cube-root bound of Brillhart, Lehmer and Selfridge 1975).  A prime
-    fails a q's gcd for about one base in q; then the next base is tried.
+    in qs, gcd(a**F - 1, N) = 1 when lo > 1, and, when 2**m <= k, N is not
+    (a'*F + 1)*(b'*F + 1) for any a', b' >= lo (_two_factor_split;
+    Pocklington's theorem with the cube-root bound of Brillhart, Lehmer
+    and Selfridge 1975).  A prime fails a q's gcd for about one base in q,
+    and the gcd of a**F for about one in R; then the next base is tried.
 
     A METHOD_PROTH result, proth_test's record when 2**m > k, that is
     prime with the base that proves N prime or composite with the base
@@ -414,12 +435,15 @@ def _nminus1_proof(k, m, f, qs):
     a**((N-1)/2) == -1 (mod p), so the order of a mod p divides
     N - 1 = k*2**m but not (N-1)/2, and 2**m divides it; a gcd of 1 gives
     a**((N-1)/q) != 1 mod p, so the full power q**e of N - 1 divides it
-    too.  So F divides p - 1 and p >= F + 1.  With 2**m > k, that is
-    p > sqrt(N) (Proth's theorem), so N is prime.  With 2**m <= k, three
-    such factors would exceed N < (F - 1)**3, so a composite N is p*p'
-    with both == 1 (mod F): N = (a'*F + 1)*(b'*F + 1), which the last
-    check rules out.  So a wrong base can only cost time, never a
-    verdict.  Stdlib only, with plain pow.
+    too.  So F divides p - 1 and p >= F + 1.  With lo > 1, the order
+    divides F*R and, by the gcd of a**F, not F, so a prime r | R divides
+    it too; r >= lo, so F*r divides p - 1 and p >= F*lo + 1.  With
+    2**m > k, p >= F + 1 is p > sqrt(N) (Proth's theorem), so N is prime.
+    With 2**m <= k, three such factors would exceed N < (F*lo - 1)**3, so
+    a composite N is p*p' with both == 1 (mod F) and (p - 1)/F,
+    (p' - 1)/F >= lo: N = (a'*F + 1)*(b'*F + 1) with a', b' >= lo, which
+    the last check rules out.  So a wrong base can only cost time, never
+    a verdict.  Stdlib only, with plain pow.
     """
     n = (k << m) + 1
     for a in range(3, 3 + 2 * PROTH_CANDIDATE_LIMIT, 2):
@@ -432,29 +456,34 @@ def _nminus1_proof(k, m, f, qs):
                 return PrimalityResult(n, METHOD_PROTH, False, a)
             if any(math.gcd(pow(a, (n - 1) // q, n) - 1, n) != 1 for q in qs):
                 continue
-            if k >> m and _two_factor_split(n, f, 1):
+            if lo > 1 and math.gcd(pow(a, f, n) - 1, n) != 1:
+                continue
+            if k >> m and _two_factor_split(n, f, 1, lo):
                 return None
             return PrimalityResult(n, METHOD_PROTH, True, a)
     return None
 
 
-def _nplus1_proof(k, m, f, qs):
+def _nplus1_proof(k, m, f, qs, lo):
     """N+1 proof for N = k*2**m - 1, k odd and m >= 2, with F = f the
-    factored part of N + 1 (_factored_part) and qs the odd q taken into
-    it: the start P that proves N prime, or 0 for no proof.
+    factored part of N + 1, qs the odd q taken into it and lo the bound on
+    the prime factors of R = (N+1)/F (_factored_part): the start P that
+    proves N prime, or 0 for no proof.
 
     Tries the starts P >= 3, among PROTH_CANDIDATE_LIMIT candidates, with
     jacobi(P-2, N) = 1 and jacobi(P+2, N) = -1 (Rodseth 1994), in order.
     For each it computes V_{(N+1)/4}(P) mod N by the Lucas ladder (Riesel
     1969), as V_k(V_{2**(m-2)}(P)); for prime N every such start makes it 0,
     so a nonzero value ends the test.  Then, for each q in qs,
-    V_{(N+1)/q}(P) = V_{k/q}(V_{2**m}(P)).  N is proved prime, and P
-    returned, when gcd(V_{(N+1)/q}(P) - 2, N) = 1 for every such q and,
-    when 2**m <= k, N is not (a*F + 1)*(b*F - 1) for any a, b >= 1
-    (_two_factor_split; Morrison's N+1 test with the cube-root bound of
-    Brillhart, Lehmer and Selfridge 1975).  A prime fails a q's gcd for
-    about one start in q; then the next start is tried.  No start left, a
-    Jacobi symbol of 0 or a split found give 0: no proof, no verdict.
+    V_{(N+1)/q}(P) = V_{k/q}(V_{2**m}(P)), and when lo > 1,
+    V_F(P) = V_{F/2**m}(V_{2**m}(P)).  N is proved prime, and P returned,
+    when gcd(V_{(N+1)/q}(P) - 2, N) = 1 for every such q,
+    gcd(V_F(P) - 2, N) = 1 when lo > 1, and, when 2**m <= k, N is not
+    (a*F + 1)*(b*F - 1) for any a, b >= lo (_two_factor_split; Morrison's
+    N+1 test with the cube-root bound of Brillhart, Lehmer and Selfridge
+    1975).  A prime fails a q's gcd for about one start in q, and that of
+    V_F for about one in R; then the next start is tried.  No start left,
+    a Jacobi symbol of 0 or a split found give 0: no proof, no verdict.
 
     A proof holds for any P.  Let alpha be a root of x**2 - P*x + 1, so
     V_j = alpha**j + alpha**-j, and let p be a prime factor of N.
@@ -465,15 +494,18 @@ def _nplus1_proof(k, m, f, qs):
     divides it.  V_j - 2 = alpha**-j * (alpha**j - 1)**2, so a gcd of 1
     gives alpha**((N+1)/q) != 1 mod p, and the full power q**e of N + 1
     divides the order too.  So F divides p - 1 or p + 1, and p >= F - 1.
-    With 2**m > k, a composite N would be a product of at least two such
-    p.  If one is 2**m - 1, the cofactor N/p == 1 (mod 2**m), as
-    N == p == -1, so it is at least 2**m + 1 and N >= 2**(2m) - 1;
-    otherwise N >= (2**m + 1)**2.  Both exceed N = k*2**m - 1 <
-    2**(2m) - 1.  With 2**m <= k, three such factors would exceed
-    N < (F - 1)**3, so a composite N is p*p' with p*p' == -1 (mod F),
-    one factor == 1 and the other == -1 (F >= 4): N = (a*F + 1)*(b*F - 1)
-    with a, b >= 1, which the last check rules out.  So a wrong start can
-    only cost time, never a verdict.  Stdlib only, with plain %.
+    With lo > 1, the order divides F*R and, by the gcd of V_F, not F, so a
+    prime r | R divides it too; r >= lo, so F*r divides p - 1 or p + 1,
+    and p >= F*lo - 1.  With 2**m > k, a composite N would be a product
+    of at least two such p.  If one is 2**m - 1, the cofactor
+    N/p == 1 (mod 2**m), as N == p == -1, so it is at least 2**m + 1 and
+    N >= 2**(2m) - 1; otherwise N >= (2**m + 1)**2.  Both exceed
+    N = k*2**m - 1 < 2**(2m) - 1.  With 2**m <= k, three such factors
+    would exceed N < (F*lo - 1)**3, so a composite N is p*p' with
+    p*p' == -1 (mod F), one factor == 1 and the other == -1 (F >= 4), each
+    F times at least lo away from +-1: N = (a*F + 1)*(b*F - 1) with
+    a, b >= lo, which the last check rules out.  So a wrong start can only
+    cost time, never a verdict.  Stdlib only, with plain %.
     """
     n = (k << m) - 1
     for p in _rodseth_starts(n):
@@ -482,11 +514,13 @@ def _nplus1_proof(k, m, f, qs):
             w = (w * w - 2) % n
         if _lucas_v(w, k, n):
             return 0
-        if qs:
+        if qs or lo > 1:
             w = ((w * w - 2) ** 2 - 2) % n  # V_{2**m}(P)
             if any(math.gcd(_lucas_v(w, k // q, n) - 2, n) != 1 for q in qs):
                 continue
-        return 0 if k >> m and _two_factor_split(n, f, -1) else p
+            if lo > 1 and math.gcd(_lucas_v(w, f >> m, n) - 2, n) != 1:
+                continue
+        return 0 if k >> m and _two_factor_split(n, f, -1, lo) else p
     return 0
 
 

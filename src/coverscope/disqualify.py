@@ -13,11 +13,13 @@ re-checkable witness).  arith.is_prime decides the rest: a term below
 arith.SIEVE_SQUARE by one more gcd, one below 2**64 with at most seven
 exponentiations.  A prime in form on its side, with F = 2^m times small
 prime powers of its own k' (N = k'*2^m +- 1, m >= 2) reaching
-(F - 1)^3 > N, is proved by one base or round and one N-1 or N+1 proof
-(arith._nminus1_proof, arith._nplus1_proof): below psi_13 from 2**32 up,
-and for every k'*2^m - 1 with 2^m > k'.  The JSON record writes the found
-prime in full, also past Python's limit on printing an int, while a
-verbose trail stops before the first term over it.
+(F - 1)^3 > N, or (1031*F - 1)^3 > N with the rest of k' free of primes
+below 1031 (arith._factored_part), is proved by one base or round and one
+N-1 or N+1 proof (arith._nminus1_proof, arith._nplus1_proof): below
+psi_13 from 2**32 up, and for every k'*2^m - 1 with 2^m > k'.  The JSON
+record writes the found prime in full, also past Python's limit on
+printing an int, while a verbose trail stops before the first term over
+it, or over Python's default limit when the limit is higher or off.
 """
 
 import sys
@@ -60,9 +62,11 @@ def first_prime_exponent(
     candidate: Candidate, n_max: int, verbose: bool = False
 ) -> DisqualificationRecord:
     """Scan n = 1..n_max in order for the first prime k*2^n + sign.  A
-    verbose scan raises ValueError on reaching a term with more digits than
-    Python prints (sys.get_int_max_str_digits()): its trail keeps every
-    term, and that limit is what bounds their size, though
+    verbose scan keeps every term in its trail, so it raises ValueError on
+    reaching a term with more digits than Python prints
+    (sys.get_int_max_str_digits()), or than Python's default limit
+    (sys.int_info.default_max_str_digits) when the limit is higher or 0
+    (no limit).  That bound is what bounds the trail's size, though
     primality_to_dict would write a term of any length."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -74,9 +78,16 @@ def first_prime_exponent(
     low, high = arith.SIEVE_PRODUCT_LOW, arith.SIEVE_PRODUCT_HIGH
     trail = [] if verbose else None
     n_stop = n_max
-    if verbose and (limit := sys.get_int_max_str_digits()):
+    if verbose:
         # The first term of more than limit digits is at the least n >= 1
         # with k*2^n >= 10^limit - sign; the scan stops before it.
+        default = sys.int_info.default_max_str_digits
+        printed = sys.get_int_max_str_digits()
+        limit = min(printed or default, default)
+        # Above the default limit, or with none, a longer term would print:
+        # the stop bounds the trail's size alone.
+        reason = ("too long to print in a verbose trail" if limit == printed
+                  else "the most a verbose trail keeps")
         n_stop = min(n_max, max(1, ((10**limit - sign - 1) // k).bit_length()) - 1)
     for n in range(1, n_stop + 1):
         term = (k << n) + sign
@@ -98,8 +109,7 @@ def first_prime_exponent(
             )
     if n_stop < n_max:
         raise ValueError(
-            f"the term at n={n_stop + 1} has more than {limit} digits, "
-            "too long to print in a verbose trail"
+            f"the term at n={n_stop + 1} has more than {limit} digits, {reason}"
         )
     return DisqualificationRecord(
         candidate, None, None, n_max, tuple(trail) if trail is not None else None

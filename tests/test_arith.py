@@ -311,22 +311,27 @@ PSI_TIERS = [(t, arith._PSI[t - 1]) for t in range(1, 13) if arith._PSI[t - 1] !
 
 # The largest prime below each row bound of _MR_ROWS, and below 1031**2,
 # with the bases its test runs, in order: none up to the sieve square, so
-# a return to more rounds shows without timing.  Only 2**64 - 59 is in form
-# on its side (n - 1 = 4*k with F = 4*547*137*11), so the N-1 proof
-# proves it after one base; 2**64 - 83, the largest prime below 2**64 out
-# of form, runs Sinclair's whole row.
+# a return to more rounds shows without timing.  Three are in form on their
+# side, so the N-1 proof proves each after one base: 2**64 - 59 with
+# n - 1 = 4*k and F = 4*547*137*11 by the cube bound, 4759123129 with
+# F = 8*53*3 and 2**64 - 83 with F = 4*193*67*43 by the bound 1031 on what
+# is left of k.  The largest primes below their bounds out of form,
+# 4759123079 (on the - side, k = 594890385 and m = 3) and 2**64 - 95,
+# run their whole rows.
 FIRST_FIVE = (2, 3, 5, 7, 11)
 ROW_PRIMES = (
     (1021, ()),
     (1062949, ()),
     (1373639, (2, 3)),
     (9080189, (31, 73)),
-    (4759123129, (2, 7, 61)),
+    (4759123129, (2,)),
+    (4759123079, (2, 7, 61)),
     (1122004669603, (2, 13, 23, 1662803)),
     (2152302898729, FIRST_FIVE),
     (3474749660329, (*FIRST_FIVE, 13)),
     (2**64 - 59, (2,)),
-    (2**64 - 83, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (2**64 - 83, (2,)),
+    (2**64 - 95, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
     (318665857834031151167441, arith.MR_DETERMINISTIC_BASES[:12]),
     (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES),
 )
@@ -382,10 +387,10 @@ def trigger_proofs(monkeypatch):
             active.pop()
 
     def counting(side, real):
-        def proof(k, m, f, qs):
+        def proof(k, m, f, qs, lo):
             if active:
                 runs.append((side, k, m))
-            return real(k, m, f, qs)
+            return real(k, m, f, qs, lo)
         return proof
 
     monkeypatch.setattr(arith, "_proved_on_its_side", trigger)
@@ -419,7 +424,7 @@ def test_f_is_2_to_the_m_whenever_2_to_the_m_exceeds_k():
     for m in range(2, 14):
         for k in range(1, 2**m, 2):
             for sign in (1, -1):
-                assert arith._factored_part(k, m, sign) == (2**m, ()), (k, m, sign)
+                assert arith._factored_part(k, m, sign) == (2**m, (), 1), (k, m, sign)
 
 
 def test_the_trigger_proves_no_composite_and_most_primes_in_form():
@@ -478,6 +483,7 @@ class TestPsiTiers:
     def test_each_row_bound_below_2_to_the_64_fools_its_bases(self):
         bounds = [bound for bound, _ in arith._MR_ROWS]
         assert bounds == sorted(bounds) and bounds[-1] == arith.MR_DETERMINISTIC_BOUND
+        assert arith.SIEVE_NEXT_PRIME == next_prime_naive(arith.SIEVE_BOUND) == 1031
         assert arith.SIEVE_SQUARE == 1031**2 < bounds[0]
         low = [(bound, bases) for bound, bases in arith._MR_ROWS if bound < 2**64]
         assert len(low) == 6
@@ -554,9 +560,12 @@ class TestLucasLehmerRiesel:
 
     def test_form_violations_rejected(self):
         # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
-        # factor to add to F = 2**m, and (F - 1)**3 <= N.
-        for k, m in ((1031, 2), (1031**5, 20), (1031 * 1033, 4)):
+        # factor to add to F = 2**m, (F - 1)**3 <= N, and the bound 1031 on
+        # k leaves more than three t for the split.  With 2**20 it leaves
+        # two, and 1031**5 * 2**20 + sign is in form.
+        for k, m in ((1031, 2), (1031**5, 10), (1031 * 1033, 4)):
             assert arith._factored_part(k, m, -1) is None, (k, m)
+        assert arith._factored_part(1031**5, 20, -1) == (2**20, (), 1031)
 
     def test_the_start_rechecks_by_a_matrix_power(self):
         # Primes N = k*2**m - 1, with and without odd q in F, up to past
@@ -575,7 +584,7 @@ class TestLucasLehmerRiesel:
         for k, m in cases:
             n = k * 2**m - 1
             assert prime_naive(n), (k, m)
-            _, qs = arith._factored_part(k, m, -1)
+            _, qs, _ = arith._factored_part(k, m, -1)
             p = n_plus_1(k, m)
             assert arith.jacobi(p - 2, n) == 1 and arith.jacobi(p + 2, n) == -1, (k, m)
             assert lucas_v_by_matrix(p, (n + 1) // 4, n) == 0, (k, m)
@@ -598,7 +607,7 @@ class TestLucasLehmerRiesel:
         for k, m, f, qs, prime in cases:
             n = k * 2**m - 1
             assert k >= 2**m and prime_naive(n) == prime, (k, m)
-            assert arith._factored_part(k, m, -1) == (f, qs), (k, m)
+            assert arith._factored_part(k, m, -1) == (f, qs, 1), (k, m)
             assert (f - 1) ** 3 > n and (n + 1) % f == 0
             assert bool(n_plus_1(k, m)) == prime, (k, m)
 
@@ -617,11 +626,11 @@ class TestLucasLehmerRiesel:
         )
         for k, m, a, b in composites:
             n = k * 2**m - 1
-            f, _ = arith._factored_part(k, m, -1)
+            f, _, _ = arith._factored_part(k, m, -1)
             assert n == (a * f + 1) * (b * f - 1) and k >= 2**m, (k, m)
-            assert arith._two_factor_split(n, f, -1) == (a, b), (k, m)
+            assert arith._two_factor_split(n, f, -1, 1) == (a, b), (k, m)
             assert n_plus_1(k, m) == 0, (k, m)
-        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign: None)
+        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign, lo: None)
         for k, m, _, _ in composites:
             assert n_plus_1(k, m), (k, m)
 
@@ -636,12 +645,12 @@ class TestLucasLehmerRiesel:
             (639975, 9, 27136, (53,)),  # 25601*12799
         )
         for k, m, f, qs in composites:
-            assert arith._factored_part(k, m, -1) == (f, qs), (k, m)
+            assert arith._factored_part(k, m, -1) == (f, qs, 1), (k, m)
             assert not prime_naive(k * 2**m - 1)
             assert n_plus_1(k, m) == 0, (k, m)
         real = arith._factored_part
         monkeypatch.setattr(
-            arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], ())
+            arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], (), 1)
         )
         for k, m, _, _ in composites:
             assert n_plus_1(k, m), (k, m)
@@ -735,7 +744,7 @@ class TestRieselAbovePsi13:
                     n = (a * big_f + 1) * (b * big_f - 1)
                     if n >= (big_f - 1) ** 3:
                         continue
-                    split = arith._two_factor_split(n, big_f, -1)
+                    split = arith._two_factor_split(n, big_f, -1, 1)
                     assert split is not None, (n, big_f)
                     a1, b1 = split
                     assert a1 >= 1 and b1 >= 1 and (a1 * big_f + 1) * (b1 * big_f - 1) == n
@@ -751,7 +760,7 @@ class TestRieselAbovePsi13:
                 for _ in range(20):
                     n = rng.randrange(1, (big_f - 1) ** 3 // big_f) * big_f - 1
                     if n > 2 and prime_naive(n):
-                        assert arith._two_factor_split(n, big_f, -1) is None, (n, big_f)
+                        assert arith._two_factor_split(n, big_f, -1, 1) is None, (n, big_f)
                         seen += 1
         assert seen > 100
 
@@ -778,8 +787,15 @@ class TestRieselAbovePsi13:
         # k has no odd factor up to SIEVE_BOUND and (2**2 - 1)**3 < N, and
         # k itself is composite, so the cofactor rule does not apply.
         (829261016169971846490977, 2, arith.MR_PROBABILISTIC_ROUNDS, 0),
-        # k is a prime below psi_13, so it joins F by the cofactor rule.
+        # k is a prime with no factor up to SIEVE_BOUND: F = 2**30 with the
+        # bound 1031 on k.
         (10605807533490612797, 30, 1, 1),
+        # First prime of the other pinned disqualify scan: F = 2**26 * 3 with
+        # the bound 1031 on the rest of k.
+        (4347139270569672657, 26, 1, 1),
+        # k is a prime below psi_13, and F = 2**8 falls short of the bound
+        # 1031 on k, so k joins F by the cofactor rule.
+        (37778931862957161710357, 8, 1, 1),
     ])
     def test_a_prime_runs_one_round_and_one_kernel_run_in_form_else_all(
         self, monkeypatch, trigger_proofs, k, m, rounds, kernel_runs
@@ -900,9 +916,12 @@ class TestPocklington:
 
     def test_form_violations_rejected(self):
         # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
-        # factor to add to F = 2**m, and (F - 1)**3 <= N.
-        for k, m in ((1031, 2), (1031**5, 20), (1031 * 1033, 4)):
+        # factor to add to F = 2**m, (F - 1)**3 <= N, and the bound 1031 on
+        # k leaves more than three t for the split.  With 2**20 it leaves
+        # two, and 1031**5 * 2**20 + sign is in form.
+        for k, m in ((1031, 2), (1031**5, 10), (1031 * 1033, 4)):
             assert arith._factored_part(k, m, 1) is None, (k, m)
+        assert arith._factored_part(1031**5, 20, 1) == (2**20, (), 1031)
 
     def test_the_base_rechecks_from_the_result_alone(self):
         # Primes N = k*2**m + 1 with 2**m <= k and odd q in F: the base the
@@ -918,7 +937,7 @@ class TestPocklington:
         )
         for k, m in cases:
             n = k * 2**m + 1
-            f, qs = arith._factored_part(k, m, 1)
+            f, qs, _ = arith._factored_part(k, m, 1)
             assert k >= 2**m and qs and prime_naive(n), (k, m)
             a = n_minus_1(k, m)
             assert a and pow(a, n >> 1, n) == n - 1, (k, m)
@@ -946,19 +965,23 @@ class TestPocklington:
         for k, m, f, qs, prime in cases:
             n = k * 2**m + 1
             assert prime_naive(n) == prime, (k, m)
-            assert arith._factored_part(k, m, 1) == (f, qs), (k, m)
+            assert arith._factored_part(k, m, 1) == (f, qs, 1), (k, m)
             assert (f - 1) ** 3 > n and (n - 1) % f == 0
             assert bool(n_minus_1(k, m)) == prime, (k, m)
 
     def test_the_cofactor_of_k_joins_f_above_psi_13_only(self):
-        # k = 10605807533490612797 is a prime below psi_13 with no factor up
-        # to SIEVE_BOUND, and 2**30 * 3 falls short of the cube bound.
-        k = 10605807533490612797
-        assert arith._factored_part(k, 30, -1) == (k * 2**30, (k,))
-        assert arith._factored_part(3 * k, 30, 1) == (3 * k * 2**30, (3, k))
+        # k is a prime below psi_13 with no factor up to SIEVE_BOUND, and
+        # 2**8 * 3 falls short of the cube bound and of the bound 1031 on k.
+        k = 37778931862957161710357
+        assert arith._factored_part(k, 8, -1) == (k * 2**8, (k,), 1)
+        assert arith._factored_part(3 * k, 8, 1) == (3 * k * 2**8, (3, k), 1)
         # Below psi_13 the cofactor never joins.
         assert k * 2**6 - 1 < arith.MR_DETERMINISTIC_BOUND
         assert arith._factored_part(k, 6, -1) is None
+        # The bound 1031 comes first: with 2**30, F = 2**30 reaches it for
+        # the prime k = 10605807533490612797.
+        k = 10605807533490612797
+        assert arith._factored_part(k, 30, -1) == (2**30, (), 1031)
         # A composite cofactor never joins, and neither does one at or above
         # psi_13, prime or not: psi_13 itself passes the first 13 prime
         # bases, and psi_13 + 142 is a prime only 40 rounds vouch for.
@@ -987,11 +1010,11 @@ class TestPocklington:
         )
         for k, m, a, b in composites:
             n = k * 2**m + 1
-            f, _ = arith._factored_part(k, m, 1)
+            f, _, _ = arith._factored_part(k, m, 1)
             assert n == (a * f + 1) * (b * f + 1) and k >= 2**m, (k, m)
-            assert arith._two_factor_split(n, f, 1) == (a, b), (k, m)
+            assert arith._two_factor_split(n, f, 1, 1) == (a, b), (k, m)
             assert n_minus_1(k, m) == 0, (k, m)
-        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign: None)
+        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign, lo: None)
         for k, m, _, _ in composites:
             assert n_minus_1(k, m), (k, m)
 
@@ -1006,12 +1029,12 @@ class TestPocklington:
             (127075753875, 12, 2904064, (709,)),
         )
         for k, m, f, qs in composites:
-            assert arith._factored_part(k, m, 1) == (f, qs), (k, m)
+            assert arith._factored_part(k, m, 1) == (f, qs, 1), (k, m)
             assert not prime_naive(k * 2**m + 1)
             assert n_minus_1(k, m) == 0, (k, m)
         real = arith._factored_part
         monkeypatch.setattr(
-            arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], ())
+            arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], (), 1)
         )
         for k, m, _, _ in composites:
             assert n_minus_1(k, m), (k, m)
@@ -1037,7 +1060,7 @@ class TestPocklington:
                     n = (a * big_f + 1) * (b * big_f + 1)
                     if n >= (big_f - 1) ** 3:
                         continue
-                    split = arith._two_factor_split(n, big_f, 1)
+                    split = arith._two_factor_split(n, big_f, 1, 1)
                     assert split is not None, (n, big_f)
                     a1, b1 = split
                     assert 1 <= a1 <= b1 and (a1 * big_f + 1) * (b1 * big_f + 1) == n
@@ -1053,7 +1076,7 @@ class TestPocklington:
                 for _ in range(20):
                     n = rng.randrange(1, (big_f - 1) ** 3 // big_f) * big_f + 1
                     if prime_naive(n):
-                        assert arith._two_factor_split(n, big_f, 1) is None, (n, big_f)
+                        assert arith._two_factor_split(n, big_f, 1, 1) is None, (n, big_f)
                         seen += 1
         assert seen > 100
 
@@ -1108,6 +1131,8 @@ class TestPocklington:
         (2**64 - 59, (2,), [("N-1", (2**64 - 60) // 4, 2)]),
         # Above psi_13, one round: F = 2**34 * 1021.
         (7139711239991325154707 * 2**34 + 1, None, [("N-1", 7139711239991325154707, 34)]),
+        # In [2**64, psi_13) with the bound 1031 on the rest of k: F = 2**21 * 5.
+        (25906288222960415 * 2**21 + 1, (2,), [("N-1", 25906288222960415, 21)]),
         # In form but below 2**32, the crossover: the whole row, no kernel.
         (9080189, (31, 73), []),
         # -1 side below 2**64 with two odd q, F = 2**10 * 811 * 17: the
@@ -1139,6 +1164,362 @@ class TestPocklington:
             assert result == arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, True)
             assert tuple(bases_run) == bases
         assert trigger_proofs == kernel_runs
+
+
+# The 42 first primes k*2**n - 1 of the hunt benchmark's scans at seeds 1,
+# 2, 7, 11 and 41 that are above psi_13 and out of reach of the cube bound
+# and of the cofactor rule: F = 2**n times k's prime powers up to
+# SIEVE_BOUND, with the bound 1031 on the rest of k, proves each.
+HUNT_TAIL = (
+    (1086653604176734779, 25),
+    (2236336567068312097, 29),
+    (464456761652499999, 25),
+    (6216718685019140015, 26),
+    (4347139270569672657, 26),
+    (304462195497059311, 29),
+    (186835606763486113, 27),
+    (2858494271639372369, 28),
+    (352986073438849107, 25),
+    (1102423317402290589, 25),
+    (4053934868549075303, 26),
+    (6213339443866970281, 27),
+    (7088165485677093929, 28),
+    (1364882766895919659, 25),
+    (3773441612489885079, 25),
+    (1225375921353214091, 26),
+    (3594833835327013953, 28),
+    (3136189529566446981, 27),
+    (241768509304465401, 25),
+    (3931251081489806817, 25),
+    (2917766815407022197, 26),
+    (192669875349804467, 28),
+    (13822688378694450679, 27),
+    (627874660105442691, 26),
+    (1797687882458228921, 26),
+    (1377890737247961941, 26),
+    (461402875122347027, 28),
+    (2098815111880120131, 25),
+    (940768008382198267, 25),
+    (7134108558346712361, 25),
+    (1602756732887408873, 30),
+    (471819917302432161, 25),
+    (1886333741198410457, 28),
+    (479638418068028407, 25),
+    (7829661265606885067, 26),
+    (2521924521467821919, 28),
+    (107668950405828167, 26),
+    (13639000118259585235, 25),
+    (7580368103610779953, 27),
+    (3051408564783175187, 30),
+    (2184016282656104797, 29),
+    (356534318758597757, 26),
+)
+
+
+# Every first prime above psi_13 and not of Proth form in the hunt
+# benchmark's scans at seeds 1, 2, 7, 11 and 41, as (k, n) of
+# k*2**n - 1 and of k*2**n + 1, in scan order: 410, of which HUNT_TAIL
+# holds the 42 that the bound 1031 alone brings in form, and 20 more
+# take the bound 1031 before the cofactor rule.  Hard-coded from
+# perfbench/workloads.hunt_jobs; tests do not import perfbench.
+HUNT_BIG_RIESEL = (
+    (1086653604176734779, 25), (2236336567068312097, 29), (3887281973, 50),
+    (208458014172092995, 25), (464456761652499999, 25), (6216718685019140015, 26),
+    (4934542625629055137, 29), (3845379069520942867, 29), (360650043058722683, 26),
+    (3503621932310432489, 32), (48078368041875325, 27), (102153908633666349, 29),
+    (271577675699994937, 29), (537812050812231455, 32), (4968482468521005867, 25),
+    (1296401281152603653, 30), (63144306025247467, 29), (113227145386491361, 29),
+    (4421402612637688847, 32), (79827456762193295, 32), (83175997071651799, 29),
+    (2286055824892174825, 27), (95650371919, 45), (10605807533490612797, 30),
+    (4347139270569672657, 26), (1308194044323802655, 28), (207459355850461463, 32),
+    (178305630798102341, 30), (304462195497059311, 29), (986791470708816689, 32),
+    (973979359197011131, 31), (565885473433729093, 31), (116783300051889603, 28),
+    (123486758211769917, 29), (169581332110114235, 26), (186835606763486113, 27),
+    (1177581121929127621, 25), (47381856959907347, 28), (120407960163713463, 30),
+    (63709559, 56), (1920631412226107457, 28), (4804939140089034803, 28),
+    (300137474993312171, 30), (123259721240908933, 31), (53893005148732985, 30),
+    (957157817951638851, 31), (620210251402943049, 25), (454691529352005561, 29),
+    (5809983768186612039, 29), (80452041554318851, 27), (60706752157869617, 30),
+    (2697607959095569061, 30), (3592306198569532873, 31), (1874808175485355399, 25),
+    (2819393708324535171, 30), (5584247120216360207, 32), (60248402617386569, 28),
+    (1626118234847866731, 27), (502315205037014369, 32), (71057043323714679, 32),
+    (6988621113971715875, 26), (862277634313846053, 28), (7064180894898531701, 26),
+    (306829519377804031, 27), (215443465739105185, 29), (1390311819007773055, 27),
+    (223992298781582973, 31), (697432767569991489, 29), (688460593845336295, 29),
+    (1654223080642027967, 28), (847891188873591471, 31), (101103151368740569, 31),
+    (694620001543436757, 25), (2858494271639372369, 28), (230965618048509903, 30),
+    (209297387947264477, 29), (5765787017137674375, 28), (59521368438106359, 31),
+    (4401729267346301665, 31), (3277767317167655023, 31), (57208815599659341, 27),
+    (12511412393, 48), (58511322416544629, 28), (456723376171680739, 31),
+    (453893267348011879, 27), (352986073438849107, 25), (51448961829277439, 28),
+    (46174797001832975, 28), (310732152122090601, 26), (641596327227955507, 25),
+    (1516221104253870959, 32), (382216792004270829, 29), (1102423317402290589, 25),
+    (449736040616498779, 27), (249663417018170009, 32), (63422814304150455, 27),
+    (4907379673772275375, 29), (116852379977509427, 26), (84435424101057403, 31),
+    (881673673586609329, 29), (205158310421463027, 24), (69247821905297793, 30),
+    (739003047147218133, 28), (109868695560762455, 28), (4053934868549075303, 26),
+    (51626248287763615, 27), (1485513395525156979, 31), (103207468622169541, 29),
+    (6213339443866970281, 27), (7088165485677093929, 28), (247372143856600321, 29),
+    (242762336968029679, 27), (181542701079819919, 29), (1364882766895919659, 25),
+    (1546349902017737085, 29), (4535813274066503887, 25), (67929849105376847, 28),
+    (243656508128370959, 32), (274617319297068833, 32), (77609049791022009, 29),
+    (409856272093101047, 32), (1172328817649886825, 25), (602091512281962593, 28),
+    (8517782105649203561, 26), (586271098985941239, 32), (40737489899858973, 32),
+    (44084228887031639, 28), (226189802594437209, 31), (3254916781449324257, 30),
+    (120230166391454461, 29), (4767371919533437135, 29), (3773441612489885079, 25),
+    (138241727749592563, 31), (16398285752160837659, 32), (6156466635772626191, 26),
+    (437749011296298243, 31), (6577000386189288303, 26), (928527154516603737, 29),
+    (3408443888478815467, 25), (1225375921353214091, 26), (3594833835327013953, 28),
+    (230097649816902259, 27), (86873608413924833, 26), (5124736199294214947, 26),
+    (102652548115578189, 28), (3157776487892988127, 29), (1579656894285697857, 30),
+    (46580175256823041, 29), (3433674841650595719, 31), (1441461036357437063, 28),
+    (1913842765360682371, 27), (111388455802201995, 26), (822926882637087593, 32),
+    (241418095019288647, 29), (3136189529566446981, 27), (47857791449734831, 27),
+    (5786722893980131609, 27), (265050633391678005, 26), (670480811062445369, 32),
+    (527092972838762725, 29), (593758421596223319, 27), (1597670518537366835, 28),
+    (3289366861597331977, 29), (416024621502995525, 30), (400702342220109267, 30),
+    (123181906038273125, 26), (2701685060344039655, 26), (1993413570290867493, 26),
+    (241768509304465401, 25), (60792280622503061, 30), (3931251081489806817, 25),
+    (76947652520130811, 27), (222426791300183959, 27), (2917766815407022197, 26),
+    (51634618954924739, 28), (1125927258573018499, 29), (689525666997837331, 27),
+    (3851138465998335095, 32), (182496615043154861, 26), (452069484651046181, 30),
+    (69240722316115771, 29), (192669875349804467, 28), (872773717336715807, 26),
+    (67478300041143183, 27), (13822688378694450679, 27), (627874660105442691, 26),
+    (3406362673019556821, 26), (39904612597636147, 29), (1797687882458228921, 26),
+    (92455485427882967, 28), (1377890737247961941, 26), (61653707181192349, 27),
+    (461402875122347027, 28), (2098815111880120131, 25), (122850124600795709, 32),
+    (1214226201100602549, 27), (265860414121337487, 29), (968199359133475889, 28),
+    (1936268725293916353, 32), (410599687274470375, 27), (5374109484729749271, 30),
+    (1935901307909729395, 29), (38099201898557251, 29), (89577500162147061, 29),
+    (4340942867782575719, 28), (280890162544652065, 25), (496314003793626709, 27),
+    (59567144444264311, 31), (1097966165721697123, 27), (2861003584894342695, 27),
+    (940768008382198267, 25), (5307430822004292835, 25), (7134108558346712361, 25),
+    (117167706124989921, 31), (248365233145307365, 27), (69554714354244177, 28),
+    (5422694600754085267, 29), (7598831045454082055, 32), (98439619086677387, 26),
+    (2049305865186364735, 31), (471022617432368539, 29), (1602756732887408873, 30),
+    (471819917302432161, 25), (807541436260651361, 30), (2700987563752560117, 26),
+    (1886333741198410457, 28), (2920172713453010039, 28), (322690636549719949, 31),
+    (107737781338004021, 26), (294802586784963139, 25), (479638418068028407, 25),
+    (53765870173843237, 29), (7829661265606885067, 26), (5116009659752324815, 31),
+    (285743593095615739, 29), (138907475008828361, 30), (141785246275555861, 29),
+    (466124862816446713, 27), (5210603162958638219, 32), (8309277572487417677, 26),
+    (3233676708405810929, 28), (1106478895312251189, 29), (615174793344708733, 27),
+    (220350484426322229, 31), (211611751983486363, 27), (3113069507724238029, 25),
+    (71832108941268529, 27), (2021189738289794127, 29), (317904925246357157, 30),
+    (4991859068619246043, 27), (1866982078830499937, 28), (89400480386575479, 27),
+    (375771705765825807, 32), (123153506055650781, 26), (395986850301300583, 27),
+    (4358047584262281017, 28), (125851655228523309, 28), (67414641724622959, 29),
+    (60480117661779295, 29), (370290609452012775, 28), (291788169732140757, 32),
+    (1870398699309400231, 25), (126838399292035691, 26), (802331143862058767, 30),
+    (1426420312717951005, 25), (203157290711178313, 27), (2521924521467821919, 28),
+    (488536974309927095, 28), (50343224502038073, 27), (116520309042828295, 29),
+    (5433003507227252657, 26), (3490682148291735943, 27), (7071264558404327109, 29),
+    (3283395942007534675, 27), (116099916613824709, 27), (708500222481516617, 32),
+    (58784328584724979, 27), (122347340821338191, 26), (250705585332036741, 27),
+    (66233770353210913, 27), (143094396294194385, 31), (4617408123068089385, 28),
+    (43472377266360625, 27), (107668950405828167, 26), (37872179330462253, 27),
+    (306744616445024821, 25), (906580398140356691, 30), (1122664532592462601, 29),
+    (77152413194506463, 30), (1014692525489612107, 29), (195795300901836705, 30),
+    (184110614977869511, 25), (5435664716414410135, 25), (1864183677460651143, 27),
+    (1789862801439275059, 25), (320109687772355711, 26), (2034146812014800003, 26),
+    (2429696284267665583, 27), (9191490754851423395, 26), (1097597151629238879, 29),
+    (4879172386610101553, 28), (43288536264359325, 28), (789647849525101865, 32),
+    (433987960265686443, 26), (645600986356960135, 25), (4250611481916106659, 31),
+    (5002184885304855271, 31), (59061973538148957, 32), (3800691741119586597, 32),
+    (8534238136853472293, 28), (2071928665746839323, 27), (260771410400422735, 25),
+    (268810176813799575, 27), (2221517951825701467, 29), (2994696915213261821, 30),
+    (359054471636784689, 28), (2105105490666194213, 28), (832693802361460253, 32),
+    (13639000118259585235, 25), (246733546032890539, 29), (155751880042942399, 29),
+    (3569583134895465167, 26), (160308907458954619, 25), (221631680526192001, 31),
+    (1019202507247218325, 25), (531353332656757969, 29), (2529849181417298057, 28),
+    (1321981977771546931, 31), (326314571904333341, 26), (885084551052378755, 26),
+    (896789159294007507, 29), (4585429068671144935, 27), (152579256922518395, 32),
+    (1685161523966807395, 29), (62489642702431595, 32), (84061319545433219, 32),
+    (983110510164990593, 26), (558472509578328895, 23), (47327342432175017, 28),
+    (8994969734933389251, 25), (378247192195145703, 27), (205057168283201523, 30),
+    (117721653080876129, 28), (858097110249561129, 27), (3077865539760248783, 28),
+    (185438599635079071, 26), (904936926120115295, 28), (658929086960032551, 30),
+    (5140291679061093331, 25), (81034620119577979, 29), (560515893429905079, 31),
+    (1040882356335359855, 30), (7580368103610779953, 27), (3051408564783175187, 30),
+    (2495305222547495395, 25), (2184016282656104797, 29), (718863691207422337, 29),
+    (408624241016125267, 29), (252618458894823153, 30), (260312272781952065, 26),
+    (5896368816830284773, 28), (2075165136194503451, 30), (58885681897682803, 31),
+    (52870648145912839, 29), (37642373047205863, 27), (4518666515168266901, 26),
+    (516077369266574367, 26), (225562267013628893, 30), (1980799808389643929, 27),
+    (342903916154315951, 26), (7189991912489253543, 27), (2196154605544101189, 29),
+    (134136998862347953, 31), (272771033091758653, 27), (356534318758597757, 26),
+    (202007295596662225, 29), (746752591928344803, 27), (87130753081911489, 29),
+    (4717493313682338501, 29), (8169500048237082953, 26), (506786289230573199, 29),
+    (45773876200832901, 27), (1756852028211106187, 32), (46554195163289203, 31),
+    (4565784062950825161, 29), (121085222565991167, 29), (10224523702282090651, 31),
+    (83789532946218993, 30), (64025476755832637, 32), (309544701870549575, 28),
+    (55537039849172007, 30), (199542793145237293, 31), (106542473532067185, 30),
+    (4562574066405013571, 30), (202682273747498043, 30), (46178496380250319, 29),
+    (3935743003848185347, 25), (79991944835179181, 26), (2090937217891030153, 31),
+    (7381830854801440123, 27), (1194251909561880371, 26), (2692077016566782133, 30),
+    (4927507738910972319, 32), (114186110100930181, 27), (1681936981258875019, 29),
+    (1068376571068752377, 26),
+)
+HUNT_BIG_PLUS = (
+    (3921028932213976825, 20), (67028937074671, 36), (1594379108707343003, 21),
+    (1796346670083504015, 21),
+)
+
+
+def _km(n, sign):
+    """(k, m) with n = k*2**m + sign, k odd."""
+    m = ((n - sign) & (sign - n)).bit_length() - 1
+    return (n - sign) >> m, m
+
+
+def _proves(n, sign):
+    """Whether the proof of n's side proves n = k*2**m + sign prime with
+    the part _factored_part gives."""
+    k, m = _km(n, sign)
+    return bool((n_minus_1 if sign > 0 else n_plus_1)(k, m))
+
+
+class TestBoundOnTheRestOfK:
+    """N = k*2**m + sign with F = 2**m times k's prime powers up to
+    SIEVE_BOUND short of the cube bound: R = (N - sign)/F has no prime
+    factor below lo = 1031, and one more gcd bounds every prime factor of
+    N from below by F*lo - 1."""
+
+    def test_the_hunt_tail_is_proved(self):
+        assert len(HUNT_TAIL) == 42
+        for k, m in HUNT_TAIL:
+            n = k * 2**m - 1
+            assert n >= arith.MR_DETERMINISTIC_BOUND and prime_naive(n), (k, m)
+            f, qs, lo = arith._factored_part(k, m, -1)
+            assert lo == 1031 and (f - 1) ** 3 <= n < (f * lo - 1) ** 3, (k, m)
+            assert arith._proved_on_its_side(n, *arith._mr_decompose(n)), (k, m)
+
+    def test_every_big_hunt_first_prime_is_proved(self):
+        assert len(HUNT_BIG_RIESEL) + len(HUNT_BIG_PLUS) == 410
+        assert set(HUNT_TAIL) <= set(HUNT_BIG_RIESEL)
+        with_the_bound = 0
+        for sign, pairs in ((-1, HUNT_BIG_RIESEL), (1, HUNT_BIG_PLUS)):
+            for k, m in pairs:
+                n = (k << m) + sign
+                assert n >= arith.MR_DETERMINISTIC_BOUND and (sign < 0 or k >> m), (k, m)
+                with_the_bound += arith._factored_part(k, m, sign)[2] > 1
+                assert arith._proved_on_its_side(n, *arith._mr_decompose(n)), (k, m, sign)
+        assert with_the_bound == 62
+
+    # (sign, F, a, b): N = (a*F + 1)*(b*F + sign) with a, b >= 1031 and
+    # both factors prime, in the form with F and lo = 1031.  The first base
+    # or start passes every check of the proof before the split.
+    SEMIPRIMES = (
+        (1, 3 * 2**15, 3923, 15692),
+        (1, 3 * 2**19, 14153, 56612),
+        (1, 3 * 2**23, 3373, 13492),
+        (-1, 3 * 2**16, 7646, 3823),
+        (-1, 3 * 2**18, 9094, 4547),
+        (-1, 2**24, 105438, 17573),
+        (-1, 2**25, 29814, 4969),
+    )
+
+    def test_the_split_carries_the_proof(self, monkeypatch):
+        for sign, f, a, b in self.SEMIPRIMES:
+            n = (a * f + 1) * (b * f + sign)
+            k, m = _km(n, sign)
+            assert arith._factored_part(k, m, sign)[::2] == (f, 1031), (sign, f)
+            assert arith._two_factor_split(n, f, sign, 1031) == (a, b), (sign, f)
+            assert not _proves(n, sign), (sign, f)
+        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign, lo: None)
+        for sign, f, a, b in self.SEMIPRIMES:
+            assert _proves((a * f + 1) * (b * f + sign), sign), (sign, f)
+
+    def test_the_split_finds_every_constructed_pair_and_no_proof_passes(self):
+        rng = random.Random(41)
+        lo = arith.SIEVE_NEXT_PRIME
+        seen = {1: 0, -1: 0}
+        for sign in (1, -1):
+            for f in (1, 3, 35, 1155):
+                for j in range(2, 40):
+                    big_f = 2**j * f
+                    for _ in range(20):
+                        a = rng.randrange(lo, 4 * lo)
+                        b = rng.randrange(lo, max(lo + 1, 3 * lo * big_f // (2 * a)))
+                        n = (a * big_f + 1) * (b * big_f + sign)
+                        part = arith._factored_part(*_km(n, sign), sign)
+                        if part is None or part[::2] != (big_f, lo):
+                            continue
+                        a1, b1 = arith._two_factor_split(n, big_f, sign, lo)
+                        assert a1 >= lo and b1 >= lo, (n, big_f)
+                        assert (a1 * big_f + 1) * (b1 * big_f + sign) == n
+                        assert not _proves(n, sign), (n, big_f)
+                        seen[sign] += 1
+        assert min(seen.values()) > 150, seen
+
+    # (sign, F, a, b): N = (a*F + 1)*(b*F + sign) with a, b < 1031, in the
+    # form with F and lo = 1031, and the order of 3 mod each prime factor
+    # (of alpha for the start P = 3, with D = 5) exactly F.  Base 3 or start
+    # 3 passes Euler's check or the Lucas check and every q's gcd, and no
+    # split with a, b >= 1031 exists; only gcd(3**F - 1, N) or
+    # gcd(V_F(3) - 2, N) shows that the order divides F.
+    ORDER_F_COMPOSITES = (
+        (1, 928, 6, 235),
+        (1, 2154, 148, 373),
+        (1, 2168, 71, 90),
+        (1, 2778, 227, 606),
+        (1, 4496, 65, 96),
+        (1, 4722, 14, 765),
+        (-1, 464, 2, 597),
+        (-1, 1128, 136, 23),
+        (-1, 1668, 6, 661),
+        (-1, 4044, 110, 97),
+        (-1, 4416, 130, 453),
+        (-1, 5532, 74, 489),
+    )
+
+    def test_the_gcd_of_the_bound_carries_the_proof(self, monkeypatch):
+        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign, lo: None)
+        for sign, f, a, b in self.ORDER_F_COMPOSITES:
+            n = (a * f + 1) * (b * f + sign)
+            k, m = _km(n, sign)
+            big_f, qs, lo = arith._factored_part(k, m, sign)
+            assert (big_f, lo) == (f, 1031), (sign, f)
+            if sign > 0:
+                assert arith.jacobi(3, n) == -1 and pow(3, n >> 1, n) == n - 1
+                assert all(math.gcd(pow(3, (n - 1) // q, n) - 1, n) == 1 for q in qs)
+                assert pow(3, f, n) == 1
+            else:
+                assert arith.jacobi(5, n) == -1 and lucas_v_by_matrix(3, (n + 1) // 4, n) == 0
+                assert all(
+                    math.gcd(lucas_v_by_matrix(3, (n + 1) // q, n) - 2, n) == 1 for q in qs
+                )
+                assert lucas_v_by_matrix(3, f, n) == 2
+            assert not _proves(n, sign), (sign, f)
+
+    def test_no_composite_below_2_to_the_26_in_this_form_is_proved(self):
+        # Every N in the form has F = 2**m times all of k's prime powers up
+        # to SIEVE_BOUND and R coprime to SIEVE_PRODUCT; its t range holds
+        # more than lo/(F + 1) integers, so F > lo/3 - 1, and (F - 1)**3 <= N.
+        # The least such N is above 2**25.
+        lo, bound = arith.SIEVE_NEXT_PRIME, 2**26
+        seen = proved = 0
+        for sign in (1, -1):
+            for f in range(lo // 3 - 1, bound, 2):
+                if (f - 1) ** 3 >= bound:
+                    break
+                m = (f & -f).bit_length() - 1
+                if sign < 0 and m < 2:
+                    continue
+                r_min = max(lo, ((f - 1) ** 3 - sign) // f) | 1
+                for r in range(r_min, (bound - sign) // f + 1, 2):
+                    if math.gcd(r, arith.SIEVE_PRODUCT) != 1:
+                        continue
+                    n, k = f * r + sign, (f >> m) * r
+                    part = arith._factored_part(k, m, sign)
+                    if part is None or part[2] == 1:
+                        continue
+                    assert part[0] == f
+                    prime = _proves(n, sign)
+                    assert prime == prime_naive(n), (k, m, sign)
+                    seen += 1
+                    proved += prime
+        assert seen > 25000 and proved > 2500
 
 
 class TestProth:
@@ -1180,7 +1561,7 @@ class TestProth:
         k, m = 32769, 17
         n = k * 2**m + 1
         assert n == 65537**2 and 2**m > k
-        assert arith._nminus1_proof(k, m, 2**m, ()) is None
+        assert arith._nminus1_proof(k, m, 2**m, (), 1) is None
         assert arith.proth_test(k, m) == arith.PrimalityResult(
             n, arith.METHOD_MR_DETERMINISTIC, False
         )

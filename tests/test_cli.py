@@ -285,6 +285,23 @@ class TestDisqualify:
                                   "too long to print in a verbose trail\n")
         assert asked == [False, False, True]
 
+    @pytest.mark.parametrize("limit", [0, 10**5])
+    def test_a_verbose_trail_stops_at_the_default_digit_limit_above_it(self, capsys, limit):
+        # With no limit on printing an int (0), or one above Python's
+        # default of 4300 digits, the trail still stops before n = 14269,
+        # the first term of more than 4300 digits, and keeps no more.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            result = run(
+                capsys, "disqualify", "--k", "78557", "--sign", "s",
+                "--max-n", str(disqualify.MAX_SCAN_N), "--verbose", "--format", "json",
+            )
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert sys.int_info.default_max_str_digits == 4300
+        assert result == (2, "", "error: the term at n=14269 has more than 4300 digits, "
+                                 "the most a verbose trail keeps\n")
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"), reason="no limit on printing an int"
@@ -778,10 +795,29 @@ PINNED_SCANS = [
         0,
         "ad5b4937d2d21b59253e286d0411e8bd66a341ba6347b2e84e9612105af36d22",
     ),
+    # First primes proved through the bound 1031 on the rest of k, F short
+    # of the cube bound: above psi_13 at n = 26 (88 bits, k = 3 times a
+    # cofactor with no prime factor up to SIEVE_BOUND), by the N+1 proof
+    # with F = 2**26 * 3 after one round; between 2**64 and psi_13 at
+    # n = 21 (76 bits), by the N-1 proof with F = 2**21 * 5 after the row's
+    # first base.
+    (
+        ("disqualify", "--k", "4347139270569672657", "--sign", "r", "--format", "json",
+         "--max-n", "64"),
+        0,
+        "901e3fefa48d444090f17d48d4ea6390fb556831c8ef9115dc7540a176c34170",
+    ),
+    (
+        ("disqualify", "--k", "25906288222960415", "--sign", "s", "--format", "json",
+         "--max-n", "64"),
+        0,
+        "a4b6b4d156700d83498a88cec42dd5eb3993f40833999e4a6658a0f8a4f46094",
+    ),
 ]
 PINNED_SCAN_IDS = [
     "disqualify-383s", "disqualify-383s-verbose", "survey-r600", "survey-s600",
     "disqualify-big-r", "disqualify-big-r-verbose", "disqualify-mid-s", "disqualify-mid-r",
+    "disqualify-big-r-bound", "disqualify-mid-s-bound",
 ]
 
 
