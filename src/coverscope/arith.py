@@ -331,11 +331,8 @@ def _factored_part(k, m, sign):
     what is left of k, has no prime factor below lo = SIEVE_NEXT_PRIME: N
     is in form with that lo when R > 1, (F*lo - 1)**3 > N and the range of
     t = a*b that _two_factor_split searches holds at most three integers.
-    Above psi_13 only, when that also falls short, c = R joins as one more
-    q if a deterministic _miller_rabin(c) proves it prime (c < psi_13);
-    then F is all of N - sign and lo = 1.  A probabilistic verdict on c
-    never counts.  (Falling short there means c > 1.5*lo*F**2 roughly, so
-    c > 2**57 above psi_13.)
+    F comes from k and m alone, with no primality test: every q in qs is
+    in SIEVE_PRIMES.
     """
     n = (k << m) + sign
     f = 1 << m
@@ -367,10 +364,6 @@ def _factored_part(k, m, sign):
     lo = SIEVE_NEXT_PRIME
     if f < n - sign and (f * lo - 1) ** 3 > n and len(_split_range(n, f, sign, lo)) <= 3:
         return f, tuple(qs), lo
-    if n >= MR_DETERMINISTIC_BOUND:
-        c = (n - sign) // f
-        if c < MR_DETERMINISTIC_BOUND and _miller_rabin(c).is_prime:
-            return f * c, (*qs, c), 1
     return None
 
 

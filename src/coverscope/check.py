@@ -25,13 +25,14 @@ which prove() never hands it, as the facts check comes first.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 # Largest term-by-term cross-check (--audit-n) the CLI runs.  The witness
 # audit takes two pows per entry, whatever N.  The bound is set by the
 # coverless cross-check alone, which splits each open term as a bignum and
-# grows with the square of N: about 5.7 s wall for the R2 record (2 vCPUs,
-# Python 3.11).
+# grows with the square of N: about 3.5 s wall for the R2 record (median;
+# runs took 3.2 to 6.3 s on 2 shared vCPUs, Python 3.11).
 MAX_AUDIT_N = 100_000
 
 # Largest L a certificate may state or a cover may reach.  The hole check
@@ -77,6 +78,17 @@ class VerificationError(Exception):
 
 class CertificateFormatError(ValueError):
     """A serialized certificate does not match the schema."""
+
+
+def digit_limit_exceeded(x: int) -> int:
+    """Python's digit limit (sys.get_int_max_str_digits(), 0 for none) when
+    x >= 0 has more decimal digits than it, so that str(x) raises; else 0.
+    10**limit has more than 3*limit bits, so the bit length spares ordinary
+    x that power."""
+    limit = sys.get_int_max_str_digits()
+    if limit and x.bit_length() > 3 * limit and x >= 10**limit:
+        return limit
+    return 0
 
 
 @dataclass(frozen=True)
@@ -273,7 +285,11 @@ def _parse_decimal(doc, key):
         raise CertificateFormatError(f"missing field {key!r}") from None
     # isdigit() alone also admits other scripts' digits and superscripts.
     if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise CertificateFormatError(f"field {key!r} has more than {limit} digits") from None
     raise CertificateFormatError(f"field {key!r} must be a decimal string")
 
 
@@ -390,6 +406,30 @@ def algebraic_certificate_from_dict(doc: dict) -> AlgebraicCertificate:
     return AlgebraicCertificate(case, partial, audited)
 
 
+def _long_json_integer(text):
+    # Only a JSON integer past Python's digit limit makes json.loads raise a
+    # ValueError that is no JSONDecodeError, and it names no field.  On this
+    # error path only, parse again with such integers kept as a marker, and
+    # name the innermost field that holds one, unless what follows the
+    # integer is malformed too.
+    limit = sys.get_int_max_str_digits()
+    marker, fields = object(), []
+
+    def pairs(items):
+        fields.extend(key for key, value in items if value is marker)
+        return dict(items)
+
+    def parse_int(digits):
+        return marker if len(digits.lstrip("-")) > limit else int(digits)
+
+    try:
+        json.loads(text, object_pairs_hook=pairs, parse_int=parse_int)
+    except (ValueError, RecursionError):
+        pass
+    where = f"field {fields[0]!r}" if fields else "a JSON integer"
+    return f"{where} has more than {limit} digits"
+
+
 def certificate_from_json(text: str) -> CoverCertificate | AlgebraicCertificate:
     """Parse a certificate file: a coverless one states its kind."""
     try:
@@ -398,6 +438,8 @@ def certificate_from_json(text: str) -> CoverCertificate | AlgebraicCertificate:
         raise CertificateFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise CertificateFormatError("JSON nested too deeply") from None
+    except ValueError:
+        raise CertificateFormatError(_long_json_integer(text)) from None
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate must be a JSON object")
     if "kind" in doc:

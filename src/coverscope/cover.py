@@ -20,7 +20,6 @@ agree on the predicate.
 import dataclasses
 import json
 import math
-import sys
 
 from coverscope import arith
 from coverscope.check import (
@@ -34,6 +33,7 @@ from coverscope.check import (
     CoverCertificate,
     CoverEntry,
     VerificationError,
+    digit_limit_exceeded,
     witness_index,
 )
 
@@ -120,9 +120,8 @@ def verify_cover(
     built = {d: build_entry(candidate, d) for d in distinct}
     lcm = math.lcm(*[e.b for e in built.values()], modulus)
     if lcm > MAX_LCM:
-        # Python refuses to write an int past sys.get_int_max_str_digits().
-        limit = sys.get_int_max_str_digits()
-        if limit and lcm >= 10**limit:
+        limit = digit_limit_exceeded(lcm)
+        if limit:
             raise ValueError(f"L has more than {limit} digits, above the bound {MAX_LCM}")
         raise ValueError(f"L = {lcm} is above the bound {MAX_LCM}")
     # A tuple from a list, not a generator: tuple() of a generator resizes a
@@ -155,13 +154,16 @@ def generate_family(candidate: Candidate, divisors, i: int) -> CoverCertificate:
     cover divisors), built once: k' == k (mod d) for every divisor, so the
     base's entries and L are the sibling's, the certificate `verify`
     writes for k'.  Proves nothing; check.prove re-checks every fact
-    against k'."""
+    against k'.  A k' too long to print is refused before any walk."""
     if i < 1:
         raise ValueError(f"family index must be >= 1, got {i}")
+    divisors = [int(d) for d in divisors]
+    k = candidate.k + 2 * i * math.prod(divisors)
+    limit = digit_limit_exceeded(k)
+    if limit:
+        raise ValueError(f"k' has more than {limit} digits")
     base = verify_cover(candidate, divisors)
-    product = math.prod([e.d for e in base.entries])
-    sibling = Candidate(candidate.k + 2 * i * product, candidate.sign)
-    return dataclasses.replace(base, candidate=sibling)
+    return dataclasses.replace(base, candidate=Candidate(k, candidate.sign))
 
 
 # --- serialization -----------------------------------------------------------

@@ -16,7 +16,6 @@ Parsing is total: malformed lines are hard errors with their line number.
 
 import os
 import re
-import sys
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -87,10 +86,9 @@ def _parse_divisors(text, line_no, what):
 def _corpus_k(k, line_no):
     """k, stated or derived, if odd, positive and short enough to print:
     reports write k in decimal, which Python refuses past its digit limit
-    (sys.get_int_max_str_digits(), 0 for none).  10^limit has more than
-    3*limit bits, so the bit length spares ordinary k that power."""
-    limit = sys.get_int_max_str_digits()
-    if limit and k.bit_length() > 3 * limit and k >= 10**limit:
+    (check.digit_limit_exceeded)."""
+    limit = check.digit_limit_exceeded(k)
+    if limit:
         raise CorpusError(f"line {line_no}: k has more than {limit} digits")
     if k % 2 == 0 or k < 1:
         raise CorpusError(f"line {line_no}: k must be odd and positive, got {k}")

@@ -784,8 +784,7 @@ class TestRieselAbovePsi13:
         (208458014172092995, 25, 1, 1),
         # 2**94 > 3, so F = 2**94.
         (3, 94, 1, 1),
-        # k has no odd factor up to SIEVE_BOUND and (2**2 - 1)**3 < N, and
-        # k itself is composite, so the cofactor rule does not apply.
+        # k has no odd factor up to SIEVE_BOUND and (2**2 - 1)**3 < N.
         (829261016169971846490977, 2, arith.MR_PROBABILISTIC_ROUNDS, 0),
         # k is a prime with no factor up to SIEVE_BOUND: F = 2**30 with the
         # bound 1031 on k.
@@ -793,9 +792,9 @@ class TestRieselAbovePsi13:
         # First prime of the other pinned disqualify scan: F = 2**26 * 3 with
         # the bound 1031 on the rest of k.
         (4347139270569672657, 26, 1, 1),
-        # k is a prime below psi_13, and F = 2**8 falls short of the bound
-        # 1031 on k, so k joins F by the cofactor rule.
-        (37778931862957161710357, 8, 1, 1),
+        # k is a prime with no factor up to SIEVE_BOUND, and F = 2**8 falls
+        # short of the bound 1031 on k.
+        (37778931862957161710357, 8, arith.MR_PROBABILISTIC_ROUNDS, 0),
     ])
     def test_a_prime_runs_one_round_and_one_kernel_run_in_form_else_all(
         self, monkeypatch, trigger_proofs, k, m, rounds, kernel_runs
@@ -805,9 +804,7 @@ class TestRieselAbovePsi13:
         real_composite = arith._mr_composite
 
         def counting_composite(x, a, d, s):
-            # rounds on n only: the cofactor rule's test of k counts apart
-            if x == n:
-                bases_run.append(a)
+            bases_run.append(a)
             return real_composite(x, a, d, s)
 
         monkeypatch.setattr(arith, "_mr_composite", counting_composite)
@@ -968,31 +965,6 @@ class TestPocklington:
             assert arith._factored_part(k, m, 1) == (f, qs, 1), (k, m)
             assert (f - 1) ** 3 > n and (n - 1) % f == 0
             assert bool(n_minus_1(k, m)) == prime, (k, m)
-
-    def test_the_cofactor_of_k_joins_f_above_psi_13_only(self):
-        # k is a prime below psi_13 with no factor up to SIEVE_BOUND, and
-        # 2**8 * 3 falls short of the cube bound and of the bound 1031 on k.
-        k = 37778931862957161710357
-        assert arith._factored_part(k, 8, -1) == (k * 2**8, (k,), 1)
-        assert arith._factored_part(3 * k, 8, 1) == (3 * k * 2**8, (3, k), 1)
-        # Below psi_13 the cofactor never joins.
-        assert k * 2**6 - 1 < arith.MR_DETERMINISTIC_BOUND
-        assert arith._factored_part(k, 6, -1) is None
-        # The bound 1031 comes first: with 2**30, F = 2**30 reaches it for
-        # the prime k = 10605807533490612797.
-        k = 10605807533490612797
-        assert arith._factored_part(k, 30, -1) == (2**30, (), 1031)
-        # A composite cofactor never joins, and neither does one at or above
-        # psi_13, prime or not: psi_13 itself passes the first 13 prime
-        # bases, and psi_13 + 142 is a prime only 40 rounds vouch for.
-        big = 829261016169971846490977
-        assert arith.small_factor(big) == 0 and not arith.is_prime(big).is_prime
-        assert arith._factored_part(big, 2, -1) is None
-        for c in (PSI_13, PSI_13 + 142):
-            assert arith.small_factor(c) == 0
-            assert arith._factored_part(c, 2, 1) is None
-            assert arith._factored_part(c, 2, -1) is None
-        assert arith.is_prime(PSI_13 + 142).is_prime
 
     def test_two_factor_exclusion_carries_the_proof(self, monkeypatch):
         # (k, m, a, b): N = k*2**m + 1 = (a*F + 1)*(b*F + 1) is composite,
@@ -1167,9 +1139,9 @@ class TestPocklington:
 
 
 # The 42 first primes k*2**n - 1 of the hunt benchmark's scans at seeds 1,
-# 2, 7, 11 and 41 that are above psi_13 and out of reach of the cube bound
-# and of the cofactor rule: F = 2**n times k's prime powers up to
-# SIEVE_BOUND, with the bound 1031 on the rest of k, proves each.
+# 2, 7, 11 and 41 that are above psi_13 and out of reach of the cube bound:
+# F = 2**n times k's prime powers up to SIEVE_BOUND, with the bound 1031 on
+# the rest of k, proves each.
 HUNT_TAIL = (
     (1086653604176734779, 25),
     (2236336567068312097, 29),
@@ -1218,9 +1190,8 @@ HUNT_TAIL = (
 
 # Every first prime above psi_13 and not of Proth form in the hunt
 # benchmark's scans at seeds 1, 2, 7, 11 and 41, as (k, n) of
-# k*2**n - 1 and of k*2**n + 1, in scan order: 410, of which HUNT_TAIL
-# holds the 42 that the bound 1031 alone brings in form, and 20 more
-# take the bound 1031 before the cofactor rule.  Hard-coded from
+# k*2**n - 1 and of k*2**n + 1, in scan order: 410, of which 62 take
+# the bound 1031, HUNT_TAIL's 42 among them.  Hard-coded from
 # perfbench/workloads.hunt_jobs; tests do not import perfbench.
 HUNT_BIG_RIESEL = (
     (1086653604176734779, 25), (2236336567068312097, 29), (3887281973, 50),
@@ -1394,15 +1365,25 @@ class TestBoundOnTheRestOfK:
             assert lo == 1031 and (f - 1) ** 3 <= n < (f * lo - 1) ** 3, (k, m)
             assert arith._proved_on_its_side(n, *arith._mr_decompose(n)), (k, m)
 
-    def test_every_big_hunt_first_prime_is_proved(self):
+    def test_every_big_hunt_first_prime_is_proved(self, monkeypatch):
         assert len(HUNT_BIG_RIESEL) + len(HUNT_BIG_PLUS) == 410
         assert set(HUNT_TAIL) <= set(HUNT_BIG_RIESEL)
+
+        def no_primality_test(n):
+            raise AssertionError(f"_factored_part tested {n} for primality")
+
         with_the_bound = 0
         for sign, pairs in ((-1, HUNT_BIG_RIESEL), (1, HUNT_BIG_PLUS)):
             for k, m in pairs:
                 n = (k << m) + sign
                 assert n >= arith.MR_DETERMINISTIC_BOUND and (sign < 0 or k >> m), (k, m)
-                with_the_bound += arith._factored_part(k, m, sign)[2] > 1
+                # F comes from the sieve alone: no primality test, every q a
+                # sieve prime.
+                with monkeypatch.context() as patch:
+                    patch.setattr(arith, "_miller_rabin", no_primality_test)
+                    _, qs, lo = arith._factored_part(k, m, sign)
+                assert set(qs) <= set(arith.SIEVE_PRIMES), (k, m, sign)
+                with_the_bound += lo > 1
                 assert arith._proved_on_its_side(n, *arith._mr_decompose(n)), (k, m, sign)
         assert with_the_bound == 62
 

@@ -289,3 +289,65 @@ def test_huge_stated_periods_are_refused_before_any_pow(capsys, tmp_path):
     assert capsys.readouterr().err == (
         "audit FAILED: stated lcm does not match the entry periods\n"
     )
+
+
+def test_a_stated_lcm_that_every_period_divides_is_refuted():
+    # Every period divides 2L and the entries cover every residue mod 2L,
+    # so only the match of L with the lcm of the periods refutes it.
+    cert = selfridge_certificate()
+    doubled = dataclasses.replace(cert, lcm=2 * cert.lcm)
+    assert doubled.uncovered_residue is None
+    assert check.prove(doubled) == "stated lcm does not match the entry periods"
+
+
+S4_FIXTURE = Path(__file__).parent / "fixtures/v3/coverless-s4.json"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on reading an int")
+class TestDigitLimit:
+    """A number with more digits than Python reads is a format error that
+    names its field, not Python's own ValueError."""
+
+    PARTIAL = ("partial_cover_certificate",)
+    ENTRY = (*PARTIAL, "entries", 0)
+    FIELDS = [
+        ("k",), ("root",), ("A",), ("B",), (*PARTIAL, "k"), (*ENTRY, "d"), (*ENTRY, "b"),
+        (*ENTRY, "c"), (*PARTIAL, "lcm"),
+        # JSON integers, which json.loads reads.
+        ("sign",), (*PARTIAL, "sign"), ("audited_n_max",),
+    ]
+
+    @staticmethod
+    def too_long(path):
+        """The S4 fixture with the field at path one digit over the limit."""
+        doc = json.loads(S4_FIXTURE.read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        if type(parent[path[-1]]) is str:
+            parent[path[-1]] = digits
+            return json.dumps(doc)
+        parent[path[-1]] = "@"
+        return json.dumps(doc).replace('"@"', digits)
+
+    @pytest.mark.parametrize("path", FIELDS, ids=lambda path: ".".join(map(str, path)))
+    def test_every_field_is_named(self, path):
+        with pytest.raises(check.CertificateFormatError) as info:
+            check.certificate_from_json(self.too_long(path))
+        limit = sys.get_int_max_str_digits()
+        assert str(info.value) == f"field {path[-1]!r} has more than {limit} digits"
+
+    @pytest.mark.parametrize("rest", [", }", ', "b": ' + "[" * 100000, "]"])
+    def test_malformed_json_after_the_integer_names_none(self, rest):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(check.CertificateFormatError) as info:
+            check.certificate_from_json('{"a": ' + "9" * (limit + 1) + rest)
+        assert str(info.value) == f"a JSON integer has more than {limit} digits"
+
+    def test_audit_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(self.too_long((*self.ENTRY, "d")))
+        assert main(["audit", str(path)]) == 2
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr() == ("", f"error: field 'd' has more than {limit} digits\n")

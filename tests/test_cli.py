@@ -431,6 +431,29 @@ class TestFamily:
         )
         assert code == 1
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on printing an int"
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_k_too_long_to_print_exits_2_before_any_walk(
+        self, capsys, tmp_path, monkeypatch, fmt
+    ):
+        # Each copy of 1000003 adds six digits to P, and so to k'.
+        limit = sys.get_int_max_str_digits()
+
+        def refuse(*args):
+            raise AssertionError("a cover was built for a k' too long to print")
+
+        monkeypatch.setattr(cover, "verify_cover", refuse)
+        path = tmp_path / "family.json"
+        code, out, err = run(
+            capsys, "family", "--k", "78557", "--sign", "s",
+            "--cover", SELFRIDGE + ",1000003" * (limit // 6 + 1), "--i", "1",
+            "--format", fmt, "--out", str(path),
+        )
+        assert (code, out, err) == (2, "", f"error: k' has more than {limit} digits\n")
+        assert not path.exists()
+
 
 # A fault in the order and offset walk: 109 (period 36, true offset 31) is
 # given the offset 15, and 11 (period 10, true offset 5), redundant at the
