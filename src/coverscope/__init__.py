@@ -16,8 +16,8 @@ import importlib
 _HOMES = {
     "algebraic": ("build_algebraic_certificate",),
     "arith": ("PrimalityResult", "is_prime", "proth_test"),
-    "check": ("AlgebraicCertificate", "Candidate", "CoverCertificate", "CoverEntry",
-              "FourthPowerCase", "SquareCase", "VerificationError", "family_factor"),
+    "check": ("Candidate", "CoverCertificate", "CoverEntry", "FourthPowerCase", "SquareCase",
+              "VerificationError", "family_factor"),
     "cover": ("TOOL_VERSION", "NoOffsetError", "UncoveredResidueError", "build_entry",
               "generate_family", "verify_cover", "witness"),
     "dataset": ("CorpusRecord", "load_corpus", "verify_corpus"),

@@ -1,28 +1,31 @@
 """The trusted checker: everything a "proved" verdict relies on.
 
 This module imports only the standard library.  It holds the certificate
-types, the parsers that build them from JSON, and the checks that prove a
+type, the parsers that build it from JSON, and the checks that prove a
 stated certificate for every n >= 1 without searching for an order, an
 offset or a prime.  The builders in coverscope.cover and
-coverscope.algebraic produce the same types but prove nothing: `verify`,
+coverscope.algebraic produce the same type but prove nothing: `verify`,
 `family`, `audit` and `verify-dataset` all end in prove(), which re-checks
 every divisibility fact a builder found, so a fault in a builder is
 refused, not reported as a proof.
 
-prove() is the one proof function.  A cover (full, or the partial cover of
-a coverless number) is proved by its divisibility facts and a witness
-audit, both read from the entries' progressions alone: an entry whose facts
-hold divides every term it witnesses, so it fails only where that term is
-the divisor itself, which one divmod decides.  A coverless number's
-algebraic factor family is proved once from its coefficients, which parsing
-fixes.  The same audit call answers for every claimed n = 1..n_max when
-asked, `--audit-n` or the audited_n_max recorded in a coverless
-certificate that `verify` or `verify-dataset` builds, at the same cost;
-a coverless one adds the bignum split of each factor below n_max.  The
-audit recomputes every entry's facts and refuses a cover where one fails,
-which prove() never hands it, as the facts check comes first.
+prove() is the one proof function.  A certificate is a cover: a list of
+entries, each a divisor with its progression of exponents, and for a
+coverless number an algebraic factor family that takes one class
+n == c (mod b) and leaves the other n to the entries.  The cover is proved
+by its divisibility facts and a witness audit, both read from the
+progressions alone, the family's first: an entry whose facts hold divides
+every term it witnesses, so it fails only where that term is the divisor
+itself, which one divmod decides.  The family is proved once from its
+coefficients, which parsing fixes.  The same audit call answers for every
+claimed n = 1..n_max when asked, `--audit-n` or the audited_n_max recorded
+in a coverless certificate that `verify` or `verify-dataset` builds, at the
+same cost; a family adds the bignum split of each of its n below n_max.
+The audit recomputes every entry's facts and refuses a cover where one
+fails, which prove() never hands it, as the facts check comes first.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -57,16 +60,9 @@ SIGN_RIESEL = -1
 
 SIGN_NAMES = {SIGN_SIERPINSKI: "sierpinski", SIGN_RIESEL: "riesel"}
 
-PREDICATE_ALL = "all"
+# The file format's names for the n a partial cover claims.
 PREDICATE_MOD4_NE_2 = "mod4ne2"
 PREDICATE_ODD = "odd"
-
-# predicate name -> (modulus, the residues mod modulus it claims)
-PREDICATES = {
-    PREDICATE_ALL: (1, (0,)),
-    PREDICATE_MOD4_NE_2: (4, (0, 1, 3)),
-    PREDICATE_ODD: (2, (1,)),
-}
 
 KIND_FOURTH_POWER = "fourth_power"
 KIND_SQUARE = "square"
@@ -124,84 +120,10 @@ class CoverEntry:
 
 
 @dataclass(frozen=True)
-class CoverCertificate:
-    """Cover certificate: entries and L = lcm of the periods and the
-    predicate modulus.  The hole check and the witness counts each read the
-    entries' progressions in one byte pass; the witness audit makes none,
-    and the residue table is derived only to compare a version 0.1 file's.
-    Whether a divisor is prime is no part of the claim: any d > 1 that
-    divides a term and is smaller than it will do."""
-
-    candidate: Candidate
-    entries: tuple[CoverEntry, ...]
-    lcm: int
-    predicate: str = PREDICATE_ALL
-
-    @property
-    def table(self) -> tuple[int | None, ...]:
-        """Residue r in 0..L-1 -> index of the first entry (in cover order)
-        with r == c (mod b), or None where no entry matches or the predicate
-        does not claim r.  Needs every period b >= 1."""
-        modulus, claimed = PREDICATES[self.predicate]
-        lcm, entries = self.lcm, self.entries
-        table = [None] * lcm
-        # Last entry first, so that an earlier entry overwrites a later one.
-        for idx in reversed(range(len(entries))):
-            e = entries[idx]
-            table[e.c::e.b] = [idx] * len(range(e.c, lcm, e.b))
-        for r in range(modulus):
-            if r not in claimed:
-                table[r::modulus] = [None] * len(range(r, lcm, modulus))
-        return tuple(table)
-
-    @property
-    def claims(self) -> int:
-        """Residues mod L the entries claim, once per entry: a byte pass's cost."""
-        return sum([len(range(e.c, self.lcm, e.b)) for e in self.entries])
-
-    def _left_out(self) -> bytearray:
-        """One byte per residue mod L: 1 where the predicate does not claim
-        it, 0 elsewhere."""
-        modulus, claimed = PREDICATES[self.predicate]
-        lcm = self.lcm
-        covered = bytearray(lcm)
-        for r in range(modulus):
-            if r not in claimed:
-                covered[r::modulus] = b"\1" * len(range(r, lcm, modulus))
-        return covered
-
-    @property
-    def uncovered_residue(self) -> int | None:
-        """Least residue mod L the predicate claims but no entry matches, or
-        None: the first 0 left once every entry is marked is the hole.
-        Needs every period b >= 1."""
-        lcm, covered = self.lcm, self._left_out()
-        for e in self.entries:
-            covered[e.c::e.b] = b"\1" * len(range(e.c, lcm, e.b))
-        hole = covered.find(0)
-        return None if hole < 0 else hole
-
-    def _progressions(self):
-        """Each entry in cover order, with the bytes of its progression c,
-        c+b, ... below L as they were before the entry marked them: a 0 is
-        a claimed residue that no earlier entry matches, one the entry
-        witnesses."""
-        covered = self._left_out()
-        for e in self.entries:
-            before = covered[e.c::e.b]
-            yield e, before
-            covered[e.c::e.b] = b"\1" * len(before)
-
-    @property
-    def witness_counts(self) -> tuple[int, ...]:
-        """How many residues mod L each entry is the first match for."""
-        return tuple([before.count(0) for _, before in self._progressions()])
-
-
-@dataclass(frozen=True)
 class CoverlessCase:
-    """k = root**power with a partial cover for the n its predicate claims;
-    a subclass states the factor family that splits every other n >= 2."""
+    """k = root**power with a partial cover for the n its factor family
+    leaves out; a subclass states the family, which takes every n >= 2 with
+    n == c (mod b), and the file format's name for the rest."""
 
     root: int
     partial_cover: tuple[int, ...]
@@ -223,6 +145,7 @@ class FourthPowerCase(CoverlessCase):
     kind = KIND_FOURTH_POWER
     sign = SIGN_SIERPINSKI
     predicate = PREDICATE_MOD4_NE_2
+    b, c = 4, 2
     power = 4
 
     @staticmethod
@@ -247,6 +170,7 @@ class SquareCase(CoverlessCase):
     kind = KIND_SQUARE
     sign = SIGN_RIESEL
     predicate = PREDICATE_ODD
+    b, c = 2, 0
     power = 2
 
     @staticmethod
@@ -259,17 +183,82 @@ CASE_BY_SIGN = {SIGN_SIERPINSKI: FourthPowerCase, SIGN_RIESEL: SquareCase}
 
 
 @dataclass(frozen=True)
-class AlgebraicCertificate:
-    """Partial cover plus the algebraic factor family, and the depth of the
-    term-by-term cross-check run when it was built."""
+class CoverCertificate:
+    """Cover certificate: entries, the factor family of a coverless number
+    or None, and L = lcm of the periods, the family's b among them.  The
+    family takes n == c (mod b) as the first progression, and each entry
+    the n of its progression that no earlier one holds; audited_n_max is the
+    depth of the term-by-term cross-check run when a coverless certificate
+    was built.  The hole check and the witness counts each read the
+    progressions in one byte pass; the witness audit makes none, and the
+    residue table is derived only to compare a version 0.1 file's.
+    Whether a divisor is prime is no part of the claim: any d > 1 that
+    divides a term and is smaller than it will do."""
 
-    case: CoverlessCase
-    partial: CoverCertificate
-    audited_n_max: int
+    candidate: Candidate
+    entries: tuple[CoverEntry, ...]
+    lcm: int
+    family: CoverlessCase | None = None
+    audited_n_max: int | None = None
+
+    # Only the benchmark in perfbench/ reads a coverless certificate's partial cover here.
+    partial = property(lambda self: self)
 
     @property
-    def candidate(self) -> Candidate:
-        return self.partial.candidate
+    def table(self) -> tuple[int | None, ...]:
+        """Residue r in 0..L-1 -> index of the first entry (in cover order)
+        with r == c (mod b), or None where the family takes r or no entry
+        matches.  Needs every period b >= 1."""
+        lcm, entries, family = self.lcm, self.entries, self.family
+        table = [None] * lcm
+        # Last entry first, so that an earlier one overwrites a later one.
+        for idx in reversed(range(len(entries))):
+            e = entries[idx]
+            table[e.c::e.b] = [idx] * len(range(e.c, lcm, e.b))
+        if family is not None:
+            table[family.c::family.b] = [None] * len(range(family.c, lcm, family.b))
+        return tuple(table)
+
+    @property
+    def claims(self) -> int:
+        """Residues mod L the entries claim, once per entry: a byte pass's cost."""
+        return sum([len(range(e.c, self.lcm, e.b)) for e in self.entries])
+
+    def _family_marked(self) -> bytearray:
+        """One byte per residue mod L, the start of a byte pass: 1 on the
+        family's progression, which is marked first, and 0 elsewhere."""
+        lcm, family = self.lcm, self.family
+        covered = bytearray(lcm)
+        if family is not None:
+            covered[family.c::family.b] = b"\1" * len(range(family.c, lcm, family.b))
+        return covered
+
+    @property
+    def uncovered_residue(self) -> int | None:
+        """Least residue mod L that neither the family nor any entry holds,
+        or None: the first 0 left once every progression is marked is the
+        hole.  Needs every period b >= 1."""
+        lcm, covered = self.lcm, self._family_marked()
+        for e in self.entries:
+            covered[e.c::e.b] = b"\1" * len(range(e.c, lcm, e.b))
+        hole = covered.find(0)
+        return None if hole < 0 else hole
+
+    def _progressions(self):
+        """Each entry in cover order, with the bytes of its progression c,
+        c+b, ... below L as they were before the entry marked them: a 0 is
+        a residue that neither the family nor an earlier entry holds, one
+        the entry witnesses."""
+        covered = self._family_marked()
+        for e in self.entries:
+            before = covered[e.c::e.b]
+            yield e, before
+            covered[e.c::e.b] = b"\1" * len(before)
+
+    @property
+    def witness_counts(self) -> tuple[int, ...]:
+        """How many residues mod L each entry is the first match for."""
+        return tuple([before.count(0) for _, before in self._progressions()])
 
 
 # --- parsing -----------------------------------------------------------------
@@ -317,23 +306,19 @@ def _check_legacy_flags(doc, n_entries):
         )
 
 
-def _parse_predicate(doc, predicate):
+def certificate_from_dict(doc: dict, family=None) -> CoverCertificate:
+    """Rebuild a cover certificate from its JSON document; run prove
+    afterwards to prove the claim.  family is None for a full cover, or the
+    case type of the factor family whose class n == c (mod b) a partial
+    cover leaves out; the coverless parser then joins its case.  A version
+    0.1 document also states the residue table, which must equal the
+    derived one."""
     # Only partial covers write the field, so one certificate has one form.
-    if predicate == PREDICATE_ALL:
+    if family is None:
         if "predicate" in doc:
             raise CertificateFormatError("a full cover certificate has no predicate")
-    elif doc.get("predicate") != predicate:
-        raise CertificateFormatError(f"predicate must be {predicate!r}")
-
-
-def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCertificate:
-    """Rebuild a cover certificate with the given predicate from its JSON
-    document; run prove afterwards to prove the claim.  A version 0.1
-    document also states the residue table, which must equal the derived
-    one."""
-    if predicate not in PREDICATES:
-        raise ValueError(f"unknown predicate {predicate!r}")
-    _parse_predicate(doc, predicate)
+    elif doc.get("predicate") != family.predicate:
+        raise CertificateFormatError(f"predicate must be {family.predicate!r}")
     try:
         candidate = Candidate(_parse_decimal(doc, "k"), _parse_sign(doc))
     except ValueError as exc:
@@ -354,10 +339,10 @@ def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCer
     lcm = _parse_decimal(doc, "lcm")
     if lcm > MAX_LCM:
         raise CertificateFormatError(f"lcm is above the bound {MAX_LCM}")
-    if lcm % PREDICATES[predicate][0] != 0:
+    if family is not None and lcm % family.b != 0:
         raise CertificateFormatError("lcm must be a multiple of the predicate modulus")
     _check_legacy_flags(doc, len(entries))
-    cert = CoverCertificate(candidate, entries, lcm, predicate)
+    cert = CoverCertificate(candidate, entries, lcm, family)
     if cert.claims > MAX_CLAIMS:
         raise CertificateFormatError(f"the entries claim more than {MAX_CLAIMS} residues mod L")
     if "table" in doc:
@@ -373,9 +358,9 @@ def certificate_from_dict(doc: dict, predicate: str = PREDICATE_ALL) -> CoverCer
     return cert
 
 
-def algebraic_certificate_from_dict(doc: dict) -> AlgebraicCertificate:
-    """Rebuild a coverless certificate; its kind fixes the partial cover's
-    predicate, and root fixes k and the factor coefficients."""
+def algebraic_certificate_from_dict(doc: dict) -> CoverCertificate:
+    """Rebuild a coverless certificate; its kind fixes the factor family,
+    and root fixes k and the family's coefficients."""
     kind = doc.get("kind")
     # ==, not a dict lookup: a JSON kind may be an unhashable list or object.
     case_type = next((t for t in CASE_BY_SIGN.values() if t.kind == kind), None)
@@ -387,7 +372,7 @@ def algebraic_certificate_from_dict(doc: dict) -> AlgebraicCertificate:
     partial_doc = doc.get("partial_cover_certificate")
     if not isinstance(partial_doc, dict):
         raise CertificateFormatError("missing partial_cover_certificate")
-    partial = certificate_from_dict(partial_doc, case_type.predicate)
+    partial = certificate_from_dict(partial_doc, case_type)
     try:
         case = case_type(root, tuple(e.d for e in partial.entries))
     except ValueError as exc:
@@ -403,7 +388,7 @@ def algebraic_certificate_from_dict(doc: dict) -> AlgebraicCertificate:
     audited = doc.get("audited_n_max")
     if type(audited) is not int or audited < 1:  # no bools
         raise CertificateFormatError("audited_n_max must be a positive integer")
-    return AlgebraicCertificate(case, partial, audited)
+    return dataclasses.replace(partial, family=case, audited_n_max=audited)
 
 
 def _long_json_integer(text):
@@ -430,7 +415,7 @@ def _long_json_integer(text):
     return f"{where} has more than {limit} digits"
 
 
-def certificate_from_json(text: str) -> CoverCertificate | AlgebraicCertificate:
+def certificate_from_json(text: str) -> CoverCertificate:
     """Parse a certificate file: a coverless one states its kind."""
     try:
         doc = json.loads(text)
@@ -464,8 +449,8 @@ def proof_depth(cert: CoverCertificate) -> int:
 
 def _divisibility_problem(cert: CoverCertificate) -> str | None:
     """d odd and >= 3, d | 2^b - 1, d | k*2^c + sign, c < b, L = lcm of the
-    periods and the predicate modulus, and no residue mod L the predicate
-    claims left uncovered.  A period that does not divide the stated L
+    periods and the family's b, and no residue mod L that neither the
+    family nor an entry holds.  A period that does not divide the stated L
     refutes it before any exponentiation, so no exponent above L, which
     parsing bounds by MAX_LCM, reaches pow."""
     k, sign, lcm = cert.candidate.k, cert.candidate.sign, cert.lcm
@@ -480,7 +465,7 @@ def _divisibility_problem(cert: CoverCertificate) -> str | None:
             return f"{e.d} does not divide 2^{e.b} - 1"
         if (k * pow(2, e.c, e.d) + sign) % e.d != 0:
             return f"{e.d} does not divide k*2^{e.c} {sign:+d}"
-    if lcm != math.lcm(*[e.b for e in cert.entries], PREDICATES[cert.predicate][0]):
+    if lcm != math.lcm(*[e.b for e in cert.entries], cert.family.b if cert.family else 1):
         return "stated lcm does not match the entry periods"
     hole = cert.uncovered_residue
     return None if hole is None else f"uncovered residue {hole} (mod {lcm})"
@@ -488,12 +473,11 @@ def _divisibility_problem(cert: CoverCertificate) -> str | None:
 
 def witness_index(certificate: CoverCertificate, n: int) -> int | None:
     """Index of the witness of n: the first entry in cover order whose
-    progression range(c, L, b) holds n mod L, or None where the predicate
-    does not claim n or no entry matches."""
-    lcm = certificate.lcm
+    progression range(c, L, b) holds n mod L, or None where the family's
+    progression, first in order, holds it or no entry matches."""
+    lcm, family = certificate.lcm, certificate.family
     r = n % lcm
-    modulus, claimed = PREDICATES[certificate.predicate]
-    if r % modulus in claimed:
+    if family is None or r not in range(family.c, lcm, family.b):
         for i, e in enumerate(certificate.entries):
             if r in range(e.c, lcm, e.b):
                 return i
@@ -531,16 +515,15 @@ def first_audit_failure(certificate: CoverCertificate, n_max: int) -> int | None
 
 
 def family_factor(case: CoverlessCase, n: int) -> int:
-    """The emitted factor of k*2^n + sign for an n >= 2 the case's predicate
-    leaves out: the first of case.halves(x), x = root*2^(n//power).
+    """The emitted factor of k*2^n + sign for an n >= 2 in the family's class
+    n == c (mod b): the first of case.halves(x), x = root*2^(n//power).
 
     Re-derives the whole split on every call: the two halves must multiply
     back to the term exactly, and the emitted half must be proper
     (1 < F < term; only root 1 at n = 2 fails, and it is a hard failure).
     """
-    modulus, claimed = PREDICATES[case.predicate]
-    if n < 2 or n % modulus in claimed:
-        raise ValueError(f"{case.kind} factor needs n >= 2 outside {case.predicate!r}, got n={n}")
+    if n < 2 or n % case.b != case.c:
+        raise ValueError(f"{case.kind} factor needs n >= 2, n == {case.c} (mod {case.b}), got {n}")
     factor, cofactor = case.halves(case.root << (n // case.power))
     term = (case.k << n) + case.sign
     if factor * cofactor != term:
@@ -550,51 +533,50 @@ def family_factor(case: CoverlessCase, n: int) -> int:
     return factor
 
 
-def prove(cert: CoverCertificate | AlgebraicCertificate, n_max: int | None = None) -> str | None:
+def prove(cert: CoverCertificate, n_max: int | None = None) -> str | None:
     """The one proof of every "proved", for every n >= 1 without searching.
     Returns a description of the first problem, or None when the claim holds.
 
-    A cover, or the partial cover of a coverless certificate: the
-    divisibility facts give d | k*2^n + sign for every n == c (mod b), so
-    the first matching entry divides every claimed term, and is proper
-    unless the term is d itself.  One first_audit_failure call finds any
-    such n, all of which lie in the properness prefix n <= proof_depth,
-    and, when n_max is given, cross-checks every claimed n <= n_max,
-    trusting none of the facts.
+    The entries, full cover or partial: the divisibility facts give
+    d | k*2^n + sign for every n == c (mod b), so the witness, the first
+    entry whose progression holds n mod L where the family's does not,
+    divides every term it witnesses, and is proper unless the term is d
+    itself.  One first_audit_failure call finds any such n, all of which
+    lie in the properness prefix n <= proof_depth, and, when n_max is
+    given, cross-checks every witnessed n <= n_max, trusting none of the
+    facts.
 
-    A coverless certificate proves the n its predicate leaves out from the
-    factor family's coefficients.  With x = 2^m,
+    A coverless certificate proves the family's n == c (mod b), n >= 2,
+    from its coefficients.  With x = 2^m,
     (A x^2 + B x + 1)(A x^2 - B x + 1) = A^2 x^4 + (2A - B^2) x^2 + 1, which
     at A = 2 root^2, B = 2 root is 4 root^4 x^4 + 1 = k*2^(4m+2) + 1; and
     (root*2^j)^2 - 1 = k*2^(2j) - 1.  The emitted factor (the + half) is
     proper unless the other half is 1: 2 root^2 - 2 root + 1 at m = 0, or
     2 root - 1 at j = 1, so only at n = 2 with root = 1.  Parsing ties k,
-    the sign, the partial cover's predicate and the coefficients to root; a
-    certificate built in process where they disagree, or with root 1, fails
-    at n = 2, the first exponent of both families, which lies in every
-    prefix as every d >= 3.  When n_max is given and the prefix passed,
-    family_factor's bignum split then cross-checks each such n below the
-    first audit failure, trusting neither the facts nor this argument.
+    the sign and the coefficients to root, and the family's b to L; a
+    certificate built in process where k or the sign disagrees, or with
+    root 1, fails at n = 2, the first exponent of both families, which lies
+    in every prefix as every d >= 3.  When n_max is given and the prefix
+    passed, family_factor's bignum split then cross-checks each of the
+    family's n below the first audit failure, trusting neither the facts
+    nor this argument.
     """
-    partial = cert.partial if isinstance(cert, AlgebraicCertificate) else cert
-    problem = _divisibility_problem(partial)
+    problem = _divisibility_problem(cert)
     if problem is not None:
         return problem
-    depth = proof_depth(partial)
-    n_bad = first_audit_failure(partial, max(depth, n_max or 0))
-    if partial is cert:
+    depth = proof_depth(cert)
+    n_bad = first_audit_failure(cert, max(depth, n_max or 0))
+    case = cert.family
+    if case is None:
         return n_bad and f"witness fails at n={n_bad}"
-    case = cert.case
-    stated = (partial.candidate.k, partial.candidate.sign, partial.predicate)
-    if case.root < 2 or stated != (case.k, case.sign, case.predicate):
+    if case.root < 2 or (cert.candidate.k, cert.candidate.sign) != (case.k, case.sign):
         n_bad = min(n_bad or 2, 2)
     if n_max and (n_bad is None or n_bad > depth):
-        modulus, claimed = PREDICATES[case.predicate]
-        for n in range(2, n_bad or n_max + 1):
-            if n % modulus not in claimed:
-                try:
-                    family_factor(case, n)
-                except VerificationError:
-                    n_bad = n
-                    break
+        # Both families take n = 2 first.
+        for n in range(2, n_bad or n_max + 1, case.b):
+            try:
+                family_factor(case, n)
+            except VerificationError:
+                n_bad = n
+                break
     return n_bad and f"factor check failed at n={n_bad}"

@@ -180,10 +180,10 @@ def _cover_summary(cert, audit_n, header=""):
 
 
 def _coverless_summary(cert):
-    candidate, case = cert.candidate, cert.case
+    candidate, case = cert.candidate, cert.family
     return (
         f"verified: k={candidate.k} ({candidate.sign_name}), kind={case.kind}, root={case.root}\n"
-        f"partial cover exhaustive for '{case.predicate}' residues, L = {cert.partial.lcm}\n"
+        f"partial cover exhaustive for '{case.predicate}' residues, L = {cert.lcm}\n"
         f"{_scope(cert.audited_n_max)}: every term has a proper partial cover "
         "or algebraic factor\n"
     )

@@ -4,17 +4,16 @@ A cover for k (sign +1: the sequence k*2^n + 1, sign -1: k*2^n - 1) is a
 list of odd divisors d, each pinned to an arithmetic progression of
 exponents: d divides every term with n == c (mod b), where b is the
 multiplicative order of 2 mod d and c the least offset with d | k*2^c + sign.
-The argument closes when every exponent class mod L the cover's predicate
-names is claimed by some entry, which one byte pass over the entries'
-progressions shows.
+The argument closes when every exponent class mod L is claimed by some
+entry, which one byte pass over the entries' progressions shows.
 
-A full cover has the predicate `all` (modulus 1): every n must be claimed.
-A partial cover, the cover half of a coverless proof (coverscope.algebraic),
-has a predicate that names only some classes mod a small modulus.  Both
-kinds share the one certificate type, builder and serializer below, and
-the one parser and proof function, prove, in coverscope.check.  L is the
-lcm of the periods and the predicate modulus, so n and n mod L always
-agree on the predicate.
+A full cover has no factor family: every n must be claimed by an entry.  A
+partial cover, the cover half of a coverless proof (coverscope.algebraic),
+has one, which takes the class n == c (mod b) as the first progression of
+the byte pass and leaves the rest to the entries.  Both kinds share the one
+certificate type, builder and serializer below, and the one parser and
+proof function, prove, in coverscope.check.  L is the lcm of the periods
+and the family's b, so n and n mod L always agree on the family's class.
 """
 
 import dataclasses
@@ -26,12 +25,11 @@ from coverscope.check import (
     MAX_CLAIMS,
     MAX_DIVISORS,
     MAX_LCM,
-    PREDICATE_ALL,
-    PREDICATES,
     SIGN_NAMES,
     Candidate,
     CoverCertificate,
     CoverEntry,
+    CoverlessCase,
     VerificationError,
     digit_limit_exceeded,
     witness_index,
@@ -92,22 +90,20 @@ def build_entry(candidate: Candidate, d: int) -> CoverEntry:
 
 
 def verify_cover(
-    candidate: Candidate, divisors, predicate: str = PREDICATE_ALL
+    candidate: Candidate, divisors, family: CoverlessCase | None = None
 ) -> CoverCertificate:
     """Build entries for every divisor, then prove that every residue mod L
-    the predicate claims is claimed by some entry.
+    outside the factor family's class, if a family is given, is claimed by
+    some entry.
 
     Raises NoOffsetError (naming the divisor) or UncoveredResidueError
-    (naming the smallest claimed residue mod L left open), and ValueError
+    (naming the smallest residue mod L left open), and ValueError
     for more than MAX_DIVISORS distinct divisors (before any walk), a
     divisor's period or L above MAX_LCM, or more than MAX_CLAIMS claimed
     residues.
     Deterministic: each residue takes the first matching entry in cover order.
     A repeated divisor is built once.
     """
-    if predicate not in PREDICATES:
-        raise ValueError(f"unknown predicate {predicate!r}")
-    modulus = PREDICATES[predicate][0]
     divisors = [int(d) for d in divisors]
     if not divisors:
         raise ValueError("cover must contain at least one divisor")
@@ -118,7 +114,7 @@ def verify_cover(
             f"the cover has {len(distinct)} distinct divisors, above the bound {MAX_DIVISORS}"
         )
     built = {d: build_entry(candidate, d) for d in distinct}
-    lcm = math.lcm(*[e.b for e in built.values()], modulus)
+    lcm = math.lcm(*[e.b for e in built.values()], family.b if family else 1)
     if lcm > MAX_LCM:
         limit = digit_limit_exceeded(lcm)
         if limit:
@@ -129,7 +125,7 @@ def verify_cover(
     # those lists fill (2000 tuples a size) until a full garbage collection,
     # so peak memory would creep with the number of calls.
     entries = tuple([built[d] for d in divisors])
-    cert = CoverCertificate(candidate, entries, lcm, predicate)
+    cert = CoverCertificate(candidate, entries, lcm, family)
     if cert.claims > MAX_CLAIMS:
         raise ValueError(f"the divisors claim {cert.claims} residues mod L, above {MAX_CLAIMS}")
     hole = cert.uncovered_residue
@@ -140,12 +136,12 @@ def verify_cover(
 
 def witness(certificate: CoverCertificate, n: int) -> int:
     """The covering divisor for exponent n >= 1 (first match in cover order);
-    n must satisfy the certificate's predicate."""
+    n must lie outside the factor family's class."""
     if n < 1:
         raise ValueError("the sequence starts at n = 1")
     i = witness_index(certificate, n)
     if i is None:
-        raise ValueError(f"n={n} does not satisfy the {certificate.predicate} condition")
+        raise ValueError(f"no cover entry witnesses n={n}")
     return certificate.entries[i].d
 
 
@@ -182,7 +178,7 @@ def _cover_object(cert: CoverCertificate, pad: str) -> str:
         f'{i}  {{\n{i}    "d": "{e.d}",\n{i}    "b": "{e.b}",\n{i}    "c": "{e.c}"\n{i}  }}'
         for e in cert.entries
     ])
-    predicate = "" if cert.predicate == PREDICATE_ALL else f'{i}"predicate": "{cert.predicate}",\n'
+    predicate = "" if cert.family is None else f'{i}"predicate": "{cert.family.predicate}",\n'
     return (
         f'{{\n{i}"k": "{cert.candidate.k}",\n{i}"sign": {cert.candidate.sign},\n{predicate}'
         f'{i}"entries": [\n{entries}\n{i}],\n{i}"lcm": "{cert.lcm}",\n'

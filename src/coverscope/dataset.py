@@ -211,7 +211,7 @@ def _verify_record(record: CorpusRecord) -> RecordResult:
             cert = algebraic.build_algebraic_certificate(case)
             if problem := check.prove(cert, cert.audited_n_max):
                 raise VerificationError(problem)  # a refused coverless record reports no L
-            lcms.append(cert.partial.lcm)
+            lcms.append(cert.lcm)
     except (VerificationError, ValueError) as exc:
         ok, detail = False, str(exc)
     return RecordResult(record, ok, detail, tuple(lcms), time.perf_counter() - start)

@@ -58,8 +58,10 @@ MUTANTS = (
         "r * lo // (f * lo - 1) + 1)",
         "r * lo // (f * lo - 1))",
     ),
-    # The checker (check): an entry fact, the properness prefix or L's
-    # match with the periods left out lets a false cover be proved.
+    # The checker (check): an entry fact, the properness prefix, L's match
+    # with the periods (the family's among them), the family's tie to k and
+    # its root, or the family's class kept from the witnesses left out lets
+    # a false cover be proved.
     (
         "divisor-1-accepted", "check",
         "if e.d < 3 or e.d % 2 == 0:",
@@ -72,8 +74,28 @@ MUTANTS = (
     ),
     (
         "lcm-match-skipped", "check",
-        "if lcm != math.lcm(*[e.b for e in cert.entries], PREDICATES[cert.predicate][0]):",
+        "if lcm != math.lcm(*[e.b for e in cert.entries], cert.family.b if cert.family else 1):",
         "if False:",
+    ),
+    (
+        "family-period-dropped-from-lcm", "check",
+        "if lcm != math.lcm(*[e.b for e in cert.entries], cert.family.b if cert.family else 1):",
+        "if lcm != math.lcm(*[e.b for e in cert.entries]):",
+    ),
+    (
+        "family-tie-to-k-and-sign-dropped", "check",
+        "if case.root < 2 or (cert.candidate.k, cert.candidate.sign) != (case.k, case.sign):",
+        "if case.root < 2:",
+    ),
+    (
+        "family-root-1-accepted", "check",
+        "if case.root < 2 or",
+        "if case.root < 1 or",
+    ),
+    (
+        "witness-index-family-exclusion-dropped", "check",
+        "if family is None or r not in range(family.c, lcm, family.b):",
+        "if True:",
     ),
     # The parser (check): a number past Python's digit limit escapes as
     # Python's own ValueError.

@@ -141,12 +141,20 @@ def smallest_uncovered(entries, lcm, predicate=None):
     return None
 
 
-# predicate name -> whether the predicate claims residue r
+# The file format's name for the n a cover's entries claim ("all" for a
+# full cover, else the partial cover's predicate field) -> whether they
+# claim residue r.
 CLAIMED = {
     "all": lambda r: True,
     "mod4ne2": lambda r: r % 4 != 2,
     "odd": lambda r: r % 2 == 1,
 }
+
+
+def claimed_by(family):
+    """CLAIMED for the entries of a certificate with this factor family,
+    looked up by the family's name in the file format."""
+    return CLAIMED["all" if family is None else family.predicate]
 
 
 def first_match_table(entries, lcm, claimed):
@@ -173,9 +181,7 @@ def first_audit_failure_naive(certificate, n_max):
     every term built as a bignum, the loop coverscope.check.first_audit_failure
     used to run.  The properness test comes before the division, so a
     witness d <= 1 fails where the division by 0 would have raised."""
-    table = first_match_table(
-        certificate.entries, certificate.lcm, CLAIMED[certificate.predicate]
-    )
+    table = first_match_table(certificate.entries, certificate.lcm, claimed_by(certificate.family))
     for n in range(1, n_max + 1):
         idx = table[n % certificate.lcm]
         if idx is None:
@@ -203,12 +209,12 @@ def entry_holds_naive(certificate, entry):
 def coverless_cross_check_naive(cert, n_max):
     """Smallest n in 1..n_max where a coverless certificate's term-by-term
     cross-check fails, or None: first_audit_failure_naive for the n the
-    partial cover's predicate claims, and for the rest (n >= 2) the product
-    of case.halves, which must be the term, with its first half a proper
+    partial cover claims, and for the rest (n >= 2) the product of
+    case.halves, which must be the term, with its first half a proper
     divisor of it."""
-    partial, case = cert.partial, cert.case
-    claimed = CLAIMED[partial.predicate]
-    failures = [first_audit_failure_naive(partial, n_max)]
+    case = cert.family
+    claimed = claimed_by(case)
+    failures = [first_audit_failure_naive(cert, n_max)]
     for n in range(2, n_max + 1):
         if not claimed(n):
             factor, cofactor = case.halves(case.root * 2 ** (n // case.power))
@@ -246,18 +252,18 @@ def coverless_facts_per_n(cert, divisibility_problem):
     part), then at every n up to the bit length of the largest divisor
     either the partial cover's witness or the bignum factor split, which
     must multiply back to the term and be a proper divisor of it."""
-    problem = divisibility_problem(cert.partial)
+    problem = divisibility_problem(cert)
     if problem is not None:
         return problem
-    partial, root = cert.partial, cert.case.root
-    k, sign = partial.candidate.k, partial.candidate.sign
-    table = first_match_table(partial.entries, partial.lcm, CLAIMED[partial.predicate])
-    depth = max(e.d for e in partial.entries).bit_length()
+    root = cert.family.root
+    k, sign = cert.candidate.k, cert.candidate.sign
+    table = first_match_table(cert.entries, cert.lcm, claimed_by(cert.family))
+    depth = max(e.d for e in cert.entries).bit_length()
     for n in range(1, depth + 1):
         term = k * 2**n + sign
-        idx = table[n % partial.lcm]
+        idx = table[n % cert.lcm]
         if idx is not None:
-            d = partial.entries[idx].d
+            d = cert.entries[idx].d
             ok = 1 < d < term and term % d == 0
         elif sign == 1:  # k = root^4, n = 4m + 2
             x = 2 ** (n // 4)

@@ -170,9 +170,7 @@ def test_criterion_7_square_riesel(corpus):
             assert 1 < factor < term
         divisors = record.covers[0][1]
         assert len(divisors) == 20
-        cert = cover.verify_cover(
-            Candidate(k, -1), divisors, check.PREDICATE_ODD
-        )
+        cert = cover.verify_cover(Candidate(k, -1), divisors, check.SquareCase(a, divisors))
         assert cert.lcm % 2 == 0
         table = cert.table
         assert all(table[r] is not None for r in range(1, cert.lcm, 2))

@@ -134,9 +134,7 @@ class TestSquareCase:
 
 class TestPartialCover:
     def test_first_fourth_power_case(self):
-        cert = verify_cover(
-            Candidate(CASE_A.k, 1), CASE_A.partial_cover, check.PREDICATE_MOD4_NE_2
-        )
+        cert = verify_cover(Candidate(CASE_A.k, 1), CASE_A.partial_cover, CASE_A)
         assert cert.lcm == 48
         assert cert.lcm % 4 == 0
         table = cert.table
@@ -147,15 +145,11 @@ class TestPartialCover:
                 assert table[r] is None
 
     def test_second_fourth_power_case(self):
-        cert = verify_cover(
-            Candidate(CASE_B.k, 1), CASE_B.partial_cover, check.PREDICATE_MOD4_NE_2
-        )
+        cert = verify_cover(Candidate(CASE_B.k, 1), CASE_B.partial_cover, CASE_B)
         assert cert.lcm == 64
 
     def test_riesel_square_case(self):
-        cert = verify_cover(
-            Candidate(CASE_SQ.k, -1), CASE_SQ.partial_cover, check.PREDICATE_ODD
-        )
+        cert = verify_cover(Candidate(CASE_SQ.k, -1), CASE_SQ.partial_cover, CASE_SQ)
         assert cert.lcm == 6720
         assert len(cert.entries) == 20
         table = cert.table
@@ -164,10 +158,8 @@ class TestPartialCover:
     def test_dropping_a_divisor_uncovers(self):
         reduced = tuple(d for d in CASE_A.partial_cover if d != 17)
         with pytest.raises(UncoveredResidueError) as exc_info:
-            verify_cover(
-                Candidate(CASE_A.k, 1), reduced, check.PREDICATE_MOD4_NE_2
-            )
-        assert exc_info.value.residue == 4  # smallest predicate residue left open
+            verify_cover(Candidate(CASE_A.k, 1), reduced, CASE_A)
+        assert exc_info.value.residue == 4  # smallest residue outside the family's class left open
 
     def test_failure_reports_smallest_predicate_residue(self):
         candidate = Candidate(CASE_A.k, 1)
@@ -178,17 +170,11 @@ class TestPartialCover:
         ]
         expected = smallest_uncovered(entries, 48, predicate=lambda r: r % 4 != 2)
         with pytest.raises(UncoveredResidueError) as exc_info:
-            verify_cover(candidate, reduced, check.PREDICATE_MOD4_NE_2)
+            verify_cover(candidate, reduced, CASE_A)
         assert exc_info.value.residue == expected == 0
 
-    def test_unknown_predicate_rejected(self):
-        with pytest.raises(ValueError):
-            verify_cover(Candidate(CASE_A.k, 1), CASE_A.partial_cover, "even")
-
     def test_partial_witness_respects_predicate(self):
-        cert = verify_cover(
-            Candidate(CASE_A.k, 1), CASE_A.partial_cover, check.PREDICATE_MOD4_NE_2
-        )
+        cert = verify_cover(Candidate(CASE_A.k, 1), CASE_A.partial_cover, CASE_A)
         d = witness(cert, 3)
         assert (CASE_A.k * 8 + 1) % d == 0
         with pytest.raises(ValueError):
@@ -200,14 +186,13 @@ class TestPartialCover:
         # Without its first divisor, the S4 record's partial cover leaves
         # claimed residues with no witness.  The facts check refuses the hole
         # before any cross-check, so it never reaches the factor family,
-        # whose domain is the n the predicate leaves out.
+        # whose domain is its own class n == 2 (mod 4).
         candidate = Candidate(CASE_A.k, 1)
         entries = tuple([cover.build_entry(candidate, d) for d in CASE_A.partial_cover[1:]])
         lcm = math.lcm(*[e.b for e in entries], 4)
-        partial = check.CoverCertificate(candidate, entries, lcm, check.PREDICATE_MOD4_NE_2)
-        hole = partial.uncovered_residue
+        cert = check.CoverCertificate(candidate, entries, lcm, CASE_A, 3 * lcm)
+        hole = cert.uncovered_residue
         assert hole == 1
-        cert = check.AlgebraicCertificate(CASE_A, partial, 3 * lcm)
         assert check.prove(cert, 3 * lcm) == f"uncovered residue {hole} (mod {lcm})"
 
 
@@ -254,8 +239,8 @@ class TestAlgebraicCertificate:
             cert = build_algebraic_certificate(case, n_max)
             doc = json.loads(algebraic.certificate_to_json(cert))
             loaded = check.algebraic_certificate_from_dict(doc)
-            assert loaded.case == case
-            assert loaded.partial == cert.partial
+            assert loaded.family == case
+            assert loaded == cert
             assert check.prove(loaded) is None
 
     def test_doctored_coefficients_rejected(self):
@@ -267,7 +252,7 @@ class TestAlgebraicCertificate:
 
     def test_unclaimed_predicate_residue_rejected(self):
         doc = json.loads(json.dumps(V1_CASE_A))
-        assert check.algebraic_certificate_from_dict(doc).case == CASE_A
+        assert check.algebraic_certificate_from_dict(doc).family == CASE_A
         doc["partial_cover_certificate"]["table"][3] = None
         with pytest.raises(check.CertificateFormatError):
             check.algebraic_certificate_from_dict(doc)
@@ -321,7 +306,7 @@ class TestAlgebraicCertificate:
 
     def test_doctored_offset_caught_by_facts_check(self):
         cert = build_algebraic_certificate(CASE_A, 20)
-        assert cert.partial.entries[0].c == 1  # true offset for d=3
+        assert cert.entries[0].c == 1  # true offset for d=3
         doc = json.loads(algebraic.certificate_to_json(cert))
         doc["partial_cover_certificate"]["entries"][0]["c"] = "0"
         loaded = check.algebraic_certificate_from_dict(doc)

@@ -18,10 +18,15 @@ from hypothesis import strategies as st
 
 import coverscope
 from coverscope import algebraic, check, cover, dataset
-from coverscope.check import AlgebraicCertificate, Candidate, FourthPowerCase, SquareCase
+from coverscope.check import Candidate, FourthPowerCase, SquareCase
 from coverscope.cli import main
-from oracles import coverless_cross_check_naive, coverless_facts_per_n
-from test_cover import doctored_certificates, n_max_sweep, random_divisor_sets
+from oracles import CLAIMED, coverless_facts_per_n
+from test_cover import (
+    FAMILY,
+    assert_proof_matches_oracles,
+    doctored_certificates,
+    random_divisor_sets,
+)
 from test_fuzz import COVERLESS_DOC, restated_lcm, spoiled_documents
 
 SELFRIDGE = "3,5,7,13,19,37,73"
@@ -66,20 +71,6 @@ def per_n_verdict(cert):
     return coverless_facts_per_n(cert, check._divisibility_problem)
 
 
-def assert_proof_matches_oracles(cert):
-    """check.prove(cert, n_max) at every depth of n_max_sweep against the
-    per-n facts, then, when they hold and n_max is given, the per-n
-    cross-check.  Returns the verdict without a cross-check."""
-    facts = per_n_verdict(cert)
-    for n_max in n_max_sweep(cert.partial):
-        expected = facts
-        if facts is None and n_max:
-            n_bad = coverless_cross_check_naive(cert, n_max)
-            expected = n_bad and f"factor check failed at n={n_bad}"
-        assert check.prove(cert, n_max) == expected, (cert.case, cert.partial.entries, n_max)
-    return facts
-
-
 def corpus_coverless_certificates():
     for record in dataset.load_corpus(dataset.default_corpus_path()):
         if record.root is not None:
@@ -100,39 +91,38 @@ class TestCoverlessProof:
         assert len(certs) == 3
         verdicts = []
         for cert in certs:
-            for partial in (cert.partial, *doctored_certificates(cert.partial, rng)):
-                doctored = dataclasses.replace(cert, partial=partial)
+            for doctored in (cert, *doctored_certificates(cert, rng)):
                 verdicts.append(assert_proof_matches_oracles(doctored))
         assert verdicts.count(None) == 3 and len(verdicts) > 3
 
     def test_roots_1_to_64_with_random_partial_covers(self):
         # A small root^4 or root^2 has primes among its claimed terms, so no
         # partial cover exists for it: each root is paired with the
-        # random_divisor_sets() covers of its kind's sign and predicate,
-        # built for other k.  Where k differs (or root is 1) the split fails
-        # at n = 2, unless a witness fails first, as the whole term at n = 1
+        # random_divisor_sets() covers of its kind's sign and family, built
+        # for other k.  Where k differs (or root is 1) the split fails at
+        # n = 2, unless a witness fails first, as the whole term at n = 1
         # does in the two covers put first.
         partials = [
             cover.verify_cover(Candidate(78557, 1), (157115, 3, 5, 7, 13, 19, 37, 73),
-                               check.PREDICATE_MOD4_NE_2),
+                               FAMILY["mod4ne2"]),
             cover.verify_cover(Candidate(509203, -1), (1018405, 3, 5, 7, 13, 17, 241),
-                               check.PREDICATE_ODD),
+                               FAMILY["odd"]),
         ]
-        for candidate, divisors, predicate in random_divisor_sets():
+        for candidate, divisors, name in random_divisor_sets():
             try:
-                partials.append(cover.verify_cover(candidate, divisors, predicate))
+                partials.append(cover.verify_cover(candidate, divisors, FAMILY[name]))
             except cover.UncoveredResidueError:
                 continue
         verdicts = set()
         for root in range(1, 65):
             for case_type in (FourthPowerCase, SquareCase):
                 for partial in partials:
-                    if (partial.candidate.sign, partial.predicate) != (
-                        case_type.sign, case_type.predicate
+                    if (partial.candidate.sign, type(partial.family)) != (
+                        case_type.sign, case_type
                     ):
                         continue
                     case = case_type(root, tuple(e.d for e in partial.entries))
-                    cert = AlgebraicCertificate(case, partial, 1)
+                    cert = dataclasses.replace(partial, family=case, audited_n_max=1)
                     verdicts.add(assert_proof_matches_oracles(cert))
         assert {"factor check failed at n=1", "factor check failed at n=2"} <= verdicts
 
@@ -148,11 +138,10 @@ class TestCoverlessProof:
     def test_emitted_factor_is_proper_except_root_1_at_n_2(self):
         for root in range(1, 65):
             for case in (FourthPowerCase(root, ()), SquareCase(root, ())):
-                modulus, claimed = check.PREDICATES[case.predicate]
                 with pytest.raises(ValueError):
                     check.family_factor(case, 0)
                 for n in range(1, 400):
-                    if n % modulus in claimed:
+                    if CLAIMED[case.predicate](n):
                         with pytest.raises(ValueError):
                             check.family_factor(case, n)
                     elif (root, n) == (1, 2):
@@ -197,7 +186,7 @@ class TestCoverlessProof:
                 "--root", str(record.root), "--out", str(path),
             ]
             assert main(argv) == 0
-            parsed = check.certificate_from_json(path.read_text()).case
+            parsed = check.certificate_from_json(path.read_text()).family
             assert built[-1] == parsed == corpus_case
             assert type(parsed) is check.CASE_BY_SIGN[sign]
 
@@ -298,6 +287,40 @@ def test_a_stated_lcm_that_every_period_divides_is_refuted():
     doubled = dataclasses.replace(cert, lcm=2 * cert.lcm)
     assert doubled.uncovered_residue is None
     assert check.prove(doubled) == "stated lcm does not match the entry periods"
+
+
+def test_a_stated_lcm_that_leaves_out_the_family_period_is_refuted():
+    # k = 5^2, sign -1: the entry (7, 3, 1) holds, as 7 | 2^3 - 1 and
+    # 7 | 25*2 - 1.  With L = 3 the square family takes residues 0 and 2
+    # and the entry residue 1, so no residue is left open; yet n = 3 is odd
+    # and 25*2^3 - 1 = 199 is prime.  Only the match of L with the lcm of
+    # the periods, the family's 2 among them, refutes it, and the parser
+    # refuses an L that the family's period does not divide.
+    cert = check.CoverCertificate(
+        Candidate(25, -1), (check.CoverEntry(7, 3, 1),), 3, SquareCase(5, (7,)), 1
+    )
+    assert cert.uncovered_residue is None
+    assert check.prove(cert) == "stated lcm does not match the entry periods"
+    with pytest.raises(check.CertificateFormatError, match="multiple of the predicate modulus"):
+        check.certificate_from_json(algebraic.certificate_to_json(cert))
+
+
+class _RootOneStatingS4K(FourthPowerCase):
+    @property
+    def k(self):
+        return 44745755**4
+
+
+def test_root_1_fails_at_n_2_whatever_k_the_case_states():
+    # The emitted factor is proper from n = 2 only for root >= 2, and the
+    # proof checks root itself: a case built in process that states the S4
+    # record's k with root 1 fails at n = 2, cross-checked or not.
+    s4 = FourthPowerCase(44745755, (3, 17, 97, 241, 257, 673))
+    cert = algebraic.build_algebraic_certificate(s4)
+    assert check.prove(cert, 100) is None
+    doctored = dataclasses.replace(cert, family=_RootOneStatingS4K(1, cert.family.partial_cover))
+    for n_max in (None, 100):
+        assert check.prove(doctored, n_max) == "factor check failed at n=2"
 
 
 S4_FIXTURE = Path(__file__).parent / "fixtures/v3/coverless-s4.json"

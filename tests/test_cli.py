@@ -591,8 +591,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("record_index", range(3))
     def test_truncated_partial_cover_fails(self, capsys, tmp_path, record_index):
-        # Shrinking L to the predicate modulus claims every predicate
-        # residue and proves nothing past n = 1.
+        # Shrinking L to the family's period b claims every residue outside
+        # the family's class and proves nothing past n = 1.
         record = [r for r in dataset.load_corpus(dataset.default_corpus_path()) if r.root][
             record_index
         ]

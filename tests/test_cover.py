@@ -16,6 +16,9 @@ from coverscope.cover import NoOffsetError, UncoveredResidueError
 from oracles import (
     CLAIMED,
     check_induction_identity,
+    claimed_by,
+    coverless_cross_check_naive,
+    coverless_facts_per_n,
     entry_holds_naive,
     first_audit_failure_naive,
     first_match_table,
@@ -183,9 +186,9 @@ class TestVerifyCover:
         # 3 * 7^3 above it.
         certs = [cover.verify_cover(Candidate(78557, 1), SELFRIDGE_COVER + (21, 1029, 21))]
         certs += corpus_certificates()
-        for candidate, divisors, predicate in random_divisor_sets():
+        for candidate, divisors, name in random_divisor_sets():
             try:
-                certs.append(cover.verify_cover(candidate, divisors, predicate))
+                certs.append(cover.verify_cover(candidate, divisors, FAMILY[name]))
             except UncoveredResidueError:
                 continue
         assert composite_warning(certs[0]) == [21, 1029, 21]
@@ -216,24 +219,30 @@ class TestVerifyCover:
             cover.verify_cover(Candidate(78557, 1), (3, 23, 5, 17, 23, 17))
         assert exc_info.value.divisor == 23
 
-    @pytest.mark.parametrize("candidate, divisors, predicate", [
-        (Candidate(78557, 1), SELFRIDGE_COVER, check.PREDICATE_ALL),
-        (Candidate(509203, -1), RIESEL_COVER, check.PREDICATE_ALL),
-        (Candidate(44745755**4, 1), (3, 17, 97, 241, 257, 673), check.PREDICATE_MOD4_NE_2),
+    @pytest.mark.parametrize("candidate, divisors, name", [
+        (Candidate(78557, 1), SELFRIDGE_COVER, "all"),
+        (Candidate(509203, -1), RIESEL_COVER, "all"),
+        (Candidate(44745755**4, 1), (3, 17, 97, 241, 257, 673), "mod4ne2"),
     ])
-    def test_the_hole_check_and_the_counts_derive_no_table(self, candidate, divisors, predicate):
+    def test_the_hole_check_and_the_counts_derive_no_table(self, candidate, divisors, name):
         # Coverage is a byte pass over the progressions.
         with table_unread():
-            cert = cover.verify_cover(candidate, divisors, predicate)
-            assert sum(cert.witness_counts) == sum(map(CLAIMED[predicate], range(cert.lcm)))
+            cert = cover.verify_cover(candidate, divisors, FAMILY[name])
+            assert sum(cert.witness_counts) == sum(map(CLAIMED[name], range(cert.lcm)))
 
 
-PREDICATE_MODULUS = {check.PREDICATE_ALL: 1, check.PREDICATE_MOD4_NE_2: 4, check.PREDICATE_ODD: 2}
+# A factor family for each name of oracles.CLAIMED, and the period of the
+# classes that name leaves out.  The byte pass, the table and the witness
+# read only the family's class n == c (mod b); root 1 ties it to no
+# candidate, so a proof of a certificate that has one fails by n = 2.
+FAMILY = {"all": None, "mod4ne2": check.FourthPowerCase(1, ()), "odd": check.SquareCase(1, ())}
+PREDICATE_MODULUS = {"all": 1, "mod4ne2": 4, "odd": 2}
 
 
 def random_divisor_sets(count=300):
-    """(candidate, divisors, predicate) with k built by CRT, so that each
-    divisor has a random offset and some sets cover their predicate."""
+    """(candidate, divisors, name of CLAIMED) with k built by CRT, so that
+    each divisor has a random offset and some sets cover the n that CLAIMED
+    names."""
     rng = random.Random(5)
     pool = (3, 5, 7, 11, 13, 17, 19, 31, 37, 41, 73, 109, 151, 241, 331, 1321)
     for _ in range(count):
@@ -255,33 +264,33 @@ class TestTableBuilder:
         corpus = dataset.load_corpus(dataset.default_corpus_path())
         for record in corpus:
             for sign, divisors in record.covers:
-                predicate = check.PREDICATE_ALL
+                family = None
                 if record.root is not None:
-                    predicate = check.PREDICATE_MOD4_NE_2 if sign == 1 else check.PREDICATE_ODD
-                cert = cover.verify_cover(Candidate(record.k, sign), divisors, predicate)
-                expected = first_match_table(cert.entries, cert.lcm, CLAIMED[predicate])
+                    family = check.CASE_BY_SIGN[sign](record.root, divisors)
+                cert = cover.verify_cover(Candidate(record.k, sign), divisors, family)
+                expected = first_match_table(cert.entries, cert.lcm, claimed_by(family))
                 assert list(cert.table) == expected, (record.k, sign)
                 assert cert.witness_counts == witness_counts_naive(
-                    cert.entries, cert.lcm, CLAIMED[predicate]
+                    cert.entries, cert.lcm, claimed_by(family)
                 )
 
     def test_random_divisor_sets_against_scan(self):
-        for candidate, divisors, predicate in random_divisor_sets():
+        for candidate, divisors, name in random_divisor_sets():
             entries = [cover.build_entry(candidate, d) for d in divisors]
-            lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
+            lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[name])
             hole = smallest_uncovered(
-                [(e.d, e.b, e.c) for e in entries], lcm, CLAIMED[predicate]
+                [(e.d, e.b, e.c) for e in entries], lcm, CLAIMED[name]
             )
             if hole is None:
-                cert = cover.verify_cover(candidate, divisors, predicate)
-                expected = first_match_table(entries, lcm, CLAIMED[predicate])
+                cert = cover.verify_cover(candidate, divisors, FAMILY[name])
+                expected = first_match_table(entries, lcm, CLAIMED[name])
                 assert list(cert.table) == expected
                 assert cert.witness_counts == witness_counts_naive(
-                    entries, lcm, CLAIMED[predicate]
+                    entries, lcm, CLAIMED[name]
                 )
             else:
                 with pytest.raises(UncoveredResidueError) as exc_info:
-                    cover.verify_cover(candidate, divisors, predicate)
+                    cover.verify_cover(candidate, divisors, FAMILY[name])
                 assert (exc_info.value.residue, exc_info.value.lcm) == (hole, lcm)
 
 
@@ -298,15 +307,15 @@ SMALL_ENTRIES = st.lists(
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(SMALL_ENTRIES, st.sampled_from(sorted(check.PREDICATES)))
-def test_witness_counts_match_the_per_residue_scan(entries, predicate):
+@given(SMALL_ENTRIES, st.sampled_from(sorted(CLAIMED)))
+def test_witness_counts_match_the_per_residue_scan(entries, name):
     # A copy of the first entry appended at the end claims nothing: every
     # residue it matches goes to the first entry.
     entries = tuple(entries) + (entries[0],)
-    lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
-    cert = hand_certificate(Candidate(78557, 1), entries, lcm, predicate)
+    lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[name])
+    cert = hand_certificate(Candidate(78557, 1), entries, lcm, FAMILY[name])
     counts = cert.witness_counts
-    assert counts == witness_counts_naive(entries, lcm, CLAIMED[predicate])
+    assert counts == witness_counts_naive(entries, lcm, CLAIMED[name])
     assert counts[-1] == 0
 
 
@@ -324,14 +333,14 @@ def overlapping_entries(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(overlapping_entries(), st.sampled_from(sorted(check.PREDICATES)))
-def test_byte_pass_matches_the_per_residue_scan(entries, predicate):
-    lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
-    cert = hand_certificate(Candidate(78557, 1), entries, lcm, predicate)
+@given(overlapping_entries(), st.sampled_from(sorted(CLAIMED)))
+def test_byte_pass_matches_the_per_residue_scan(entries, name):
+    lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[name])
+    cert = hand_certificate(Candidate(78557, 1), entries, lcm, FAMILY[name])
     triples = [(e.d, e.b, e.c) for e in entries]
     with table_unread():
-        assert cert.uncovered_residue == smallest_uncovered(triples, lcm, CLAIMED[predicate])
-        assert cert.witness_counts == witness_counts_naive(entries, lcm, CLAIMED[predicate])
+        assert cert.uncovered_residue == smallest_uncovered(triples, lcm, CLAIMED[name])
+        assert cert.witness_counts == witness_counts_naive(entries, lcm, CLAIMED[name])
 
 
 class TestWitness:
@@ -347,12 +356,12 @@ class TestWitness:
 
     def test_equals_the_first_match_scan(self):
         certs = list(corpus_certificates())
-        for candidate, divisors, predicate in random_divisor_sets():
+        for candidate, divisors, name in random_divisor_sets():
             entries = [cover.build_entry(candidate, d) for d in divisors]
-            lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
-            certs.append(hand_certificate(candidate, entries, lcm, predicate))
+            lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[name])
+            certs.append(hand_certificate(candidate, entries, lcm, FAMILY[name]))
         for cert in certs:
-            table = first_match_table(cert.entries, cert.lcm, CLAIMED[cert.predicate])
+            table = first_match_table(cert.entries, cert.lcm, claimed_by(cert.family))
             with table_unread():
                 for n in range(1, 3 * cert.lcm + 1):
                     idx = table[n % cert.lcm]
@@ -392,16 +401,16 @@ def corpus_certificates():
     """The certificate of every cover in the bundled corpus."""
     for record in dataset.load_corpus(dataset.default_corpus_path()):
         for sign, divisors in record.covers:
-            predicate = check.PREDICATE_ALL
+            family = None
             if record.root is not None:
-                predicate = check.PREDICATE_MOD4_NE_2 if sign == 1 else check.PREDICATE_ODD
-            yield cover.verify_cover(Candidate(record.k, sign), divisors, predicate)
+                family = check.CASE_BY_SIGN[sign](record.root, divisors)
+            yield cover.verify_cover(Candidate(record.k, sign), divisors, family)
 
 
-def hand_certificate(candidate, entries, lcm, predicate=check.PREDICATE_ALL):
+def hand_certificate(candidate, entries, lcm, family=None):
     """A certificate for the given entries, holes and all: nothing here is
     checked."""
-    return check.CoverCertificate(candidate, tuple(entries), lcm, predicate)
+    return check.CoverCertificate(candidate, tuple(entries), lcm, family)
 
 
 def with_slot(cert, r, j):
@@ -432,10 +441,10 @@ def doctored_certificates(cert, rng):
     def with_entry(new):
         return cert.entries[:i] + (new,) + cert.entries[i + 1:]
 
-    shifted = with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b))
-    yield hand_certificate(cert.candidate, shifted, cert.lcm, cert.predicate)
-    raised = with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b + e.b))
-    yield hand_certificate(cert.candidate, raised, cert.lcm, cert.predicate)
+    yield dataclasses.replace(cert, entries=with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b)))
+    yield dataclasses.replace(
+        cert, entries=with_entry(dataclasses.replace(e, c=(e.c + 1) % e.b + e.b))
+    )
     table = cert.table
     claimed = [n for n in range(1, cert.lcm + 1) if table[n % cert.lcm] is not None]
     if not claimed:
@@ -460,20 +469,21 @@ def wrong_period_certificates():
     the whole L, a multiple of the other periods that its true period does
     not divide, and as its offset c a true offset past the prefix, so that
     it claims one n per period, and n_bad = c + L is the first that fails."""
-    for candidate, divisors, predicate in random_divisor_sets():
+    for candidate, divisors, name in random_divisor_sets():
         entries = [cover.build_entry(candidate, d) for d in divisors]
         depth = max(divisors).bit_length()
         for i, e in enumerate(entries):
             others = entries[:i] + entries[i + 1:]
             for m in (1, 2, 3):
-                lcm = m * math.lcm(*(o.b for o in others), PREDICATE_MODULUS[predicate])
+                lcm = m * math.lcm(*(o.b for o in others), PREDICATE_MODULUS[name])
                 if pow(2, lcm, e.d) != 1 and depth + e.b < lcm <= 600:
                     break
             else:
                 continue
             # The least c > depth with c == e.c (mod e.b), below lcm.
             c = e.c + e.b * ((depth - e.c) // e.b + 1)
-            cert = hand_certificate(candidate, [CoverEntry(e.d, lcm, c)] + others, lcm, predicate)
+            entries = [CoverEntry(e.d, lcm, c)] + others
+            cert = hand_certificate(candidate, entries, lcm, FAMILY[name])
             if cert.table[c] == 0:
                 yield cert, c + lcm
 
@@ -515,14 +525,26 @@ def audit_depths(cert):
 
 
 def assert_proof_matches_oracles(cert):
-    """prove(cert, n_max) over n_max_sweep: the facts check's problem, or
-    else the all-bignum audit of the prefix and of every n <= n_max."""
+    """prove(cert, n_max) over n_max_sweep against the oracles, and the
+    verdict without a cross-check.  A full cover: the facts check's
+    problem, or else the all-bignum audit of the prefix and of every
+    n <= n_max.  With a factor family: the per-n facts of the prefix
+    (coverless_facts_per_n), then, when they hold and n_max is given, the
+    per-n cross-check."""
+    if cert.family is not None:
+        facts = coverless_facts_per_n(cert, check._divisibility_problem)
+        for n_max in n_max_sweep(cert):
+            n_bad = None if facts or not n_max else coverless_cross_check_naive(cert, n_max)
+            expected = facts or (n_bad and f"factor check failed at n={n_bad}")
+            assert check.prove(cert, n_max) == expected, (cert.family, cert.entries, n_max)
+        return facts
     depth = max(e.d for e in cert.entries).bit_length()
     facts = check._divisibility_problem(cert)
     for n_max in n_max_sweep(cert):
         n_bad = None if facts else first_audit_failure_naive(cert, max(depth, n_max or 0))
         expected = facts or (n_bad and f"witness fails at n={n_bad}")
         assert check.prove(cert, n_max) == expected, (cert, n_max)
+    return facts
 
 
 def assert_audit_matches_oracles(cert):
@@ -563,11 +585,11 @@ class TestStreamedAudit:
 
     def test_random_divisor_sets_and_their_doctored_copies(self):
         rng = random.Random(12)
-        for candidate, divisors, predicate in random_divisor_sets():
+        for candidate, divisors, name in random_divisor_sets():
             entries = [cover.build_entry(candidate, d) for d in divisors]
-            lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[predicate])
+            lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[name])
             # Sets that leave a hole audit with None there.
-            cert = hand_certificate(candidate, entries, lcm, predicate)
+            cert = hand_certificate(candidate, entries, lcm, FAMILY[name])
             assert_audit_matches_oracles(cert)
             for bad in doctored_certificates(cert, rng):
                 assert_audit_matches_oracles(bad)
@@ -652,11 +674,10 @@ class TestStreamedAudit:
         for name in ("78557s.json", "509203r.json", "coverless-s4.json", "coverless-r2.json"):
             with table_unread():
                 cert = check.certificate_from_json((fixtures / name).read_text())
-                partial = getattr(cert, "partial", cert)
-                n_max = 3 * partial.lcm if partial is not cert else check.MAX_AUDIT_N
+                n_max = 3 * cert.lcm if cert.family else check.MAX_AUDIT_N
                 assert check.prove(cert) is None
                 assert check.prove(cert, n_max) is None
-                cover.witness(partial, 1)
+                cover.witness(cert, 1)
 
     def test_bignum_terms_only_in_the_properness_prefix(self, selfridge_cert):
         class CountingK(int):
@@ -689,13 +710,13 @@ class TestStreamedAudit:
         # Every entry holds, so the audit allocates none of the L bytes of a
         # pass, and the proof allocates them once, for its hole check.
         cert = cover.verify_cover(Candidate(78557, 1), divisors)
-        passes, real = [], check.CoverCertificate._left_out
+        passes, real = [], check.CoverCertificate._family_marked
 
-        def left_out(self):
+        def family_marked(self):
             passes.append(self.lcm)
             return real(self)
 
-        monkeypatch.setattr(check.CoverCertificate, "_left_out", left_out)
+        monkeypatch.setattr(check.CoverCertificate, "_family_marked", family_marked)
         assert check.first_audit_failure(cert, check.MAX_AUDIT_N) is None
         assert passes == []
         assert check.prove(cert, check.MAX_AUDIT_N) is None
@@ -751,13 +772,13 @@ WHOLE_TERMS = (
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(
     st.sampled_from(WHOLE_TERMS),
-    st.sampled_from(sorted(check.PREDICATES)),
+    st.sampled_from(sorted(CLAIMED)),
     st.integers(0, 7),
     st.booleans(),
 )
-def test_a_holding_whole_term_witness_fails_where_it_witnesses(whole, predicate, at, repeat):
+def test_a_holding_whole_term_witness_fails_where_it_witnesses(whole, name, at, repeat):
     # The entry of d = k*2^n + sign holds, so it fails exactly at n, when
-    # it witnesses n: the predicate claims n and no earlier entry holds
+    # it witnesses n: the family does not take n and no earlier entry holds
     # n mod L.  A copy of it at the end witnesses nothing.
     k0, sign, divisors, i, n = whole
     candidate = Candidate(k0 + 2 * i * math.prod(divisors), sign)
@@ -765,8 +786,8 @@ def test_a_holding_whole_term_witness_fails_where_it_witnesses(whole, predicate,
     term = cover.build_entry(candidate, candidate.term(n))
     at = min(at, len(base.entries))
     entries = base.entries[:at] + (term,) + base.entries[at:] + (term,) * repeat
-    lcm = math.lcm(base.lcm, term.b, PREDICATE_MODULUS[predicate])
-    cert = hand_certificate(candidate, entries, lcm, predicate)
+    lcm = math.lcm(base.lcm, term.b, PREDICATE_MODULUS[name])
+    cert = hand_certificate(candidate, entries, lcm, FAMILY[name])
     assert check._divisibility_problem(cert) is None
     expected = n if check.witness_index(cert, n) == at else None
     for n_max in audit_depths(cert):
@@ -841,10 +862,13 @@ class TestSerialization:
             assert check.prove(cert) == problem
 
     def test_proof_refutes_exactly_when_facts_or_deep_audit_do(self):
+        # Without a cross-check, a certificate whose family is tied to its
+        # k, root and sign is proved as its entries are.
         def refutation(cert):
             problem = check._divisibility_problem(cert)
             n_bad = None if problem else check.first_audit_failure(cert, 10 * cert.lcm)
-            return problem or (n_bad and f"witness fails at n={n_bad}")
+            failed = "witness fails" if cert.family is None else "factor check failed"
+            return problem or (n_bad and f"{failed} at n={n_bad}")
 
         rng = random.Random(9)
         # The whole term at n = 1 as a divisor: facts hold, properness fails.
@@ -852,11 +876,10 @@ class TestSerialization:
             cover.verify_cover(Candidate(78557, 1), (157115,) + SELFRIDGE_COVER),
             cover.verify_cover(Candidate(509203, -1), (1018405,) + RIESEL_COVER),
         ]
-        for candidate, divisors, predicate in random_divisor_sets():
-            try:
-                certs.append(cover.verify_cover(candidate, divisors, predicate))
-            except UncoveredResidueError:
-                continue
+        # The random partial covers' families are tied to no k, so their
+        # proofs fail by n = 2 (test_check.TestCoverlessProof), and no random
+        # full cover covers: the corpus covers stand in for them.
+        certs += corpus_certificates()
         refuted = 0
         for cert in certs:
             i = rng.randrange(len(cert.entries))
@@ -922,12 +945,12 @@ ENTRIES = st.lists(st.builds(CoverEntry, BIG, BIG, BIG), min_size=1, max_size=8)
 
 
 @st.composite
-def cover_certificates(draw, candidate=None, predicate=None):
+def cover_certificates(draw, candidate=None, family=None):
     return check.CoverCertificate(
         candidate or Candidate(2 * draw(BIG) + 1, draw(st.sampled_from((1, -1)))),
         draw(ENTRIES),
         draw(BIG),
-        predicate or draw(st.sampled_from(sorted(check.PREDICATES))),
+        family or FAMILY[draw(st.sampled_from(sorted(CLAIMED)))],
     )
 
 
@@ -936,8 +959,8 @@ def coverless_certificates(draw):
     case = draw(st.sampled_from(sorted(check.CASE_BY_SIGN.values(), key=lambda t: t.kind)))(
         2 * draw(st.integers(0, 10**30)) + 1, ()
     )
-    partial = draw(cover_certificates(Candidate(case.k, case.sign), case.predicate))
-    return check.AlgebraicCertificate(case, partial, draw(st.integers(1, 10**6)))
+    cert = draw(cover_certificates(Candidate(case.k, case.sign), case))
+    return dataclasses.replace(cert, audited_n_max=draw(st.integers(1, 10**6)))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

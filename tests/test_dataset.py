@@ -299,7 +299,7 @@ class TestVerifyCorpus:
         monkeypatch.setattr(check, "family_factor", lambda case, n: None)
         record = parse_corpus(line)[0]
         case = check.CASE_BY_SIGN[1](record.root, record.covers[0][1])
-        assert algebraic.build_algebraic_certificate(case).partial.entries[-1].c == 6
+        assert algebraic.build_algebraic_certificate(case).entries[-1].c == 6
         report = verify_corpus([record])
         assert not report.ok
         assert report.results[0].detail == "11 does not divide k*2^6 +1"

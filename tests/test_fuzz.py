@@ -88,7 +88,7 @@ def spoiled_documents(draw, base):
 
 @st.composite
 def restated_lcm(draw, base):
-    """L doubled, or cut to a multiple of every predicate modulus that is too
+    """L doubled, or cut to a multiple of every family's period b that is too
     small for the periods; a stated table follows it, so it stays the
     derived one."""
     doc = json.loads(json.dumps(base))
