@@ -1,4 +1,5 @@
-"""A fixed list of mutants of the proof code, each of which Tier-1 must kill.
+"""A fixed list of mutants of the proof code and the checker, each of which
+Tier-1 must kill.
 
 A mutant is (name, module, old text, new text): the file
 src/coverscope/<module>.py with the one occurrence of the old text replaced
@@ -96,6 +97,113 @@ MUTANTS = (
         "witness-index-family-exclusion-dropped", "check",
         "if family is None or r not in range(family.c, lcm, family.b):",
         "if True:",
+    ),
+    # The facts check (check): an entry's offset range, its period's
+    # division of L, its period or offset fact, or the hole check left out
+    # lets a false cover be proved.
+    (
+        "offset-range-check-dropped", "check",
+        "if not 0 <= e.c < e.b:",
+        "if False:",
+    ),
+    (
+        "period-divides-stated-lcm-dropped", "check",
+        "if e.b > lcm or lcm % e.b:",
+        "if False:",
+    ),
+    (
+        "period-fact-dropped", "check",
+        "if pow(2, e.b, e.d) != 1:",
+        "if False:",
+    ),
+    (
+        "offset-fact-dropped", "check",
+        "if (k * pow(2, e.c, e.d) + sign) % e.d != 0:",
+        "if False:",
+    ),
+    (
+        "hole-check-dropped", "check",
+        'return None if hole is None else f"uncovered residue {hole} (mod {lcm})"',
+        "return None",
+    ),
+    # The witness audit (check): its own entry facts, or its test of a
+    # witness that is the whole term, left out.
+    (
+        "audit-entry-facts-dropped", "check",
+        """if not (d > 1 and lcm % e.b == 0 and pow(2, e.b, d) == 1
+                and (k % d * pow(2, e.c, d) + sign) % d == 0):""",
+        "if False:",
+    ),
+    (
+        "audit-whole-term-check-dropped", "check",
+        "if not rem and 0 < n < n_bad and q == 1 << n and witness_index(certificate, n) == i:",
+        "if False:",
+    ),
+    (
+        "audit-whole-term-witness-dropped", "check",
+        " and witness_index(certificate, n) == i:",
+        ":",
+    ),
+    # The factor family (check): the split's product, the emitted factor's
+    # properness, or the cross-check of the family's n left out.
+    (
+        "family-split-product-dropped", "check",
+        "if factor * cofactor != term:",
+        "if False:",
+    ),
+    (
+        "family-factor-properness-dropped", "check",
+        "if not 1 < factor < term:",
+        "if False:",
+    ),
+    (
+        "family-cross-check-skipped", "check",
+        "for n in range(2, n_bad or n_max + 1, case.b):",
+        "for n in ():",
+    ),
+    # The parser (check): a bound on L, on the claims or on the distinct
+    # entries, a coverless file's tie of k or the sign to its case, a
+    # version 0.1 table, a zero period, or L's tie to the family's period
+    # left out.
+    (
+        "lcm-bound-dropped", "check",
+        "if lcm > MAX_LCM:",
+        "if False:",
+    ),
+    (
+        "claims-bound-dropped", "check",
+        "if cert.claims > MAX_CLAIMS:",
+        "if False:",
+    ),
+    (
+        "distinct-entries-bound-dropped", "check",
+        "if len(entries) > MAX_DIVISORS and len(set(entries)) > MAX_DIVISORS:",
+        "if False:",
+    ),
+    (
+        "coverless-k-tie-dropped", "check",
+        "if case.k != k or partial.candidate.k != k:",
+        "if False:",
+    ),
+    (
+        "coverless-sign-tie-dropped", "check",
+        "if sign != case.sign or partial.candidate.sign != case.sign:",
+        "if False:",
+    ),
+    (
+        "v01-table-comparison-dropped", "check",
+        "and tuple(table) == cert.table",
+        "and True",
+    ),
+    (
+        "zero-period-refusal-dropped", "check",
+        "if not all(e.b for e in entries):",
+        "if False:",
+    ),
+    (
+        "predicate-modulus-check-dropped", "check",
+        "if family is not None and lcm % family.b != 0:",
+        "if False:",
     ),
     # The parser (check): a number past Python's digit limit escapes as
     # Python's own ValueError.

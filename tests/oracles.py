@@ -5,14 +5,6 @@ multiplication, trial division - and independent of the code under test.
 """
 
 
-def mod_pow_naive(base, exp, modulus):
-    """Repeated multiplication, one step per exponent unit."""
-    result = 1 % modulus
-    for _ in range(exp):
-        result = result * base % modulus
-    return result
-
-
 def order_naive(base, d):
     """Scan b = 1..d-1 for the first base**b == 1 (mod d)."""
     x = base % d

@@ -23,6 +23,12 @@ from oracles import (
 
 BOUNDS = (1, 2, 3, 10, 50, 1000, MAX_LCM)
 
+# Derandomized, as in every other test file: each run draws the same examples.
+FUZZ_200, FUZZ_300, FUZZ_400 = (
+    settings(max_examples=n, derandomize=True, deadline=None, database=None)
+    for n in (200, 300, 400)
+)
+
 
 def period(d):
     return arith.order_and_offset(1, 1, d, MAX_LCM)[0]
@@ -177,7 +183,7 @@ def test_order_and_offset_on_each_side_of_the_table_bound(d):
     assert (d in arith._LOG_TABLES) == (d <= arith.SIEVE_BOUND)
 
 
-@settings(max_examples=200, deadline=None)
+@FUZZ_200
 @given(
     st.integers(1, arith.SIEVE_BOUND + 200).map(lambda i: 2 * i + 1),
     st.lists(
@@ -244,20 +250,6 @@ class TestIsPrime:
         assert not result.is_prime
         assert 78557 == 17 * 4621
 
-    def test_agrees_with_trial_division(self):
-        # Both sides of SIEVE_BOUND: 1021 and 1031 are prime, 1023 = 3*11*31,
-        # 1025 = 5^2*41 and 1027 = 13*79 are not.
-        for n in range(20000):
-            assert arith.is_prime(n).is_prime == trial_division_prime(n), n
-
-    def test_agrees_with_the_sieve_set_and_trial_division_to_5000(self):
-        # is_prime reads n <= SIEVE_BOUND from _SIEVE_PRIME_SET.
-        for n in range(5001):
-            flag = arith.is_prime(n).is_prime
-            assert flag == trial_division_prime(n), n
-            if n <= arith.SIEVE_BOUND:
-                assert flag == (n in arith._SIEVE_PRIME_SET), n
-
     def test_agrees_with_trial_division_above_20000(self):
         rng = random.Random(21)
         ns = [rng.randrange(20000, 10**8) for _ in range(2000)] + [1021**2, 1031**2, 1021 * 1031]
@@ -309,55 +301,6 @@ class TestIsPrime:
 # for (psi_7 = psi_8 and psi_9 = psi_10 = psi_11), so base t + 1 catches it.
 PSI_TIERS = [(t, arith._PSI[t - 1]) for t in range(1, 13) if arith._PSI[t - 1] != arith._PSI[t]]
 
-# The largest prime below each row bound of _MR_ROWS, and below 1031**2,
-# with the bases its test runs, in order: none up to the sieve square, so
-# a return to more rounds shows without timing.  Three are in form on their
-# side, so the N-1 proof proves each after one base: 2**64 - 59 with
-# n - 1 = 4*k and F = 4*547*137*11 by the cube bound, 4759123129 with
-# F = 8*53*3 and 2**64 - 83 with F = 4*193*67*43 by the bound 1031 on what
-# is left of k.  The largest primes below their bounds out of form,
-# 4759123079 (on the - side, k = 594890385 and m = 3) and 2**64 - 95,
-# run their whole rows.
-FIRST_FIVE = (2, 3, 5, 7, 11)
-ROW_PRIMES = (
-    (1021, ()),
-    (1062949, ()),
-    (1373639, (2, 3)),
-    (9080189, (31, 73)),
-    (4759123129, (2,)),
-    (4759123079, (2, 7, 61)),
-    (1122004669603, (2, 13, 23, 1662803)),
-    (2152302898729, FIRST_FIVE),
-    (3474749660329, (*FIRST_FIVE, 13)),
-    (2**64 - 59, (2,)),
-    (2**64 - 83, (2,)),
-    (2**64 - 95, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-    (318665857834031151167441, arith.MR_DETERMINISTIC_BASES[:12]),
-    (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES),
-)
-
-
-# The largest prime k*2**m - 1 with 2**m > k below each row bound of
-# _MR_ROWS, each above the previous bound (and the first above 1031**2).
-RIESEL_ROW_PRIMES = (
-    669 * 2**11 - 1,
-    1105 * 2**13 - 1,
-    18153 * 2**18 - 1,
-    133749 * 2**23 - 1,
-    513143 * 2**22 - 1,
-    828437 * 2**22 - 1,
-    4294967247 * 2**32 - 1,
-    289824909317 * 2**40 - 1,
-    1508417001169 * 2**41 - 1,
-)
-
-
-def _riesel_form(n):
-    """(k, m) with n + 1 = k*2**m, k odd and 2**m > k, else None."""
-    m = ((n + 1) & -(n + 1)).bit_length() - 1
-    k = (n + 1) >> m
-    return (k, m) if k < 2**m else None
-
 
 def n_minus_1(k, m):
     """The base that proves N = k*2**m + 1 prime by the N-1 proof with F
@@ -370,6 +313,23 @@ def n_plus_1(k, m):
     """The start that proves N = k*2**m - 1 prime by the N+1 proof with F
     from _factored_part, else 0."""
     return arith._nplus1_proof(k, m, *arith._factored_part(k, m, -1))
+
+
+def side_proof(k, m, sign):
+    """n_minus_1 or n_plus_1: the proof of N = k*2**m + sign's side."""
+    return (n_minus_1 if sign > 0 else n_plus_1)(k, m)
+
+
+def _km(n, sign):
+    """(k, m) with n = k*2**m + sign, k odd."""
+    m = ((n - sign) & (sign - n)).bit_length() - 1
+    return (n - sign) >> m, m
+
+
+def _proves(n, sign):
+    """Whether the proof of n's side proves n = k*2**m + sign prime with
+    the part _factored_part gives."""
+    return bool(side_proof(*_km(n, sign), sign))
 
 
 @pytest.fixture
@@ -396,6 +356,20 @@ def trigger_proofs(monkeypatch):
     monkeypatch.setattr(arith, "_proved_on_its_side", trigger)
     monkeypatch.setattr(arith, "_nminus1_proof", counting("N-1", arith._nminus1_proof))
     monkeypatch.setattr(arith, "_nplus1_proof", counting("N+1", arith._nplus1_proof))
+    return runs
+
+
+@pytest.fixture
+def mr_bases(monkeypatch):
+    """(n, a) for each Miller-Rabin base a that is_prime runs on n, in order."""
+    runs = []
+    real = arith._mr_composite
+
+    def counting(n, a, d, s):
+        runs.append((n, a))
+        return real(n, a, d, s)
+
+    monkeypatch.setattr(arith, "_mr_composite", counting)
     return runs
 
 
@@ -475,7 +449,10 @@ class TestPsiTiers:
             assert not arith.is_prime(psi).is_prime, psi
 
     def test_agrees_with_a_sieve_below_2_to_the_21(self):
-        # Covers the tier edges psi_1 = 2047 and psi_2 = 1373653.
+        # Covers both sides of SIEVE_BOUND, where is_prime reads n from
+        # _SIEVE_PRIME_SET (1021 and 1031 are prime, 1023 = 3*11*31, 1025 =
+        # 5^2*41 and 1027 = 13*79 are not), SIEVE_SQUARE and the tier edges
+        # psi_1 = 2047 and psi_2 = 1373653.
         flags = primes_below_naive(2**21)
         wrong = [n for n in range(2**21) if arith.is_prime(n).is_prime != flags[n]]
         assert wrong == []
@@ -491,49 +468,7 @@ class TestPsiTiers:
             assert all(strong_probable_prime(bound, a) for a in bases), bound
             assert not arith.is_prime(bound).is_prime, bound
 
-    def test_a_prime_runs_exactly_its_tier_of_bases(self, monkeypatch):
-        # Timing-free guard against more rounds.
-        bases_run = []
-        real = arith._mr_composite
-
-        def counting(n, a, d, s):
-            bases_run.append(a)
-            return real(n, a, d, s)
-
-        monkeypatch.setattr(arith, "_mr_composite", counting)
-        for n, bases in ROW_PRIMES:
-            bases_run.clear()
-            assert arith.is_prime(n).is_prime, n
-            assert tuple(bases_run) == bases, n
-
-    def test_a_riesel_form_prime_runs_its_first_base_and_one_llr_run(
-        self, monkeypatch, trigger_proofs
-    ):
-        bases_run = []
-        real_composite = arith._mr_composite
-
-        def counting_composite(n, a, d, s):
-            bases_run.append(a)
-            return real_composite(n, a, d, s)
-
-        monkeypatch.setattr(arith, "_mr_composite", counting_composite)
-        assert not any(_riesel_form(n) for n, _ in ROW_PRIMES)
-        for n, _ in ROW_PRIMES:
-            trigger_proofs.clear()
-            arith.is_prime(n)
-            assert all(side == "N-1" for side, _, _ in trigger_proofs), n
-        for (bound, bases), n in zip(arith._MR_ROWS, RIESEL_ROW_PRIMES):
-            assert n < bound and _riesel_form(n), n
-            bases_run.clear()
-            trigger_proofs.clear()
-            assert arith.is_prime(n) == arith.PrimalityResult(
-                n, arith.METHOD_MR_DETERMINISTIC, True
-            ), n
-            assert bases_run == [bases[0]], n
-            assert trigger_proofs == [("N+1", *_riesel_form(n))], n
-
-
-class TestLucasLehmerRiesel:
+class TestNPlus1Proof:
     def test_agrees_with_a_sieve_below_2_to_the_22(self):
         flags = primes_below_naive(2**22)
         seen = 0
@@ -557,15 +492,6 @@ class TestLucasLehmerRiesel:
                     assert arith.is_prime(n) == _recheck_rule(n), n
                     seen += 1
         assert seen > 4000
-
-    def test_form_violations_rejected(self):
-        # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
-        # factor to add to F = 2**m, (F - 1)**3 <= N, and the bound 1031 on
-        # k leaves more than three t for the split.  With 2**20 it leaves
-        # two, and 1031**5 * 2**20 + sign is in form.
-        for k, m in ((1031, 2), (1031**5, 10), (1031 * 1033, 4)):
-            assert arith._factored_part(k, m, -1) is None, (k, m)
-        assert arith._factored_part(1031**5, 20, -1) == (2**20, (), 1031)
 
     def test_the_start_rechecks_by_a_matrix_power(self):
         # Primes N = k*2**m - 1, with and without odd q in F, up to past
@@ -592,91 +518,13 @@ class TestLucasLehmerRiesel:
                 v = lucas_v_by_matrix(p, (n + 1) // q, n)
                 assert math.gcd(v - 2, n) == 1, (k, m, q)
 
-    def test_valid_forms_with_2_to_the_m_at_most_k(self):
-        # (k, m, F, the odd primes taken into F, N = k*2**m - 1 prime).
-        # 2**m alone reaches the cube bound for 17*2**4 - 1 = 271 and for
-        # 1031*2**10 - 1; 111546435 = 3*5*...*23 takes 23 and 19, and
-        # 557732175 = 5*111546435 takes its power 5**2 before 23.
-        cases = (
-            (17, 4, 16, (), True),
-            (1031, 10, 2**10, (), False),
-            (3**5 * 35, 2, 4 * 3**5, (3,), True),
-            (111546435, 3, 8 * 23 * 19, (23, 19), True),
-            (557732175, 2, 4 * 25 * 23, (5, 23), True),
-        )
-        for k, m, f, qs, prime in cases:
-            n = k * 2**m - 1
-            assert k >= 2**m and prime_naive(n) == prime, (k, m)
-            assert arith._factored_part(k, m, -1) == (f, qs, 1), (k, m)
-            assert (f - 1) ** 3 > n and (n + 1) % f == 0
-            assert bool(n_plus_1(k, m)) == prime, (k, m)
-
-    def test_two_factor_exclusion_carries_the_proof(self, monkeypatch):
-        # (k, m, a, b): N = k*2**m - 1 = (a*F + 1)*(b*F - 1) is composite,
-        # yet it passes every Lucas check of the N+1 proof with F from
-        # _factored_part, F = 2**m or 2**m times odd prime powers of k.
-        composites = (
-            (1155, 6, 3, 6),
-            (3597, 8, 1, 14),
-            (616035, 2, 42, 3),
-            (4199121, 5, 4, 5),
-            (258057, 10, 12, 21),
-            (5165332095, 4, 30, 15),
-            (4062192441766305, 22, 210, 315),
-        )
-        for k, m, a, b in composites:
-            n = k * 2**m - 1
-            f, _, _ = arith._factored_part(k, m, -1)
-            assert n == (a * f + 1) * (b * f - 1) and k >= 2**m, (k, m)
-            assert arith._two_factor_split(n, f, -1, 1) == (a, b), (k, m)
-            assert n_plus_1(k, m) == 0, (k, m)
-        monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign, lo: None)
-        for k, m, _, _ in composites:
-            assert n_plus_1(k, m), (k, m)
-
-    def test_the_odd_q_checks_carry_the_proof(self, monkeypatch):
-        # (k, m, F, qs) of composite N = k*2**m - 1 that pass the check of
-        # V_{(N+1)/4} and the two-factor exclusion with F, but not a q's gcd.
-        composites = (
-            (405, 3, 648, (3,)),  # 41*79
-            (1977, 4, 10544, (659,)),  # 673*47
-            (3129, 5, 4768, (149,)),  # 449*223
-            (26883, 4, 1648, (103,)),  # 929*463
-            (639975, 9, 27136, (53,)),  # 25601*12799
-        )
-        for k, m, f, qs in composites:
-            assert arith._factored_part(k, m, -1) == (f, qs, 1), (k, m)
-            assert not prime_naive(k * 2**m - 1)
-            assert n_plus_1(k, m) == 0, (k, m)
-        real = arith._factored_part
-        monkeypatch.setattr(
-            arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], (), 1)
-        )
-        for k, m, _, _ in composites:
-            assert n_plus_1(k, m), (k, m)
-
-    def test_random_verdicts_do_not_depend_on_the_kernel(self, monkeypatch):
-        # The kernel only skips bases: with it never proving, every record
-        # below psi_13 comes out the same from the bases alone.
-        rng = random.Random(28)
-        ns = []
-        for m in range(11, 81):
-            k_max = min(2**m, arith.MR_DETERMINISTIC_BOUND >> m)
-            ns += [rng.randrange(1, k_max, 2) * 2**m - 1 for _ in range(60)]
-        ns = [n for n in ns if arith.SIEVE_SQUARE <= n < arith.MR_DETERMINISTIC_BOUND]
-        with_kernel = [arith.is_prime(n) for n in ns]
-        assert sum(r.is_prime for r in with_kernel) > 50
-        monkeypatch.setattr(arith, "_proved_on_its_side", lambda n, d, s: False)
-        assert [arith.is_prime(n) for n in ns] == with_kernel
-
-
-@settings(max_examples=400, deadline=None)
+@FUZZ_400
 @given(st.integers(2, 81).flatmap(
     lambda m: st.tuples(
         st.integers(0, (min(2**m - 1, PSI_13 >> m) - 1) // 2), st.just(m)
     )
 ))
-def test_llr_agrees_with_the_oracle_below_psi_13(km):
+def test_the_nplus1_proof_agrees_with_the_oracle_below_psi_13(km):
     j, m = km
     k = 2 * j + 1
     n = k * 2**m - 1
@@ -712,110 +560,14 @@ def riesel_above_psi_13(draw):
     return k, m
 
 
-@settings(max_examples=400, deadline=None)
+@FUZZ_400
 @given(riesel_above_psi_13())
-def test_an_llr_proof_above_psi_13_is_a_prime(km):
+def test_an_nplus1_proof_above_psi_13_is_a_prime(km):
     # prime_naive above psi_13 is 13 strong bases: every prime passes them.
     k, m = km
     assume(arith._factored_part(k, m, -1))
     if n_plus_1(k, m):
         assert prime_naive(k * 2**m - 1), (k, m)
-
-
-class TestRieselAbovePsi13:
-    def test_most_primes_are_proved_and_no_composite_is(self):
-        rng = random.Random(29)
-        kms = [_in_form_above_psi_13(rng, primes_only=True) for _ in range(150)]
-        proved = sum(bool(n_plus_1(k, m)) for k, m in kms)
-        assert proved > 120
-        draws = [_in_form_above_psi_13(rng) for _ in range(300)]
-        proved = [(k, m) for k, m in draws if n_plus_1(k, m)]
-        assert all(prime_naive(k * 2**m - 1) for k, m in proved), proved
-
-    def test_two_factor_split_finds_every_constructed_pair(self):
-        rng = random.Random(30)
-        seen = 0
-        for f in (1, 3, 35, 1155, 3**5, 1021):
-            for m in range(2, 40):
-                big_f = 2**m * f
-                for _ in range(10):
-                    a = rng.randrange(1, big_f)
-                    b = rng.randrange(1, max(2, (big_f - 3) ** 3 // ((a * big_f + 1) * big_f)))
-                    n = (a * big_f + 1) * (b * big_f - 1)
-                    if n >= (big_f - 1) ** 3:
-                        continue
-                    split = arith._two_factor_split(n, big_f, -1, 1)
-                    assert split is not None, (n, big_f)
-                    a1, b1 = split
-                    assert a1 >= 1 and b1 >= 1 and (a1 * big_f + 1) * (b1 * big_f - 1) == n
-                    seen += 1
-        assert seen > 1500
-
-    def test_two_factor_split_finds_nothing_on_primes(self):
-        rng = random.Random(31)
-        seen = 0
-        for f in (1, 3, 35, 1155):
-            for m in range(2, 30):
-                big_f = 2**m * f
-                for _ in range(20):
-                    n = rng.randrange(1, (big_f - 1) ** 3 // big_f) * big_f - 1
-                    if n > 2 and prime_naive(n):
-                        assert arith._two_factor_split(n, big_f, -1, 1) is None, (n, big_f)
-                        seen += 1
-        assert seen > 100
-
-    def test_records_do_not_depend_on_the_kernel(self, monkeypatch):
-        # A proof returns what 40 passing rounds return, and no proof runs
-        # them all from the same generator; so on both sides.
-        rng = random.Random(32)
-        ns = []
-        for sign in (-1, 1):
-            kms = [_in_form_above_psi_13(rng, sign=sign) for _ in range(400)]
-            kms += [_in_form_above_psi_13(rng, True, sign) for _ in range(40)]
-            ns += [k * 2**m + sign for k, m in kms]
-        ns += [k * 2**m - 1 for k in range(3, 200, 2) for m in (90, 99)]
-        with_kernel = [arith.is_prime(n) for n in ns]
-        assert sum(r.is_prime for r in with_kernel) > 100
-        monkeypatch.setattr(arith, "_proved_on_its_side", lambda n, d, s: False)
-        assert [arith.is_prime(n) for n in ns] == with_kernel
-
-    @pytest.mark.parametrize("k, m, rounds, kernel_runs", [
-        # First prime of the pinned disqualify scan: F = 2**25 * 463.
-        (208458014172092995, 25, 1, 1),
-        # 2**94 > 3, so F = 2**94.
-        (3, 94, 1, 1),
-        # k has no odd factor up to SIEVE_BOUND and (2**2 - 1)**3 < N.
-        (829261016169971846490977, 2, arith.MR_PROBABILISTIC_ROUNDS, 0),
-        # k is a prime with no factor up to SIEVE_BOUND: F = 2**30 with the
-        # bound 1031 on k.
-        (10605807533490612797, 30, 1, 1),
-        # First prime of the other pinned disqualify scan: F = 2**26 * 3 with
-        # the bound 1031 on the rest of k.
-        (4347139270569672657, 26, 1, 1),
-        # k is a prime with no factor up to SIEVE_BOUND, and F = 2**8 falls
-        # short of the bound 1031 on k.
-        (37778931862957161710357, 8, arith.MR_PROBABILISTIC_ROUNDS, 0),
-    ])
-    def test_a_prime_runs_one_round_and_one_kernel_run_in_form_else_all(
-        self, monkeypatch, trigger_proofs, k, m, rounds, kernel_runs
-    ):
-        # Timing-free guard against more rounds.
-        bases_run = []
-        real_composite = arith._mr_composite
-
-        def counting_composite(x, a, d, s):
-            bases_run.append(a)
-            return real_composite(x, a, d, s)
-
-        monkeypatch.setattr(arith, "_mr_composite", counting_composite)
-        n = k * 2**m - 1
-        assert n >= arith.MR_DETERMINISTIC_BOUND
-        assert (arith._factored_part(k, m, -1) is not None) == bool(kernel_runs)
-        assert arith.is_prime(n) == arith.PrimalityResult(
-            n, arith.METHOD_MR_PROBABILISTIC, True, rounds=arith.MR_PROBABILISTIC_ROUNDS
-        )
-        assert len(bases_run) == rounds
-        assert trigger_proofs == [("N+1", k, m)] * kernel_runs
 
 
 @st.composite
@@ -832,23 +584,16 @@ def sierpinski_in_form(draw, low, high):
     return k, m
 
 
-@settings(max_examples=300, deadline=None)
-@given(sierpinski_in_form(2**32, PSI_13))
-def test_pocklington_agrees_with_the_oracle_from_2_to_the_32_to_psi_13(km):
-    k, m = km
-    assert bool(n_minus_1(k, m)) == prime_naive(k * 2**m + 1), (k, m)
-
-
-@settings(max_examples=300, deadline=None)
+@FUZZ_300
 @given(sierpinski_in_form(PSI_13, 2**100))
-def test_a_pocklington_proof_above_psi_13_is_a_prime(km):
+def test_an_nminus1_proof_above_psi_13_is_a_prime(km):
     # prime_naive above psi_13 is 13 strong bases: every prime passes them.
     k, m = km
     if n_minus_1(k, m):
         assert prime_naive(k * 2**m + 1), (k, m)
 
 
-@settings(max_examples=300, deadline=None)
+@FUZZ_300
 @given(
     st.sampled_from((1, -1)),
     st.integers(2, 40),
@@ -856,18 +601,16 @@ def test_a_pocklington_proof_above_psi_13_is_a_prime(km):
     st.integers(1, 2**20),
     st.integers(1, 2**20),
 )
-def test_no_kernel_proves_a_product_of_two_factors_of_its_side(sign, j, f, a, b):
+def test_no_proof_proves_a_product_of_two_factors_of_its_side(sign, j, f, a, b):
     # N = (a*F0 + 1)*(b*F0 + sign) with F0 = 2**j * f is composite, and
     # every prime factor of such an N is == 1 or == sign mod F0, the shape
-    # the last check of each kernel is there to rule out.
+    # the last check of each proof is there to rule out.
     f0 = 2**j * f
     n = (a * f0 + 1) * (b * f0 + sign)
-    m = ((n - sign) & (sign - n)).bit_length() - 1
-    k = (n - sign) >> m
+    k, m = _km(n, sign)
     part = arith._factored_part(k, m, sign)
     assume(part is not None and k >= 2**m)
-    prove = n_minus_1 if sign > 0 else n_plus_1
-    assert prove(k, m) == 0, (k, m, sign)
+    assert side_proof(k, m, sign) == 0, (k, m, sign)
 
 
 def _proth_record(n, prime):
@@ -883,7 +626,7 @@ def _proth_record(n, prime):
     return arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, prime)
 
 
-class TestPocklington:
+class TestNMinus1Proof:
     def test_agrees_with_a_sieve_below_2_to_the_18(self):
         # proth_test is the same base loop with F = 2**m: on every
         # Proth-form N below 2**20 its record is the first base a with
@@ -911,15 +654,6 @@ class TestPocklington:
                 seen += 1
         assert seen > 50000 and proth_seen > 1500
 
-    def test_form_violations_rejected(self):
-        # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
-        # factor to add to F = 2**m, (F - 1)**3 <= N, and the bound 1031 on
-        # k leaves more than three t for the split.  With 2**20 it leaves
-        # two, and 1031**5 * 2**20 + sign is in form.
-        for k, m in ((1031, 2), (1031**5, 10), (1031 * 1033, 4)):
-            assert arith._factored_part(k, m, 1) is None, (k, m)
-        assert arith._factored_part(1031**5, 20, 1) == (2**20, (), 1031)
-
     def test_the_base_rechecks_from_the_result_alone(self):
         # Primes N = k*2**m + 1 with 2**m <= k and odd q in F: the base the
         # proof returns meets Euler's criterion and every q's gcd.
@@ -942,86 +676,236 @@ class TestPocklington:
                 assert (n - 1) % (q * 2**m) == 0
                 assert math.gcd(pow(a, (n - 1) // q, n) - 1, n) == 1, (k, m, q)
 
-    def test_valid_forms(self):
-        # (k, m, F, the odd primes taken into F, N = k*2**m + 1 prime).
-        # 2**m alone reaches the cube bound for 3*2**4 + 1 = 49 and for
-        # 13*2**8 + 1; 9279 = 3**2 * 1031 takes its power 3**2, and
-        # 171468703 = 7*23*1031*1033 takes 23 before 7; 111546435 =
-        # 3*5*...*23 takes 23 and 19, and 557732175 = 5*111546435 takes its
-        # power 5**2 before 23.
-        cases = (
-            (3, 4, 16, (), False),
-            (13, 8, 2**8, (), True),
-            (3**6 * 35, 2, 4 * 3**6, (3,), True),
-            (9279, 5, 32 * 9, (3,), True),
-            (171468703, 4, 16 * 23 * 7, (23, 7), True),
-            (111546435, 3, 8 * 23 * 19, (23, 19), True),
-            (557732175, 4, 16 * 25 * 23, (5, 23), True),
-            (41257931656341621, 20, 2**20 * 13 * 3, (13, 3), True),
-        )
-        for k, m, f, qs, prime in cases:
-            n = k * 2**m + 1
-            assert prime_naive(n) == prime, (k, m)
-            assert arith._factored_part(k, m, 1) == (f, qs, 1), (k, m)
-            assert (f - 1) ** 3 > n and (n - 1) % f == 0
-            assert bool(n_minus_1(k, m)) == prime, (k, m)
+    def test_is_prime_follows_the_recheck_rule_from_2_to_the_32_to_2_to_the_64(self):
+        # Every record of random odd n on both sides, in form or not, is the
+        # re-check rule's, whether or not a proof proved it.
+        rng = random.Random(36)
+        ns = [rng.randrange(2**32, 2**64) | 1 for _ in range(3000)]
+        ns += [k * 2**m + 1 for k, m in _in_form_below_psi_13(rng, 2**64, 1500)]
+        assert sum(arith.is_prime(n).is_prime for n in ns) > 150
+        for n in ns:
+            assert arith.is_prime(n) == _recheck_rule(n), n
 
-    def test_two_factor_exclusion_carries_the_proof(self, monkeypatch):
-        # (k, m, a, b): N = k*2**m + 1 = (a*F + 1)*(b*F + 1) is composite,
-        # yet it passes every check of the N-1 proof before the last,
-        # with F from _factored_part.
-        composites = (
-            (205, 4, 1, 12),
-            (46143, 8, 3, 60),
-            (56553, 5, 3, 12),
-            (694195, 4, 5, 30),
-            (74317959, 14, 63, 72),
-            (1815479325, 16, 27, 1026),
-            (44511738705, 12, 63, 126),
-            (4194304185, 20, 25, 160),
-        )
-        for k, m, a, b in composites:
+    def test_agrees_with_the_oracle_from_2_to_the_32_to_psi_13(self):
+        rng = random.Random(38)
+        kms = _in_form_below_psi_13(rng, PSI_13, 100, primes_only=True)
+        kms += _in_form_below_psi_13(rng, PSI_13, 200)
+        for k, m in kms:
+            assert bool(n_minus_1(k, m)) == prime_naive(k * 2**m + 1), (k, m)
+
+
+def _in_form_below_psi_13(rng, high, count, primes_only=False):
+    """count (k, m) with 2**32 <= k*2**m + 1 < high in the N-1 proof's
+    form, k a draw times one to three odd primes up to SIEVE_BOUND."""
+    kms = []
+    while len(kms) < count:
+        m = rng.randrange(1, 40)
+        p = math.prod(rng.choice(arith.SIEVE_PRIMES) for _ in range(rng.randrange(1, 4)))
+        lo, hi = max(2**32 >> m, 2**m) // p + 1, (high >> m) // p
+        if lo < hi:
+            k = (rng.randrange(lo, hi) | 1) * p
             n = k * 2**m + 1
-            f, _, _ = arith._factored_part(k, m, 1)
-            assert n == (a * f + 1) * (b * f + 1) and k >= 2**m, (k, m)
-            assert arith._two_factor_split(n, f, 1, 1) == (a, b), (k, m)
-            assert n_minus_1(k, m) == 0, (k, m)
+            if 2**32 <= n < high and arith._factored_part(k, m, 1):
+                if not primes_only or prime_naive(n):
+                    kms.append((k, m))
+    return kms
+
+
+# (n, the bases is_prime runs on the prime n, in order, or above psi_13 the
+# number of its seeded rounds, and the proofs its trigger runs, in order),
+# a guard against more bases, rounds or proofs that reads no clock.
+PRIME_RUNS = (
+    # The largest prime below each row bound of _MR_ROWS, and below
+    # 1031**2: no base up to the sieve square.  Three are in form on their
+    # side, so the N-1 proof proves each after one base: 2**64 - 59 with
+    # n - 1 = 4*k and F = 4*547*137*11 by the cube bound, 4759123129 with
+    # F = 8*53*3 and 2**64 - 83 with F = 4*193*67*43 by the bound 1031 on
+    # what is left of k.  9080189 is in form but below 2**32, the
+    # crossover.  The largest primes below their bounds out of form,
+    # 4759123079 (on the - side, k = 594890385 and m = 3) and 2**64 - 95,
+    # run their whole rows.
+    (1021, (), []),
+    (1062949, (), []),
+    (1373639, (2, 3), []),
+    (9080189, (31, 73), []),
+    (4759123129, (2,), [("N-1", 594890391, 3)]),
+    (4759123079, (2, 7, 61), []),
+    (1122004669603, (2, 13, 23, 1662803), []),
+    (2152302898729, (2, 3, 5, 7, 11), []),
+    (3474749660329, (2, 3, 5, 7, 11, 13), []),
+    (2**64 - 59, (2,), [("N-1", (2**64 - 60) // 4, 2)]),
+    (2**64 - 83, (2,), [("N-1", (2**64 - 84) // 4, 2)]),
+    (2**64 - 95, (2, 325, 9375, 28178, 450775, 9780504, 1795265022), []),
+    (318665857834031151167441, arith.MR_DETERMINISTIC_BASES[:12], []),
+    (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES, []),
+    # The largest prime k*2**m - 1 with 2**m > k below each row bound, each
+    # above the previous bound (and the first above 1031**2): its row's
+    # first base, then the N+1 proof.
+    (669 * 2**11 - 1, (2,), [("N+1", 669, 11)]),
+    (1105 * 2**13 - 1, (31,), [("N+1", 1105, 13)]),
+    (18153 * 2**18 - 1, (2,), [("N+1", 18153, 18)]),
+    (133749 * 2**23 - 1, (2,), [("N+1", 133749, 23)]),
+    (513143 * 2**22 - 1, (2,), [("N+1", 513143, 22)]),
+    (828437 * 2**22 - 1, (2,), [("N+1", 828437, 22)]),
+    (4294967247 * 2**32 - 1, (2,), [("N+1", 4294967247, 32)]),
+    (289824909317 * 2**40 - 1, (2,), [("N+1", 289824909317, 40)]),
+    (1508417001169 * 2**41 - 1, (2,), [("N+1", 1508417001169, 41)]),
+    # In [2**64, psi_13): F = 2**20 * 13 * 3, F = 2**16 * 761, and F =
+    # 2**21 * 5 with the bound 1031 on the rest of k.
+    (41257931656341621 * 2**20 + 1, (2,), [("N-1", 41257931656341621, 20)]),
+    (111411527898315965 * 2**16 - 1, (2,), [("N+1", 111411527898315965, 16)]),
+    (25906288222960415 * 2**21 + 1, (2,), [("N-1", 25906288222960415, 21)]),
+    # - side below 2**64 with two odd q, F = 2**10 * 811 * 17: the Lucas
+    # ladders cost more than the row, so the whole row and no proof.
+    (16935981269394083 * 2**10 - 1, arith._MR_ROWS[6][1], []),
+    # Above psi_13 one round and one proof in form: F = 2**34 * 1021; F =
+    # 2**25 * 463, the first prime of the pinned disqualify scan; F = 2**94,
+    # as 2**94 > 3; F = 2**30 with the bound 1031 on k, a prime with no
+    # factor up to SIEVE_BOUND; F = 2**26 * 3 with the bound 1031 on the
+    # rest of k, the first prime of the other pinned disqualify scan.
+    (7139711239991325154707 * 2**34 + 1, 1, [("N-1", 7139711239991325154707, 34)]),
+    (208458014172092995 * 2**25 - 1, 1, [("N+1", 208458014172092995, 25)]),
+    (3 * 2**94 - 1, 1, [("N+1", 3, 94)]),
+    (10605807533490612797 * 2**30 - 1, 1, [("N+1", 10605807533490612797, 30)]),
+    (4347139270569672657 * 2**26 - 1, 1, [("N+1", 4347139270569672657, 26)]),
+    # Out of form, all the rounds: k has no odd factor up to SIEVE_BOUND
+    # and (2**2 - 1)**3 < N; k is a prime with no factor up to SIEVE_BOUND,
+    # and F = 2**8 falls short of the bound 1031 on k.
+    (829261016169971846490977 * 2**2 - 1, arith.MR_PROBABILISTIC_ROUNDS, []),
+    (37778931862957161710357 * 2**8 - 1, arith.MR_PROBABILISTIC_ROUNDS, []),
+)
+
+
+def _on_side(rows, sign):
+    """The rows of a (sign, ...) table on sign's side, without the sign."""
+    side = [row[1:] for row in rows if row[0] == sign]
+    assert side, sign
+    return side
+
+
+class TestBothSides:
+    """Each claim on the N-1 and the N+1 proof, with a sign column: -1
+    takes the N+1 proof, +1 the N-1 proof."""
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_form_violations_rejected(self, sign):
+        # 1031 and 1033 are the least primes above SIEVE_BOUND: k has no
+        # factor to add to F = 2**m, (F - 1)**3 <= N, and the bound 1031 on
+        # k leaves more than three t for the split.  With 2**20 it leaves
+        # two, and 1031**5 * 2**20 + sign is in form.
+        for k, m in ((1031, 2), (1031**5, 10), (1031 * 1033, 4)):
+            assert arith._factored_part(k, m, sign) is None, (k, m, sign)
+        assert arith._factored_part(1031**5, 20, sign) == (2**20, (), 1031)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_valid_forms(self, sign):
+        # (sign, k, m, F, the odd primes taken into F, N = k*2**m + sign
+        # prime).  2**m alone reaches the cube bound for 3*2**4 + 1 = 49,
+        # 13*2**8 + 1, 17*2**4 - 1 = 271 and 1031*2**10 - 1; 9279 = 3**2 *
+        # 1031 takes its power 3**2, and 171468703 = 7*23*1031*1033 takes 23
+        # before 7; 111546435 = 3*5*...*23 takes 23 and 19, and 557732175 =
+        # 5*111546435 takes its power 5**2 before 23.
+        cases = (
+            (1, 3, 4, 16, (), False),
+            (1, 13, 8, 2**8, (), True),
+            (1, 3**6 * 35, 2, 4 * 3**6, (3,), True),
+            (1, 9279, 5, 32 * 9, (3,), True),
+            (1, 171468703, 4, 16 * 23 * 7, (23, 7), True),
+            (1, 111546435, 3, 8 * 23 * 19, (23, 19), True),
+            (1, 557732175, 4, 16 * 25 * 23, (5, 23), True),
+            (1, 41257931656341621, 20, 2**20 * 13 * 3, (13, 3), True),
+            (-1, 17, 4, 16, (), True),
+            (-1, 1031, 10, 2**10, (), False),
+            (-1, 3**5 * 35, 2, 4 * 3**5, (3,), True),
+            (-1, 111546435, 3, 8 * 23 * 19, (23, 19), True),
+            (-1, 557732175, 2, 4 * 25 * 23, (5, 23), True),
+        )
+        for k, m, f, qs, prime in _on_side(cases, sign):
+            n = k * 2**m + sign
+            assert prime_naive(n) == prime, (k, m, sign)
+            assert arith._factored_part(k, m, sign) == (f, qs, 1), (k, m, sign)
+            assert (f - 1) ** 3 > n and (n - sign) % f == 0
+            assert bool(side_proof(k, m, sign)) == prime, (k, m, sign)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_two_factor_exclusion_carries_the_proof(self, monkeypatch, sign):
+        # (sign, k, m, a, b): N = k*2**m + sign = (a*F + 1)*(b*F + sign) is
+        # composite, yet it passes every check of its side's proof before
+        # the last, with F from _factored_part: 2**m or 2**m times odd prime
+        # powers of k.
+        composites = _on_side((
+            (1, 205, 4, 1, 12),
+            (1, 46143, 8, 3, 60),
+            (1, 56553, 5, 3, 12),
+            (1, 694195, 4, 5, 30),
+            (1, 74317959, 14, 63, 72),
+            (1, 1815479325, 16, 27, 1026),
+            (1, 44511738705, 12, 63, 126),
+            (1, 4194304185, 20, 25, 160),
+            (-1, 1155, 6, 3, 6),
+            (-1, 3597, 8, 1, 14),
+            (-1, 616035, 2, 42, 3),
+            (-1, 4199121, 5, 4, 5),
+            (-1, 258057, 10, 12, 21),
+            (-1, 5165332095, 4, 30, 15),
+            (-1, 4062192441766305, 22, 210, 315),
+        ), sign)
+        for k, m, a, b in composites:
+            n = k * 2**m + sign
+            f, _, _ = arith._factored_part(k, m, sign)
+            assert n == (a * f + 1) * (b * f + sign) and k >= 2**m, (k, m, sign)
+            assert arith._two_factor_split(n, f, sign, 1) == (a, b), (k, m, sign)
+            assert side_proof(k, m, sign) == 0, (k, m, sign)
         monkeypatch.setattr(arith, "_two_factor_split", lambda n, f, sign, lo: None)
         for k, m, _, _ in composites:
-            assert n_minus_1(k, m), (k, m)
+            assert side_proof(k, m, sign), (k, m, sign)
 
-    def test_the_odd_q_checks_carry_the_proof(self, monkeypatch):
-        # (k, m, F, qs) of composite N = k*2**m + 1 that pass Euler's check
-        # and the two-factor exclusion with F, but not a q's gcd.
-        composites = (
-            (4530375, 3, 1000, (5,)),
-            (876681, 4, 2032, (127,)),
-            (3219681465, 5, 20384, (7, 13)),
-            (2488321575, 13, 8347648, (1019,)),
-            (127075753875, 12, 2904064, (709,)),
-        )
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_the_odd_q_checks_carry_the_proof(self, monkeypatch, sign):
+        # (sign, k, m, F, qs) of composite N = k*2**m + sign that pass
+        # Euler's check or the check of V_{(N+1)/4}, and the two-factor
+        # exclusion with F, but not a q's gcd.
+        composites = _on_side((
+            (1, 4530375, 3, 1000, (5,)),
+            (1, 876681, 4, 2032, (127,)),
+            (1, 3219681465, 5, 20384, (7, 13)),
+            (1, 2488321575, 13, 8347648, (1019,)),
+            (1, 127075753875, 12, 2904064, (709,)),
+            (-1, 405, 3, 648, (3,)),  # 41*79
+            (-1, 1977, 4, 10544, (659,)),  # 673*47
+            (-1, 3129, 5, 4768, (149,)),  # 449*223
+            (-1, 26883, 4, 1648, (103,)),  # 929*463
+            (-1, 639975, 9, 27136, (53,)),  # 25601*12799
+        ), sign)
         for k, m, f, qs in composites:
-            assert arith._factored_part(k, m, 1) == (f, qs, 1), (k, m)
-            assert not prime_naive(k * 2**m + 1)
-            assert n_minus_1(k, m) == 0, (k, m)
+            assert arith._factored_part(k, m, sign) == (f, qs, 1), (k, m, sign)
+            assert not prime_naive(k * 2**m + sign)
+            assert side_proof(k, m, sign) == 0, (k, m, sign)
         real = arith._factored_part
         monkeypatch.setattr(
             arith, "_factored_part", lambda k, m, sign: (real(k, m, sign)[0], (), 1)
         )
         for k, m, _, _ in composites:
-            assert n_minus_1(k, m), (k, m)
+            assert side_proof(k, m, sign), (k, m, sign)
 
-    def test_most_primes_above_psi_13_are_proved_and_no_composite_is(self):
-        rng = random.Random(33)
-        kms = [_in_form_above_psi_13(rng, True, 1) for _ in range(100)]
-        proved = sum(bool(n_minus_1(k, m)) for k, m in kms)
-        assert proved > 90
-        draws = [_in_form_above_psi_13(rng, sign=1) for _ in range(200)]
-        proved = [(k, m) for k, m in draws if n_minus_1(k, m)]
-        assert all(prime_naive(k * 2**m + 1) for k, m in proved), proved
+    # (sign, seed, primes drawn, fewest of them proved, draws).
+    @pytest.mark.parametrize(
+        "sign, seed, primes, fewest, draws", ((-1, 29, 150, 120, 300), (1, 33, 100, 90, 200))
+    )
+    def test_most_primes_above_psi_13_are_proved_and_no_composite_is(
+        self, sign, seed, primes, fewest, draws
+    ):
+        rng = random.Random(seed)
+        kms = [_in_form_above_psi_13(rng, True, sign) for _ in range(primes)]
+        proved = sum(bool(side_proof(k, m, sign)) for k, m in kms)
+        assert proved > fewest, sign
+        kms = [_in_form_above_psi_13(rng, sign=sign) for _ in range(draws)]
+        proved = [(k, m) for k, m in kms if side_proof(k, m, sign)]
+        assert all(prime_naive(k * 2**m + sign) for k, m in proved), proved
 
-    def test_two_factor_split_finds_every_constructed_pair(self):
-        rng = random.Random(34)
+    @pytest.mark.parametrize("sign, seed", ((-1, 30), (1, 34)))
+    def test_two_factor_split_finds_every_constructed_pair(self, sign, seed):
+        rng = random.Random(seed)
         seen = 0
         for f in (1, 3, 35, 1155, 3**5, 1021):
             for m in range(2, 40):
@@ -1029,113 +913,72 @@ class TestPocklington:
                 for _ in range(10):
                     a = rng.randrange(1, big_f)
                     b = rng.randrange(1, max(2, (big_f - 3) ** 3 // ((a * big_f + 1) * big_f)))
-                    n = (a * big_f + 1) * (b * big_f + 1)
+                    n = (a * big_f + 1) * (b * big_f + sign)
                     if n >= (big_f - 1) ** 3:
                         continue
-                    split = arith._two_factor_split(n, big_f, 1, 1)
+                    split = arith._two_factor_split(n, big_f, sign, 1)
                     assert split is not None, (n, big_f)
                     a1, b1 = split
-                    assert 1 <= a1 <= b1 and (a1 * big_f + 1) * (b1 * big_f + 1) == n
+                    # On the + side the two factors are ordered.
+                    assert min(a1, b1) >= 1 and (a1 <= b1 or sign < 0), (n, big_f)
+                    assert (a1 * big_f + 1) * (b1 * big_f + sign) == n
                     seen += 1
-        assert seen > 1500
+        assert seen > 1500, sign
 
-    def test_two_factor_split_finds_nothing_on_primes(self):
-        rng = random.Random(35)
+    @pytest.mark.parametrize("sign, seed", ((-1, 31), (1, 35)))
+    def test_two_factor_split_finds_nothing_on_primes(self, sign, seed):
+        rng = random.Random(seed)
         seen = 0
         for f in (1, 3, 35, 1155):
             for m in range(2, 30):
                 big_f = 2**m * f
                 for _ in range(20):
-                    n = rng.randrange(1, (big_f - 1) ** 3 // big_f) * big_f + 1
-                    if prime_naive(n):
-                        assert arith._two_factor_split(n, big_f, 1, 1) is None, (n, big_f)
+                    n = rng.randrange(1, (big_f - 1) ** 3 // big_f) * big_f + sign
+                    if n > 2 and prime_naive(n):
+                        assert arith._two_factor_split(n, big_f, sign, 1) is None, (n, big_f)
                         seen += 1
-        assert seen > 100
+        assert seen > 100, sign
 
-    def test_is_prime_follows_the_recheck_rule_from_2_to_the_32_to_2_to_the_64(self):
-        # Every record of random odd n on both sides, in form or not, is the
-        # re-check rule's, whether or not a kernel proved it.
-        rng = random.Random(36)
-        ns = [rng.randrange(2**32, 2**64) | 1 for _ in range(3000)]
-        ns += [k * 2**m + 1 for k, m in self._in_form_below_psi_13(rng, 2**64, 1500)]
-        assert sum(arith.is_prime(n).is_prime for n in ns) > 150
-        for n in ns:
-            assert arith.is_prime(n) == _recheck_rule(n), n
-
-    def test_verdicts_below_psi_13_do_not_depend_on_the_kernels(self, monkeypatch):
+    def test_records_do_not_depend_on_the_proofs(self, monkeypatch):
+        # A proof only skips bases or rounds and returns what they all
+        # passing returns, and no proof runs the rounds from the same
+        # generator: with the trigger never proving, every record comes out
+        # the same from the bases alone.  Random - side n below psi_13, in
+        # form on both sides above it, and + side n from 2**32 to psi_13.
+        rng = random.Random(28)
+        ns = []
+        for m in range(11, 81):
+            k_max = min(2**m, arith.MR_DETERMINISTIC_BOUND >> m)
+            ns += [rng.randrange(1, k_max, 2) * 2**m - 1 for _ in range(60)]
+        ns = [n for n in ns if arith.SIEVE_SQUARE <= n < arith.MR_DETERMINISTIC_BOUND]
+        rng = random.Random(32)
+        for sign in (-1, 1):
+            kms = [_in_form_above_psi_13(rng, sign=sign) for _ in range(400)]
+            kms += [_in_form_above_psi_13(rng, True, sign) for _ in range(40)]
+            ns += [k * 2**m + sign for k, m in kms]
+        ns += [k * 2**m - 1 for k in range(3, 200, 2) for m in (90, 99)]
         rng = random.Random(37)
-        ns = [k * 2**m + 1 for k, m in self._in_form_below_psi_13(rng, PSI_13, 1500)]
+        ns += [k * 2**m + 1 for k, m in _in_form_below_psi_13(rng, PSI_13, 1500)]
         ns += [rng.randrange(2**32, PSI_13) | 1 for _ in range(1500)]
-        with_kernel = [arith.is_prime(n) for n in ns]
-        assert sum(r.is_prime for r in with_kernel) > 80
+        with_proofs = [arith.is_prime(n) for n in ns]
+        assert sum(r.is_prime for r in with_proofs) > 230
         monkeypatch.setattr(arith, "_proved_on_its_side", lambda n, d, s: False)
-        assert [arith.is_prime(n) for n in ns] == with_kernel
+        assert [arith.is_prime(n) for n in ns] == with_proofs
 
-    def test_agrees_with_the_oracle_from_2_to_the_32_to_psi_13(self):
-        rng = random.Random(38)
-        kms = self._in_form_below_psi_13(rng, PSI_13, 100, primes_only=True)
-        kms += self._in_form_below_psi_13(rng, PSI_13, 200)
-        for k, m in kms:
-            assert bool(n_minus_1(k, m)) == prime_naive(k * 2**m + 1), (k, m)
-
-    @staticmethod
-    def _in_form_below_psi_13(rng, high, count, primes_only=False):
-        # (k, m) with 2**32 <= k*2**m + 1 < high in the N-1 proof's form,
-        # k a draw times one to three odd primes up to SIEVE_BOUND.
-        kms = []
-        while len(kms) < count:
-            m = rng.randrange(1, 40)
-            p = math.prod(rng.choice(arith.SIEVE_PRIMES) for _ in range(rng.randrange(1, 4)))
-            lo, hi = max(2**32 >> m, 2**m) // p + 1, (high >> m) // p
-            if lo < hi:
-                k = (rng.randrange(lo, hi) | 1) * p
-                n = k * 2**m + 1
-                if 2**32 <= n < high and arith._factored_part(k, m, 1):
-                    if not primes_only or prime_naive(n):
-                        kms.append((k, m))
-        return kms
-
-    @pytest.mark.parametrize("n, bases, kernel_runs", [
-        # In [2**64, psi_13): F = 2**20 * 13 * 3 and F = 2**16 * 761.
-        (41257931656341621 * 2**20 + 1, (2,), [("N-1", 41257931656341621, 20)]),
-        (111411527898315965 * 2**16 - 1, (2,), [("N+1", 111411527898315965, 16)]),
-        # Below 2**64: F = 4 * 547 * 137 * 11.
-        (2**64 - 59, (2,), [("N-1", (2**64 - 60) // 4, 2)]),
-        # Above psi_13, one round: F = 2**34 * 1021.
-        (7139711239991325154707 * 2**34 + 1, None, [("N-1", 7139711239991325154707, 34)]),
-        # In [2**64, psi_13) with the bound 1031 on the rest of k: F = 2**21 * 5.
-        (25906288222960415 * 2**21 + 1, (2,), [("N-1", 25906288222960415, 21)]),
-        # In form but below 2**32, the crossover: the whole row, no kernel.
-        (9080189, (31, 73), []),
-        # -1 side below 2**64 with two odd q, F = 2**10 * 811 * 17: the
-        # Lucas ladders cost more than the row, so the whole row, no kernel.
-        (16935981269394083 * 2**10 - 1, arith._MR_ROWS[6][1], []),
-        # Out of form on its side: the whole row, no kernel.
-        (318665857834031151167441, arith.MR_DETERMINISTIC_BASES[:12], []),
-        (3317044064679887385961813, arith.MR_DETERMINISTIC_BASES, []),
-    ])
-    def test_a_prime_runs_one_base_and_one_kernel_run_in_form_else_its_row(
-        self, monkeypatch, trigger_proofs, n, bases, kernel_runs
+    @pytest.mark.parametrize("n, bases, proofs", PRIME_RUNS)
+    def test_a_prime_runs_its_bases_and_its_proofs(
+        self, mr_bases, trigger_proofs, n, bases, proofs
     ):
-        # Timing-free guard against more bases or rounds, on each side.
-        bases_run = []
-        real_composite = arith._mr_composite
-
-        def counting_composite(x, a, d, s):
-            if x == n:
-                bases_run.append(a)
-            return real_composite(x, a, d, s)
-
-        monkeypatch.setattr(arith, "_mr_composite", counting_composite)
-        result = arith.is_prime(n)
-        assert result.is_prime and result.witness == 0
-        if bases is None:
-            assert result.method == arith.METHOD_MR_PROBABILISTIC
-            assert len(bases_run) == 1
-        else:
-            assert result == arith.PrimalityResult(n, arith.METHOD_MR_DETERMINISTIC, True)
-            assert tuple(bases_run) == bases
-        assert trigger_proofs == kernel_runs
+        deterministic = type(bases) is tuple
+        method, rounds = (
+            (arith.METHOD_MR_DETERMINISTIC, 0) if deterministic
+            else (arith.METHOD_MR_PROBABILISTIC, arith.MR_PROBABILISTIC_ROUNDS)
+        )
+        assert arith.is_prime(n) == arith.PrimalityResult(n, method, True, rounds=rounds), n
+        assert {x for x, _ in mr_bases} <= {n}, n
+        run = tuple(a for _, a in mr_bases)
+        assert (run if deterministic else len(run)) == bases, n
+        assert trigger_proofs == proofs, n
 
 
 # The 42 first primes k*2**n - 1 of the hunt benchmark's scans at seeds 1,
@@ -1335,19 +1178,6 @@ HUNT_BIG_PLUS = (
     (3921028932213976825, 20), (67028937074671, 36), (1594379108707343003, 21),
     (1796346670083504015, 21),
 )
-
-
-def _km(n, sign):
-    """(k, m) with n = k*2**m + sign, k odd."""
-    m = ((n - sign) & (sign - n)).bit_length() - 1
-    return (n - sign) >> m, m
-
-
-def _proves(n, sign):
-    """Whether the proof of n's side proves n = k*2**m + sign prime with
-    the part _factored_part gives."""
-    k, m = _km(n, sign)
-    return bool((n_minus_1 if sign > 0 else n_plus_1)(k, m))
 
 
 class TestBoundOnTheRestOfK:
@@ -1605,8 +1435,8 @@ class TestSmallFactor:
 
 
 def _is_prime_u64_reference(n):
-    """The former word-size kernel: deterministic Miller-Rabin for
-    0 <= n < 2**64 with the first twelve prime bases."""
+    """Deterministic Miller-Rabin for 0 <= n < 2**64 with the first twelve
+    prime bases, as is_prime once ran it below 2**64."""
     if n < 2:
         return False
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -1635,7 +1465,7 @@ def _is_prime_u64_reference(n):
 
 def _nonproth_reference(n):
     """_miller_rabin's records by plain Miller-Rabin, with no sieve, row or
-    kernel: the first twelve prime bases below 2**64, the first thirteen
+    proof: the first twelve prime bases below 2**64, the first thirteen
     up to psi_13, then the seeded rounds in a loop of their own.  Kept as
     the reference for _miller_rabin's one base loop, which is is_prime
     without the Proth branch and proth_test's fallback."""
@@ -1708,13 +1538,13 @@ _ROW_EDGES = (0, arith.SIEVE_BOUND + 1, arith.SIEVE_SQUARE, *(b for b, _ in arit
 ROW_RANGES = tuple(zip(_ROW_EDGES, (edge - 1 for edge in _ROW_EDGES[1:])))
 
 
-@settings(max_examples=400, deadline=None)
+@FUZZ_400
 @given(st.sampled_from(ROW_RANGES).flatmap(lambda r: st.integers(*r)))
 def test_is_prime_agrees_with_the_oracle_in_each_row(n):
     assert arith.is_prime(n).is_prime == prime_naive(n), n
 
 
-@settings(max_examples=200, deadline=None)
+@FUZZ_200
 @given(st.integers(1025, 2**32).flatmap(
     lambda x: st.tuples(st.just(x), st.integers(1025, 2**62 // x))
 ))

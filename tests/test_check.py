@@ -260,10 +260,12 @@ class TestCallSiteGuarantees:
             assert "--audit-n: value must be >= 1" in capsys.readouterr().err
 
 
-def test_huge_stated_periods_are_refused_before_any_pow(capsys, tmp_path):
+def test_huge_stated_periods_are_refused_before_any_pow(capsys, monkeypatch, tmp_path):
     # Each period is a multiple of ord_d(2) = 14000 with 4005 digits, so
     # pow(2, b, d) would pass after about a second per entry; no period
-    # divides the stated L = 2, which parsing bounds by MAX_LCM.
+    # divides the stated L = 2, which parsing bounds by MAX_LCM.  The
+    # checker's pow fails the test at once, rather than after a minute.
+    monkeypatch.setattr(check, "pow", lambda *args: pytest.fail("pow ran"), raising=False)
     entry = {"d": str(2**14000 - 1), "b": str(14000 * 10**4000), "c": "0"}
     doc = {
         "k": "1", "sign": -1, "entries": [entry] * 64, "lcm": "2",
@@ -324,6 +326,19 @@ def test_root_1_fails_at_n_2_whatever_k_the_case_states():
 
 
 S4_FIXTURE = Path(__file__).parent / "fixtures/v3/coverless-s4.json"
+
+
+@pytest.mark.parametrize("path", [("k",), ("partial_cover_certificate", "k")], ids=".".join)
+def test_a_coverless_k_other_than_root_to_the_power_is_a_format_error(path, capsys, tmp_path):
+    # Either k, the file's or the partial cover's, raised by 2: the proof
+    # reads only the partial cover's, so the parser alone ties the other.
+    doc = json.loads(S4_FIXTURE.read_text())
+    holder = doc if len(path) == 1 else doc[path[0]]
+    holder["k"] = str(int(holder["k"]) + 2)
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(doc))
+    assert main(["audit", str(cert)]) == 2
+    assert capsys.readouterr() == ("", "error: k does not match the stated root and kind\n")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on reading an int")

@@ -858,7 +858,7 @@ def test_scan_bytes_are_pinned(capsys, argv, exit_code, digest):
     "argv, exit_code, digest", PINNED_SCANS,
     ids=PINNED_SCAN_IDS,
 )
-def test_scan_bytes_do_not_depend_on_the_llr_kernel(capsys, monkeypatch, argv, exit_code, digest):
+def test_scan_bytes_do_not_depend_on_the_proofs(capsys, monkeypatch, argv, exit_code, digest):
     # An N+1 or N-1 proof only skips Miller-Rabin bases or rounds, so a
     # trigger that never proves anything leaves every byte as it is.
     monkeypatch.setattr(arith, "_proved_on_its_side", lambda n, d, s: False)

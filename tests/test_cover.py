@@ -239,24 +239,40 @@ FAMILY = {"all": None, "mod4ne2": check.FourthPowerCase(1, ()), "odd": check.Squ
 PREDICATE_MODULUS = {"all": 1, "mod4ne2": 4, "odd": 2}
 
 
+# The classes (d, b, c) of the covering systems of 78557 and 509203.
+COVERING_SYSTEMS = tuple(
+    tuple((d, order_naive(2, d), offset_naive(k, sign, d, order_naive(2, d))) for d in divisors)
+    for k, sign, divisors in ((78557, 1, SELFRIDGE_COVER), (509203, -1, RIESEL_COVER))
+)
+
+
 def random_divisor_sets(count=300):
     """(candidate, divisors, name of CLAIMED) with k built by CRT, so that
     each divisor has a random offset and some sets cover the n that CLAIMED
-    names."""
+    names.  Half the sets drawn for "all" take the classes of a known
+    covering system, in random order, under a random shift n -> n + s,
+    which covers every n again: these are full covers."""
     rng = random.Random(5)
     pool = (3, 5, 7, 11, 13, 17, 19, 31, 37, 41, 73, 109, 151, 241, 331, 1321)
     for _ in range(count):
         sign = rng.choice((1, -1))
-        divisors = rng.sample(pool, rng.randrange(1, len(pool) + 1))
-        # CRT: k == -sign * 2^-c (mod d) gives each divisor a random class c
+        name = rng.choice(list(CLAIMED))
+        if name == "all" and rng.random() < 0.5:
+            system = rng.choice(COVERING_SYSTEMS)
+            s = rng.randrange(math.lcm(*(b for _, b, _ in system)))
+            classes = [(d, (c + s) % b) for d, b, c in rng.sample(system, len(system))]
+        else:
+            divisors = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+            classes = [(d, rng.randrange(order_naive(2, d))) for d in divisors]
+        # CRT: k == -sign * 2^-c (mod d) gives each divisor its class c
         k, step = 1, 2
-        for d in divisors:
-            target = -sign * pow(2, -rng.randrange(order_naive(2, d)), d) % d
+        for d, c in classes:
+            target = -sign * pow(2, -c, d) % d
             while k % d != target:
                 k += step
             step *= d
         candidate = Candidate(k if k >= 3 else k + step, sign)
-        yield candidate, divisors, rng.choice(list(CLAIMED))
+        yield candidate, [d for d, _ in classes], name
 
 
 class TestTableBuilder:
@@ -275,6 +291,7 @@ class TestTableBuilder:
                 )
 
     def test_random_divisor_sets_against_scan(self):
+        full_covers = 0
         for candidate, divisors, name in random_divisor_sets():
             entries = [cover.build_entry(candidate, d) for d in divisors]
             lcm = math.lcm(*(e.b for e in entries), PREDICATE_MODULUS[name])
@@ -282,6 +299,7 @@ class TestTableBuilder:
                 [(e.d, e.b, e.c) for e in entries], lcm, CLAIMED[name]
             )
             if hole is None:
+                full_covers += name == "all"
                 cert = cover.verify_cover(candidate, divisors, FAMILY[name])
                 expected = first_match_table(entries, lcm, CLAIMED[name])
                 assert list(cert.table) == expected
@@ -292,6 +310,7 @@ class TestTableBuilder:
                 with pytest.raises(UncoveredResidueError) as exc_info:
                     cover.verify_cover(candidate, divisors, FAMILY[name])
                 assert (exc_info.value.residue, exc_info.value.lcm) == (hole, lcm)
+        assert full_covers > 30
 
 
 # Entries with periods dividing 2520, so L <= 2520, and offsets below twice
